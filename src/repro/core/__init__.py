@@ -7,8 +7,7 @@
 - :mod:`repro.core.hws` -- the half-window-size selection procedure of
   Section V-A (short LeNet trainings over HWS in {1, 2, 4, ..., 64}).
 - :mod:`repro.core.lutgemm` -- the shared LUT-GEMM engine (cached per
-  multiplier/gradient-method, fused gather backward, optional
-  ``REPRO_LUTGEMM_WORKERS`` column parallelism).
+  multiplier/gradient-method, fused gather backward).
 - :mod:`repro.core.execcore` -- the unified execution core both the
   training tape and the compiled serving plan lower onto (C-kernel or
   numpy backend, bit-identical either way).

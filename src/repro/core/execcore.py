@@ -86,16 +86,11 @@ def _c_forward(engine, wq, xq, acc_dtype) -> np.ndarray | None:
     wrow = (wq * engine.levels).astype(np.int64)
     xq32 = np.ascontiguousarray(xq, dtype=np.int32)
     # Positional call through the module attribute: tests monkeypatch
-    # ``lutkernel.fused_product_sums`` to force the numpy fallback.
-    if _TRACE.enabled:
-        # Same span name as the numpy gather loop: profiles show where
-        # forward time goes regardless of which backend served the call
-        # (the inner ``lutkernel.product_sums`` span tells them apart).
-        with _TRACE.span("lutgemm.gather", cat="engine"):
-            out = lutkernel.fused_product_sums(
-                engine._lut_i32, wrow, xq32, acc_dtype
-            )
-    else:
+    # ``lutkernel.fused_product_sums`` to force the numpy fallback.  Same
+    # span name as the numpy gather loop: profiles show where forward time
+    # goes regardless of which backend served the call (the inner
+    # ``lutkernel.product_sums`` span tells them apart).
+    with _TRACE.span("lutgemm.gather", cat="engine"):
         out = lutkernel.fused_product_sums(
             engine._lut_i32, wrow, xq32, acc_dtype
         )
@@ -117,20 +112,13 @@ def _numpy_forward(
     lut_flat = engine.lut_flat
     lut_dtype = lut_flat.dtype
     scratch = engine._scratch
-    tracing = _TRACE.enabled
     for c0 in range(0, c, chunk):
         hi = min(c0 + chunk, c)
-        if tracing:
-            with _TRACE.span("lutgemm.gather", cat="engine"):
-                idx = engine._build_idx(wrow, xq[:, c0:hi], (m, k, hi - c0))
-                prod = scratch.get("lut", lut_dtype, (m, k, hi - c0))
-                np.take(lut_flat, idx, out=prod, mode="clip")
-            with _TRACE.span("lutgemm.accumulate", cat="engine"):
-                out[:, c0:hi] = prod.sum(axis=1, dtype=np.int64)
-        else:
+        with _TRACE.span("lutgemm.gather", cat="engine"):
             idx = engine._build_idx(wrow, xq[:, c0:hi], (m, k, hi - c0))
             prod = scratch.get("lut", lut_dtype, (m, k, hi - c0))
             np.take(lut_flat, idx, out=prod, mode="clip")
+        with _TRACE.span("lutgemm.accumulate", cat="engine"):
             out[:, c0:hi] = prod.sum(axis=1, dtype=np.int64)
     # The index tensor of a single-chunk GEMM stays valid in scratch;
     # remember the operands so the backward can reuse it.  When no
@@ -202,44 +190,28 @@ def _numpy_backward(engine, wq, xq, gout):
         engine._fwd_operands = None
     grad_w_flat = engine.grad_w_flat
     grad_x_flat = engine.grad_x_flat
-    tracing = _TRACE.enabled
     for c0 in range(0, c, chunk):
         hi = min(c0 + chunk, c)
         cc = hi - c0
-        if tracing:
-            with _TRACE.span("lutgemm.bwd.gather", cat="engine"):
-                if reuse:
-                    idx = scratch.get("idx", np.intp, (m, k, cc))
-                    engine.idx_reuses += 1
-                else:
-                    idx = engine._build_idx(wrow, xq[:, c0:hi], (m, k, cc))
-                g = gout[:, None, c0:hi]
-                buf = scratch.get("grad", np.float32, (m, k, cc))
-                np.take(grad_w_flat, idx, out=buf, mode="clip")
-            with _TRACE.span("lutgemm.bwd.accumulate", cat="engine"):
-                np.multiply(buf, g, out=buf)
-                gw += buf.sum(axis=2)
-            with _TRACE.span("lutgemm.bwd.gather", cat="engine"):
-                np.take(grad_x_flat, idx, out=buf, mode="clip")
-            with _TRACE.span("lutgemm.bwd.accumulate", cat="engine"):
-                np.multiply(buf, g, out=buf)
-                gx[:, c0:hi] = buf.sum(axis=0)
-            continue
-        if reuse:
-            idx = scratch.get("idx", np.intp, (m, k, cc))
-            engine.idx_reuses += 1
-        else:
-            idx = engine._build_idx(wrow, xq[:, c0:hi], (m, k, cc))
-        g = gout[:, None, c0:hi]  # (M, 1, Cc), broadcast over K
-        # Gather + broadcast-multiply beats einsum here (~1.7x,
-        # measured): the contraction dims are small and memory-bound.
-        buf = scratch.get("grad", np.float32, (m, k, cc))
-        np.take(grad_w_flat, idx, out=buf, mode="clip")
-        np.multiply(buf, g, out=buf)
-        gw += buf.sum(axis=2)
-        np.take(grad_x_flat, idx, out=buf, mode="clip")
-        np.multiply(buf, g, out=buf)
-        gx[:, c0:hi] = buf.sum(axis=0)
+        with _TRACE.span("lutgemm.bwd.gather", cat="engine"):
+            if reuse:
+                idx = scratch.get("idx", np.intp, (m, k, cc))
+                engine.idx_reuses += 1
+            else:
+                idx = engine._build_idx(wrow, xq[:, c0:hi], (m, k, cc))
+            g = gout[:, None, c0:hi]  # (M, 1, Cc), broadcast over K
+            # Gather + broadcast-multiply beats einsum here (~1.7x,
+            # measured): the contraction dims are small and memory-bound.
+            buf = scratch.get("grad", np.float32, (m, k, cc))
+            np.take(grad_w_flat, idx, out=buf, mode="clip")
+        with _TRACE.span("lutgemm.bwd.accumulate", cat="engine"):
+            np.multiply(buf, g, out=buf)
+            gw += buf.sum(axis=2)
+        with _TRACE.span("lutgemm.bwd.gather", cat="engine"):
+            np.take(grad_x_flat, idx, out=buf, mode="clip")
+        with _TRACE.span("lutgemm.bwd.accumulate", cat="engine"):
+            np.multiply(buf, g, out=buf)
+            gx[:, c0:hi] = buf.sum(axis=0)
     return gw, gx
 
 
@@ -284,14 +256,7 @@ def serve_fused(
     if colsum is None:
         colsum = xq.sum(axis=0, dtype=np.int64)
     if engine._lut_i32 is not None and serve_kernel_trusted():
-        if _TRACE.enabled:
-            with _TRACE.span("lutgemm.gather", cat="engine"):
-                out = lutkernel.fused_serve(
-                    engine._lut_i32, wrow, xq, colsum, zw, m0, d0, shift,
-                    qlo, qhi, acc_dtype, wrow_bounds=wrow_bounds,
-                    xq_bounds=xq_bounds,
-                )
-        else:
+        with _TRACE.span("lutgemm.gather", cat="engine"):
             out = lutkernel.fused_serve(
                 engine._lut_i32, wrow, xq, colsum, zw, m0, d0, shift,
                 qlo, qhi, acc_dtype, wrow_bounds=wrow_bounds,

@@ -97,52 +97,36 @@ static inline long clamp_idx(int64_t id, long n)
  * Forward: acc[m, c] = sum_k lut[wrow[m, k] + xq[k, c]] over rows
  * [m_lo, m_hi).  Integer arithmetic: bit-identical to numpy for any
  * row partition, which is what makes threading over row blocks safe.
+ * One body per accumulator width: product_sums_range (int64) and
+ * product_sums_i32_range (int32, half the accumulator write traffic).
+ * Callers of the int32 instance must guarantee K * max|lut| < 2**31
+ * (checked in LutGemm.int32_acc_safe); within that bound results are
+ * bit-identical to product_sums_range.
  */
-void product_sums_range(const int32_t *lut, long n_lut,
-                        const int64_t *wrow,   /* (M, K): wq * levels */
-                        const int32_t *xq,     /* (K, C) quantized acts */
-                        int64_t *out,          /* (M, C), rows overwritten */
-                        long M, long K, long C,
-                        long m_lo, long m_hi)
-{
-    for (long m = m_lo; m < m_hi; m++) {
-        const int64_t *wr = wrow + m * K;
-        int64_t *acc = out + m * C;
-        for (long c = 0; c < C; c++)
-            acc[c] = 0;
-        for (long k = 0; k < K; k++) {
-            const int64_t base = wr[k];
-            const int32_t *xrow = xq + k * C;
-            for (long c = 0; c < C; c++)
-                acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];
-        }
-    }
+#define DEFINE_PRODUCT_SUMS_RANGE(NAME, ACC_T)                          \
+void NAME(const int32_t *lut, long n_lut,                               \
+          const int64_t *wrow,   /* (M, K): wq * levels */              \
+          const int32_t *xq,     /* (K, C) quantized acts */            \
+          ACC_T *out,            /* (M, C), rows overwritten */         \
+          long M, long K, long C,                                       \
+          long m_lo, long m_hi)                                         \
+{                                                                       \
+    for (long m = m_lo; m < m_hi; m++) {                                \
+        const int64_t *wr = wrow + m * K;                               \
+        ACC_T *acc = out + m * C;                                       \
+        for (long c = 0; c < C; c++)                                    \
+            acc[c] = 0;                                                 \
+        for (long k = 0; k < K; k++) {                                  \
+            const int64_t base = wr[k];                                 \
+            const int32_t *xrow = xq + k * C;                           \
+            for (long c = 0; c < C; c++)                                \
+                acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];        \
+        }                                                               \
+    }                                                                   \
 }
 
-/* int32-accumulator variant: same gather, half the accumulator write
- * traffic.  Callers must guarantee K * max|lut| < 2**31 (checked in
- * LutGemm.int32_acc_safe); within that bound results are bit-identical
- * to product_sums_range. */
-void product_sums_i32_range(const int32_t *lut, long n_lut,
-                            const int64_t *wrow,
-                            const int32_t *xq,
-                            int32_t *out,
-                            long M, long K, long C,
-                            long m_lo, long m_hi)
-{
-    for (long m = m_lo; m < m_hi; m++) {
-        const int64_t *wr = wrow + m * K;
-        int32_t *acc = out + m * C;
-        for (long c = 0; c < C; c++)
-            acc[c] = 0;
-        for (long k = 0; k < K; k++) {
-            const int64_t base = wr[k];
-            const int32_t *xrow = xq + k * C;
-            for (long c = 0; c < C; c++)
-                acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];
-        }
-    }
-}
+DEFINE_PRODUCT_SUMS_RANGE(product_sums_range, int64_t)
+DEFINE_PRODUCT_SUMS_RANGE(product_sums_i32_range, int32_t)
 
 /* ------------------------------------------------------------------
  * Fused integer serving op over rows [m_lo, m_hi): LUT gather +
@@ -165,9 +149,16 @@ void product_sums_i32_range(const int32_t *lut, long n_lut,
  * (max(q, Z) == a raised lower clamp, since Z >= qmin).  accrow is
  * per-thread scratch of >= C entries; rows are disjoint, so threading
  * over row blocks is bit-identical for every thread count.
- */
-
-/* ``fast`` (last parameter) is a caller-proven in-bounds flag: the
+ *
+ * One body per accumulator-row width: fused_serve_range (int64) and
+ * fused_serve_i32_range (int32, half the accumulator traffic).  Callers
+ * of the int32 instance must guarantee K * max|lut| < 2**31 (checked in
+ * LutGemm.int32_acc_safe); each accumulator is widened to int64 before
+ * the correction, so the requant math always runs in int64 and within
+ * that bound the two are bit-identical.  Only fused_serve_call below
+ * reaches them, hence static.
+ *
+ * ``fast`` (last parameter) is a caller-proven in-bounds flag: the
  * Python wrapper checks min(wrow) + min(xq) >= 0 and
  * max(wrow) + max(xq) < n_lut with SIMD numpy reductions (the wrow
  * bounds are input-independent and cached per plan op), which holds
@@ -177,182 +168,101 @@ void product_sums_i32_range(const int32_t *lut, long n_lut,
  * costs ~2.7x on conv-shaped gathers -- and out-of-range data falls
  * back to the exact clamp loop, so results are bit-identical either
  * way.  C == 1 (linear single-sample) rows take a scalar reduction
- * with four independent accumulator chains instead: the column loop
- * has no parallelism to hide the gather latency, the chains do. */
-
-void fused_serve_range(const int32_t *restrict lut, long n_lut,
-                       /* (M, K): wq * levels */
-                       const int64_t *restrict wrow,
-                       /* (K, C) quantized acts */
-                       const int32_t *restrict xq,
-                       /* (C,): xq.sum(axis=0) */
-                       const int64_t *restrict colsum,
-                       const int64_t *restrict zw, long zw_stride,
-                       const int64_t *restrict m0,
-                       const int64_t *restrict d0,
-                       const int64_t *restrict shift, long rq_stride,
-                       long qlo, long qhi,
-                       uint8_t *restrict out,  /* (M, C) */
-                       /* scratch, >= C; restrict matters: without it
-                        * the accrow store may alias the next xq load
-                        * and the gather runs serialized (~1.7x). */
-                       int64_t *restrict accrow,
-                       long M, long K, long C,
-                       long m_lo, long m_hi, long fast)
-{
-    if (C == 1) {
-        for (long m = m_lo; m < m_hi; m++) {
-            const int64_t *wr = wrow + m * K;
-            int64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-            long k = 0;
-            if (fast) {
-                for (; k + 4 <= K; k += 4) {
-                    a0 += lut[wr[k] + xq[k]];
-                    a1 += lut[wr[k + 1] + xq[k + 1]];
-                    a2 += lut[wr[k + 2] + xq[k + 2]];
-                    a3 += lut[wr[k + 3] + xq[k + 3]];
-                }
-                for (; k < K; k++)
-                    a0 += lut[wr[k] + xq[k]];
-            } else {
-                for (; k < K; k++)
-                    a0 += lut[clamp_idx(wr[k] + xq[k], n_lut)];
-            }
-            const int64_t acc = a0 + a1 + a2 + a3;
-            const int64_t t =
-                (acc - zw[m * zw_stride] * colsum[0]) * m0[m * rq_stride]
-                + d0[m * rq_stride];
-            const long sh = (long) shift[m * rq_stride];
-            const int64_t half = sh > 0 ? (int64_t) 1 << (sh - 1) : 0;
-            int64_t q = (t + half) >> sh;
-            if (q < qlo) q = qlo;
-            if (q > qhi) q = qhi;
-            out[m] = (uint8_t) q;
-        }
-        return;
-    }
-    for (long m = m_lo; m < m_hi; m++) {
-        const int64_t *wr = wrow + m * K;
-        for (long c = 0; c < C; c++)
-            accrow[c] = 0;
-        if (fast) {
-            for (long k = 0; k < K; k++) {
-                const int64_t base = wr[k];
-                const int32_t *xrow = xq + k * C;
-                for (long c = 0; c < C; c++)
-                    accrow[c] += lut[base + xrow[c]];
-            }
-        } else {
-            for (long k = 0; k < K; k++) {
-                const int64_t base = wr[k];
-                const int32_t *xrow = xq + k * C;
-                for (long c = 0; c < C; c++)
-                    accrow[c] += lut[clamp_idx(base + xrow[c], n_lut)];
-            }
-        }
-        const int64_t zwm = zw[m * zw_stride];
-        const int64_t mm = m0[m * rq_stride];
-        const int64_t dm = d0[m * rq_stride];
-        const long sh = (long) shift[m * rq_stride];
-        const int64_t half = sh > 0 ? (int64_t) 1 << (sh - 1) : 0;
-        uint8_t *orow = out + m * C;
-        for (long c = 0; c < C; c++) {
-            int64_t t = (accrow[c] - zwm * colsum[c]) * mm + dm;
-            int64_t q = (t + half) >> sh;
-            if (q < qlo) q = qlo;
-            if (q > qhi) q = qhi;
-            orow[c] = (uint8_t) q;
-        }
-    }
+ * with four independent int64 accumulator chains instead (inside the
+ * int32-safe bound they give the same value as int32 accumulation):
+ * the column loop has no parallelism to hide the gather latency, the
+ * chains do.
+ *
+ * accrow's restrict matters: without it the accrow store may alias
+ * the next xq load and the gather runs serialized (~1.7x).
+ */
+#define DEFINE_FUSED_SERVE_RANGE(NAME, ACC_T)                           \
+static void NAME(const int32_t *restrict lut, long n_lut,               \
+                 /* (M, K): wq * levels */                              \
+                 const int64_t *restrict wrow,                          \
+                 /* (K, C) quantized acts */                            \
+                 const int32_t *restrict xq,                            \
+                 /* (C,): xq.sum(axis=0) */                             \
+                 const int64_t *restrict colsum,                        \
+                 const int64_t *restrict zw, long zw_stride,            \
+                 const int64_t *restrict m0,                            \
+                 const int64_t *restrict d0,                            \
+                 const int64_t *restrict shift, long rq_stride,         \
+                 long qlo, long qhi,                                    \
+                 uint8_t *restrict out,  /* (M, C) */                   \
+                 ACC_T *restrict accrow, /* scratch, >= C */            \
+                 long M, long K, long C,                                \
+                 long m_lo, long m_hi, long fast)                       \
+{                                                                       \
+    if (C == 1) {                                                       \
+        for (long m = m_lo; m < m_hi; m++) {                            \
+            const int64_t *wr = wrow + m * K;                           \
+            int64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;                     \
+            long k = 0;                                                 \
+            if (fast) {                                                 \
+                for (; k + 4 <= K; k += 4) {                            \
+                    a0 += lut[wr[k] + xq[k]];                           \
+                    a1 += lut[wr[k + 1] + xq[k + 1]];                   \
+                    a2 += lut[wr[k + 2] + xq[k + 2]];                   \
+                    a3 += lut[wr[k + 3] + xq[k + 3]];                   \
+                }                                                       \
+                for (; k < K; k++)                                      \
+                    a0 += lut[wr[k] + xq[k]];                           \
+            } else {                                                    \
+                for (; k < K; k++)                                      \
+                    a0 += lut[clamp_idx(wr[k] + xq[k], n_lut)];         \
+            }                                                           \
+            const int64_t acc = a0 + a1 + a2 + a3;                      \
+            const int64_t t =                                           \
+                (acc - zw[m * zw_stride] * colsum[0]) * m0[m * rq_stride] \
+                + d0[m * rq_stride];                                    \
+            const long sh = (long) shift[m * rq_stride];                \
+            const int64_t half = sh > 0 ? (int64_t) 1 << (sh - 1) : 0;  \
+            int64_t q = (t + half) >> sh;                               \
+            if (q < qlo) q = qlo;                                       \
+            if (q > qhi) q = qhi;                                       \
+            out[m] = (uint8_t) q;                                       \
+        }                                                               \
+        return;                                                         \
+    }                                                                   \
+    for (long m = m_lo; m < m_hi; m++) {                                \
+        const int64_t *wr = wrow + m * K;                               \
+        for (long c = 0; c < C; c++)                                    \
+            accrow[c] = 0;                                              \
+        if (fast) {                                                     \
+            for (long k = 0; k < K; k++) {                              \
+                const int64_t base = wr[k];                             \
+                const int32_t *xrow = xq + k * C;                       \
+                for (long c = 0; c < C; c++)                            \
+                    accrow[c] += lut[base + xrow[c]];                   \
+            }                                                           \
+        } else {                                                        \
+            for (long k = 0; k < K; k++) {                              \
+                const int64_t base = wr[k];                             \
+                const int32_t *xrow = xq + k * C;                       \
+                for (long c = 0; c < C; c++)                            \
+                    accrow[c] += lut[clamp_idx(base + xrow[c], n_lut)]; \
+            }                                                           \
+        }                                                               \
+        const int64_t zwm = zw[m * zw_stride];                          \
+        const int64_t mm = m0[m * rq_stride];                           \
+        const int64_t dm = d0[m * rq_stride];                           \
+        const long sh = (long) shift[m * rq_stride];                    \
+        const int64_t half = sh > 0 ? (int64_t) 1 << (sh - 1) : 0;      \
+        uint8_t *orow = out + m * C;                                    \
+        for (long c = 0; c < C; c++) {                                  \
+            int64_t t =                                                 \
+                ((int64_t) accrow[c] - zwm * colsum[c]) * mm + dm;      \
+            int64_t q = (t + half) >> sh;                               \
+            if (q < qlo) q = qlo;                                       \
+            if (q > qhi) q = qhi;                                       \
+            orow[c] = (uint8_t) q;                                      \
+        }                                                               \
+    }                                                                   \
 }
 
-/* int32-accumulator variant: same pipeline, half the accumulator
- * traffic.  Callers must guarantee K * max|lut| < 2**31 (checked in
- * LutGemm.int32_acc_safe); the correction/requant math still runs in
- * int64, so within that bound results are bit-identical to
- * fused_serve_range. */
-void fused_serve_i32_range(const int32_t *restrict lut, long n_lut,
-                           const int64_t *restrict wrow,
-                           const int32_t *restrict xq,
-                           const int64_t *restrict colsum,
-                           const int64_t *restrict zw, long zw_stride,
-                           const int64_t *restrict m0,
-                           const int64_t *restrict d0,
-                           const int64_t *restrict shift, long rq_stride,
-                           long qlo, long qhi,
-                           uint8_t *restrict out,
-                           int32_t *restrict accrow,
-                           long M, long K, long C,
-                           long m_lo, long m_hi, long fast)
-{
-    /* C == 1 reduces to a scalar gather-reduce; the int64 chains give
-     * the same value as int32 accumulation inside the int32-safe bound
-     * the caller already guarantees for this variant. */
-    if (C == 1) {
-        for (long m = m_lo; m < m_hi; m++) {
-            const int64_t *wr = wrow + m * K;
-            int64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-            long k = 0;
-            if (fast) {
-                for (; k + 4 <= K; k += 4) {
-                    a0 += lut[wr[k] + xq[k]];
-                    a1 += lut[wr[k + 1] + xq[k + 1]];
-                    a2 += lut[wr[k + 2] + xq[k + 2]];
-                    a3 += lut[wr[k + 3] + xq[k + 3]];
-                }
-                for (; k < K; k++)
-                    a0 += lut[wr[k] + xq[k]];
-            } else {
-                for (; k < K; k++)
-                    a0 += lut[clamp_idx(wr[k] + xq[k], n_lut)];
-            }
-            const int64_t acc = a0 + a1 + a2 + a3;
-            const int64_t t =
-                (acc - zw[m * zw_stride] * colsum[0]) * m0[m * rq_stride]
-                + d0[m * rq_stride];
-            const long sh = (long) shift[m * rq_stride];
-            const int64_t half = sh > 0 ? (int64_t) 1 << (sh - 1) : 0;
-            int64_t q = (t + half) >> sh;
-            if (q < qlo) q = qlo;
-            if (q > qhi) q = qhi;
-            out[m] = (uint8_t) q;
-        }
-        return;
-    }
-    for (long m = m_lo; m < m_hi; m++) {
-        const int64_t *wr = wrow + m * K;
-        for (long c = 0; c < C; c++)
-            accrow[c] = 0;
-        if (fast) {
-            for (long k = 0; k < K; k++) {
-                const int64_t base = wr[k];
-                const int32_t *xrow = xq + k * C;
-                for (long c = 0; c < C; c++)
-                    accrow[c] += lut[base + xrow[c]];
-            }
-        } else {
-            for (long k = 0; k < K; k++) {
-                const int64_t base = wr[k];
-                const int32_t *xrow = xq + k * C;
-                for (long c = 0; c < C; c++)
-                    accrow[c] += lut[clamp_idx(base + xrow[c], n_lut)];
-            }
-        }
-        const int64_t zwm = zw[m * zw_stride];
-        const int64_t mm = m0[m * rq_stride];
-        const int64_t dm = d0[m * rq_stride];
-        const long sh = (long) shift[m * rq_stride];
-        const int64_t half = sh > 0 ? (int64_t) 1 << (sh - 1) : 0;
-        uint8_t *orow = out + m * C;
-        for (long c = 0; c < C; c++) {
-            int64_t t = ((int64_t) accrow[c] - zwm * colsum[c]) * mm + dm;
-            int64_t q = (t + half) >> sh;
-            if (q < qlo) q = qlo;
-            if (q > qhi) q = qhi;
-            orow[c] = (uint8_t) q;
-        }
-    }
-}
+DEFINE_FUSED_SERVE_RANGE(fused_serve_range, int64_t)
+DEFINE_FUSED_SERVE_RANGE(fused_serve_i32_range, int32_t)
 
 /* Packed-argument entry point for the fused serving kernels.  A plan
  * op calls this once per row range per sample, and ctypes marshalling
@@ -654,21 +564,9 @@ def _compile() -> "ctypes.CDLL | None":
         return None
     _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     _i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    _u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     _f32 = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
     _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     _long = ctypes.c_long
-    for sym, acc_ptr in (
-        ("fused_serve_range", _i64),
-        ("fused_serve_i32_range", _i32),
-    ):
-        srv = getattr(lib, sym)
-        srv.restype = None
-        srv.argtypes = [
-            _i32, _long, _i64, _i32, _i64, _i64, _long, _i64, _i64, _i64,
-            _long, _long, _long, _u8, acc_ptr, _long, _long, _long, _long,
-            _long, _long,
-        ]
     # Packed-argument entries: one pointer crosses the FFI boundary, so
     # per-call marshalling stays ~1us instead of ~20us for 21 args.
     for sym in ("fused_serve_call", "im2col_serve_call"):
@@ -845,10 +743,7 @@ def fused_product_sums(
         fn(lut_flat, lut_flat.size, wrow, xq, out, m, k2, c, lo, hi)
 
     _TRACE.count("lutkernel.fused_calls")
-    if _TRACE.enabled:
-        with _TRACE.span("lutkernel.product_sums", cat="engine"):
-            _run_threaded(work, ranges)
-    else:
+    with _TRACE.span("lutkernel.product_sums", cat="engine"):
         _run_threaded(work, ranges)
     return out
 
@@ -995,10 +890,7 @@ def fused_serve(
         call(base + slot * row_bytes)
 
     _TRACE.count("lutkernel.fused_serve_calls")
-    if _TRACE.enabled:
-        with _TRACE.span("lutkernel.fused_serve", cat="engine"):
-            _run_threaded(work, ranges)
-    else:
+    with _TRACE.span("lutkernel.fused_serve", cat="engine"):
         _run_threaded(work, ranges)
     return out
 
@@ -1124,16 +1016,12 @@ def fused_backward_grads(
         )
 
     _TRACE.count("lutkernel.fused_backward_calls")
-    if _TRACE.enabled:
-        with _TRACE.span("lutkernel.backward_grads", cat="engine"):
-            _run_threaded(work, ranges)
-    else:
+    with _TRACE.span("lutkernel.backward_grads", cat="engine"):
         _run_threaded(work, ranges)
     # Merge weight-gradient chunk partials in global chunk order: float64
     # accumulation of float32 chunk sums, exactly like the numpy path's
-    # per-chunk ``gw += buf.sum(axis=2)`` (and the multiprocessing
-    # path's ordered merge).  This is what keeps every thread count
-    # bit-identical to serial.
+    # per-chunk ``gw += buf.sum(axis=2)``.  This is what keeps every
+    # thread count bit-identical to serial.
     gw = np.zeros((m, k), dtype=np.float64)
     for ci in range(n_chunks):
         gw += gw_part[ci]

@@ -33,6 +33,7 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ReproError
+from repro.obs.export import _fmt
 
 __all__ = [
     "TELEMETRY_ENV",
@@ -263,17 +264,6 @@ class Metric:
         help_ = self.help or self.name
         return [f"# HELP {self.name} {help_}",
                 f"# TYPE {self.name} {self.kind}"] + body
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    v = float(value)
-    if math.isinf(v):
-        return "+Inf" if v > 0 else "-Inf"
-    return f"{v:.9g}"
 
 
 class MetricRegistry:

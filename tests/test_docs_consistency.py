@@ -62,3 +62,29 @@ def test_paper_mapping_references_real_test_files():
     mapping = (ROOT / "docs" / "paper_mapping.md").read_text()
     for match in set(re.findall(r"test_\w+\.py", mapping)):
         assert (ROOT / "tests" / match).is_file(), match
+
+
+def test_documented_env_vars_are_read_by_code():
+    """Every ``REPRO_*`` variable the docs mention is read by some code.
+
+    Code reads an env var through its name as a string literal (an
+    ``*_ENV`` constant or an ``os.environ`` key), so a documented name
+    with no quoted occurrence under ``src/`` or ``benchmarks/`` is a
+    leftover from a removed knob.
+    """
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    mentioned = set()
+    for doc in docs:
+        mentioned |= set(re.findall(r"\bREPRO_[A-Z_]+\b", doc.read_text()))
+    code = "".join(
+        path.read_text()
+        for tree in ("src", "benchmarks")
+        for path in sorted((ROOT / tree).rglob("*.py"))
+    )
+    assert mentioned, "no REPRO_* variables documented at all?"
+    unread = sorted(
+        name for name in mentioned
+        if not re.search(rf"[\"']{name}[\"']", code)
+    )
+    assert not unread, f"documented but never read: {unread}"

@@ -176,6 +176,66 @@ def test_lutkernel_degenerate_ranges():
 
 
 # ----------------------------------------------------------------------
+# the C serving kernel itself, against the pure-int reference
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("threads", [1, 4, 7])
+@pytest.mark.parametrize("in_bounds", [True, False])
+@pytest.mark.parametrize("c", [1, 23])
+@pytest.mark.parametrize("acc_dtype", [np.int64, np.int32])
+def test_fused_serve_matches_reference(
+    acc_dtype, c, in_bounds, threads, per_channel
+):
+    from repro.core import lutkernel
+
+    if not lutkernel.kernel_available():
+        pytest.skip("C kernel disabled or no compiler")
+    rng = np.random.default_rng(0xC0FFEE + c)
+    levels = 16
+    # M = 9 splits unevenly over 4 and 7 threads; K = 10 leaves a
+    # remainder after the C == 1 branch's four accumulator chains.
+    m, k = 9, 10
+    lut = rng.integers(-500, 500, size=levels * levels).astype(np.int32)
+    wrow = (rng.integers(0, levels, size=(m, k)) * levels).astype(np.int64)
+    xq = rng.integers(0, levels, size=(k, c)).astype(np.int32)
+    if not in_bounds:
+        # Indices past both table ends take the clamping gather.
+        xq[0, ::2] = 4000
+        xq[k - 1, c - 1] = -99
+    if per_channel:
+        # Rows 0 and 1 saturate at the upper and lower rail; the rest mix
+        # signs, shift == 0 (no half added) and interior outputs.
+        zw = rng.integers(0, 4, size=m).astype(np.int64)
+        m0 = np.array([1, -1, 2, 1, 3, -2, 1, 1, 5], dtype=np.int64)
+        d0 = np.array(
+            [1 << 20, -(1 << 20), 128 << 6, 128 << 4, -7, 40, 128, 0,
+             128 << 8],
+            dtype=np.int64,
+        )
+        shift = np.array([5, 0, 6, 4, 7, 5, 1, 5, 8], dtype=np.int64)
+    else:
+        zw = np.array([2], dtype=np.int64)
+        m0 = np.array([1], dtype=np.int64)
+        d0 = np.array([128 << 5], dtype=np.int64)
+        shift = np.array([5], dtype=np.int64)
+    qlo, qhi = 3, 250
+    colsum = xq.sum(axis=0, dtype=np.int64)
+    want = execcore._serve_reference(
+        lut, wrow, xq, zw, m0, d0, shift, qlo, qhi
+    )
+    got = lutkernel.fused_serve(
+        lut, wrow, xq, colsum, zw, m0, d0, shift, qlo, qhi,
+        acc_dtype=acc_dtype, threads=threads,
+    )
+    assert got.dtype == np.uint8 and got.shape == (m, c)
+    assert np.array_equal(got, want)
+    if in_bounds:
+        assert ((want > qlo) & (want < qhi)).any()
+    if per_channel:
+        assert (want[0] == qhi).all() and (want[1] == qlo).all()
+
+
+# ----------------------------------------------------------------------
 # rebind: constants re-resolved at call time (the shm seam)
 # ----------------------------------------------------------------------
 def test_rebind_fused_op_takes_effect_at_call_time(lenet_frozen, batch):
