@@ -50,7 +50,7 @@ class SeedLutGemm:
             gradients.grad_x.astype(np.float32).ravel()
         )
         self.chunk = chunk
-        self.exact_fast_path = multiplier.is_exact
+        self.is_exact = multiplier.is_exact
         n = self.levels
         idx = np.arange(n, dtype=np.float32)
         self.ste_fast_path = bool(
@@ -65,7 +65,7 @@ class SeedLutGemm:
     def product_sums(self, wq, xq):
         m, k = wq.shape
         _, c = xq.shape
-        if self.exact_fast_path:
+        if self.is_exact:
             return np.rint(
                 wq.astype(np.float64) @ xq.astype(np.float64)
             ).astype(np.int64)

@@ -18,6 +18,11 @@ funnels through here:
   here verbatim from ``LutGemm``).  The two are interchangeable --
   bit-identical outputs -- so the choice is purely a speed decision.
 
+* Product-separable LUTs (``LutGemm.separable``) skip the gather: the
+  engine's forward and :func:`serve_fused` run one exact float64 BLAS
+  matmul over the rank-1 factors instead, whenever operand ranges and
+  the ``2**53`` bound prove it equal to the gather.
+
 * The C *forward* is integer arithmetic and exact by construction.  The
   C *backward* re-implements numpy's float32 reduction orders; that
   claim is platform-sensitive (numpy may change its pairwise blocking),
@@ -57,6 +62,38 @@ _bwd_verdict: bool | None = None
 #: rounding-right-shift port is convention-sensitive (arithmetic >> on
 #: signed values), so it earns trust through its own probe set.
 _srv_verdict: bool | None = None
+
+
+def in_levels(arr: np.ndarray, levels: int) -> bool:
+    """Whether every entry of ``arr`` lies in ``[0, levels)``.
+
+    The operand guard of the rank-1 lowering: inside it the matmul over
+    the LUT factors equals the gather, outside it the gather's clamped
+    flat index does not factor.  Two SIMD reductions, no copy.
+    """
+    return arr.size == 0 or (
+        int(arr.min()) >= 0 and int(arr.max()) < levels
+    )
+
+
+def separable_sums(engine, wa: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """The rank-1 lowering's sums ``wa @ b[xq]``, exact-integer float64 (M, C).
+
+    ``wa`` is ``a[wq]`` over the engine's factors ``(a, b)``; the caller
+    has proven the operands in range and the sums below ``2**53``.  The
+    columns go in ``engine.chunk`` blocks: one ``8·K·C``-byte gathered
+    operand costs more in fresh pages than the matmul itself (measured
+    ~2x at K = 144, C = 32768), a reused block does not.
+    """
+    _TRACE.count("lutgemm.forward.separable")
+    b = engine._sep_f64[1]
+    c = xq.shape[1]
+    acc = np.empty((wa.shape[0], c), dtype=np.float64)
+    with _TRACE.span("lutgemm.separable", cat="engine"):
+        for c0 in range(0, c, engine.chunk):
+            hi = min(c0 + engine.chunk, c)
+            acc[:, c0:hi] = wa @ np.take(b, xq[:, c0:hi])
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +285,15 @@ def serve_fused(
     bit-identical (the C side additionally proves it on this platform
     via :func:`serve_kernel_trusted` before first use).
 
+    ``wrow`` is the op's precomputed weight operand.  For the gather it
+    is the int64 row offsets ``wq * levels``.  For a product-separable
+    LUT whose weights pass :meth:`~repro.core.lutgemm.LutGemm.separable_for`
+    it is the float64 ``a[wq]`` instead: the sums are then the exact
+    matmul ``wrow @ b[xq]``, followed by the same requant tail
+    (:func:`repro.core.lutkernel.requant_f64`, or :func:`_requant_clamp`
+    on numpy).  Activations outside ``[0, levels)`` fall back to the
+    gather, which clamps the flat index.
+
     ``m0``/``d0``/``shift`` are read per call -- they may be shm-backed
     :class:`~repro.nn.requant.RequantParams` views, consumed in place.
     ``colsum`` may be precomputed (the C im2col fuses it into its
@@ -255,6 +301,13 @@ def serve_fused(
     """
     if colsum is None:
         colsum = xq.sum(axis=0, dtype=np.int64)
+    if wrow.dtype == np.float64:
+        if _xq_in_levels(xq, engine.levels, xq_bounds):
+            return _separable_serve(
+                engine, wrow, xq, colsum, zw, m0, d0, shift, qlo, qhi
+            )
+        wrow = (wq * engine.levels).astype(np.int64)
+        wrow_bounds = None
     if engine._lut_i32 is not None and serve_kernel_trusted():
         with _TRACE.span("lutgemm.gather", cat="engine"):
             out = lutkernel.fused_serve(
@@ -271,6 +324,32 @@ def serve_fused(
     )
 
 
+def _xq_in_levels(xq, levels: int, xq_bounds) -> bool:
+    """Whether every activation lies in ``[0, levels)``.
+
+    A caller's conservative ``xq_bounds`` proves it without a scan when
+    the grid is wide enough (8-bit multipliers on uint8 plan data).
+    """
+    if xq_bounds is not None and xq_bounds[0] >= 0 and xq_bounds[1] < levels:
+        return True
+    return in_levels(xq, levels)
+
+
+def _separable_serve(
+    engine, wa, xq, colsum, zw, m0, d0, shift, qlo, qhi
+) -> np.ndarray:
+    """Rank-1 serving step: exact float64 matmul, then the requant tail."""
+    acc = separable_sums(engine, wa, xq)
+    if serve_kernel_trusted():
+        with _TRACE.span("serve.requant", cat="serve"):
+            out = lutkernel.requant_f64(
+                acc, colsum, zw, m0, d0, shift, qlo, qhi
+            )
+        if out is not None:
+            return out
+    return _requant_clamp(acc, colsum, zw, m0, d0, shift, qlo, qhi)
+
+
 def _numpy_serve(
     engine, wq, xq, colsum, zw, m0, d0, shift, qlo, qhi, acc_dtype
 ) -> np.ndarray:
@@ -281,11 +360,22 @@ def _numpy_serve(
     the integer ReLU clamp -- all exact int64, so fused and unfused plans
     agree bitwise on every platform.
     """
-    from repro.nn.requant import rounding_right_shift
-
     acc = engine.product_sums(
         wq, xq, acc_dtype=acc_dtype, record_backward=False
     )
+    return _requant_clamp(acc, colsum, zw, m0, d0, shift, qlo, qhi)
+
+
+def _requant_clamp(acc, colsum, zw, m0, d0, shift, qlo, qhi) -> np.ndarray:
+    """numpy requant + clamp of an (M, C) exact-integer accumulator to uint8.
+
+    The integer math of :func:`repro.nn.requant.requantize` (channel
+    axis 0) plus the ReLU clamp, in int64.  ``acc`` may be an integer
+    array or the float64 matmul of the rank-1 lowering, whose entries are
+    integers below ``2**53`` and convert exactly.
+    """
+    from repro.nn.requant import rounding_right_shift
+
     with _TRACE.span("serve.requant", cat="serve"):
         a = acc.astype(np.int64, copy=False) - zw.reshape(-1, 1) * colsum
         t = a * m0.reshape(-1, 1) + d0.reshape(-1, 1)
@@ -408,8 +498,10 @@ def serve_kernel_trusted() -> bool:
     -- shift == 0 (no half added), saturation ties at both rails,
     negative ``d0``/``m0`` -- plus per-tensor vs per-channel constant
     strides, both accumulator dtypes, out-of-range gather indices, and
-    1/2 threads.  Any mismatch pins serving to the numpy pipeline with a
-    one-time warning; kernel *unavailability* is not cached as failure.
+    1/2 threads; the rank-1 lowering's :func:`lutkernel.requant_f64`
+    entry is probed on the same constants.  Any mismatch pins serving to
+    the numpy pipeline with a one-time warning; kernel *unavailability*
+    is not cached as failure.
     """
     global _srv_verdict
     verdict = _srv_verdict
@@ -472,14 +564,16 @@ def _run_serve_self_check() -> bool:
     )
     zw_pc = np.array([0, 1, 2, 3], dtype=np.int64)
     zw_pt = np.array([2], dtype=np.int64)
+    const_sets = (
+        (per_chan, zw_pt),
+        (per_tensor, zw_pc),
+        (per_chan, zw_pc),
+    )
+    rails = ((0, 255), (30, 31))
     for xqp in (xq, xq_oob):
         colsum = xqp.sum(axis=0, dtype=np.int64)
-        for (m0, d0, shift), zw in (
-            (per_chan, zw_pt),
-            (per_tensor, zw_pc),
-            (per_chan, zw_pc),
-        ):
-            for qlo, qhi in ((0, 255), (30, 31)):
+        for (m0, d0, shift), zw in const_sets:
+            for qlo, qhi in rails:
                 want = _serve_reference(
                     lut, wrow, xqp, zw, m0, d0, shift, qlo, qhi
                 )
@@ -502,6 +596,33 @@ def _run_serve_self_check() -> bool:
                                 stacklevel=3,
                             )
                             return False
+    # The rank-1 lowering's requant entry, fed the exact float64 matmul
+    # over a separable probe LUT, against the same reference.
+    a = rng.integers(-9, 10, size=levels)
+    b = rng.integers(0, 13, size=levels)
+    lut_sep = np.outer(a, b).ravel().astype(np.int32)
+    acc = np.take(a.astype(np.float64), wq) @ np.take(b.astype(np.float64), xq)
+    colsum = xq.sum(axis=0, dtype=np.int64)
+    for (m0, d0, shift), zw in const_sets:
+        for qlo, qhi in rails:
+            want = _serve_reference(
+                lut_sep, wrow, xq, zw, m0, d0, shift, qlo, qhi
+            )
+            got = lutkernel.requant_f64(
+                acc, colsum, zw, m0, d0, shift, qlo, qhi
+            )
+            if got is None:
+                return False
+            if not np.array_equal(got, want):
+                warnings.warn(
+                    "repro.core.execcore: the C requant of the rank-1 "
+                    "serving lowering is not bit-identical to the integer "
+                    "reference on this platform; serving uses the unfused "
+                    "numpy pipeline.",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                return False
     # The C im2col (unfold + column sums in one pass) feeds the fused
     # ops' gather operand, so it is held to the same standard: exact
     # agreement with the numpy unfold, across strides, pads (including

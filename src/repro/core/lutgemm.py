@@ -22,7 +22,20 @@ things make the engine fast enough for retraining sweeps:
    bit-identical results).  When the whole GEMM fits in a single chunk the
    backward reuses the forward's index tensor outright.
 
-3. **One shared execution core, two interchangeable backends.**  The
+3. **Rank-1 lowering of product-separable LUTs.**  When the product LUT
+   is exactly an outer product ``lut[w, x] == a[w] * b[x]`` (the DRUM-style
+   ``mul8u_1DMU``, every exact multiplier), the forward sum is the matmul
+   ``a[Wq] @ b[Xq]``.  The engine finds the integer factors ``(a, b)`` at
+   construction -- from the LUT itself, so a fault-injected clone gets its
+   own verdict -- and runs one float64 BLAS matmul instead of the gather
+   whenever every partial sum provably stays an integer below ``2**53``
+   (:meth:`LutGemm.separable_exact`) and both operands lie in
+   ``[0, levels)``.  Within those bounds float64 arithmetic is exact in any
+   summation order, so results are bit-identical to the gather; operands
+   outside the range take the gather, whose clamped flat index the
+   factorization does not reproduce.
+
+4. **One shared execution core, two interchangeable backends.**  The
    actual gather-accumulate loops live in :mod:`repro.core.execcore`,
    which every consumer -- this tape engine, the frozen serving engines,
    and the compiled plan ops built on them -- lowers onto.  Large GEMMs
@@ -118,7 +131,6 @@ class LutGemm:
         # its backward-support bookkeeping.
         self.forward_only = gradients is None
         self.chunk = chunk
-        self.exact_fast_path = multiplier.is_exact
         # int32 LUT for the fused C kernels (8-bit operand products always
         # fit; most multipliers already store int32).  Built for *every*
         # engine -- since the shared execution core, training engines use
@@ -127,6 +139,17 @@ class LutGemm:
             self._lut_i32 = np.ascontiguousarray(self.lut_flat, dtype=np.int32)
         else:
             self._lut_i32 = None
+        # Integer factors (a, b) of a rank-1 LUT, or None (see the module
+        # docstring); float64 copies feed the matmul.
+        self.separable = (
+            _rank1_factors(self.lut_flat, self.levels)
+            if self._lut_i32 is not None
+            else None
+        )
+        if self.separable is not None:
+            a, b = self.separable
+            self._sep_f64 = (a.astype(np.float64), b.astype(np.float64))
+            self._sep_bound = int(np.abs(a).max()) * int(np.abs(b).max())
         if self.forward_only:
             self.grad_w_flat = None
             self.grad_x_flat = None
@@ -272,6 +295,26 @@ class LutGemm:
         bound = k * max(abs(self._lut_min), abs(self._lut_max))
         return bound < 2**31
 
+    def separable_exact(self, k: int) -> bool:
+        """Whether a K-term matmul over the rank-1 factors is exact in float64.
+
+        Every partial sum is an integer of magnitude at most
+        ``K * max|a| * max|b|``; below ``2**53`` each one is representable,
+        so the matmul is exact whatever order BLAS sums in.
+        """
+        return self.separable is not None and k * self._sep_bound < 2**53
+
+    def separable_for(self, wq: np.ndarray) -> bool:
+        """Whether the rank-1 matmul may serve weights ``wq`` (shape (M, K)).
+
+        Activations still need :func:`~repro.core.execcore.in_levels`
+        per call.  Compiled plan ops ask this once per layer, since their
+        weights are frozen.
+        """
+        return self.separable_exact(wq.shape[1]) and execcore.in_levels(
+            wq, self.levels
+        )
+
     def product_sums(
         self,
         wq: np.ndarray,
@@ -291,6 +334,11 @@ class LutGemm:
         ``record_backward=False`` tells the engine no backward pass will
         consume this forward (eval under ``no_grad``, serving), letting
         it skip the operand snapshot that enables backward index reuse.
+
+        Product-separable LUTs take one float64 matmul when
+        :meth:`separable_for` and :func:`~repro.core.execcore.in_levels`
+        prove it exact (see the module docstring).  The matmul leaves the
+        scratch buffers, and so any recorded forward snapshot, untouched.
         """
         m, k = wq.shape
         k2, c = xq.shape
@@ -309,13 +357,9 @@ class LutGemm:
             # LUT-coverage probe: reads the quantized operands only (no
             # scratch, no RNG), so results stay bit-identical.
             _HEALTH.observe_operands(self, wq, xq)
-        if self.exact_fast_path:
-            # AM == exact product: a float matmul is bit-exact here because
-            # operands are < 2**10 and K is small enough for float64.
-            _TRACE.count("lutgemm.forward.exact_fast_path")
-            return np.rint(
-                wq.astype(np.float64) @ xq.astype(np.float64)
-            ).astype(acc_dtype)
+        if self.separable_for(wq) and execcore.in_levels(xq, self.levels):
+            wa = np.take(self._sep_f64[0], wq)
+            return execcore.separable_sums(self, wa, xq).astype(acc_dtype)
         return execcore.product_sums(
             self, wq, xq, acc_dtype,
             record_backward and not self.forward_only,
@@ -371,6 +415,33 @@ class LutGemm:
         else:
             gx -= zw_vec[0] * gout.sum(axis=0, dtype=np.float64)[None, :]
         return gw, gx
+
+
+# ----------------------------------------------------------------------
+# Rank-1 factorization.
+def _rank1_factors(
+    lut_flat: np.ndarray, levels: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Integer tables ``(a, b)`` with ``lut[w * levels + x] == a[w] * b[x]``.
+
+    ``None`` unless the ``(levels, levels)`` LUT is exactly such an outer
+    product.  Every row of a rank-1 integer matrix is an integer multiple
+    of one primitive row, so ``b`` is the first nonzero row divided by the
+    gcd of its entries and ``a`` is read off one column; the verdict is the
+    exact check ``outer(a, b) == lut`` over all ``levels**2`` entries.
+    """
+    lut = np.asarray(lut_flat).reshape(levels, levels)
+    nonzero_rows = lut.any(axis=1)
+    if not nonzero_rows.any():
+        zeros = np.zeros(levels, dtype=np.int64)
+        return zeros, zeros.copy()
+    row = lut[int(nonzero_rows.argmax())].astype(np.int64)
+    j0 = int(np.flatnonzero(row)[0])
+    b = row // np.gcd.reduce(row)
+    a = lut[:, j0].astype(np.int64) // b[j0]
+    if not np.array_equal(np.outer(a, b), lut):
+        return None
+    return a, b
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,10 @@ JIT-compiles single-pass C kernels at first use:
   per-channel (size-M) blocks -- including read-only shared-memory
   views -- are consumed in place, zero-copy.
 
+* ``requant_f64`` -- the same correction / requant / clamp tail, fed by
+  the exact-integer float64 accumulator of the rank-1 (product-separable
+  LUT) lowering instead of a gather; one inline C tail serves both.
+
 * ``fused_backward_grads`` -- the difference-LUT backward: one
   cache-tiled loop per column chunk gathers *both* gradient tables from
   the shared index and reduces against the upstream gradient.  Float32
@@ -129,26 +133,49 @@ DEFINE_PRODUCT_SUMS_RANGE(product_sums_range, int64_t)
 DEFINE_PRODUCT_SUMS_RANGE(product_sums_i32_range, int32_t)
 
 /* ------------------------------------------------------------------
+ * Requant + clamp tail of one integer serving output, shared by the
+ * gather kernel below and requant_f64_call:
+ *
+ *   A = acc - zw * colsum                                 (int64)
+ *   t = A * m0 + d0                                       (int64)
+ *   q = (t + half) >> sh, half = sh > 0 ? 1 << (sh - 1) : 0
+ *   out = clamp(q, qlo, qhi)                              (uint8)
+ *
+ * Exactly repro.nn.requant.rounding_right_shift (round half toward +inf
+ * via an arithmetic shift; shift == 0 adds no half) -- verified
+ * bit-identical against the numpy reference by the execcore serve
+ * self-check before either entry point is trusted.
+ */
+static inline int64_t requant_half(long sh)
+{
+    return sh > 0 ? (int64_t) 1 << (sh - 1) : 0;
+}
+
+static inline uint8_t requant_clamp(int64_t acc, int64_t zw, int64_t colsum,
+                                    int64_t m0, int64_t d0, long sh,
+                                    int64_t half, long qlo, long qhi)
+{
+    const int64_t t = (acc - zw * colsum) * m0 + d0;
+    int64_t q = (t + half) >> sh;
+    if (q < qlo) q = qlo;
+    if (q > qhi) q = qhi;
+    return (uint8_t) q;
+}
+
+/* ------------------------------------------------------------------
  * Fused integer serving op over rows [m_lo, m_hi): LUT gather +
  * weight-zero-point correction + fixed-point requantization + clamp,
  * the whole pipeline per output row while the accumulator row is hot:
  *
  *   acc[c]   = sum_k lut[wrow[m, k] + xq[k, c]]           (accrow)
- *   A        = acc[c] - zw[m * zw_stride] * colsum[c]     (int64)
- *   t        = A * m0[m * rq] + d0[m * rq]                (int64)
- *   q        = (t + (sh > 0 ? 1 << (sh - 1) : 0)) >> sh   (round half up)
- *   out[m,c] = clamp(q, qlo, qhi)                         (uint8)
+ *   out[m,c] = requant_clamp(acc[c], zw[m], colsum[c], m0[m], d0[m], ...)
  *
- * The requant line is exactly repro.nn.requant.rounding_right_shift
- * (round half toward +inf via an arithmetic shift; shift == 0 adds no
- * half) -- verified bit-identical against the numpy reference by the
- * execcore serve self-check before the kernel is trusted.  zw_stride /
- * rq_stride are 0 for per-tensor (size-1) constant arrays and 1 for
- * per-channel (size-M) ones, so both layouts -- including read-only
- * shm views -- are read in place.  qlo already folds the integer ReLU
- * (max(q, Z) == a raised lower clamp, since Z >= qmin).  accrow is
- * per-thread scratch of >= C entries; rows are disjoint, so threading
- * over row blocks is bit-identical for every thread count.
+ * zw_stride / rq_stride are 0 for per-tensor (size-1) constant arrays
+ * and 1 for per-channel (size-M) ones, so both layouts -- including
+ * read-only shm views -- are read in place.  qlo already folds the
+ * integer ReLU (max(q, Z) == a raised lower clamp, since Z >= qmin).
+ * accrow is per-thread scratch of >= C entries; rows are disjoint, so
+ * threading over row blocks is bit-identical for every thread count.
  *
  * One body per accumulator-row width: fused_serve_range (int64) and
  * fused_serve_i32_range (int32, half the accumulator traffic).  Callers
@@ -212,16 +239,11 @@ static void NAME(const int32_t *restrict lut, long n_lut,               \
                 for (; k < K; k++)                                      \
                     a0 += lut[clamp_idx(wr[k] + xq[k], n_lut)];         \
             }                                                           \
-            const int64_t acc = a0 + a1 + a2 + a3;                      \
-            const int64_t t =                                           \
-                (acc - zw[m * zw_stride] * colsum[0]) * m0[m * rq_stride] \
-                + d0[m * rq_stride];                                    \
             const long sh = (long) shift[m * rq_stride];                \
-            const int64_t half = sh > 0 ? (int64_t) 1 << (sh - 1) : 0;  \
-            int64_t q = (t + half) >> sh;                               \
-            if (q < qlo) q = qlo;                                       \
-            if (q > qhi) q = qhi;                                       \
-            out[m] = (uint8_t) q;                                       \
+            out[m] = requant_clamp(a0 + a1 + a2 + a3, zw[m * zw_stride],  \
+                                   colsum[0], m0[m * rq_stride],        \
+                                   d0[m * rq_stride], sh,               \
+                                   requant_half(sh), qlo, qhi);         \
         }                                                               \
         return;                                                         \
     }                                                                   \
@@ -248,16 +270,11 @@ static void NAME(const int32_t *restrict lut, long n_lut,               \
         const int64_t mm = m0[m * rq_stride];                           \
         const int64_t dm = d0[m * rq_stride];                           \
         const long sh = (long) shift[m * rq_stride];                    \
-        const int64_t half = sh > 0 ? (int64_t) 1 << (sh - 1) : 0;      \
+        const int64_t half = requant_half(sh);                          \
         uint8_t *orow = out + m * C;                                    \
-        for (long c = 0; c < C; c++) {                                  \
-            int64_t t =                                                 \
-                ((int64_t) accrow[c] - zwm * colsum[c]) * mm + dm;      \
-            int64_t q = (t + half) >> sh;                               \
-            if (q < qlo) q = qlo;                                       \
-            if (q > qhi) q = qhi;                                       \
-            orow[c] = (uint8_t) q;                                      \
-        }                                                               \
+        for (long c = 0; c < C; c++)                                    \
+            orow[c] = requant_clamp((int64_t) accrow[c], zwm, colsum[c], \
+                                    mm, dm, sh, half, qlo, qhi);        \
     }                                                                   \
 }
 
@@ -271,7 +288,7 @@ DEFINE_FUSED_SERVE_RANGE(fused_serve_i32_range, int32_t)
  * Packing them into one block of int64 slots (pointers and scalars
  * alike; every field is 8 bytes, so the numpy side fills a plain int64
  * row and no padding can appear) makes the crossing a single-pointer
- * call.  Slot order must match _FUSED_ARGS_* in the Python wrapper. */
+ * call.  Slot order must match the fused_serve wrapper in Python. */
 typedef struct {
     int64_t lut;        /* const int32_t* */
     int64_t n_lut;
@@ -320,6 +337,53 @@ void fused_serve_call(const fused_serve_args *a)
             (uint8_t *) a->out, (int64_t *) a->accrow,
             (long) a->M, (long) a->K, (long) a->C,
             (long) a->m_lo, (long) a->m_hi, (long) a->fast);
+}
+
+/* Requant + clamp of an exact-integer float64 accumulator (M, C): the
+ * tail of the rank-1 serving lowering, whose BLAS matmul a[wq] @ b[xq]
+ * leaves every sum an integer below 2**53, so the int64 conversion is
+ * exact.  Same per-row constant layout and tail as the gather kernel;
+ * packed like fused_serve_call (slot order must match the requant_f64
+ * wrapper in Python). */
+typedef struct {
+    int64_t acc;        /* const double*, (M, C) */
+    int64_t colsum;     /* const int64_t*, (C,) */
+    int64_t zw;         /* const int64_t* */
+    int64_t zw_stride;
+    int64_t m0;         /* const int64_t* */
+    int64_t d0;         /* const int64_t* */
+    int64_t shift;      /* const int64_t* */
+    int64_t rq_stride;
+    int64_t qlo;
+    int64_t qhi;
+    int64_t out;        /* uint8_t*, (M, C) */
+    int64_t M, C;
+} requant_f64_args;
+
+void requant_f64_call(const requant_f64_args *a)
+{
+    const double *restrict acc = (const double *) a->acc;
+    const int64_t *restrict colsum = (const int64_t *) a->colsum;
+    const int64_t *restrict zw = (const int64_t *) a->zw;
+    const int64_t *restrict m0 = (const int64_t *) a->m0;
+    const int64_t *restrict d0 = (const int64_t *) a->d0;
+    const int64_t *restrict shift = (const int64_t *) a->shift;
+    uint8_t *restrict out = (uint8_t *) a->out;
+    const long zs = (long) a->zw_stride, rs = (long) a->rq_stride;
+    const long qlo = (long) a->qlo, qhi = (long) a->qhi;
+    const long M = (long) a->M, C = (long) a->C;
+    for (long m = 0; m < M; m++) {
+        const int64_t zwm = zw[m * zs];
+        const int64_t mm = m0[m * rs];
+        const int64_t dm = d0[m * rs];
+        const long sh = (long) shift[m * rs];
+        const int64_t half = requant_half(sh);
+        const double *arow = acc + m * C;
+        uint8_t *orow = out + m * C;
+        for (long c = 0; c < C; c++)
+            orow[c] = requant_clamp((int64_t) arow[c], zwm, colsum[c],
+                                    mm, dm, sh, half, qlo, qhi);
+    }
 }
 
 /* Serving-path im2col: unfold (N, Cin, H, W) uint8 activations into
@@ -569,7 +633,7 @@ def _compile() -> "ctypes.CDLL | None":
     _long = ctypes.c_long
     # Packed-argument entries: one pointer crosses the FFI boundary, so
     # per-call marshalling stays ~1us instead of ~20us for 21 args.
-    for sym in ("fused_serve_call", "im2col_serve_call"):
+    for sym in ("fused_serve_call", "requant_f64_call", "im2col_serve_call"):
         packed = getattr(lib, sym)
         packed.restype = None
         packed.argtypes = [ctypes.c_void_p]
@@ -748,7 +812,9 @@ def fused_product_sums(
     return out
 
 
-def _const_row(arr: np.ndarray, m: int, what: str) -> tuple[np.ndarray, int]:
+def _const_row(
+    arr: np.ndarray, m: int, what: str, who: str
+) -> tuple[np.ndarray, int]:
     """Normalize a per-row constant block to (contiguous int64 1-D, stride).
 
     Size-1 blocks (per-tensor) get stride 0, size-``m`` blocks
@@ -761,9 +827,32 @@ def _const_row(arr: np.ndarray, m: int, what: str) -> tuple[np.ndarray, int]:
         return out, 0
     if out.size != m:
         raise ValueError(
-            f"fused_serve: {what} has {out.size} entries, expected 1 or {m}"
+            f"{who}: {what} has {out.size} entries, expected 1 or {m}"
         )
     return out, 1
+
+
+def _requant_operands(colsum, zw, m0, d0, shift, qlo, qhi, m, c, who):
+    """Validate and normalize the requant tail's operands for the C call.
+
+    Returns ``(colsum, zw, zw_stride, m0, d0, shift, rq_stride)``: C
+    contiguous int64 arrays (kept referenced by the caller for the
+    duration of the call) and the 0/1 strides of :func:`_const_row`.
+    """
+    if not (0 <= qlo <= qhi <= 0xFF):
+        raise ValueError(f"{who}: uint8 rails out of range [{qlo}, {qhi}]")
+    colsum = np.ascontiguousarray(colsum, dtype=np.int64)
+    if colsum.shape != (c,):
+        raise ValueError(
+            f"{who}: colsum has shape {colsum.shape}, expected ({c},)"
+        )
+    zw, zw_stride = _const_row(zw, m, "zw", who)
+    m0, rq_stride = _const_row(m0, m, "m0", who)
+    d0, d0_stride = _const_row(d0, m, "d0", who)
+    shift, sh_stride = _const_row(shift, m, "shift", who)
+    if not (rq_stride == d0_stride == sh_stride):
+        raise ValueError(f"{who}: m0/d0/shift layout mismatch")
+    return colsum, zw, zw_stride, m0, d0, shift, rq_stride
 
 
 def fused_serve(
@@ -837,19 +926,13 @@ def fused_serve(
     out = np.empty((m, c), dtype=np.uint8)
     if m == 0 or c == 0:
         return out
-    if not (0 <= qlo <= qhi <= 0xFF):
-        raise ValueError(f"fused_serve: uint8 rails out of range [{qlo}, {qhi}]")
+    colsum, zw, zw_stride, m0, d0, shift, rq_stride = _requant_operands(
+        colsum, zw, m0, d0, shift, qlo, qhi, m, c, "fused_serve"
+    )
     acc_dtype = np.dtype(acc_dtype)
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
-    colsum = np.ascontiguousarray(colsum, dtype=np.int64)
-    zw, zw_stride = _const_row(zw, m, "zw")
-    m0, rq_stride = _const_row(m0, m, "m0")
-    d0, d0_stride = _const_row(d0, m, "d0")
-    shift, sh_stride = _const_row(shift, m, "shift")
-    if not (rq_stride == d0_stride == sh_stride):
-        raise ValueError("fused_serve: m0/d0/shift layout mismatch")
     # In-bounds proof for the no-clamp gather: conservative array-wide
     # extrema (SIMD reductions; ~1% of the gather they remove).
     if k2 > 0:
@@ -892,6 +975,52 @@ def fused_serve(
     _TRACE.count("lutkernel.fused_serve_calls")
     with _TRACE.span("lutkernel.fused_serve", cat="engine"):
         _run_threaded(work, ranges)
+    return out
+
+
+def requant_f64(
+    acc: np.ndarray,
+    colsum: np.ndarray,
+    zw: np.ndarray,
+    m0: np.ndarray,
+    d0: np.ndarray,
+    shift: np.ndarray,
+    qlo: int,
+    qhi: int,
+) -> np.ndarray | None:
+    """Requant + clamp of an exact-integer float64 accumulator to uint8.
+
+    The serving tail of the rank-1 lowering: ``acc`` (M, C) holds the
+    BLAS matmul ``a[wq] @ b[xq]``, every entry an integer below
+    ``2**53``.  The C loop converts each to int64 (exact) and runs the
+    same correction / requant / clamp as :func:`fused_serve` -- one
+    shared inline tail, pinned by the execcore serve self-check.
+    Constants follow :func:`fused_serve`'s size-1-or-M layout.
+
+    Returns the (M, C) uint8 output, or ``None`` when the kernel is
+    unavailable (callers fall back to the numpy requant).
+    """
+    lib = _get_kernel()
+    if lib is None:
+        return None
+    m, c = acc.shape
+    out = np.empty((m, c), dtype=np.uint8)
+    if m == 0 or c == 0:
+        return out
+    colsum, zw, zw_stride, m0, d0, shift, rq_stride = _requant_operands(
+        colsum, zw, m0, d0, shift, qlo, qhi, m, c, "requant_f64"
+    )
+    acc = np.ascontiguousarray(acc, dtype=np.float64)
+    # Slot order matches the C ``requant_f64_args`` struct.
+    args = np.array(
+        [
+            acc.ctypes.data, colsum.ctypes.data, zw.ctypes.data, zw_stride,
+            m0.ctypes.data, d0.ctypes.data, shift.ctypes.data, rq_stride,
+            qlo, qhi, out.ctypes.data, m, c,
+        ],
+        dtype=np.int64,
+    )
+    lib.requant_f64_call(args.ctypes.data)
     return out
 
 

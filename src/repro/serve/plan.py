@@ -165,6 +165,11 @@ class InferencePlan:
         """Number of fused gather+requant(+relu) ops in the plan."""
         return sum(1 for op in self.ops if op.kind == "fused_int")
 
+    @property
+    def separable_ops(self) -> int:
+        """Number of LUT-GEMM ops served by the rank-1 matmul lowering."""
+        return sum(1 for op in self.ops if _separable_op(op))
+
     def integer_core(self) -> tuple[int, int] | None:
         """Op-index span ``(first quant, last dequant)``, or ``None``."""
         starts = [i for i, op in enumerate(self.ops) if op.kind == "quant"]
@@ -190,6 +195,9 @@ class InferencePlan:
             "ops": len(self.ops),
             "lutgemm_ops": self.lutgemm_ops,
             "fused_ops": self.fused_ops,
+            # LUT-GEMM ops lowered to one exact float64 matmul over the
+            # rank-1 factors of a product-separable LUT (no gather).
+            "separable_ops": self.separable_ops,
             "kinds": kinds,
             "dtypes": dtypes,
             "integer_only_core": integer_core_report(self)["integer_only"],
@@ -230,18 +238,36 @@ class InferencePlan:
             if self.fused_ops
             else ""
         )
+        separable = (
+            f", {self.separable_ops} separable" if self.separable_ops else ""
+        )
         header = (
             f"InferencePlan({self.model_name or 'model'}, "
             f"{self.arithmetic}): "
             f"{len(self.ops)} ops, {self.lutgemm_ops} LUT-GEMM "
-            f"[{backend['forward_backend']} backend]{fused}"
+            f"[{backend['forward_backend']} backend]{fused}{separable}"
         )
         lines = [header] + [
             f"  {i:3d}. [{op.kind}] {op.name}  "
             f"({op.dtype_in} -> {op.dtype_out})"
+            + ("  [separable]" if _separable_op(op) else "")
             for i, op in enumerate(self.ops)
         ]
         return "\n".join(lines)
+
+
+def _separable_op(op: PlanOp) -> bool:
+    """Whether a LUT-GEMM op lowers to the rank-1 matmul, not the gather.
+
+    Fused ops decide at compile time; other LUT-GEMM ops decide per
+    call, and take the matmul whenever their activations lie on the
+    layer's grid -- which plan inputs always do.
+    """
+    if op.kind == "fused_int":
+        return op.params.separable
+    if op.kind in ("lutgemm", "lutgemm_int"):
+        return op.params.engine.separable_for(op.params.wq)
+    return False
 
 
 def integer_core_report(plan: InferencePlan) -> dict:
@@ -423,11 +449,18 @@ class _FusedIntFn:
     zero-copy with no closure rebuild.  The instance doubles as the op's
     ``params``: it exposes ``engine`` for :meth:`InferencePlan.engines`
     and ``rp`` for :func:`requant_params_of`.
+
+    The lowering is chosen once, at compile time: when the engine's LUT
+    is product-separable and the frozen weights pass
+    :meth:`~repro.core.lutgemm.LutGemm.separable_for`, ``wrow`` holds the
+    float64 factor rows ``a[wq]`` (same size as the int64 gather
+    offsets it replaces) and ``separable`` is set; ``serve_fused`` then
+    runs the exact matmul instead of the gather.
     """
 
     __slots__ = ("fa", "engine", "rp", "relu_z", "spatial", "kh", "kw",
                  "stride", "pad", "zx", "acc_dtype", "wrow", "wrow_bounds",
-                 "zw")
+                 "zw", "separable")
 
     def __init__(self, fa: FrozenAffine, rp, relu_z: int | None, meta: dict):
         self.fa = fa
@@ -444,17 +477,24 @@ class _FusedIntFn:
         else:
             self.kh = self.kw = self.stride = self.pad = self.zx = None
         self.acc_dtype = meta["acc_dtype"]
-        # Input-independent gather operands, built once per compile.
-        self.wrow = np.ascontiguousarray(
-            (fa.wq * self.engine.levels).astype(np.int64)
-        )
-        # Feeds the kernel's in-bounds proof (no-clamp gather); the
-        # weights are frozen, so the extrema never change post-compile.
-        self.wrow_bounds = (
-            (int(self.wrow.min()), int(self.wrow.max()))
-            if self.wrow.size
-            else None
-        )
+        # Input-independent weight operand, built once per compile.
+        self.separable = self.engine.separable_for(fa.wq)
+        if self.separable:
+            self.wrow = np.ascontiguousarray(
+                np.take(self.engine._sep_f64[0], fa.wq)
+            )
+            self.wrow_bounds = None
+        else:
+            self.wrow = np.ascontiguousarray(
+                (fa.wq * self.engine.levels).astype(np.int64)
+            )
+            # Feeds the kernel's in-bounds proof (no-clamp gather); the
+            # weights are frozen, so the extrema never change.
+            self.wrow_bounds = (
+                (int(self.wrow.min()), int(self.wrow.max()))
+                if self.wrow.size
+                else None
+            )
         self.zw = np.ascontiguousarray(
             np.atleast_1d(np.asarray(fa.zw_int, dtype=np.int64))
         )

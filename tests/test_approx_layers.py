@@ -101,13 +101,13 @@ def test_gather_path_equals_fast_path_for_ste():
     assert np.allclose(gx_f, gx_s, atol=1e-3)
 
 
-def test_exact_fast_path_equals_lut_path():
+def test_separable_path_equals_lut_path():
     mult = ExactMultiplier(7)
     pair = gradient_luts(mult, "ste")
     fast = LutGemm(mult, pair)
-    assert fast.exact_fast_path
+    assert fast.separable is not None
     slow = LutGemm(mult, pair)
-    slow.exact_fast_path = False
+    slow.separable = None
     wq = rng.integers(0, 128, size=(3, 7)).astype(np.int32)
     xq = rng.integers(0, 128, size=(7, 11)).astype(np.int32)
     assert np.array_equal(fast.product_sums(wq, xq), slow.product_sums(wq, xq))

@@ -6,6 +6,9 @@ by the single-loop C serving kernel, and the fused plan stays
 **bit-identical** to the float plan and the unfused integer plan -- on
 the C backend and the numpy fallback, across thread counts, for empty
 micro-batches, and after requant constants are rebound (the shm path).
+The plan-level checks run once per serving lowering: ``mul8u_1DMU`` has a
+rank-1 LUT (one exact float64 matmul per op), ``mul8u_2NDH`` does not
+(the C gather kernel and its numpy fallback).
 """
 
 import numpy as np
@@ -26,14 +29,14 @@ from repro.serve.plan import (
     requant_params_of,
 )
 
-MULT = "mul8u_1DMU"
+#: One multiplier per serving lowering: separable, then gather.
+MULTS = ("mul8u_1DMU", "mul8u_2NDH")
 
 
-@pytest.fixture(scope="module")
-def lenet_frozen():
+def _frozen_lenet(mult):
     model = approximate_model(
         LeNet(num_classes=4, image_size=12, seed=11),
-        get_multiplier(MULT),
+        get_multiplier(mult),
         gradient_method="none", hws=2, include_linear=True,
     )
     ds = SyntheticImageDataset(64, 4, 12, seed=11, split="train")
@@ -41,6 +44,16 @@ def lenet_frozen():
     freeze(model)
     model.eval()
     return model
+
+
+@pytest.fixture(scope="module")
+def lenet_models():
+    return {mult: _frozen_lenet(mult) for mult in MULTS}
+
+
+@pytest.fixture(scope="module")
+def lenet_frozen(lenet_models):
+    return lenet_models[MULTS[0]]
 
 
 @pytest.fixture(scope="module")
@@ -59,20 +72,23 @@ def clean_backend():
 # ----------------------------------------------------------------------
 # fusion pass structure
 # ----------------------------------------------------------------------
-def test_fusion_is_default_for_int_plans(lenet_frozen):
-    plan = compile_plan(lenet_frozen, arithmetic="int")
-    assert plan.fused_ops > 0
-    # Every fused op is uint8 -> uint8 and records what it absorbed.
-    for op in plan.ops:
-        if op.kind == "fused_int":
-            assert op.dtype_in == "uint8" and op.dtype_out == "uint8"
-            assert "+requant" in op.name
-            assert op.meta is not None and len(op.meta["fused"]) >= 2
-    # The last gather feeds dequant, so exactly one lutgemm_int survives.
-    kinds = [op.kind for op in plan.ops]
-    assert kinds.count("lutgemm_int") == 1
-    assert kinds.count("requant") == 0
-    assert_integer_core(plan)
+def test_fusion_is_default_for_int_plans(lenet_models):
+    for mult, model in lenet_models.items():
+        plan = compile_plan(model, arithmetic="int")
+        assert plan.fused_ops > 0
+        # Every fused op is uint8 -> uint8 and records what it absorbed.
+        for op in plan.ops:
+            if op.kind == "fused_int":
+                assert op.dtype_in == "uint8" and op.dtype_out == "uint8"
+                assert "+requant" in op.name
+                assert op.meta is not None and len(op.meta["fused"]) >= 2
+                assert op.params.separable == (mult == "mul8u_1DMU")
+        # The last gather feeds dequant, so exactly one lutgemm_int
+        # survives.
+        kinds = [op.kind for op in plan.ops]
+        assert kinds.count("lutgemm_int") == 1
+        assert kinds.count("requant") == 0
+        assert_integer_core(plan)
 
 
 def test_fuse_opt_out_and_explicit_pass(lenet_frozen):
@@ -107,33 +123,62 @@ def test_requant_params_of_views(lenet_frozen):
 # ----------------------------------------------------------------------
 # bit identity: C backend, numpy fallback, threads
 # ----------------------------------------------------------------------
-def test_fused_bit_identical_to_float_and_unfused(lenet_frozen, batch):
-    yf = compile_plan(lenet_frozen, example_input=batch).run(batch)
-    yu = compile_plan(lenet_frozen, arithmetic="int", fuse=False).run(batch)
-    yv = compile_plan(lenet_frozen, arithmetic="int").run(batch)
-    np.testing.assert_array_equal(yf, yu)
-    np.testing.assert_array_equal(yu, yv)
+def test_fused_bit_identical_to_float_and_unfused(lenet_models, batch):
+    for model in lenet_models.values():
+        yf = compile_plan(model, example_input=batch).run(batch)
+        yu = compile_plan(model, arithmetic="int", fuse=False).run(batch)
+        yv = compile_plan(model, arithmetic="int").run(batch)
+        np.testing.assert_array_equal(yf, yu)
+        np.testing.assert_array_equal(yu, yv)
+
+
+def test_separable_plans_match_the_gather_plan(
+    lenet_frozen, batch, monkeypatch, clean_backend
+):
+    from repro.core.lutgemm import LutGemm
+
+    plans = [
+        compile_plan(lenet_frozen, arithmetic="int", fuse=fuse)
+        for fuse in (True, False)
+    ]
+    assert all(plan.separable_ops == plan.lutgemm_ops for plan in plans)
+    got = [plan.run(batch) for plan in plans]
+    # The reference: the same model with the rank-1 lowering refused,
+    # so every op gathers through the LUT.
+    with monkeypatch.context() as patch:
+        patch.setattr(LutGemm, "separable_for", lambda self, wq: False)
+        gather = compile_plan(lenet_frozen, arithmetic="int")
+        assert gather.separable_ops == 0
+        want = gather.run(batch)
+        for y in got:
+            np.testing.assert_array_equal(y, want)
+    monkeypatch.setenv("REPRO_NO_CCKERNEL", "1")
+    execcore.reset_backend_state()
+    for plan in plans:
+        np.testing.assert_array_equal(plan.run(batch), want)
 
 
 def test_fused_numpy_fallback_bit_identical(
-    lenet_frozen, batch, monkeypatch, clean_backend
+    lenet_models, batch, monkeypatch, clean_backend
 ):
-    plan = compile_plan(lenet_frozen, arithmetic="int")
-    want = plan.run(batch)
+    plans = [compile_plan(m, arithmetic="int") for m in lenet_models.values()]
+    wants = [plan.run(batch) for plan in plans]
     monkeypatch.setenv("REPRO_NO_CCKERNEL", "1")
     execcore.reset_backend_state()
     assert execcore.backend_info()["serve_backend"] == "numpy"
-    np.testing.assert_array_equal(plan.run(batch), want)
+    for plan, want in zip(plans, wants):
+        np.testing.assert_array_equal(plan.run(batch), want)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_fused_thread_counts_bit_identical(
-    lenet_frozen, batch, monkeypatch, threads
+    lenet_models, batch, monkeypatch, threads
 ):
-    plan = compile_plan(lenet_frozen, arithmetic="int")
-    want = plan.run(batch)
+    plans = [compile_plan(m, arithmetic="int") for m in lenet_models.values()]
+    wants = [plan.run(batch) for plan in plans]
     monkeypatch.setenv("REPRO_LUTKERNEL_THREADS", threads)
-    np.testing.assert_array_equal(plan.run(batch), want)
+    for plan, want in zip(plans, wants):
+        np.testing.assert_array_equal(plan.run(batch), want)
 
 
 def test_serve_backend_reported(lenet_frozen):
@@ -146,19 +191,20 @@ def test_serve_backend_reported(lenet_frozen):
 # ----------------------------------------------------------------------
 # degenerate shapes: zero-row micro-batches flow end to end
 # ----------------------------------------------------------------------
-def test_empty_batch_through_fused_plan(lenet_frozen, monkeypatch, clean_backend):
-    plan = compile_plan(lenet_frozen, arithmetic="int")
-    out = plan.run(np.empty((0, 3, 12, 12)))
-    assert out.shape == (0, 4)
+def test_empty_batch_through_fused_plan(lenet_models, monkeypatch, clean_backend):
+    plans = [compile_plan(m, arithmetic="int") for m in lenet_models.values()]
+    for plan in plans:
+        assert plan.run(np.empty((0, 3, 12, 12))).shape == (0, 4)
     monkeypatch.setenv("REPRO_NO_CCKERNEL", "1")
     execcore.reset_backend_state()
-    out = plan.run(np.empty((0, 3, 12, 12)))
-    assert out.shape == (0, 4)
+    for plan in plans:
+        assert plan.run(np.empty((0, 3, 12, 12))).shape == (0, 4)
 
 
-def test_empty_batch_through_unfused_plan(lenet_frozen):
-    plan = compile_plan(lenet_frozen, arithmetic="int", fuse=False)
-    assert plan.run(np.empty((0, 3, 12, 12))).shape == (0, 4)
+def test_empty_batch_through_unfused_plan(lenet_models):
+    for model in lenet_models.values():
+        plan = compile_plan(model, arithmetic="int", fuse=False)
+        assert plan.run(np.empty((0, 3, 12, 12))).shape == (0, 4)
 
 
 def test_lutkernel_degenerate_ranges():
@@ -178,6 +224,27 @@ def test_lutkernel_degenerate_ranges():
 # ----------------------------------------------------------------------
 # the C serving kernel itself, against the pure-int reference
 # ----------------------------------------------------------------------
+def _serve_constants(per_channel, rng, m=9):
+    """``(zw, m0, d0, shift)`` covering the requant corners for M = 9."""
+    if per_channel:
+        # Rows 0 and 1 saturate at the upper and lower rail; the rest mix
+        # signs, shift == 0 (no half added) and interior outputs.
+        zw = rng.integers(0, 4, size=m).astype(np.int64)
+        m0 = np.array([1, -1, 2, 1, 3, -2, 1, 1, 5], dtype=np.int64)
+        d0 = np.array(
+            [1 << 20, -(1 << 20), 128 << 6, 128 << 4, -7, 40, 128, 0,
+             128 << 8],
+            dtype=np.int64,
+        )
+        shift = np.array([5, 0, 6, 4, 7, 5, 1, 5, 8], dtype=np.int64)
+    else:
+        zw = np.array([2], dtype=np.int64)
+        m0 = np.array([1], dtype=np.int64)
+        d0 = np.array([128 << 5], dtype=np.int64)
+        shift = np.array([5], dtype=np.int64)
+    return zw, m0, d0, shift
+
+
 @pytest.mark.parametrize("per_channel", [False, True])
 @pytest.mark.parametrize("threads", [1, 4, 7])
 @pytest.mark.parametrize("in_bounds", [True, False])
@@ -202,22 +269,7 @@ def test_fused_serve_matches_reference(
         # Indices past both table ends take the clamping gather.
         xq[0, ::2] = 4000
         xq[k - 1, c - 1] = -99
-    if per_channel:
-        # Rows 0 and 1 saturate at the upper and lower rail; the rest mix
-        # signs, shift == 0 (no half added) and interior outputs.
-        zw = rng.integers(0, 4, size=m).astype(np.int64)
-        m0 = np.array([1, -1, 2, 1, 3, -2, 1, 1, 5], dtype=np.int64)
-        d0 = np.array(
-            [1 << 20, -(1 << 20), 128 << 6, 128 << 4, -7, 40, 128, 0,
-             128 << 8],
-            dtype=np.int64,
-        )
-        shift = np.array([5, 0, 6, 4, 7, 5, 1, 5, 8], dtype=np.int64)
-    else:
-        zw = np.array([2], dtype=np.int64)
-        m0 = np.array([1], dtype=np.int64)
-        d0 = np.array([128 << 5], dtype=np.int64)
-        shift = np.array([5], dtype=np.int64)
+    zw, m0, d0, shift = _serve_constants(per_channel, rng)
     qlo, qhi = 3, 250
     colsum = xq.sum(axis=0, dtype=np.int64)
     want = execcore._serve_reference(
@@ -233,6 +285,79 @@ def test_fused_serve_matches_reference(
         assert ((want > qlo) & (want < qhi)).any()
     if per_channel:
         assert (want[0] == qhi).all() and (want[1] == qlo).all()
+
+
+def _separable_engine(levels=16, seed=0):
+    """A forward-only engine over a random rank-1 LUT ``outer(a, b)``."""
+    from repro.core.lutgemm import LutGemm
+    from repro.multipliers.base import LutMultiplier
+
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-20, 21, size=levels)
+    b = rng.integers(0, 31, size=levels)
+    bits = levels.bit_length() - 1
+    engine = LutGemm(LutMultiplier("rank1", bits, np.outer(a, b)), None)
+    assert engine.separable is not None
+    return engine
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("c", [1, 23])
+def test_separable_serve_matches_reference(
+    c, per_channel, backend, monkeypatch
+):
+    from repro.core import lutkernel
+
+    engine = _separable_engine()
+    levels = engine.levels
+    rng = np.random.default_rng(0x5EED + c)
+    m, k = 9, 10
+    wq = rng.integers(0, levels, size=(m, k))
+    xq = rng.integers(0, levels, size=(k, c)).astype(np.int32)
+    assert engine.separable_for(wq)
+    zw, m0, d0, shift = _serve_constants(per_channel, rng)
+    qlo, qhi = 3, 250
+    want = execcore._serve_reference(
+        engine.lut_flat, wq * levels, xq, zw, m0, d0, shift, qlo, qhi
+    )
+
+    def no_gather(*args, **kwargs):
+        raise AssertionError("separable op reached the gather kernel")
+
+    execcore.serve_kernel_trusted()  # self-check before the patches
+    monkeypatch.setattr(lutkernel, "fused_serve", no_gather)
+    if backend == "numpy":
+        monkeypatch.setattr(lutkernel, "requant_f64", lambda *a: None)
+    wa = np.take(engine._sep_f64[0], wq)
+    for acc_dtype in (np.int64, np.int32):
+        got = execcore.serve_fused(
+            engine, wq, wa, xq, zw, m0, d0, shift, qlo, qhi, acc_dtype
+        )
+        assert got.dtype == np.uint8 and got.shape == (m, c)
+        assert np.array_equal(got, want)
+    assert ((want > qlo) & (want < qhi)).any()
+    if per_channel:
+        assert (want[0] == qhi).all() and (want[1] == qlo).all()
+
+
+def test_separable_serve_out_of_range_takes_the_gather():
+    engine = _separable_engine()
+    levels = engine.levels
+    rng = np.random.default_rng(4)
+    wq = rng.integers(0, levels, size=(9, 10))
+    xq = rng.integers(0, levels, size=(10, 23)).astype(np.int32)
+    xq[0, ::2] = 4000
+    xq[9, 22] = -99
+    zw, m0, d0, shift = _serve_constants(True, rng)
+    want = execcore._serve_reference(
+        engine.lut_flat, wq * levels, xq, zw, m0, d0, shift, 3, 250
+    )
+    got = execcore.serve_fused(
+        engine, wq, np.take(engine._sep_f64[0], wq), xq, zw, m0, d0,
+        shift, 3, 250, np.int64,
+    )
+    assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -278,20 +403,21 @@ def test_rebind_rejects_unrelated_op(lenet_frozen):
 # ----------------------------------------------------------------------
 # shm publication of fused constants (zero-copy views)
 # ----------------------------------------------------------------------
-def test_publish_plan_rebinds_fused_constants(lenet_frozen, batch):
+def test_publish_plan_rebinds_fused_constants(lenet_models, batch):
     from repro.serve.shm import SharedLutStore
 
-    plan = compile_plan(lenet_frozen, arithmetic="int")
-    want = plan.run(batch)
-    with SharedLutStore(prefix="repro-test-fused") as store:
-        info = store.publish_plan(plan)
-        assert any(k.startswith("requant/") for k in info["keys"])
-        for op in plan.ops:
-            if op.kind == "fused_int":
-                rp = requant_params_of(op)
-                # shm-backed views are read-only; the C kernel reads them
-                # zero-copy through the call-time re-resolve.
-                assert not rp.m0.flags.writeable
+    for model in lenet_models.values():
+        plan = compile_plan(model, arithmetic="int")
+        want = plan.run(batch)
+        with SharedLutStore(prefix="repro-test-fused") as store:
+            info = store.publish_plan(plan)
+            assert any(k.startswith("requant/") for k in info["keys"])
+            for op in plan.ops:
+                if op.kind == "fused_int":
+                    rp = requant_params_of(op)
+                    # shm-backed views are read-only; the C kernel reads
+                    # them zero-copy through the call-time re-resolve.
+                    assert not rp.m0.flags.writeable
+            np.testing.assert_array_equal(plan.run(batch), want)
+        # close() restored private constants; the plan is still usable.
         np.testing.assert_array_equal(plan.run(batch), want)
-    # close() restored private constants; the plan is still usable.
-    np.testing.assert_array_equal(plan.run(batch), want)

@@ -5,7 +5,9 @@ outputs are **bit-identical** to the float-scale plan (which is itself
 bit-identical to the eval-mode training graph), and between the input
 ``quant`` op and the final ``dequant`` op no tensor is float -- asserted
 structurally by :func:`repro.serve.plan.assert_integer_core` and
-behaviorally by running the plan with dtype-spying wrappers.
+behaviorally by running the plan with dtype-spying wrappers.  Each
+check runs once per LUT-GEMM lowering: ``mul8u_1DMU`` has a rank-1 LUT
+(exact float64 matmul), ``mul8u_2NDH`` does not (gather).
 """
 
 import numpy as np
@@ -35,7 +37,8 @@ from repro.serve.plan import (
     integer_core_report,
 )
 
-MULT = "mul8u_1DMU"
+#: One multiplier per LUT-GEMM lowering: separable, then gather.
+MULTS = ("mul8u_1DMU", "mul8u_2NDH")
 
 
 def _prep(model, seed=11, size=12, bn_batches=0):
@@ -64,13 +67,22 @@ def _check_bit_identity(model, x):
 
 
 @pytest.fixture(scope="module")
-def lenet_frozen():
-    model = approximate_model(
-        LeNet(num_classes=4, image_size=12, seed=11),
-        get_multiplier(MULT),
-        gradient_method="none", hws=2, include_linear=True,
-    )
-    return _prep(model)
+def lenet_models():
+    return {
+        mult: _prep(
+            approximate_model(
+                LeNet(num_classes=4, image_size=12, seed=11),
+                get_multiplier(mult),
+                gradient_method="none", hws=2, include_linear=True,
+            )
+        )
+        for mult in MULTS
+    }
+
+
+@pytest.fixture(scope="module")
+def lenet_frozen(lenet_models):
+    return lenet_models[MULTS[0]]
 
 
 @pytest.fixture(scope="module")
@@ -81,129 +93,138 @@ def batch():
 # ----------------------------------------------------------------------
 # bit identity across the test-model suite
 # ----------------------------------------------------------------------
-def test_lenet_bit_identical_and_integer_only(lenet_frozen, batch):
-    plan = _check_bit_identity(lenet_frozen, batch)
-    assert_integer_core(plan)
-    report = integer_core_report(plan)
-    assert report["integer_only"]
-    assert report["float_ops"] == []
+def test_lenet_bit_identical_and_integer_only(lenet_models, batch):
+    for model in lenet_models.values():
+        plan = _check_bit_identity(model, batch)
+        assert_integer_core(plan)
+        report = integer_core_report(plan)
+        assert report["integer_only"]
+        assert report["float_ops"] == []
 
 
 def test_per_channel_weights_bit_identical(batch):
-    model = approximate_model(
-        LeNet(num_classes=4, image_size=12, seed=7),
-        get_multiplier(MULT),
-        gradient_method="none", include_linear=True,
-        per_channel_weights=True,
-    )
-    _prep(model, seed=7)
-    plan = _check_bit_identity(model, batch)
-    assert_integer_core(plan)
+    for mult in MULTS:
+        model = approximate_model(
+            LeNet(num_classes=4, image_size=12, seed=7),
+            get_multiplier(mult),
+            gradient_method="none", include_linear=True,
+            per_channel_weights=True,
+        )
+        _prep(model, seed=7)
+        plan = _check_bit_identity(model, batch)
+        assert_integer_core(plan)
 
 
 def test_bn_folds_into_requant(batch):
-    rng = np.random.default_rng(5)
-    seq = Sequential(
-        Conv2d(3, 8, 3, rng=rng, padding=1),
-        BatchNorm2d(8),
-        ReLU(),
-        Conv2d(8, 8, 3, rng=rng, padding=1),
-        BatchNorm2d(8),
-        ReLU(),
-        Flatten(),
-        Linear(8 * 12 * 12, 4, rng=rng),
-    )
-    model = approximate_model(
-        seq, get_multiplier(MULT), gradient_method="none",
-        include_linear=True,
-    )
-    _prep(model, bn_batches=2)
-    plan = _check_bit_identity(model, batch)
-    assert_integer_core(plan)
-    # The BN layers folded into requant constants: no "float"-kind BN op
-    # survives in the plan.  The folded requants then fuse into their
-    # gathers (conv1->conv2 and conv2->linear), so they surface as
-    # fused_int ops rather than standalone requant ops.
-    kinds = [op.kind for op in plan.ops]
-    assert "float" not in kinds
-    assert kinds.count("fused_int") == 2
-    assert kinds.count("requant") == 0
-    # The unfused plan still shows the standalone requant pair.
-    unfused = compile_plan(model, arithmetic="int", fuse=False)
-    assert [op.kind for op in unfused.ops].count("requant") == 2
+    for mult in MULTS:
+        rng = np.random.default_rng(5)
+        seq = Sequential(
+            Conv2d(3, 8, 3, rng=rng, padding=1),
+            BatchNorm2d(8),
+            ReLU(),
+            Conv2d(8, 8, 3, rng=rng, padding=1),
+            BatchNorm2d(8),
+            ReLU(),
+            Flatten(),
+            Linear(8 * 12 * 12, 4, rng=rng),
+        )
+        model = approximate_model(
+            seq, get_multiplier(mult), gradient_method="none",
+            include_linear=True,
+        )
+        _prep(model, bn_batches=2)
+        plan = _check_bit_identity(model, batch)
+        assert_integer_core(plan)
+        # The BN layers folded into requant constants: no "float"-kind BN
+        # op survives in the plan.  The folded requants then fuse into
+        # their gathers (conv1->conv2 and conv2->linear), so they surface
+        # as fused_int ops rather than standalone requant ops.
+        kinds = [op.kind for op in plan.ops]
+        assert "float" not in kinds
+        assert kinds.count("fused_int") == 2
+        assert kinds.count("requant") == 0
+        # The unfused plan still shows the standalone requant pair.
+        unfused = compile_plan(model, arithmetic="int", fuse=False)
+        assert [op.kind for op in unfused.ops].count("requant") == 2
 
 
 def test_float_fallback_models_stay_bit_identical(batch):
-    rng = np.random.default_rng(6)
-    for name, tail in (
-        ("gap", GlobalAvgPool2d()),
-        ("avgpool", Sequential(AvgPool2d(2), Flatten())),
-    ):
-        mid = Sequential(
-            Conv2d(3, 8, 3, rng=rng, padding=1),
-            ReLU(),
-            tail,
-            Linear(8 if name == "gap" else 8 * 6 * 6, 4, rng=rng),
-        )
-        model = approximate_model(
-            mid, get_multiplier(MULT), gradient_method="none",
-            include_linear=True,
-        )
-        _prep(model)
-        plan = _check_bit_identity(model, batch)
-        # The non-commuting pool forces a float region mid-plan.
-        report = integer_core_report(plan)
-        assert report["has_core"]
-        assert not report["integer_only"]
-        with pytest.raises(ServeError):
-            assert_integer_core(plan)
+    for mult in MULTS:
+        rng = np.random.default_rng(6)
+        for name, tail in (
+            ("gap", GlobalAvgPool2d()),
+            ("avgpool", Sequential(AvgPool2d(2), Flatten())),
+        ):
+            mid = Sequential(
+                Conv2d(3, 8, 3, rng=rng, padding=1),
+                ReLU(),
+                tail,
+                Linear(8 if name == "gap" else 8 * 6 * 6, 4, rng=rng),
+            )
+            model = approximate_model(
+                mid, get_multiplier(mult), gradient_method="none",
+                include_linear=True,
+            )
+            _prep(model)
+            plan = _check_bit_identity(model, batch)
+            # The non-commuting pool forces a float region mid-plan.
+            report = integer_core_report(plan)
+            assert report["has_core"]
+            assert not report["integer_only"]
+            with pytest.raises(ServeError):
+                assert_integer_core(plan)
 
 
-def test_no_c_kernel_numpy_path_bit_identical(lenet_frozen, batch, monkeypatch):
+def test_no_c_kernel_numpy_path_bit_identical(lenet_models, batch, monkeypatch):
     from repro.core import lutkernel
 
     monkeypatch.setattr(lutkernel, "fused_product_sums", lambda *a: None)
     monkeypatch.setattr(lutkernel, "fused_serve", lambda *a, **k: None)
-    _check_bit_identity(lenet_frozen, batch)
+    monkeypatch.setattr(lutkernel, "requant_f64", lambda *a: None)
+    for model in lenet_models.values():
+        _check_bit_identity(model, batch)
 
 
-def test_int_plan_verifies_against_training_graph(lenet_frozen, batch):
+def test_int_plan_verifies_against_training_graph(lenet_models, batch):
     # verify_plan compares against the eval-mode autograd forward; the
     # integer plan must survive it too (exact dequant at the boundary).
-    compile_plan(lenet_frozen, example_input=batch, arithmetic="int")
+    for model in lenet_models.values():
+        compile_plan(model, example_input=batch, arithmetic="int")
 
 
 # ----------------------------------------------------------------------
 # structural properties of the integer core
 # ----------------------------------------------------------------------
-def test_no_float_dtype_at_runtime_inside_core(lenet_frozen, batch):
+def test_no_float_dtype_at_runtime_inside_core(lenet_models, batch):
     """Behavioral check: spy on every op's output dtype while running."""
-    plan = compile_plan(lenet_frozen, arithmetic="int")
-    start, end = plan.integer_core()
-    seen = {}
+    for model in lenet_models.values():
+        plan = compile_plan(model, arithmetic="int")
+        start, end = plan.integer_core()
+        seen = {}
 
-    def wrap(i, fn):
-        def spy(x):
-            out = fn(x)
-            seen[i] = out.dtype
-            return out
-        return spy
+        def wrap(i, fn):
+            def spy(x):
+                out = fn(x)
+                seen[i] = out.dtype
+                return out
+            return spy
 
-    for i, op in enumerate(plan.ops):
-        op.fn = wrap(i, op.fn)
-    plan.run(batch)
-    for i in range(start, end):  # everything before the final dequant
-        assert seen[i].kind in "ui", (i, seen[i])
-    assert seen[end] == np.float64
+        for i, op in enumerate(plan.ops):
+            op.fn = wrap(i, op.fn)
+        plan.run(batch)
+        for i in range(start, end):  # everything before the final dequant
+            assert seen[i].kind in "ui", (i, seen[i])
+        assert seen[end] == np.float64
 
 
-def test_op_dtype_tags_match_runtime(lenet_frozen, batch):
-    plan = compile_plan(lenet_frozen, arithmetic="int")
-    x = np.asarray(batch, dtype=np.float64)
-    for op in plan.ops:
-        assert str(x.dtype) == op.dtype_in, op
-        x = op.fn(x)
-        assert str(x.dtype) == op.dtype_out, op
+def test_op_dtype_tags_match_runtime(lenet_models, batch):
+    for model in lenet_models.values():
+        plan = compile_plan(model, arithmetic="int")
+        x = np.asarray(batch, dtype=np.float64)
+        for op in plan.ops:
+            assert str(x.dtype) == op.dtype_in, op
+            x = op.fn(x)
+            assert str(x.dtype) == op.dtype_out, op
 
 
 def test_describe_and_summary_expose_integer_pipeline(lenet_frozen):
@@ -226,6 +247,26 @@ def test_describe_and_summary_expose_integer_pipeline(lenet_frozen):
     unfused = compile_plan(lenet_frozen, arithmetic="int", fuse=False)
     assert unfused.fused_ops == 0
     assert unfused.op_summary()["kinds"]["requant"] >= 1
+
+
+def test_summary_and_describe_name_the_lowering(lenet_models):
+    for mult, model in lenet_models.items():
+        for fuse in (True, False):
+            plan = compile_plan(model, arithmetic="int", fuse=fuse)
+            summary = plan.op_summary()
+            tagged = [
+                line for line in plan.describe().splitlines()[1:]
+                if line.endswith("[separable]")
+            ]
+            if mult == "mul8u_1DMU":
+                # Every LUT-GEMM op of the rank-1 multiplier skips the
+                # gather, fused or not.
+                assert summary["separable_ops"] == plan.lutgemm_ops > 0
+                assert len(tagged) == plan.lutgemm_ops
+                assert f"{plan.lutgemm_ops} separable" in plan.describe()
+            else:
+                assert summary["separable_ops"] == 0
+                assert tagged == []
 
 
 def test_unknown_arithmetic_rejected(lenet_frozen):

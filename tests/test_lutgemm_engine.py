@@ -239,7 +239,8 @@ def test_chunk_one_matches_reference():
 # ----------------------------------------------------------------------
 # Accumulator dtype selection (integer serving plan)
 def test_int32_accumulators_bit_identical_to_int64():
-    mult = get_multiplier("mul8u_1DMU")
+    # A rank-1 LUT (mul8u_1DMU) would take the matmul; 2NDH gathers.
+    mult = get_multiplier("mul8u_2NDH")
     engine = LutGemm(mult, gradients=None)
     wq, xq, _ = _operands(6, 40, 17, 8, seed=3)
     acc64 = engine.product_sums(wq, xq)
@@ -280,8 +281,9 @@ def test_int32_numpy_fallback_matches(monkeypatch):
     import repro.core.lutkernel as lutkernel
 
     monkeypatch.setattr(lutkernel, "fused_product_sums", lambda *a: None)
-    mult = get_multiplier("mul8u_1DMU")
+    mult = get_multiplier("mul8u_2NDH")  # not separable: reaches the gather
     engine = LutGemm(mult, gradients=None)
+    assert engine.separable is None
     wq, xq, _ = _operands(4, 200, 129, 8, seed=5)  # big enough for fused path
     acc64 = engine.product_sums(wq, xq)
     acc32 = engine.product_sums(wq, xq, acc_dtype=np.int32)
@@ -290,8 +292,124 @@ def test_int32_numpy_fallback_matches(monkeypatch):
 
 def test_exact_fast_path_respects_acc_dtype():
     engine = LutGemm(ExactMultiplier(8), gradients=None)
+    assert engine.separable is not None  # the exact LUT is rank 1
     wq, xq, _ = _operands(3, 16, 5, 8, seed=7)
     acc32 = engine.product_sums(wq, xq, acc_dtype=np.int32)
     assert acc32.dtype == np.int32
     ref = _reference_sums(engine, wq, xq)
     np.testing.assert_array_equal(acc32.astype(np.int64), ref)
+
+
+# ----------------------------------------------------------------------
+# Rank-1 lowering of product-separable LUTs
+RANK1 = {"mul8u_1DMU", "mul8u_acc", "mul7u_acc", "mul6u_acc"}
+
+
+def test_separable_exactly_for_the_rank1_luts():
+    from repro.multipliers.registry import TABLE1_NAMES
+
+    # The ALS-synthesized names cost ~25 s of synthesis; like the other
+    # registry-wide tests, this one covers every other name.
+    for name in TABLE1_NAMES:
+        if "syn" in name:
+            continue
+        engine = LutGemm(get_multiplier(name), gradients=None)
+        lut = engine.lut_flat.reshape(engine.levels, engine.levels)
+        assert (engine.separable is not None) == (name in RANK1), name
+        assert (np.linalg.matrix_rank(lut.astype(np.float64)) == 1) == (
+            name in RANK1
+        ), name
+        if engine.separable is not None:
+            a, b = engine.separable
+            assert a.shape == b.shape == (engine.levels,)
+            assert np.array_equal(np.outer(a, b), lut)
+
+
+def _asymmetric_rank1(bits=8, seed=0):
+    from repro.multipliers.base import LutMultiplier
+
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-300, 301, size=1 << bits)
+    b = rng.integers(0, 700, size=1 << bits)
+    return LutMultiplier("rank1_asym", bits, np.outer(a, b))
+
+
+@pytest.mark.parametrize("mult", [get_multiplier("mul8u_1DMU"),
+                                  _asymmetric_rank1()])
+def test_separable_sums_match_the_gather(mult):
+    engine = LutGemm(mult, gradients=None)
+    assert engine.separable is not None
+    gather = LutGemm(mult, gradients=None)
+    gather.separable = None
+    wq, xq, _ = _operands(5, 300, 97, 8, seed=2)
+    want = _reference_sums(engine, wq, xq)
+    for acc_dtype in (np.int64, np.int32):
+        got = engine.product_sums(wq, xq, acc_dtype=acc_dtype)
+        assert got.dtype == acc_dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            gather.product_sums(wq, xq, acc_dtype=acc_dtype), want
+        )
+
+
+@pytest.mark.parametrize("mult", [ExactMultiplier(8),
+                                  get_multiplier("mul8u_1DMU")])
+def test_separable_out_of_range_operands_match_the_gather(mult):
+    # Diverged operands: the gather clamps the *flat* index like
+    # np.take(mode="clip"), which the factorization does not reproduce,
+    # so the separable engine must fall back rather than multiply.
+    engine = LutGemm(mult, gradients=None)
+    assert engine.separable is not None
+    gather = LutGemm(mult, gradients=None)
+    gather.separable = None
+    wq = np.array([[0, 3]], dtype=np.int32)
+    xq = np.array([[300], [-2]], dtype=np.int32)
+    got = engine.product_sums(wq, xq)
+    np.testing.assert_array_equal(got, gather.product_sums(wq, xq))
+    if mult.is_exact:
+        assert got[0, 0] == 552  # lut[255] + lut[3 * 256 - 2]: clamped
+    wq_bad = np.array([[-1, 300]], dtype=np.int32)
+    xq_ok = np.array([[7], [9]], dtype=np.int32)
+    np.testing.assert_array_equal(
+        engine.product_sums(wq_bad, xq_ok), gather.product_sums(wq_bad, xq_ok)
+    )
+
+
+def test_perturbed_rank1_clone_is_refused():
+    from repro.multipliers.base import LutMultiplier
+
+    base = get_multiplier("mul8u_1DMU")
+    lut = base.lut().astype(np.int64).copy()
+    lut[17, 201] += 1
+    clone = get_engine(base, None).clone_with_multiplier(
+        LutMultiplier("mul8u_1DMU_plus1", 8, lut)
+    )
+    assert clone.separable is None
+    wq, xq, _ = _operands(3, 40, 9, 8, seed=11)
+    wq[0, 0], xq[0, :] = 17, 201
+    np.testing.assert_array_equal(
+        clone.product_sums(wq, xq), _reference_sums(clone, wq, xq)
+    )
+
+
+def test_separable_exact_bound_falls_back_instead_of_rounding():
+    from repro.multipliers.base import BehavioralMultiplier
+
+    # lut = outer([1, 46339], [1, 46337]): an odd, int32-safe maximum
+    # product, so the 2**53 bound trips at a K that still fits memory and
+    # the sum there (odd, above 2**53) has no float64 representation.
+    mult = BehavioralMultiplier(
+        "rank1_wide", 1,
+        lambda w, x: np.where(w == 1, 46339, 1) * np.where(x == 1, 46337, 1),
+    )
+    engine = LutGemm(mult, gradients=None)
+    assert engine.separable is not None
+    bound = 46339 * 46337
+    k_bad = -(-(2**53) // bound)  # first K with K * bound >= 2**53
+    assert engine.separable_exact(k_bad - 1)
+    assert not engine.separable_exact(k_bad)
+    wq = np.ones((1, k_bad), dtype=np.int32)
+    xq = np.ones((k_bad, 1), dtype=np.int32)
+    want = k_bad * bound
+    assert int(float(want)) != want  # float64 would have rounded it
+    assert int(engine.product_sums(wq, xq)[0, 0]) == want

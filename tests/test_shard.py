@@ -171,6 +171,30 @@ def test_shard_server_bit_identical(frozen_model):
     assert all(np.array_equal(o, r) for o, r in zip(outs, ref))
 
 
+def test_shard_server_separable_plan_matches_gather(monkeypatch):
+    from repro.core.lutgemm import LutGemm
+
+    train = SyntheticImageDataset(64, 4, 12, seed=5, split="train")
+    model = approximate_model(
+        LeNet(num_classes=4, image_size=12, seed=5),
+        get_multiplier("mul8u_1DMU"),  # rank-1 LUT: matmul lowering
+        gradient_method="none", include_linear=True,
+    )
+    calibrate(model, DataLoader(train, batch_size=32), batches=1)
+    freeze(model)
+    model.eval()
+    x = _samples(10)
+    with monkeypatch.context() as patch:
+        patch.setattr(LutGemm, "separable_for", lambda self, wq: False)
+        ref = _int_plan(model).run(x)  # every op gathers
+    assert _int_plan(model).separable_ops > 0
+    with ShardServer(
+        lambda: _int_plan(model), workers=2, max_batch=4, max_wait_ms=2.0,
+    ) as server:
+        outs = [f.result(timeout=60.0) for f in map(server.submit, x)]
+    assert all(np.array_equal(o, r) for o, r in zip(outs, ref))
+
+
 def test_shard_sigkill_respawn_and_shm_cleanup(frozen_model):
     x = _samples(16, seed=9)
     ref = _int_plan(frozen_model).run(x)
