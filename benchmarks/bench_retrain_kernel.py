@@ -135,6 +135,25 @@ def train_once(
         execcore.reset_backend_state()
 
 
+def host_info() -> dict:
+    """The machine the timings were measured on."""
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cores": os.cpu_count(),
+        "cpu_model": cpu,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+    }
+
+
 def check_identical(numpy_run, kernel_run) -> list[str]:
     """Bit-identity failures between the two runs (empty = identical)."""
     failures = []
@@ -230,6 +249,7 @@ def main(argv=None) -> int:
         "gate_applied": gate_applied,
         "bit_identical": not failures,
         "backend": kernel_run["backend"],
+        "host": host_info(),
         "loss_history": kernel_run["loss"],
         "wall_time_s": total,
         "failures": failures,

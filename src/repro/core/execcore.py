@@ -436,8 +436,11 @@ def _run_self_check() -> bool:
     and 70 columns) drive the C kernel through all of them, single- and
     multi-threaded.  The last probe additionally injects out-of-range
     indices (diverged operands), which must clip into the tables the
-    way ``np.take(mode="clip")`` does.  Any discrepancy pins the
-    backward to numpy with a one-time warning.
+    way ``np.take(mode="clip")`` does.  So both C loop bodies are vetted:
+    probes 1-3 pass the in-bounds proof and run the unclamped gather,
+    probe 4 fails it and runs the clamp loop (traced as
+    ``lutkernel.gather.unclamped`` / ``.clamped``).  Any discrepancy
+    pins the backward to numpy with a one-time warning.
     """
     rng = np.random.default_rng(0x5EEDCAFE)
     levels = 4

@@ -37,6 +37,16 @@ JIT-compiles single-pass C kernels at first use:
   bit-identical to the numpy path (verified at runtime by
   :mod:`repro.core.execcore` before the kernel is trusted).
 
+Index clamping: every gather here must match the numpy path's
+``np.take(..., mode="clip")``, including on diverged operands (NaN
+weights quantized to INT32_MIN).  Each wrapper first tries to prove
+every flat index in range from the operand extrema
+(:func:`_gather_in_bounds`; for the backward, against the smaller
+gradient table).  When the proof holds -- always, for real operands --
+the C loop indexes the tables directly; only when it fails does the
+loop clamp each index.  The two loops do the same arithmetic in the
+same order, so the choice never changes a result.
+
 Optional threading: ``REPRO_LUTKERNEL_THREADS=N`` splits the forward
 over row blocks and the backward over chunk-aligned column blocks.
 ctypes releases the GIL for the duration of each call, partitions are
@@ -88,7 +98,9 @@ _KERNEL_SOURCE = r"""
  * gather in the engine clips out-of-range indices into the table, so
  * garbage operands (e.g. NaN weights quantizing to INT32_MIN during a
  * diverged training run) degrade exactly like the numpy path instead
- * of reading out of bounds.
+ * of reading out of bounds.  Each gather kernel runs it only in its
+ * fallback loop, when the caller could not prove every index in range
+ * (the ``fast`` flag below).
  */
 static inline long clamp_idx(int64_t id, long n)
 {
@@ -106,25 +118,44 @@ static inline long clamp_idx(int64_t id, long n)
  * Callers of the int32 instance must guarantee K * max|lut| < 2**31
  * (checked in LutGemm.int32_acc_safe); within that bound results are
  * bit-identical to product_sums_range.
+ *
+ * ``fast`` (last parameter) is the caller-proven in-bounds flag of
+ * fused_serve below: when the Python wrapper has shown
+ * min(wrow) + min(xq) >= 0 and max(wrow) + max(xq) < n_lut, the gather
+ * indexes the table directly; otherwise every lookup goes through
+ * clamp_idx, so diverged operands clip exactly like np.take(mode="clip")
+ * and the sums are bit-identical either way.  restrict lets the
+ * compiler keep the accumulator row out of the xq load's alias set.
  */
 #define DEFINE_PRODUCT_SUMS_RANGE(NAME, ACC_T)                          \
-void NAME(const int32_t *lut, long n_lut,                               \
-          const int64_t *wrow,   /* (M, K): wq * levels */              \
-          const int32_t *xq,     /* (K, C) quantized acts */            \
-          ACC_T *out,            /* (M, C), rows overwritten */         \
+void NAME(const int32_t *restrict lut, long n_lut,                      \
+          /* (M, K): wq * levels */                                     \
+          const int64_t *restrict wrow,                                 \
+          /* (K, C) quantized acts */                                   \
+          const int32_t *restrict xq,                                   \
+          ACC_T *restrict out,   /* (M, C), rows overwritten */         \
           long M, long K, long C,                                       \
-          long m_lo, long m_hi)                                         \
+          long m_lo, long m_hi, long fast)                              \
 {                                                                       \
     for (long m = m_lo; m < m_hi; m++) {                                \
         const int64_t *wr = wrow + m * K;                               \
         ACC_T *acc = out + m * C;                                       \
         for (long c = 0; c < C; c++)                                    \
             acc[c] = 0;                                                 \
-        for (long k = 0; k < K; k++) {                                  \
-            const int64_t base = wr[k];                                 \
-            const int32_t *xrow = xq + k * C;                           \
-            for (long c = 0; c < C; c++)                                \
-                acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];        \
+        if (fast) {                                                     \
+            for (long k = 0; k < K; k++) {                              \
+                const int64_t base = wr[k];                             \
+                const int32_t *xrow = xq + k * C;                       \
+                for (long c = 0; c < C; c++)                            \
+                    acc[c] += lut[base + xrow[c]];                      \
+            }                                                           \
+        } else {                                                        \
+            for (long k = 0; k < K; k++) {                              \
+                const int64_t base = wr[k];                             \
+                const int32_t *xrow = xq + k * C;                       \
+                for (long c = 0; c < C; c++)                            \
+                    acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];    \
+            }                                                           \
         }                                                               \
     }                                                                   \
 }
@@ -186,7 +217,8 @@ static inline uint8_t requant_clamp(int64_t acc, int64_t zw, int64_t colsum,
  * reaches them, hence static.
  *
  * ``fast`` (last parameter) is a caller-proven in-bounds flag: the
- * Python wrapper checks min(wrow) + min(xq) >= 0 and
+ * Python wrapper (_gather_in_bounds, shared with the other two gather
+ * kernels) checks min(wrow) + min(xq) >= 0 and
  * max(wrow) + max(xq) < n_lut with SIMD numpy reductions (the wrow
  * bounds are input-independent and cached per plan op), which holds
  * for every real serving input (wq in [0, levels), xq clipped onto
@@ -525,18 +557,29 @@ static float pairwise_sum_f32(const float *a, long n)
  * order regardless of how column blocks were split across threads.
  * tmp (>= chunk floats) and gx32 (>= K * chunk floats) are per-thread
  * scratch supplied by the caller.
+ *
+ * ``fast`` is the same caller-proven in-bounds flag as the forward's,
+ * proven against the SMALLER of the two tables (n_gw, n_gx): set, both
+ * gathers index directly; clear, each index is clamped into its own
+ * table like np.take(mode="clip").  The float32 operations and their
+ * order are the same in both loops, so the results are bit-identical
+ * either way.  restrict lets the compiler vectorize the elementwise
+ * gather-multiply loop (no reassociation: each lane rounds exactly like
+ * the scalar code), which it must not do while gxr may alias tmp.
  */
-void backward_grads_range(const float *gwtab, long n_gw,
-                          const float *gxtab, long n_gx,
-                          const int64_t *wrow,   /* (M, K): wq * levels */
-                          const int32_t *xq,     /* (K, C) */
-                          const float *gout,     /* (M, C) */
-                          float *gw_part,        /* (n_chunks, M, K) */
-                          double *gx,            /* (K, C) */
-                          float *tmp,
-                          float *gx32,
+void backward_grads_range(const float *restrict gwtab, long n_gw,
+                          const float *restrict gxtab, long n_gx,
+                          /* (M, K): wq * levels */
+                          const int64_t *restrict wrow,
+                          const int32_t *restrict xq,     /* (K, C) */
+                          const float *restrict gout,     /* (M, C) */
+                          /* (n_chunks, M, K) */
+                          float *restrict gw_part,
+                          double *restrict gx,            /* (K, C) */
+                          float *restrict tmp,
+                          float *restrict gx32,
                           long M, long K, long C, long chunk,
-                          long c_lo, long c_hi)
+                          long c_lo, long c_hi, long fast)
 {
     for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
         long hi = c0 + chunk < c_hi ? c0 + chunk : c_hi;
@@ -551,11 +594,20 @@ void backward_grads_range(const float *gwtab, long n_gw,
                 const int64_t base = wr[k];
                 const int32_t *xrow = xq + k * C + c0;
                 float *gxr = gx32 + k * cc;
-                for (long c = 0; c < cc; c++) {
-                    const int64_t id = base + xrow[c];
-                    const float gv = grow[c];
-                    tmp[c] = gwtab[clamp_idx(id, n_gw)] * gv;
-                    gxr[c] += gxtab[clamp_idx(id, n_gx)] * gv;
+                if (fast) {
+                    for (long c = 0; c < cc; c++) {
+                        const int64_t id = base + xrow[c];
+                        const float gv = grow[c];
+                        tmp[c] = gwtab[id] * gv;
+                        gxr[c] += gxtab[id] * gv;
+                    }
+                } else {
+                    for (long c = 0; c < cc; c++) {
+                        const int64_t id = base + xrow[c];
+                        const float gv = grow[c];
+                        tmp[c] = gwtab[clamp_idx(id, n_gw)] * gv;
+                        gxr[c] += gxtab[clamp_idx(id, n_gx)] * gv;
+                    }
                 }
                 gwp[m * K + k] = pairwise_sum_f32(tmp, cc);
             }
@@ -641,17 +693,19 @@ def _compile() -> "ctypes.CDLL | None":
     fn.restype = None
     fn.argtypes = [
         _i32, _long, _i64, _i32, _i64, _long, _long, _long, _long, _long,
+        _long,
     ]
     fn32 = lib.product_sums_i32_range
     fn32.restype = None
     fn32.argtypes = [
         _i32, _long, _i64, _i32, _i32, _long, _long, _long, _long, _long,
+        _long,
     ]
     bwd = lib.backward_grads_range
     bwd.restype = None
     bwd.argtypes = [
         _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _f64, _f32, _f32,
-        _long, _long, _long, _long, _long, _long,
+        _long, _long, _long, _long, _long, _long, _long,
     ]
     return lib
 
@@ -746,6 +800,42 @@ def _row_ranges(m: int, nthreads: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + per, m)) for lo in range(0, m, per)]
 
 
+def _gather_in_bounds(
+    wrow: np.ndarray,
+    xq: np.ndarray,
+    n: int,
+    wrow_bounds: tuple[int, int] | None = None,
+    xq_bounds: tuple[int, int] | None = None,
+) -> bool:
+    """Whether every flat index ``wrow[m, k] + xq[k, c]`` lies in ``[0, n)``.
+
+    The in-bounds proof behind the C gathers' no-clamp loop: from the
+    array-wide extrema, ``min(wrow) + min(xq) >= 0`` and
+    ``max(wrow) + max(xq) < n`` bound every index (four SIMD reductions
+    over the operands, ~1% of the ``M*K*C`` gather they unclamp).  It
+    holds for every real operand (``wq``, ``xq`` in ``[0, levels)``);
+    diverged ones fail it and the kernel runs the exact clamp loop, so
+    the result is the same either way.  ``wrow_bounds`` / ``xq_bounds``
+    are optional precomputed (or conservative) ``(min, max)`` pairs that
+    skip the reductions.  The branch taken is counted as
+    ``lutkernel.gather.unclamped`` / ``lutkernel.gather.clamped``.
+    """
+    if wrow.size == 0 or xq.size == 0:
+        fast = True  # nothing is gathered
+    else:
+        wmin, wmax = wrow_bounds if wrow_bounds is not None else (
+            int(wrow.min()), int(wrow.max())
+        )
+        xmin, xmax = xq_bounds if xq_bounds is not None else (
+            int(xq.min()), int(xq.max())
+        )
+        fast = wmin + xmin >= 0 and wmax + xmax < n
+    _TRACE.count(
+        "lutkernel.gather.unclamped" if fast else "lutkernel.gather.clamped"
+    )
+    return fast
+
+
 def fused_product_sums(
     lut_flat: np.ndarray,
     wrow: np.ndarray,
@@ -755,10 +845,12 @@ def fused_product_sums(
 ) -> np.ndarray | None:
     """``out[m, c] = sum_k lut_flat[wrow[m, k] + xq[k, c]]``.
 
-    Out-of-range indices clip into the table exactly like the numpy
-    path's ``np.take(..., mode="clip")`` -- diverged operands (NaN
-    weights quantizing to INT32_MIN) degrade identically on both
-    backends instead of faulting.
+    When the operand extrema prove every index in range
+    (:func:`_gather_in_bounds`) the C loop indexes the table directly;
+    otherwise it clamps each index exactly like the numpy path's
+    ``np.take(..., mode="clip")``, so diverged operands (NaN weights
+    quantizing to INT32_MIN) degrade identically on both backends
+    instead of faulting.  Integer sums: bit-identical either way.
 
     Args:
         lut_flat: Flat int32 product LUT of size ``levels**2``.
@@ -800,11 +892,12 @@ def fused_product_sums(
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
+    fast = int(_gather_in_bounds(wrow, xq, lut_flat.size))
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _row_ranges(m, nthreads)
 
     def work(lo, hi, _slot):
-        fn(lut_flat, lut_flat.size, wrow, xq, out, m, k2, c, lo, hi)
+        fn(lut_flat, lut_flat.size, wrow, xq, out, m, k2, c, lo, hi, fast)
 
     _TRACE.count("lutkernel.fused_calls")
     with _TRACE.span("lutkernel.product_sums", cat="engine"):
@@ -883,8 +976,8 @@ def fused_serve(
     round-half-up convention exactly (pinned by the execcore serve
     self-check).  ``qlo`` folds the integer ReLU: ``max(q, Z)`` over a
     ``[qmin, qmax]`` clip equals a single ``[max(qmin, Z), qmax]`` clip.
-    Out-of-range gather indices clip into the table like
-    ``np.take(mode="clip")``.
+    Gather indices clamp into the table like ``np.take(mode="clip")``
+    only when the extrema proof (:func:`_gather_in_bounds`) fails.
 
     Args:
         lut_flat: Flat int32 product LUT of size ``levels**2``.
@@ -933,18 +1026,9 @@ def fused_serve(
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
-    # In-bounds proof for the no-clamp gather: conservative array-wide
-    # extrema (SIMD reductions; ~1% of the gather they remove).
-    if k2 > 0:
-        wmin, wmax = wrow_bounds if wrow_bounds is not None else (
-            int(wrow.min()), int(wrow.max())
-        )
-        xmin, xmax = xq_bounds if xq_bounds is not None else (
-            int(xq.min()), int(xq.max())
-        )
-        fast = int(wmin + xmin >= 0 and wmax + xmax < lut_flat.size)
-    else:
-        fast = 0
+    fast = int(_gather_in_bounds(
+        wrow, xq, lut_flat.size, wrow_bounds, xq_bounds
+    ))
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _row_ranges(m, nthreads)
     # Per-thread accumulator row: the tile that never leaves cache.
@@ -1104,8 +1188,11 @@ def fused_backward_grads(
     exactly (see the module docstring), and per-chunk ``gw`` partials
     are merged into the float64 result in global chunk order, so the
     output is bit-identical to the numpy fallback for every
-    ``threads`` value.  Out-of-range indices clip into each gradient
-    table exactly like ``np.take(..., mode="clip")``.
+    ``threads`` value.  When the operand extrema prove every index
+    inside the smaller gradient table (:func:`_gather_in_bounds`) both
+    gathers index directly; otherwise out-of-range indices clip into
+    each table exactly like ``np.take(..., mode="clip")``.  The float32
+    operation order is the same in both loops.
 
     Returns ``(gw, gx)`` as float64 ``(M, K)`` / ``(K, C)`` arrays, or
     ``None`` when the kernel is unavailable.
@@ -1131,6 +1218,9 @@ def fused_backward_grads(
     gout = np.ascontiguousarray(gout, dtype=np.float32)
     gw_part = np.empty((n_chunks, m, k), dtype=np.float32)
     gx = np.empty((k2, c), dtype=np.float64)
+    fast = int(_gather_in_bounds(
+        wrow, xq, min(grad_w_flat.size, grad_x_flat.size)
+    ))
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _chunk_ranges(c, chunk, nthreads)
     # Per-thread scratch: the chunk product row and the float32 gx tile.
@@ -1141,7 +1231,7 @@ def fused_backward_grads(
         lib.backward_grads_range(
             grad_w_flat, grad_w_flat.size, grad_x_flat, grad_x_flat.size,
             wrow, xq, gout, gw_part, gx, tmp[slot], gx32[slot],
-            m, k2, c, chunk, lo, hi,
+            m, k2, c, chunk, lo, hi, fast,
         )
 
     _TRACE.count("lutkernel.fused_backward_calls")

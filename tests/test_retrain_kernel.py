@@ -253,6 +253,128 @@ def test_raw_kernel_oob_clip_both_directions():
         assert np.array_equal(got_b[1], want_b[1])
 
 
+# ----------------------------------------------------------------------
+# The in-bounds proof that lets the C gathers skip per-element clamping,
+# tested at its exact edges.  The product LUT has 64 entries; the base
+# operands (wrow in {0, 8, ..., 56}, xq in [0, 8)) pin the largest flat
+# index wrow + xq at exactly 63 and the smallest at exactly 0, and each
+# case moves one edge.  Per case: (edit, n_gw, n_gx, smallest index,
+# largest index, forward unclamped?, backward unclamped?).
+_EDGE_N = 64
+
+
+def _with(arr, at, value):
+    out = arr.copy()
+    out[at] = value
+    return out
+
+
+_EDGE_CASES = {
+    "in_bounds_max_n_minus_1": (None, 64, 64, 0, 63, True, True),
+    "in_bounds_max_n": (
+        lambda w, x: (w, _with(x, (8, 3), 8)), 64, 64, 0, 64, False, False,
+    ),
+    # Offsets below 0 and activations above the grid whose sums still
+    # start at exactly 0: the proof bounds the sum, not each operand.
+    "in_bounds_min_0_shifted_operands": (
+        lambda w, x: (w - 8, x + 8), 64, 64, 0, 63, True, True,
+    ),
+    "in_bounds_min_minus_1": (
+        lambda w, x: (w, _with(x, (0, 5), -1)), 64, 64, -1, 63, False, False,
+    ),
+    # The backward proof must use the smaller gradient table.
+    "in_bounds_smaller_grad_x_table": (None, 64, 60, 0, 63, True, False),
+    "in_bounds_smaller_grad_w_table": (None, 63, 64, 0, 63, True, False),
+    "in_bounds_smaller_table_max_n_minus_1": (
+        lambda w, x: (w, _with(x % 4, (8, 3), 3)), 64, 60, 0, 59, True, True,
+    ),
+}
+
+
+def _edge_operands(edit):
+    rng = np.random.default_rng(17)
+    wrow = (rng.integers(0, 8, size=(6, 9)) * 8).astype(np.int64)
+    xq = rng.integers(0, 8, size=(9, 700)).astype(np.int32)
+    wrow[5, 8], xq[8, 3] = 56, 7  # the largest flat index, 63
+    wrow[0, 0], xq[0, 5] = 0, 0  # the smallest, 0
+    return (wrow, xq) if edit is None else edit(wrow, xq)
+
+
+def _branch_counts(tracer):
+    c = tracer.counters()
+    return (
+        c.get("lutkernel.gather.unclamped", 0),
+        c.get("lutkernel.gather.clamped", 0),
+    )
+
+
+@requires_kernel
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_gather_in_bounds_edges_bit_identical(case):
+    from repro.obs.trace import tracing
+
+    edit, n_gw, n_gx, lo, hi, fwd_fast, bwd_fast = _EDGE_CASES[case]
+    wrow, xq = _edge_operands(edit)
+    idx = wrow[:, :, None] + xq[None]
+    assert (idx.min(), idx.max()) == (lo, hi)
+    rng = np.random.default_rng(3)
+    lut = rng.integers(-100, 100, size=_EDGE_N).astype(np.int32)
+    gw_flat = rng.standard_normal(n_gw).astype(np.float32)
+    gx_flat = rng.standard_normal(n_gx).astype(np.float32)
+    gout = rng.standard_normal((6, 700)).astype(np.float32)
+    want_f = lut[np.clip(idx, 0, _EDGE_N - 1)].sum(axis=1, dtype=np.int64)
+    want_b = execcore._probe_reference(gw_flat, gx_flat, wrow, xq, gout, 96)
+    fwd_branch = (1, 0) if fwd_fast else (0, 1)
+    bwd_branch = (1, 0) if bwd_fast else (0, 1)
+    # threads=None reads REPRO_LUTKERNEL_THREADS (CI reruns with 4).
+    for threads in (None, 1, 4, 7):
+        for acc_dtype in (np.int64, np.int32):
+            with tracing() as tr:
+                got_f = lutkernel.fused_product_sums(
+                    lut, wrow, xq, acc_dtype, threads
+                )
+                assert _branch_counts(tr) == fwd_branch
+            assert got_f.dtype == acc_dtype
+            assert np.array_equal(got_f, want_f)
+        with tracing() as tr:
+            got_b = lutkernel.fused_backward_grads(
+                gw_flat, gx_flat, wrow, xq, gout, 96, threads
+            )
+            assert _branch_counts(tr) == bwd_branch
+        assert np.array_equal(got_b[0], want_b[0])
+        assert np.array_equal(got_b[1], want_b[1])
+
+
+def test_gather_in_bounds_proof_at_its_edges():
+    # The pure-Python proof: no kernel needed, so this also runs on the
+    # numpy-only CI leg.
+    wrow = np.array([[0, 8], [16, 56]], dtype=np.int64)
+    xq = np.array([[0, 7], [3, 1]], dtype=np.int32)
+    prove = lutkernel._gather_in_bounds
+    assert prove(wrow, xq, 64)  # largest index 63 == n - 1
+    assert not prove(wrow, xq, 63)  # largest index 63 == n
+    assert not prove(wrow - 1, xq, 64)  # smallest index -1
+    # Precomputed bounds stand in for the reductions, conservatively.
+    assert prove(wrow, xq, 64, wrow_bounds=(0, 56), xq_bounds=(0, 7))
+    assert not prove(wrow, xq, 64, xq_bounds=(0, 255))
+    assert not prove(wrow, xq, 64, wrow_bounds=(-1, 56))
+    # Nothing to gather: vacuously in bounds.
+    assert prove(np.zeros((3, 0), np.int64), np.zeros((0, 5), np.int32), 1)
+
+
+@requires_kernel
+def test_self_check_runs_both_gather_branches(restore_backend):
+    from repro.obs.trace import tracing
+
+    with tracing() as tr:
+        assert execcore._run_self_check()
+        unclamped, clamped = _branch_counts(tr)
+    # Probes 1-3 hold real operands (fast loop), probe 4 injects
+    # out-of-range ones (clamp loop); each runs at 1 and 2 threads.
+    assert unclamped == 6
+    assert clamped == 2
+
+
 def test_threads_env_parsing(monkeypatch):
     monkeypatch.delenv(lutkernel.THREADS_ENV, raising=False)
     assert lutkernel.threads_requested() == 1
