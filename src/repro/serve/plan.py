@@ -39,6 +39,10 @@ Two lowering modes:
   fallback bit-identical).  See ``docs/serving.md`` for the fusion
   rules and which ops break a fused run.
 
+Residual blocks compile inline as ``save``/``branch``/``join`` ops (see
+:func:`_compile_residual`), so fusion, shared-memory publication and
+per-op profilers see every layer of one flat op list.
+
 Supported modules: all :mod:`repro.nn.layers` leaves, the approximate
 layers, and the model-zoo blocks (residual ``BasicBlock``/``Bottleneck``,
 MobileNet ``SeparableBlock``).  Composite modules without a registered
@@ -86,6 +90,9 @@ FLOAT = "float64"
 class PlanOp:
     """One compiled step: a named closure ``(ndarray) -> ndarray``.
 
+    The residual-block kinds ``save``/``branch`` (``fn`` is ``None``) and
+    ``join`` (``fn(main, short)``) are dispatched by :func:`_execute`.
+
     ``dtype_in``/``dtype_out`` tag the tensor domain each op consumes and
     produces (``"float64"``, ``"uint8"``, ``"int64"`` ...), so traces,
     :meth:`InferencePlan.describe`, and the integer-core plan walk can
@@ -111,7 +118,7 @@ class PlanOp:
         self,
         name: str,
         kind: str,
-        fn: Callable[[np.ndarray], np.ndarray],
+        fn: Callable[..., np.ndarray] | None,
         dtype_in: str = FLOAT,
         dtype_out: str = FLOAT,
         params=None,
@@ -144,10 +151,7 @@ class InferencePlan:
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the plan on a batch; returns the output array."""
-        out = np.asarray(x, dtype=np.float64)
-        for op in self.ops:
-            out = op.fn(out)
-        return out
+        return _execute(self.ops, x)
 
     __call__ = run
 
@@ -256,6 +260,27 @@ class InferencePlan:
         return "\n".join(lines)
 
 
+def _execute(ops: list[PlanOp], x: np.ndarray) -> np.ndarray:
+    """Run ``ops`` on ``x``; the executor of every plan.
+
+    ``save`` pushes the block input, ``branch`` swaps the main-path
+    result for it, ``join`` pops the main result into ``fn(main, short)``.
+    Dispatch is on ``kind`` (profilers wrap ``fn``); the stack is local.
+    """
+    out = np.asarray(x, dtype=np.float64)
+    saved: list[np.ndarray] = []
+    for op in ops:
+        if op.kind == "save":
+            saved.append(out)
+        elif op.kind == "branch":
+            out, saved[-1] = saved[-1], out
+        elif op.kind == "join":
+            out = op.fn(saved.pop(), out)
+        else:
+            out = op.fn(out)
+    return out
+
+
 def _separable_op(op: PlanOp) -> bool:
     """Whether a LUT-GEMM op lowers to the rank-1 matmul, not the gather.
 
@@ -328,12 +353,8 @@ def _unresolved(x):
     )
 
 
-#: Sentinel ``fn`` marking ops deleted at finalize (e.g. a folded BN).
+#: Sentinel ``fn`` marking ops deleted at compile end (e.g. a folded BN).
 _REMOVED = object()
-
-
-def _strip_removed(ops: list[PlanOp]) -> list[PlanOp]:
-    return [op for op in ops if op.fn is not _REMOVED]
 
 
 def _float_relu(x):
@@ -770,10 +791,6 @@ class _CompileCtx:
             self.pending.resolve_to_float()
             self.pending = None
 
-    def finalize(self) -> None:
-        """Close any open integer region (model output must be float)."""
-        self.resolve_float()
-
     def open_region(self, name: str, fa: FrozenAffine, spatial: bool) -> None:
         dtype_out = str(quant_dtype(fa.x_qparams.bits))
         op = PlanOp(f"{name}.out", "pending", _unresolved, "int64", dtype_out)
@@ -822,7 +839,8 @@ def register_compiler(module_type: type):
 
     Handlers have signature ``(module, ctx, prefix)`` where ``ctx`` is the
     compile context; emit float-domain ops with ``ctx.append_float`` so an
-    open integer region is closed correctly first.
+    open integer region is closed correctly first.  All handlers emit into
+    one flat op list, so post-compile passes see every op.
     """
 
     def deco(fn):
@@ -852,20 +870,6 @@ def _compile_into(module: Module, ctx: _CompileCtx, prefix: str) -> None:
         _compile_into(child, ctx, f"{prefix}{name}.")
 
 
-def _subplan(module: Module, prefix: str, ctx: _CompileCtx) -> list[PlanOp]:
-    """Compile ``module`` into a self-contained float-in/float-out op list."""
-    child = _CompileCtx(ctx.private_engines, ctx.integer)
-    _compile_into(module, child, prefix)
-    child.finalize()
-    return _strip_removed(child.ops)
-
-
-def _run_ops(ops: list[PlanOp], x: np.ndarray) -> np.ndarray:
-    for op in ops:
-        x = op.fn(x)
-    return x
-
-
 @register_compiler(Sequential)
 def _compile_sequential(module, ctx, prefix):
     for i, step in enumerate(module.steps):
@@ -873,13 +877,9 @@ def _compile_sequential(module, ctx, prefix):
 
 
 @register_compiler(Identity)
-def _compile_identity(module, ctx, prefix):
-    pass  # no-op (keeps any open integer region open)
-
-
 @register_compiler(Dropout)
-def _compile_dropout(module, ctx, prefix):
-    pass  # identity in eval mode
+def _compile_identity(module, ctx, prefix):
+    pass  # no-op, Dropout in eval mode too (keeps any open region open)
 
 
 @register_compiler(ReLU)
@@ -1154,27 +1154,24 @@ def _compile_approx_linear(module, ctx, prefix):
     ctx.append_float(PlanOp(name, "lutgemm", fn, params=fa))
 
 
+def _join(main, short):
+    return _float_relu(main + short)  # the blocks' (out + shortcut(x)).relu()
+
+
 def _compile_residual(module, ctx, prefix, main_attrs):
-    """Shared handler for residual blocks: main path + shortcut + relu.
+    """Inline block: ``save``, main path, ``branch``, shortcut, ``join``.
 
-    Both sub-plans are compiled as self-contained float-in/float-out op
-    lists (integer regions inside them close before the join), because the
-    residual add needs both branches on the float grid.
+    All three are float ops, so the paths' integer regions close before
+    the join: the residual add needs both paths on the float grid.
     """
-    main_ctx = _CompileCtx(ctx.private_engines, ctx.integer)
+    ctx.append_float(PlanOp(f"{prefix}save", "save", None))
     for attr, with_relu in main_attrs:
-        _compile_into(getattr(module, attr), main_ctx, f"{prefix}{attr}.")
+        _compile_into(getattr(module, attr), ctx, f"{prefix}{attr}.")
         if with_relu:
-            main_ctx.emit_relu(f"{prefix}{attr}.relu")
-    main_ctx.finalize()
-    main = _strip_removed(main_ctx.ops)
-    short = _subplan(module.shortcut, f"{prefix}shortcut.", ctx)
-
-    def fn(x):
-        out = _run_ops(main, x) + _run_ops(short, x)
-        return out * (out > 0)
-
-    ctx.append_float(PlanOp(f"{prefix}residual", "block", fn))
+            ctx.emit_relu(f"{prefix}{attr}.relu")
+    ctx.append_float(PlanOp(f"{prefix}branch", "branch", None))
+    _compile_into(module.shortcut, ctx, f"{prefix}shortcut.")
+    ctx.append_float(PlanOp(f"{prefix}join", "join", _join))
 
 
 def _compile_separable(module, ctx, prefix):
@@ -1218,7 +1215,8 @@ def compile_plan(
 
     Approximate layers must have frozen quantization (calibrated + frozen,
     or restored from a checkpoint).  The plan snapshots all weights and
-    quantization state: recompile after any parameter update.
+    quantization state: recompile after any parameter update.  Residual
+    blocks compile inline, so fusion reaches the layers inside them.
 
     Args:
         model: The (frozen) model to compile.
@@ -1248,8 +1246,8 @@ def compile_plan(
         )
     ctx = _CompileCtx(private_engines, arithmetic == "int")
     _compile_into(model, ctx, "")
-    ctx.finalize()
-    ops = _strip_removed(ctx.ops)
+    ctx.resolve_float()  # the model output is float
+    ops = [op for op in ctx.ops if op.fn is not _REMOVED]
     if not ops:
         raise ServeError("model compiled to an empty plan")
     plan = InferencePlan(
@@ -1286,14 +1284,10 @@ def verify_plan(
     finally:
         if was_training:
             model.train()
-    got = np.asarray(x, dtype=np.float64)
-    last_name = "<input>"
-    for op in plan.ops:
-        got = op.fn(got)
-        last_name = op.name
+    got = _execute(plan.ops, x)
     if ref.shape != got.shape:
         raise PlanShapeError(
-            op_name=last_name,
+            op_name=plan.ops[-1].name if plan.ops else "<input>",
             ref_shape=ref.shape,
             plan_shape=got.shape,
             model=plan.model_name,

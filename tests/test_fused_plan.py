@@ -8,7 +8,9 @@ the C backend and the numpy fallback, across thread counts, for empty
 micro-batches, and after requant constants are rebound (the shm path).
 The plan-level checks run once per serving lowering: ``mul8u_1DMU`` has a
 rank-1 LUT (one exact float64 matmul per op), ``mul8u_2NDH`` does not
-(the C gather kernel and its numpy fallback).
+(the C gather kernel and its numpy fallback).  The bit-identity checks
+also run over the tiny residual and MobileNet models of ``conftest.py``,
+whose block layers compile inline and fuse like any other.
 """
 
 import numpy as np
@@ -59,6 +61,14 @@ def lenet_frozen(lenet_models):
 @pytest.fixture(scope="module")
 def batch():
     return np.random.default_rng(3).standard_normal((6, 3, 12, 12))
+
+
+@pytest.fixture(scope="module")
+def model_cases(lenet_models, batch, block_models, block_batch):
+    """``(model, batch)`` for LeNet and every block model."""
+    return [(m, batch) for m in lenet_models.values()] + [
+        (m, block_batch) for m in block_models.values()
+    ]
 
 
 @pytest.fixture()
@@ -123,11 +133,11 @@ def test_requant_params_of_views(lenet_frozen):
 # ----------------------------------------------------------------------
 # bit identity: C backend, numpy fallback, threads
 # ----------------------------------------------------------------------
-def test_fused_bit_identical_to_float_and_unfused(lenet_models, batch):
-    for model in lenet_models.values():
-        yf = compile_plan(model, example_input=batch).run(batch)
-        yu = compile_plan(model, arithmetic="int", fuse=False).run(batch)
-        yv = compile_plan(model, arithmetic="int").run(batch)
+def test_fused_bit_identical_to_float_and_unfused(model_cases):
+    for model, x in model_cases:
+        yf = compile_plan(model, example_input=x).run(x)
+        yu = compile_plan(model, arithmetic="int", fuse=False).run(x)
+        yv = compile_plan(model, arithmetic="int").run(x)
         np.testing.assert_array_equal(yf, yu)
         np.testing.assert_array_equal(yu, yv)
 
@@ -159,26 +169,24 @@ def test_separable_plans_match_the_gather_plan(
 
 
 def test_fused_numpy_fallback_bit_identical(
-    lenet_models, batch, monkeypatch, clean_backend
+    model_cases, monkeypatch, clean_backend
 ):
-    plans = [compile_plan(m, arithmetic="int") for m in lenet_models.values()]
-    wants = [plan.run(batch) for plan in plans]
+    plans = [compile_plan(m, arithmetic="int") for m, _ in model_cases]
+    wants = [plan.run(x) for plan, (_, x) in zip(plans, model_cases)]
     monkeypatch.setenv("REPRO_NO_CCKERNEL", "1")
     execcore.reset_backend_state()
     assert execcore.backend_info()["serve_backend"] == "numpy"
-    for plan, want in zip(plans, wants):
-        np.testing.assert_array_equal(plan.run(batch), want)
+    for plan, (_, x), want in zip(plans, model_cases, wants):
+        np.testing.assert_array_equal(plan.run(x), want)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
-def test_fused_thread_counts_bit_identical(
-    lenet_models, batch, monkeypatch, threads
-):
-    plans = [compile_plan(m, arithmetic="int") for m in lenet_models.values()]
-    wants = [plan.run(batch) for plan in plans]
+def test_fused_thread_counts_bit_identical(model_cases, monkeypatch, threads):
+    plans = [compile_plan(m, arithmetic="int") for m, _ in model_cases]
+    wants = [plan.run(x) for plan, (_, x) in zip(plans, model_cases)]
     monkeypatch.setenv("REPRO_LUTKERNEL_THREADS", threads)
-    for plan, want in zip(plans, wants):
-        np.testing.assert_array_equal(plan.run(batch), want)
+    for plan, (_, x), want in zip(plans, model_cases, wants):
+        np.testing.assert_array_equal(plan.run(x), want)
 
 
 def test_serve_backend_reported(lenet_frozen):
@@ -191,20 +199,21 @@ def test_serve_backend_reported(lenet_frozen):
 # ----------------------------------------------------------------------
 # degenerate shapes: zero-row micro-batches flow end to end
 # ----------------------------------------------------------------------
-def test_empty_batch_through_fused_plan(lenet_models, monkeypatch, clean_backend):
-    plans = [compile_plan(m, arithmetic="int") for m in lenet_models.values()]
-    for plan in plans:
-        assert plan.run(np.empty((0, 3, 12, 12))).shape == (0, 4)
+def test_empty_batch_through_fused_plan(model_cases, monkeypatch, clean_backend):
+    plans = [compile_plan(m, arithmetic="int") for m, _ in model_cases]
+    empties = [np.empty((0,) + x.shape[1:]) for _, x in model_cases]
+    for plan, empty in zip(plans, empties):
+        assert plan.run(empty).shape == (0, 4)
     monkeypatch.setenv("REPRO_NO_CCKERNEL", "1")
     execcore.reset_backend_state()
-    for plan in plans:
-        assert plan.run(np.empty((0, 3, 12, 12))).shape == (0, 4)
+    for plan, empty in zip(plans, empties):
+        assert plan.run(empty).shape == (0, 4)
 
 
-def test_empty_batch_through_unfused_plan(lenet_models):
-    for model in lenet_models.values():
+def test_empty_batch_through_unfused_plan(model_cases):
+    for model, x in model_cases:
         plan = compile_plan(model, arithmetic="int", fuse=False)
-        assert plan.run(np.empty((0, 3, 12, 12))).shape == (0, 4)
+        assert plan.run(np.empty((0,) + x.shape[1:])).shape == (0, 4)
 
 
 def test_lutkernel_degenerate_ranges():

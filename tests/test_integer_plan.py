@@ -18,7 +18,9 @@ from repro.autograd.tensor import no_grad
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.errors import ServeError
 from repro.models import LeNet
+from repro.models.resnet import BasicBlock, Bottleneck
 from repro.multipliers import get_multiplier
+from repro.nn.approx import ApproxConv2d, ApproxLinear
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -185,11 +187,49 @@ def test_no_c_kernel_numpy_path_bit_identical(lenet_models, batch, monkeypatch):
         _check_bit_identity(model, batch)
 
 
-def test_int_plan_verifies_against_training_graph(lenet_models, batch):
+def test_int_plan_verifies_against_training_graph(
+    lenet_models, batch, block_models, block_batch
+):
     # verify_plan compares against the eval-mode autograd forward; the
     # integer plan must survive it too (exact dequant at the boundary).
     for model in lenet_models.values():
         compile_plan(model, example_input=batch, arithmetic="int")
+    for model in block_models.values():
+        compile_plan(model, example_input=block_batch, arithmetic="int")
+        compile_plan(model, example_input=block_batch, arithmetic="int",
+                     fuse=False)
+
+
+def test_block_layers_compile_inline(block_models):
+    """Every approximate layer inside a residual or separable block is a
+    top-level plan op, so counts, fusion and the core report see it."""
+    for (arch, _mult), model in block_models.items():
+        modules = list(model.modules())
+        n_approx = sum(
+            isinstance(m, (ApproxConv2d, ApproxLinear)) for m in modules
+        )
+        n_blocks = sum(isinstance(m, (BasicBlock, Bottleneck)) for m in modules)
+        for kwargs in ({}, {"arithmetic": "int", "fuse": False},
+                       {"arithmetic": "int"}):
+            plan = compile_plan(model, **kwargs)
+            assert plan.lutgemm_ops == n_approx, (arch, kwargs)
+            kinds = [op.kind for op in plan.ops]
+            for structural in ("save", "branch", "join"):
+                assert kinds.count(structural) == n_blocks, (arch, kwargs)
+        # The default (fused) integer plan, compiled last in the loop.
+        report = integer_core_report(plan)
+        assert report["has_core"] and not report["integer_only"]
+        if n_blocks:
+            assert plan.fused_ops > 0, arch
+            # The residual add runs in float: the joins and the float BN
+            # behind each block's last gather are named as core float ops.
+            start, end = report["span"]
+            ops = plan.ops
+            joins = [op.name for op in ops[start:end] if op.kind == "join"]
+            main_bns = [ops[i - 1].name for i in range(start, end)
+                        if ops[i].kind == "branch"]
+            assert joins and all(n.endswith(".bn") for n in main_bns)
+            assert set(joins + main_bns) <= set(report["float_ops"])
 
 
 # ----------------------------------------------------------------------

@@ -142,6 +142,50 @@ def test_publish_plan_bit_identical_and_engine_restored(frozen_model):
     assert np.array_equal(_int_plan(frozen_model).run(x), ref)
 
 
+def test_publish_plan_reaches_residual_block_layers(block_models, block_batch):
+    """Layers inside residual blocks are plan ops like any other: their
+    engines and requant constants go to shared memory, and a sharded
+    plan serves them bit-identically."""
+    from repro.nn.requant import RequantParams
+    from repro.serve.plan import requant_params_of
+
+    model = block_models["resnet18", "mul8u_2NDH"]
+
+    def factory():
+        return compile_plan(model, arithmetic="int", private_engines=True)
+
+    plan = factory()
+    ref = plan.run(block_batch)
+    engines = plan.engines()
+    assert len(engines) == plan.lutgemm_ops == 20
+    n_requant = sum(
+        isinstance(requant_params_of(op), RequantParams) for op in plan.ops
+    )
+    assert n_requant == plan.fused_ops > 0
+
+    store = SharedLutStore(prefix=f"repro-test-{os.getpid()}")
+    try:
+        info = store.publish_plan(plan)
+        # Every engine adopted its shared (read-only) tables.
+        assert all(
+            not table.flags.writeable
+            for engine in engines
+            for table in engine.shared_tables().values()
+        )
+        requant_keys = [k for k in info["keys"] if k.startswith("requant/")]
+        assert len(requant_keys) == n_requant
+        assert np.array_equal(plan.run(block_batch), ref)
+    finally:
+        store.close()
+
+    # One request per batch: the float Linear head's BLAS rounding may
+    # depend on the batch size, so the reference runs sample by sample.
+    per_sample = [plan.run(s[None])[0] for s in block_batch]
+    with ShardServer(factory, workers=2, max_batch=1, max_wait_ms=2.0) as server:
+        outs = [f.result(timeout=60.0) for f in map(server.submit, block_batch)]
+    assert all(np.array_equal(o, r) for o, r in zip(outs, per_sample))
+
+
 # ---------------------------------------------------------------------------
 # Supervisor policy
 # ---------------------------------------------------------------------------
