@@ -23,8 +23,14 @@ funnels through here:
   matmul over the rank-1 factors instead, whenever operand ranges and
   the ``2**53`` bound prove it equal to the gather.
 
-* The C *forward* is integer arithmetic and exact by construction.  The
-  C *backward* re-implements numpy's float32 reduction orders; that
+* The C *forward* is integer arithmetic, so either of its two gather
+  bodies -- the scalar loop and the in-register AVX-512 VBMI body that
+  :mod:`repro.core.lutkernel` runs when the host and operands qualify --
+  is exact.  The VBMI body still splits, permutes and re-packs bytes, so
+  it runs only after a one-time byte-edge **forward self-check** against
+  numpy (:func:`repro.core.lutkernel.vbmi_trusted`, which this module
+  triggers before its gather spans); a mismatch pins the scalar C loop.
+  The C *backward* re-implements numpy's float32 reduction orders; that
   claim is platform-sensitive (numpy may change its pairwise blocking),
   so before the first use this module runs a deterministic
   **self-check** comparing the C backward against the numpy reference
@@ -127,9 +133,10 @@ def _c_forward(engine, wq, xq, acc_dtype) -> np.ndarray | None:
     # span name as the numpy gather loop: profiles show where forward time
     # goes regardless of which backend served the call (the inner
     # ``lutkernel.product_sums`` span tells them apart).
+    planes = _planes(engine)
     with _TRACE.span("lutgemm.gather", cat="engine"):
         out = lutkernel.fused_product_sums(
-            engine._lut_i32, wrow, xq32, acc_dtype
+            engine._lut_i32, wrow, xq32, acc_dtype, None, planes
         )
     if out is not None:
         engine.ckernel_forward_calls += 1
@@ -309,11 +316,12 @@ def serve_fused(
         wrow = (wq * engine.levels).astype(np.int64)
         wrow_bounds = None
     if engine._lut_i32 is not None and serve_kernel_trusted():
+        planes = _planes(engine)
         with _TRACE.span("lutgemm.gather", cat="engine"):
             out = lutkernel.fused_serve(
                 engine._lut_i32, wrow, xq, colsum, zw, m0, d0, shift,
                 qlo, qhi, acc_dtype, wrow_bounds=wrow_bounds,
-                xq_bounds=xq_bounds,
+                xq_bounds=xq_bounds, planes=planes,
             )
         if out is not None:
             engine.ckernel_forward_calls += 1
@@ -674,12 +682,25 @@ def _run_serve_self_check() -> bool:
     return True
 
 
+# ----------------------------------------------------------------------
+def _planes(engine) -> np.ndarray | None:
+    """The engine's byte planes when the VBMI body is trusted, else None.
+
+    Callers evaluate it before entering their gather span, so the body's
+    one-time self-check (:func:`repro.core.lutkernel.vbmi_trusted`)
+    never adds its time to a traced forward or serving call.
+    """
+    planes = engine._lut_planes
+    return planes if planes is not None and lutkernel.vbmi_trusted() else None
+
+
 def reset_backend_state() -> None:
     """Forget the compiled kernel *and* the self-check verdicts.
 
     The one entry point tests and the ``--no-cckernel`` CLI flag should
     use: the next call re-reads ``REPRO_NO_CCKERNEL``, re-attempts the
-    build if allowed, and re-runs the backward and serving self-checks.
+    build if allowed, and re-runs the backward, serving and VBMI
+    forward self-checks.
     """
     global _bwd_verdict, _srv_verdict
     with _check_lock:
@@ -708,6 +729,10 @@ def backend_info() -> dict:
         "serve_backend": (
             "c" if available and serve_kernel_trusted() else "numpy"
         ),
+        # Body of the C forward gathers: the in-register AVX-512 VBMI
+        # body on hosts that have it (and pass its self-check), else the
+        # scalar loop.
+        "gather_isa": "avx512vbmi" if lutkernel.vbmi_trusted() else "scalar",
         "threads": lutkernel.threads_requested(),
         "fused_min_elems": FUSED_MIN_ELEMS,
     }

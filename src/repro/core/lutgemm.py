@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import execcore
+from repro.core import execcore, lutkernel
 from repro.core.gradient import GradientPair
 from repro.errors import ReproError
 from repro.multipliers.base import Multiplier
@@ -139,6 +139,14 @@ class LutGemm:
             self._lut_i32 = np.ascontiguousarray(self.lut_flat, dtype=np.int32)
         else:
             self._lut_i32 = None
+        # Byte planes of a uint16 LUT for the C gathers' VBMI body (None
+        # otherwise).  Derived from the table and never published to
+        # shared memory: 128 KB per 8-bit engine.
+        self._lut_planes = (
+            lutkernel.byte_planes(self._lut_i32)
+            if self._lut_i32 is not None
+            else None
+        )
         # Integer factors (a, b) of a rank-1 LUT, or None (see the module
         # docstring); float64 copies feed the matmul.
         self.separable = (

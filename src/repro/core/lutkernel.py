@@ -37,6 +37,27 @@ JIT-compiles single-pass C kernels at first use:
   bit-identical to the numpy path (verified at runtime by
   :mod:`repro.core.execcore` before the kernel is trusted).
 
+Two gather bodies: both forward gathers (``fused_product_sums`` and
+``fused_serve``) have a scalar C loop and an in-register AVX-512 VBMI
+body.  Each (m, k) reads one fixed 256-entry table row
+``lut[wrow[m, k] + 0..255]`` for every column, so the VBMI body holds
+that row in eight zmm registers -- split into a low-byte and a
+high-byte plane (:func:`byte_planes`) -- and looks up 64 uint8
+activations with four ``vpermi2b`` and two byte blends, column tile
+outermost so a tile of activations stays in cache across rows.  It runs
+when every condition holds (:func:`_gather_body`): the host has VBMI
+and BW (read once at kernel load), the caller passed the planes (the
+LUT fits uint16), the in-bounds proof below holds with
+``min(wrow) >= 0`` and ``xq`` in ``[0, 255]``, ``K <= VBMI_MAX_K`` (its
+int32 sums cannot overflow), ``C >= VBMI_MIN_C`` (below that measured
+crossover a mostly-padding tile costs more than the scalar loop), and
+the body passed its one-time byte-edge self-check against numpy
+(:func:`vbmi_trusted`; a mismatch pins the scalar loop).  Otherwise the
+scalar loop runs; it is the only body off x86.  Integer sums are
+order-free, so the two are bit-identical.  Each call counts its body
+as ``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.  The
+backward stays scalar.
+
 Index clamping: every gather here must match the numpy path's
 ``np.take(..., mode="clip")``, including on diverged operands (NaN
 weights quantized to INT32_MIN).  Each wrapper first tries to prove
@@ -47,8 +68,11 @@ the C loop indexes the tables directly; only when it fails does the
 loop clamp each index.  The two loops do the same arithmetic in the
 same order, so the choice never changes a result.
 
-Optional threading: ``REPRO_LUTKERNEL_THREADS=N`` splits the forward
-over row blocks and the backward over chunk-aligned column blocks.
+Optional threading: ``REPRO_LUTKERNEL_THREADS=N`` splits the scalar
+forward over row blocks, the VBMI forward over 128-column tiles (each
+thread narrows the activation tiles it owns) -- or, with fewer tiles
+than threads, over row blocks too -- and the backward over
+chunk-aligned column blocks.
 ctypes releases the GIL for the duration of each call, partitions are
 disjoint, and the weight-gradient merge always runs in global chunk
 order, so results are bit-identical for every thread count.
@@ -110,6 +134,224 @@ static inline long clamp_idx(int64_t id, long n)
 }
 
 /* ------------------------------------------------------------------
+ * In-register gather body (AVX-512 VBMI).  The forward gathers read,
+ * for each (m, k), one fixed 256-entry table row lut[wrow[m, k] + 0..255]
+ * for every column, so that row can live in registers instead of being
+ * looked up once per column.  The caller (Python) splits a uint16 LUT
+ * into two byte planes -- low bytes, then high bytes, each followed by
+ * PLANE_PAD bytes so a row load at wrow = n_lut - 1 stays inside the
+ * array -- and the body narrows xq to uint8 one tile at a time
+ * (xq_tile_u8).  Per (m, k) the row's two planes are eight zmm
+ * registers; per 64 activations the gather is four vpermi2b (two per
+ * plane, 128 bytes each) and two byte blends on index bit 7.  7-bit and
+ * 6-bit LUTs take the same path unchanged: the 256 bytes loaded at
+ * wrow[m, k] are the flat entries lut[wrow + 0..255] the scalar loop
+ * would index, whatever the row length, and the padding covers the
+ * load at the last entries.
+ *
+ * The gathered bytes are summed as uint16 partials per plane (even and
+ * odd columns apart, no shuffles), widened into int32 sums every 256
+ * steps of K, and put back in column order once, at store: integer sums
+ * are order-free, so only the store has to undo the lane permutation.
+ * The int32 sums cannot overflow: the wrapper only picks this body when
+ * every LUT entry is in [0, 0xFFFF] and K <= 32767.
+ *
+ * vbmi_tile covers a 128-column tile (two 64-lane sub-tiles sharing
+ * each table-row load) for one output row and writes the 128 int32
+ * sums, in column order, to res.  Its callers put the column tile
+ * outermost, so the tile's K x 128 bytes of xq stay in cache across all
+ * rows of the thread's range.  gather_vbmi_supported is read once at
+ * kernel load; the VBMI code is compiled for its target by attribute,
+ * so the build needs no extra flag and a non-x86 host compiles stubs.
+ */
+#define VBMI_TILE 128  /* columns per tile: two 64-lane sub-tiles */
+#define PLANE_PAD 256  /* bytes after each plane: one table row */
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#define VBMI_TARGET __attribute__((target("avx512f,avx512bw,avx512vbmi")))
+
+/* Narrow the K x 128 tile of xq (K, C) int32 starting at column c0 to
+ * uint8, zero-padded past column C, into the per-thread buffer xt
+ * (K * VBMI_TILE bytes).  Each element is narrowed once per row block:
+ * once per call when threads own column tiles, once per thread when
+ * fewer tiles than threads split rows.  The tile is contiguous, so it
+ * stays in cache across all rows; in the (K, C) layout a power-of-two
+ * C would map its K rows onto a few cache sets. */
+static inline VBMI_TARGET void xq_tile_u8(const int32_t *restrict xq,
+                                          long K, long C, long c0,
+                                          uint8_t *restrict xt)
+{
+    const long w = C - c0 < VBMI_TILE ? C - c0 : VBMI_TILE;
+    for (long k = 0; k < K; k++) {
+        const int32_t *src = xq + k * C + c0;
+        uint8_t *dst = xt + k * VBMI_TILE;
+        for (long i = 0; i < w; i++)
+            dst[i] = (uint8_t) src[i];
+        for (long i = w; i < VBMI_TILE; i++)
+            dst[i] = 0;
+    }
+}
+
+int gather_vbmi_supported(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512vbmi")
+        && __builtin_cpu_supports("avx512bw");
+}
+
+/* One (k, 64-lane sub-tile) step: gather the row's low and high bytes
+ * for 64 uint8 indices (two vpermi2b per plane, one blend per plane on
+ * index bit 7) and add them, zero-extended, to four uint16 partial sums:
+ * LE / LO hold the low bytes of the even / odd columns, HE / HO the
+ * high bytes. */
+#define VBMI_STEP(IDX, LE, LO, HE, HO)                                  \
+    do {                                                                \
+        const __mmask64 top = _mm512_movepi8_mask(IDX);                 \
+        const __m512i lb = _mm512_mask_blend_epi8(top,                  \
+            _mm512_permutex2var_epi8(L0, IDX, L1),                      \
+            _mm512_permutex2var_epi8(L2, IDX, L3));                     \
+        const __m512i hb = _mm512_mask_blend_epi8(top,                  \
+            _mm512_permutex2var_epi8(H0, IDX, H1),                      \
+            _mm512_permutex2var_epi8(H2, IDX, H3));                     \
+        LE = _mm512_add_epi16(LE, _mm512_and_si512(lb, byte));          \
+        LO = _mm512_add_epi16(LO, _mm512_srli_epi16(lb, 8));            \
+        HE = _mm512_add_epi16(HE, _mm512_and_si512(hb, byte));          \
+        HO = _mm512_add_epi16(HO, _mm512_srli_epi16(hb, 8));            \
+    } while (0)
+
+/* Fold one sub-tile's uint16 partial sums into its 64 int32 sums
+ * acc[0..63] (value = low + 256 * high).  Word w of LE is column 2w, so
+ * the dword halves give columns 4d (e0), 4d + 2 (e1), 4d + 1 (o0) and
+ * 4d + 3 (o1); two unpack rounds regroup them so that acc[16 j + 4 L + i]
+ * holds column 16 L + 4 j + i, the order vbmi_store undoes. */
+static inline VBMI_TARGET void vbmi_flush(int32_t *acc, __m512i le,
+                                          __m512i lo, __m512i he,
+                                          __m512i ho)
+{
+    const __m512i w16 = _mm512_set1_epi32(0xFFFF);
+    const __m512i e0 = _mm512_add_epi32(_mm512_and_si512(le, w16),
+        _mm512_slli_epi32(_mm512_and_si512(he, w16), 8));
+    const __m512i e1 = _mm512_add_epi32(_mm512_srli_epi32(le, 16),
+        _mm512_slli_epi32(_mm512_srli_epi32(he, 16), 8));
+    const __m512i o0 = _mm512_add_epi32(_mm512_and_si512(lo, w16),
+        _mm512_slli_epi32(_mm512_and_si512(ho, w16), 8));
+    const __m512i o1 = _mm512_add_epi32(_mm512_srli_epi32(lo, 16),
+        _mm512_slli_epi32(_mm512_srli_epi32(ho, 16), 8));
+    const __m512i p = _mm512_unpacklo_epi32(e0, o0);
+    const __m512i q = _mm512_unpacklo_epi32(e1, o1);
+    const __m512i p2 = _mm512_unpackhi_epi32(e0, o0);
+    const __m512i q2 = _mm512_unpackhi_epi32(e1, o1);
+    const __m512i part[4] = {
+        _mm512_unpacklo_epi64(p, q), _mm512_unpackhi_epi64(p, q),
+        _mm512_unpacklo_epi64(p2, q2), _mm512_unpackhi_epi64(p2, q2),
+    };
+    for (int j = 0; j < 4; j++)
+        _mm512_store_si512(acc + 16 * j, _mm512_add_epi32(
+            _mm512_load_si512(acc + 16 * j), part[j]));
+}
+
+/* 64 sums in column order from the flushed layout (acc j, 128-bit lane
+ * L, dword i = column 16 L + 4 j + i): a 4x4 transpose of 128-bit lanes. */
+static inline VBMI_TARGET void vbmi_store(int32_t *res, const int32_t *acc)
+{
+    const __m512i a0 = _mm512_load_si512(acc);
+    const __m512i a1 = _mm512_load_si512(acc + 16);
+    const __m512i a2 = _mm512_load_si512(acc + 32);
+    const __m512i a3 = _mm512_load_si512(acc + 48);
+    const __m512i t0 = _mm512_shuffle_i32x4(a0, a1, 0x44);
+    const __m512i t1 = _mm512_shuffle_i32x4(a2, a3, 0x44);
+    const __m512i t2 = _mm512_shuffle_i32x4(a0, a1, 0xEE);
+    const __m512i t3 = _mm512_shuffle_i32x4(a2, a3, 0xEE);
+    _mm512_storeu_si512(res, _mm512_shuffle_i32x4(t0, t1, 0x88));
+    _mm512_storeu_si512(res + 16, _mm512_shuffle_i32x4(t0, t1, 0xDD));
+    _mm512_storeu_si512(res + 32, _mm512_shuffle_i32x4(t2, t3, 0x88));
+    _mm512_storeu_si512(res + 48, _mm512_shuffle_i32x4(t2, t3, 0xDD));
+}
+
+/* The tile routine: the 128 int32 sums of one output row over one
+ * column tile, in column order, into res.  The uint16 partial sums take
+ * at most 256 steps (256 * 0xFF < 2**16) before vbmi_flush widens them. */
+static inline VBMI_TARGET void vbmi_tile(const uint8_t *restrict lo,
+                                         const uint8_t *restrict hi,
+                                         const int64_t *restrict wr,
+                                         const uint8_t *restrict xt, long K,
+                                         int32_t *restrict res)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i byte = _mm512_set1_epi16(0xFF);
+    int32_t acc[VBMI_TILE] __attribute__((aligned(64)));
+    for (int j = 0; j < VBMI_TILE; j += 16)
+        _mm512_store_si512(acc + j, zero);
+    for (long k0 = 0; k0 < K; k0 += 256) {
+        const long k1 = k0 + 256 < K ? k0 + 256 : K;
+        __m512i a0 = zero, a1 = zero, a2 = zero, a3 = zero;
+        __m512i a4 = zero, a5 = zero, a6 = zero, a7 = zero;
+        for (long k = k0; k < k1; k++, xt += VBMI_TILE) {
+            const uint8_t *l = lo + wr[k], *h = hi + wr[k];
+            const __m512i L0 = _mm512_loadu_si512(l);
+            const __m512i L1 = _mm512_loadu_si512(l + 64);
+            const __m512i L2 = _mm512_loadu_si512(l + 128);
+            const __m512i L3 = _mm512_loadu_si512(l + 192);
+            const __m512i H0 = _mm512_loadu_si512(h);
+            const __m512i H1 = _mm512_loadu_si512(h + 64);
+            const __m512i H2 = _mm512_loadu_si512(h + 128);
+            const __m512i H3 = _mm512_loadu_si512(h + 192);
+            const __m512i i0 = _mm512_loadu_si512(xt);
+            const __m512i i1 = _mm512_loadu_si512(xt + 64);
+            VBMI_STEP(i0, a0, a1, a2, a3);
+            VBMI_STEP(i1, a4, a5, a6, a7);
+        }
+        vbmi_flush(acc, a0, a1, a2, a3);
+        vbmi_flush(acc + 64, a4, a5, a6, a7);
+    }
+    vbmi_store(res, acc);
+    vbmi_store(res + 64, acc + 64);
+}
+
+/* Forward body over rows [m_lo, m_hi) x columns [c_lo, c_hi) (c_lo a
+ * multiple of VBMI_TILE): the int32 tile sums, widened to the output
+ * width at store. */
+static VBMI_TARGET void product_sums_vbmi(const uint8_t *restrict planes,
+                                          long n_lut,
+                                          const int64_t *restrict wrow,
+                                          const int32_t *restrict xq,
+                                          void *out, long is32,
+                                          long K, long C,
+                                          long m_lo, long m_hi,
+                                          long c_lo, long c_hi,
+                                          uint8_t *restrict xt)
+{
+    const uint8_t *hi = planes + n_lut + PLANE_PAD;
+    int32_t res[VBMI_TILE];
+    for (long c0 = c_lo; c0 < c_hi; c0 += VBMI_TILE) {
+        const long w = c_hi - c0 < VBMI_TILE ? c_hi - c0 : VBMI_TILE;
+        xq_tile_u8(xq, K, C, c0, xt);
+        for (long m = m_lo; m < m_hi; m++) {
+            vbmi_tile(planes, hi, wrow + m * K, xt, K, res);
+            if (is32) {
+                int32_t *o = (int32_t *) out + m * C + c0;
+                for (long i = 0; i < w; i++)
+                    o[i] = res[i];
+            } else {
+                int64_t *o = (int64_t *) out + m * C + c0;
+                for (long i = 0; i < w; i++)
+                    o[i] = res[i];
+            }
+        }
+    }
+}
+#else
+int gather_vbmi_supported(void)
+{
+    return 0;
+}
+
+/* Never reached: the wrapper only passes planes on a VBMI host. */
+#define product_sums_vbmi(...) ((void) 0)
+#endif
+
+/* ------------------------------------------------------------------
  * Forward: acc[m, c] = sum_k lut[wrow[m, k] + xq[k, c]] over rows
  * [m_lo, m_hi).  Integer arithmetic: bit-identical to numpy for any
  * row partition, which is what makes threading over row blocks safe.
@@ -119,13 +361,22 @@ static inline long clamp_idx(int64_t id, long n)
  * (checked in LutGemm.int32_acc_safe); within that bound results are
  * bit-identical to product_sums_range.
  *
- * ``fast`` (last parameter) is the caller-proven in-bounds flag of
- * fused_serve below: when the Python wrapper has shown
- * min(wrow) + min(xq) >= 0 and max(wrow) + max(xq) < n_lut, the gather
- * indexes the table directly; otherwise every lookup goes through
- * clamp_idx, so diverged operands clip exactly like np.take(mode="clip")
- * and the sums are bit-identical either way.  restrict lets the
- * compiler keep the accumulator row out of the xq load's alias set.
+ * ``fast`` is the caller-proven in-bounds flag of fused_serve below:
+ * when the Python wrapper has shown min(wrow) + min(xq) >= 0 and
+ * max(wrow) + max(xq) < n_lut, the gather indexes the table directly;
+ * otherwise every lookup goes through clamp_idx, so diverged operands
+ * clip exactly like np.take(mode="clip") and the sums are bit-identical
+ * either way.  restrict lets the compiler keep the accumulator row out
+ * of the xq load's alias set.
+ *
+ * Two bodies: non-NULL planes (the LUT's byte planes, with xt a
+ * K * VBMI_TILE-byte scratch tile) select the in-register VBMI body
+ * above over columns [c_lo, c_hi), which the wrapper only passes when
+ * the host has VBMI, the proof holds with min(wrow) >= 0 and xq in
+ * [0, 255], the LUT fits uint16, K < 32768 and C >= VBMI_MIN_C (the
+ * measured crossover), and the body passed its self-check.  Otherwise
+ * the scalar loops below run over all columns -- the only body off
+ * x86.
  */
 #define DEFINE_PRODUCT_SUMS_RANGE(NAME, ACC_T)                          \
 void NAME(const int32_t *restrict lut, long n_lut,                      \
@@ -135,8 +386,15 @@ void NAME(const int32_t *restrict lut, long n_lut,                      \
           const int32_t *restrict xq,                                   \
           ACC_T *restrict out,   /* (M, C), rows overwritten */         \
           long M, long K, long C,                                       \
-          long m_lo, long m_hi, long fast)                              \
+          long m_lo, long m_hi, long fast,                              \
+          const uint8_t *planes, uint8_t *xt, long c_lo, long c_hi)     \
 {                                                                       \
+    if (planes) {                                                       \
+        product_sums_vbmi(planes, n_lut, wrow, xq, out,                 \
+                          sizeof(ACC_T) == 4, K, C, m_lo, m_hi,         \
+                          c_lo, c_hi, xt);                              \
+        return;                                                         \
+    }                                                                   \
     for (long m = m_lo; m < m_hi; m++) {                                \
         const int64_t *wr = wrow + m * K;                               \
         ACC_T *acc = out + m * C;                                       \
@@ -193,6 +451,46 @@ static inline uint8_t requant_clamp(int64_t acc, int64_t zw, int64_t colsum,
     return (uint8_t) q;
 }
 
+/* In-register serving body over rows [m_lo, m_hi): each 128-column
+ * tile's int32 sums go straight into the requant tail, tile by tile
+ * (see vbmi_tile; the wrapper picks it under the forward's
+ * conditions). */
+#if defined(__x86_64__)
+static VBMI_TARGET void fused_serve_vbmi(
+    const uint8_t *restrict planes, long n_lut,
+    const int64_t *restrict wrow, const int32_t *restrict xq,
+    const int64_t *restrict colsum,
+    const int64_t *restrict zw, long zw_stride,
+    const int64_t *restrict m0, const int64_t *restrict d0,
+    const int64_t *restrict shift, long rq_stride,
+    long qlo, long qhi, uint8_t *restrict out,
+    long K, long C, long m_lo, long m_hi, long c_lo, long c_hi,
+    uint8_t *restrict xt)
+{
+    const uint8_t *hi = planes + n_lut + PLANE_PAD;
+    int32_t res[VBMI_TILE];
+    for (long c0 = c_lo; c0 < c_hi; c0 += VBMI_TILE) {
+        const long w = c_hi - c0 < VBMI_TILE ? c_hi - c0 : VBMI_TILE;
+        xq_tile_u8(xq, K, C, c0, xt);
+        for (long m = m_lo; m < m_hi; m++) {
+            vbmi_tile(planes, hi, wrow + m * K, xt, K, res);
+            const int64_t zwm = zw[m * zw_stride];
+            const int64_t mm = m0[m * rq_stride];
+            const int64_t dm = d0[m * rq_stride];
+            const long sh = (long) shift[m * rq_stride];
+            const int64_t half = requant_half(sh);
+            uint8_t *orow = out + m * C + c0;
+            for (long i = 0; i < w; i++)
+                orow[i] = requant_clamp((int64_t) res[i], zwm,
+                                        colsum[c0 + i], mm, dm, sh, half,
+                                        qlo, qhi);
+        }
+    }
+}
+#else
+#define fused_serve_vbmi(...) ((void) 0)
+#endif
+
 /* ------------------------------------------------------------------
  * Fused integer serving op over rows [m_lo, m_hi): LUT gather +
  * weight-zero-point correction + fixed-point requantization + clamp,
@@ -207,6 +505,11 @@ static inline uint8_t requant_clamp(int64_t acc, int64_t zw, int64_t colsum,
  * integer ReLU (max(q, Z) == a raised lower clamp, since Z >= qmin).
  * accrow is per-thread scratch of >= C entries; rows are disjoint, so
  * threading over row blocks is bit-identical for every thread count.
+ *
+ * Non-NULL planes select the in-register VBMI body (fused_serve_vbmi,
+ * above) over columns [c_lo, c_hi), under the forward's conditions
+ * (C >= VBMI_MIN_C among them, so C == 1 never reaches it); otherwise
+ * the scalar loops below run over all columns.
  *
  * One body per accumulator-row width: fused_serve_range (int64) and
  * fused_serve_i32_range (int32, half the accumulator traffic).  Callers
@@ -251,7 +554,9 @@ static void NAME(const int32_t *restrict lut, long n_lut,               \
                  uint8_t *restrict out,  /* (M, C) */                   \
                  ACC_T *restrict accrow, /* scratch, >= C */            \
                  long M, long K, long C,                                \
-                 long m_lo, long m_hi, long fast)                       \
+                 long m_lo, long m_hi, long fast,                       \
+                 const uint8_t *planes, uint8_t *xt,                    \
+                 long c_lo, long c_hi)                                  \
 {                                                                       \
     if (C == 1) {                                                       \
         for (long m = m_lo; m < m_hi; m++) {                            \
@@ -277,6 +582,12 @@ static void NAME(const int32_t *restrict lut, long n_lut,               \
                                    d0[m * rq_stride], sh,               \
                                    requant_half(sh), qlo, qhi);         \
         }                                                               \
+        return;                                                         \
+    }                                                                   \
+    if (planes) {                                                       \
+        fused_serve_vbmi(planes, n_lut, wrow, xq, colsum, zw,           \
+                         zw_stride, m0, d0, shift, rq_stride, qlo, qhi, \
+                         out, K, C, m_lo, m_hi, c_lo, c_hi, xt);        \
         return;                                                         \
     }                                                                   \
     for (long m = m_lo; m < m_hi; m++) {                                \
@@ -315,7 +626,7 @@ DEFINE_FUSED_SERVE_RANGE(fused_serve_i32_range, int32_t)
 
 /* Packed-argument entry point for the fused serving kernels.  A plan
  * op calls this once per row range per sample, and ctypes marshalling
- * of the 21 individual arguments costs ~20us per call with ndpointer
+ * of the 26 individual arguments costs ~20us per call with ndpointer
  * validation -- comparable to the kernel itself on the smaller layers.
  * Packing them into one block of int64 slots (pointers and scalars
  * alike; every field is 8 bytes, so the numpy side fills a plain int64
@@ -341,6 +652,9 @@ typedef struct {
     int64_t m_lo, m_hi;
     int64_t fast;
     int64_t acc_is32;
+    int64_t planes;     /* const uint8_t*, or 0: the scalar body */
+    int64_t xt;         /* uint8_t*, the VBMI body's tile scratch */
+    int64_t c_lo, c_hi; /* the VBMI body's columns */
 } fused_serve_args;
 
 void fused_serve_call(const fused_serve_args *a)
@@ -356,7 +670,9 @@ void fused_serve_call(const fused_serve_args *a)
             (long) a->qlo, (long) a->qhi,
             (uint8_t *) a->out, (int32_t *) a->accrow,
             (long) a->M, (long) a->K, (long) a->C,
-            (long) a->m_lo, (long) a->m_hi, (long) a->fast);
+            (long) a->m_lo, (long) a->m_hi, (long) a->fast,
+            (const uint8_t *) a->planes, (uint8_t *) a->xt,
+            (long) a->c_lo, (long) a->c_hi);
     else
         fused_serve_range(
             (const int32_t *) a->lut, (long) a->n_lut,
@@ -368,7 +684,9 @@ void fused_serve_call(const fused_serve_args *a)
             (long) a->qlo, (long) a->qhi,
             (uint8_t *) a->out, (int64_t *) a->accrow,
             (long) a->M, (long) a->K, (long) a->C,
-            (long) a->m_lo, (long) a->m_hi, (long) a->fast);
+            (long) a->m_lo, (long) a->m_hi, (long) a->fast,
+            (const uint8_t *) a->planes, (uint8_t *) a->xt,
+            (long) a->c_lo, (long) a->c_hi);
 }
 
 /* Requant + clamp of an exact-integer float64 accumulator (M, C): the
@@ -623,8 +941,35 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
 """
 
 _lock = threading.Lock()
+_check_lock = threading.Lock()
 _lib: "ctypes.CDLL | None" = None
 _compile_attempted = False
+#: Whether the host CPU runs the VBMI gather body (read at kernel load).
+_vbmi_host = False
+#: Private switch: True forces the scalar gather body everywhere (tests
+#: run both bodies on a VBMI host through it).
+_force_scalar = False
+
+#: Self-check verdict of the VBMI body: None = not run yet, True =
+#: trusted, False = failed, scalar body pinned for the process.
+_vbmi_verdict: bool | None = None
+#: Thread running the self-check; its own probe calls may use the body.
+_vbmi_prober: int | None = None
+
+#: Largest K the VBMI body accepts: K * 0xFFFF stays below 2**31, so
+#: its int32 register sums cannot overflow for any uint16 LUT.
+VBMI_MAX_K = 32767
+#: Narrowest C the VBMI body takes.  A tile costs the same for 1 or 128
+#: columns, the scalar loop grows with C: measured on one AVX-512 VBMI
+#: Xeon core at M x K from 16 x 144 to 512 x 4608, both entry points,
+#: the scalar loop is 1.5-5.6x faster at C <= 4 and up to 1.2x at
+#: C = 16, the VBMI body 1.06-1.8x faster at C = 32.
+VBMI_MIN_C = 32
+#: Padding after each byte plane: a 256-byte row load at the last
+#: table entry stays inside the array.
+_PLANE_PAD = 256
+#: Column tile of the VBMI body (``VBMI_TILE`` in the C source).
+_VBMI_TILE = 128
 
 
 def _cache_dir() -> str:
@@ -689,18 +1034,21 @@ def _compile() -> "ctypes.CDLL | None":
         packed = getattr(lib, sym)
         packed.restype = None
         packed.argtypes = [ctypes.c_void_p]
+    _ptr = ctypes.c_void_p
     fn = lib.product_sums_range
     fn.restype = None
     fn.argtypes = [
         _i32, _long, _i64, _i32, _i64, _long, _long, _long, _long, _long,
-        _long,
+        _long, _ptr, _ptr, _long, _long,
     ]
     fn32 = lib.product_sums_i32_range
     fn32.restype = None
     fn32.argtypes = [
         _i32, _long, _i64, _i32, _i32, _long, _long, _long, _long, _long,
-        _long,
+        _long, _ptr, _ptr, _long, _long,
     ]
+    lib.gather_vbmi_supported.restype = ctypes.c_int
+    lib.gather_vbmi_supported.argtypes = []
     bwd = lib.backward_grads_range
     bwd.restype = None
     bwd.argtypes = [
@@ -722,12 +1070,13 @@ def _get_kernel() -> "ctypes.CDLL | None":
     """
     if os.environ.get(NO_CCKERNEL_ENV):
         return None
-    global _lib, _compile_attempted
+    global _lib, _compile_attempted, _vbmi_host
     if _compile_attempted:
         return _lib
     with _lock:
         if not _compile_attempted:
             _lib = _compile()
+            _vbmi_host = bool(_lib is not None and _lib.gather_vbmi_supported())
             _compile_attempted = True
     return _lib
 
@@ -737,14 +1086,17 @@ def reset_kernel_cache() -> None:
 
     The next :func:`_get_kernel` call re-evaluates ``REPRO_NO_CCKERNEL``
     and, if allowed, re-attempts the build (the compiled ``.so`` disk
-    cache makes that cheap).  Also resets the execution core's backward
+    cache makes that cheap), and :func:`vbmi_trusted` re-runs its
+    self-check.  Also resets the execution core's backward
     self-check via :func:`repro.core.execcore.reset_backend_state` --
     use that entry point unless you specifically want only this half.
     """
-    global _lib, _compile_attempted
+    global _lib, _compile_attempted, _vbmi_host, _vbmi_verdict
     with _lock:
         _lib = None
         _compile_attempted = False
+        _vbmi_host = False
+        _vbmi_verdict = None
 
 
 def kernel_available() -> bool:
@@ -755,6 +1107,135 @@ def kernel_available() -> bool:
 def compile_attempted() -> bool:
     """Whether this process already spent its one JIT build attempt."""
     return _compile_attempted
+
+
+def vbmi_available() -> bool:
+    """Whether this host can run the AVX-512 VBMI gather body at all.
+
+    True when the kernel is loaded on a host with AVX-512 VBMI and BW
+    (``__builtin_cpu_supports``, read once at kernel load) and the
+    private ``_force_scalar`` switch is off.  The body still has to
+    pass its self-check (:func:`vbmi_trusted`), and each call needs
+    operands that qualify (:func:`_gather_body`).
+    """
+    return _get_kernel() is not None and _vbmi_host and not _force_scalar
+
+
+def vbmi_trusted() -> bool:
+    """Whether the forward gathers may run their AVX-512 VBMI body.
+
+    False when :func:`vbmi_available` is; otherwise the verdict of a
+    one-time self-check of the body against numpy
+    (:func:`_run_vbmi_self_check`), cached for the process.  A failed
+    check warns once and pins both forward gathers to the scalar C loop
+    (not to numpy).  Every gather consults it, so a direct caller of
+    :func:`fused_product_sums` or :func:`fused_serve` never gets an
+    unvetted body; callers that trace should call it first, outside
+    their spans, so the probe calls land in no traced operation.
+    """
+    global _vbmi_verdict, _vbmi_prober
+    if not vbmi_available():
+        return False
+    verdict = _vbmi_verdict
+    if verdict is not None:
+        return verdict
+    if _vbmi_prober == threading.get_ident():
+        return True  # the self-check's own probe calls
+    with _check_lock:
+        if _vbmi_verdict is None:
+            _vbmi_prober = threading.get_ident()
+            try:
+                _vbmi_verdict = _run_vbmi_self_check()
+            finally:
+                _vbmi_prober = None
+    return _vbmi_verdict
+
+
+def _run_vbmi_self_check() -> bool:
+    """Compare the VBMI gather body with numpy on byte-edge probes.
+
+    The body splits each uint16 entry into two byte planes, selects a
+    table half on index bit 7 and un-permutes its lanes at store, so the
+    probe places the byte edges 0x00FF, 0x0100, 0xFF00 and 0xFFFF at
+    table rows and columns 0/63/64/127/128/255 of a levels-256 LUT, and
+    cuts columns at 63/64/65/129 (partial and full 64-lane sub-tiles,
+    one and two 128-column tiles).  Both entry points, int32 and int64
+    accumulators, one thread, and two threads at C = 63 (row blocks:
+    fewer tiles than threads) and C = 129 (one column tile each).
+    Under 10 ms of CPU.
+    """
+    rng = np.random.default_rng(0xB17E)
+    levels = 256
+    lut = rng.integers(0, 0x10000, size=levels * levels).astype(np.int32)
+    probe = np.array([0, 63, 64, 127, 128, 255])
+    edges = np.array([0x00FF, 0x0100, 0xFF00, 0xFFFF], dtype=np.int32)
+    spread = np.arange(6)[:, None] + np.arange(6)[None, :]
+    lut.reshape(levels, levels)[np.ix_(probe, probe)] = edges[spread % 4]
+    planes = byte_planes(lut)
+    wrow = (probe[spread % 6] * levels).astype(np.int64)  # (6, 6)
+    xq = rng.integers(0, levels, size=(6, 129)).astype(np.int32)
+    cols = np.arange(0, 129, 2)
+    xq[:, cols] = probe[(np.arange(6)[:, None] + cols[None, :]) % 6]
+    one = np.ones(1, dtype=np.int64)
+    for c in (63, 64, 65, 129):
+        sub = np.ascontiguousarray(xq[:, :c])
+        want = lut[wrow[:, :, None] + sub[None]].sum(axis=1, dtype=np.int64)
+        colsum = sub.sum(axis=0, dtype=np.int64)
+        # The serving tail at zw = m0 = 1, d0 = 0, shift = 11.
+        want_q = np.clip((want - colsum + 1024) >> 11, 0, 255)
+        for acc_dtype in (np.int64, np.int32):
+            for threads in (1, 2) if c in (63, 129) else (1,):
+                got = fused_product_sums(
+                    lut, wrow, sub, acc_dtype, threads, planes
+                )
+                got_q = fused_serve(
+                    lut, wrow, sub, colsum, one, one, one * 0, one * 11,
+                    0, 255, acc_dtype, threads, planes=planes,
+                )
+                if got is None or got_q is None:
+                    return False
+                if not (
+                    np.array_equal(got, want) and np.array_equal(got_q, want_q)
+                ):
+                    warnings.warn(
+                        "repro.core.lutkernel: the AVX-512 VBMI gather body "
+                        "is not bit-identical to numpy on this platform; "
+                        "the C forward gathers use their scalar loop.",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                    return False
+    return True
+
+
+def byte_planes(lut_flat: np.ndarray) -> np.ndarray | None:
+    """The VBMI body's table operand: a LUT's low and high byte planes.
+
+    One 64-byte-aligned uint8 array ``[lo | pad | hi | pad]``: ``lo`` and
+    ``hi`` are the low and high bytes of every entry, each followed by
+    256 bytes of padding so a 256-entry row load at the last entry stays
+    inside the array.  ``None`` when an entry is outside ``[0, 0xFFFF]``
+    (the body needs uint16 values).  128 KB for an 8-bit multiplier.
+    Derived data: engines build it once and never publish it.
+    """
+    lut = np.asarray(lut_flat).ravel()
+    if lut.size == 0 or int(lut.min()) < 0 or int(lut.max()) > 0xFFFF:
+        return None
+    plane = lut.size + _PLANE_PAD
+    planes = _aligned_empty(2 * plane)
+    planes[:] = 0
+    u16 = lut.astype(np.uint16)
+    planes[: lut.size] = u16 & 0xFF
+    planes[plane : plane + lut.size] = u16 >> 8
+    planes.flags.writeable = False
+    return planes
+
+
+def _aligned_empty(n: int) -> np.ndarray:
+    """An uninitialised uint8 array of ``n`` bytes on a 64-byte boundary."""
+    buf = np.empty(n + 64, dtype=np.uint8)
+    off = -buf.ctypes.data % 64
+    return buf[off : off + n]
 
 
 def threads_requested() -> int:
@@ -768,7 +1249,7 @@ def threads_requested() -> int:
 
 
 def _run_threaded(work, ranges) -> None:
-    """Run ``work(lo, hi, slot)`` over ``ranges``; threaded when > 1 range.
+    """Run ``work(*bounds, slot)`` over ``ranges``; threaded when > 1 range.
 
     ctypes drops the GIL while the kernel executes, so plain threads get
     real parallelism; every range writes disjoint output, so the result
@@ -777,12 +1258,11 @@ def _run_threaded(work, ranges) -> None:
     if not ranges:
         return
     if len(ranges) == 1:
-        lo, hi = ranges[0]
-        work(lo, hi, 0)
+        work(*ranges[0], 0)
         return
     threads = [
-        threading.Thread(target=work, args=(lo, hi, slot), daemon=True)
-        for slot, (lo, hi) in enumerate(ranges)
+        threading.Thread(target=work, args=(*bounds, slot), daemon=True)
+        for slot, bounds in enumerate(ranges)
     ]
     for t in threads:
         t.start()
@@ -798,6 +1278,36 @@ def _row_ranges(m: int, nthreads: int) -> list[tuple[int, int]]:
     nthreads = max(1, min(nthreads, m))
     per = -(-m // nthreads)
     return [(lo, min(lo + per, m)) for lo in range(0, m, per)]
+
+
+def _extrema(
+    wrow: np.ndarray,
+    xq: np.ndarray,
+    wrow_bounds: tuple[int, int] | None = None,
+    xq_bounds: tuple[int, int] | None = None,
+) -> tuple[int, int, int, int] | None:
+    """``(min(wrow), max(wrow), min(xq), max(xq))``; ``None`` if either is empty.
+
+    ``wrow_bounds`` / ``xq_bounds`` are optional precomputed (or
+    conservative) ``(min, max)`` pairs that skip the reductions.
+    """
+    if wrow.size == 0 or xq.size == 0:
+        return None
+    wmin, wmax = wrow_bounds if wrow_bounds is not None else (
+        int(wrow.min()), int(wrow.max())
+    )
+    xmin, xmax = xq_bounds if xq_bounds is not None else (
+        int(xq.min()), int(xq.max())
+    )
+    return wmin, wmax, xmin, xmax
+
+
+def _in_bounds(ext: tuple[int, int, int, int] | None, n: int) -> bool:
+    fast = ext is None or (ext[0] + ext[2] >= 0 and ext[1] + ext[3] < n)
+    _TRACE.count(
+        "lutkernel.gather.unclamped" if fast else "lutkernel.gather.clamped"
+    )
+    return fast
 
 
 def _gather_in_bounds(
@@ -820,20 +1330,101 @@ def _gather_in_bounds(
     skip the reductions.  The branch taken is counted as
     ``lutkernel.gather.unclamped`` / ``lutkernel.gather.clamped``.
     """
-    if wrow.size == 0 or xq.size == 0:
-        fast = True  # nothing is gathered
-    else:
-        wmin, wmax = wrow_bounds if wrow_bounds is not None else (
-            int(wrow.min()), int(wrow.max())
-        )
-        xmin, xmax = xq_bounds if xq_bounds is not None else (
-            int(xq.min()), int(xq.max())
-        )
-        fast = wmin + xmin >= 0 and wmax + xmax < n
-    _TRACE.count(
-        "lutkernel.gather.unclamped" if fast else "lutkernel.gather.clamped"
+    return _in_bounds(_extrema(wrow, xq, wrow_bounds, xq_bounds), n)
+
+
+def _gather_body(
+    lut_size: int,
+    wrow: np.ndarray,
+    xq: np.ndarray,
+    planes: np.ndarray | None,
+    wrow_bounds: tuple[int, int] | None = None,
+    xq_bounds: tuple[int, int] | None = None,
+) -> tuple[int, bool]:
+    """Pick a forward gather body: ``(fast, vbmi)``.
+
+    ``fast`` is the in-bounds proof's flag (:func:`_gather_in_bounds`);
+    ``vbmi`` says whether the VBMI body runs (else the scalar loop).
+    It needs all of: byte ``planes`` (a uint16 LUT), the proof,
+    ``min(wrow) >= 0`` and ``xq`` in ``[0, 255]`` -- so a row load
+    ``lut[wrow + 0..255]`` never starts before the table, which the proof
+    alone allows (``wrow - 8`` with ``xq + 8``) -- ``K <= VBMI_MAX_K``,
+    ``C >= VBMI_MIN_C`` and :func:`vbmi_trusted`.  The proof's extrema
+    are reused, so the choice costs no extra scan.  Counted as
+    ``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.
+    """
+    ext = _extrema(wrow, xq, wrow_bounds, xq_bounds)
+    fast = _in_bounds(ext, lut_size)
+    vbmi = (
+        fast
+        and planes is not None
+        and ext is not None
+        and ext[0] >= 0
+        and ext[2] >= 0
+        and ext[3] <= 0xFF
+        and wrow.shape[1] <= VBMI_MAX_K
+        and xq.shape[1] >= VBMI_MIN_C
+        and vbmi_trusted()
     )
-    return fast
+    _TRACE.count(
+        "lutkernel.gather.vbmi" if vbmi else "lutkernel.gather.scalar"
+    )
+    return int(fast), vbmi
+
+
+def _gather_blocks(m: int, c: int, k: int, vbmi: bool, nthreads: int):
+    """Per-thread ``(m_lo, m_hi, c_lo, c_hi)`` blocks and VBMI tile scratch.
+
+    The scalar loop splits rows.  The VBMI body splits 128-column tiles
+    instead: a thread narrows each tile it owns into its own
+    ``K x 128``-byte scratch, so every activation is narrowed once per
+    call and no ``K x C`` uint8 copy is ever allocated.  With fewer
+    tiles than threads (small C) it splits rows like the scalar loop,
+    each row block narrowing every tile for itself: ``K x C`` narrowing
+    per block against its ``rows x K x C`` lookups.
+    """
+    if vbmi and -(-c // _VBMI_TILE) >= nthreads:
+        blocks = [
+            (0, m, lo, hi) for lo, hi in _chunk_ranges(c, _VBMI_TILE, nthreads)
+        ]
+    else:
+        blocks = [(lo, hi, 0, c) for lo, hi in _row_ranges(m, nthreads)]
+    if not vbmi:
+        return blocks, [None] * len(blocks)
+    return blocks, [_aligned_empty(k * _VBMI_TILE) for _ in blocks]
+
+
+def _ptr(arr: np.ndarray | None) -> int:
+    return 0 if arr is None else arr.ctypes.data
+
+
+def _check_operands(who, lut_size, wrow, xq, planes=None, gout=None):
+    """Reject operands the C loops would read out of bounds with.
+
+    The kernels trust their shapes: a ``wrow`` whose K differs from
+    ``xq``'s, or a short ``gout``, reads past a buffer (SIGSEGV or
+    garbage).  ``planes`` must be :func:`byte_planes` of the LUT; only
+    their size and layout are checked, not their bytes.
+    """
+    if wrow.ndim != 2 or xq.ndim != 2:
+        raise ValueError(
+            f"{who}: wrow and xq must be 2-D, got {wrow.shape} and {xq.shape}"
+        )
+    if wrow.shape[1] != xq.shape[0]:
+        raise ValueError(
+            f"{who}: wrow {wrow.shape} and xq {xq.shape} disagree on K"
+        )
+    if gout is not None and gout.shape != (wrow.shape[0], xq.shape[1]):
+        raise ValueError(
+            f"{who}: gout has shape {gout.shape}, expected "
+            f"{(wrow.shape[0], xq.shape[1])}"
+        )
+    if planes is not None and (
+        planes.dtype != np.uint8
+        or planes.shape != (2 * (lut_size + _PLANE_PAD),)
+        or not planes.flags.c_contiguous
+    ):
+        raise ValueError(f"{who}: planes are not byte_planes(lut_flat)")
 
 
 def fused_product_sums(
@@ -842,6 +1433,7 @@ def fused_product_sums(
     xq: np.ndarray,
     acc_dtype=np.int64,
     threads: int | None = None,
+    planes: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """``out[m, c] = sum_k lut_flat[wrow[m, k] + xq[k, c]]``.
 
@@ -850,7 +1442,9 @@ def fused_product_sums(
     otherwise it clamps each index exactly like the numpy path's
     ``np.take(..., mode="clip")``, so diverged operands (NaN weights
     quantizing to INT32_MIN) degrade identically on both backends
-    instead of faulting.  Integer sums: bit-identical either way.
+    instead of faulting.  Given byte ``planes``, a qualifying call runs
+    the in-register AVX-512 VBMI body instead of the scalar loop (see
+    :func:`_gather_body`).  Integer sums: bit-identical every way.
 
     Args:
         lut_flat: Flat int32 product LUT of size ``levels**2``.
@@ -864,11 +1458,21 @@ def fused_product_sums(
         threads: Row-block thread count; ``None`` reads
             ``REPRO_LUTKERNEL_THREADS``.  Integer accumulation over
             disjoint rows: bit-identical for every value.
+        planes: :func:`byte_planes` of ``lut_flat``, or ``None`` (the
+            scalar loop only).  Used as given: only their size is
+            checked, so planes of another LUT give that LUT's sums.
 
     Returns:
         The (M, C) accumulator in ``acc_dtype``, or ``None`` when the
         kernel is unavailable (callers must fall back to the numpy path).
+
+    Raises:
+        ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K, or
+            ``planes`` do not fit ``lut_flat``.
     """
+    _check_operands(
+        "fused_product_sums", np.size(lut_flat), wrow, xq, planes
+    )
     lib = _get_kernel()
     if lib is None:
         return None
@@ -892,12 +1496,14 @@ def fused_product_sums(
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
-    fast = int(_gather_in_bounds(wrow, xq, lut_flat.size))
+    fast, vbmi = _gather_body(lut_flat.size, wrow, xq, planes)
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
-    ranges = _row_ranges(m, nthreads)
+    ranges, tiles = _gather_blocks(m, c, k2, vbmi, nthreads)
+    pl = _ptr(planes) if vbmi else 0
 
-    def work(lo, hi, _slot):
-        fn(lut_flat, lut_flat.size, wrow, xq, out, m, k2, c, lo, hi, fast)
+    def work(m_lo, m_hi, c_lo, c_hi, slot):
+        fn(lut_flat, lut_flat.size, wrow, xq, out, m, k2, c, m_lo, m_hi,
+           fast, pl, _ptr(tiles[slot]), c_lo, c_hi)
 
     _TRACE.count("lutkernel.fused_calls")
     with _TRACE.span("lutkernel.product_sums", cat="engine"):
@@ -963,6 +1569,7 @@ def fused_serve(
     threads: int | None = None,
     wrow_bounds: tuple[int, int] | None = None,
     xq_bounds: tuple[int, int] | None = None,
+    planes: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Fused integer serving op: gather + correct + requantize + clamp.
 
@@ -1006,11 +1613,21 @@ def fused_serve(
             ``xq`` values, for callers that know the value range by
             construction (plan ops feed uint8 data, so ``(0, 255)``);
             skips the per-call min/max reductions.
+        planes: :func:`byte_planes` of ``lut_flat``, or ``None``.  With
+            planes, a qualifying call runs the VBMI gather body (see
+            :func:`_gather_body`; ``C == 1`` rows keep the scalar
+            four-chain reduction).  Used as given, like
+            :func:`fused_product_sums`'s.
 
     Returns:
         The (M, C) uint8 output, or ``None`` when the kernel is
         unavailable (callers fall back to the unfused numpy pipeline).
+
+    Raises:
+        ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K, or
+            a constant block, the rails or ``planes`` do not fit.
     """
+    _check_operands("fused_serve", np.size(lut_flat), wrow, xq, planes)
     lib = _get_kernel()
     if lib is None:
         return None
@@ -1026,17 +1643,18 @@ def fused_serve(
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
-    fast = int(_gather_in_bounds(
-        wrow, xq, lut_flat.size, wrow_bounds, xq_bounds
-    ))
+    fast, vbmi = _gather_body(
+        lut_flat.size, wrow, xq, planes, wrow_bounds, xq_bounds
+    )
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
-    ranges = _row_ranges(m, nthreads)
-    # Per-thread accumulator row: the tile that never leaves cache.
-    accrow = [np.empty(c, dtype=acc_dtype) for _ in ranges]
-    # One packed int64 argument block per row range -- slot order
-    # matches the C ``fused_serve_args`` struct, so a single-pointer
-    # call replaces 21 individually marshalled arguments.
-    args = np.empty((len(ranges), 22), dtype=np.int64)
+    ranges, tiles = _gather_blocks(m, c, k2, vbmi, nthreads)
+    # Per-thread accumulator row of the scalar body: the tile that never
+    # leaves cache (the VBMI body sums its tiles in registers).
+    accrow = [np.empty(0 if vbmi else c, dtype=acc_dtype) for _ in ranges]
+    # One packed int64 argument block per thread -- slot order matches
+    # the C ``fused_serve_args`` struct, so a single-pointer call
+    # replaces 26 individually marshalled arguments.
+    args = np.empty((len(ranges), 26), dtype=np.int64)
     args[:, :18] = (
         lut_flat.ctypes.data, lut_flat.size, wrow.ctypes.data,
         xq.ctypes.data, colsum.ctypes.data, zw.ctypes.data, zw_stride,
@@ -1045,15 +1663,17 @@ def fused_serve(
     )
     args[:, 20] = fast
     args[:, 21] = int(acc_dtype == np.int32)
-    for i, (lo, hi) in enumerate(ranges):
+    args[:, 22] = _ptr(planes) if vbmi else 0
+    for i, (m_lo, m_hi, c_lo, c_hi) in enumerate(ranges):
         args[i, 14] = accrow[i].ctypes.data
-        args[i, 18] = lo
-        args[i, 19] = hi
+        args[i, 18:20] = m_lo, m_hi
+        args[i, 23] = _ptr(tiles[i])
+        args[i, 24:26] = c_lo, c_hi
     base = args.ctypes.data
     row_bytes = args.strides[0]
     call = lib.fused_serve_call
 
-    def work(lo, hi, slot):
+    def work(_m_lo, _m_hi, _c_lo, _c_hi, slot):
         call(base + slot * row_bytes)
 
     _TRACE.count("lutkernel.fused_serve_calls")
@@ -1195,8 +1815,13 @@ def fused_backward_grads(
     operation order is the same in both loops.
 
     Returns ``(gw, gx)`` as float64 ``(M, K)`` / ``(K, C)`` arrays, or
-    ``None`` when the kernel is unavailable.
+    ``None`` when the kernel is unavailable.  Raises ``ValueError`` when
+    ``wrow`` / ``xq`` are not 2-D or disagree on K, or ``gout`` is not
+    ``(M, C)``.
     """
+    _check_operands(
+        "fused_backward_grads", 0, wrow, xq, gout=np.asarray(gout)
+    )
     lib = _get_kernel()
     if lib is None:
         return None

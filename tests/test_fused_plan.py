@@ -30,6 +30,13 @@ from repro.serve.plan import (
     rebind_requant_op,
     requant_params_of,
 )
+from tests.gather_bodies import (
+    BODY_COLUMNS,
+    edge_lut,
+    edge_operands,
+    force_body,
+    runs_vbmi,
+)
 
 #: One multiplier per serving lowering: separable, then gather.
 MULTS = ("mul8u_1DMU", "mul8u_2NDH")
@@ -294,6 +301,76 @@ def test_fused_serve_matches_reference(
         assert ((want > qlo) & (want < qhi)).any()
     if per_channel:
         assert (want[0] == qhi).all() and (want[1] == qlo).all()
+
+
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("c", BODY_COLUMNS)
+@pytest.mark.parametrize("levels", [256, 128, 64])
+def test_fused_serve_bodies_bit_identical(
+    monkeypatch, levels, c, per_channel, body
+):
+    """Both gather bodies of the serving kernel on uint16 byte edges.
+
+    Below ``VBMI_MIN_C`` columns both runs take the scalar loop (C == 1
+    rows its four-chain reduction).
+    """
+    from repro.core import lutkernel
+    from repro.obs.trace import tracing
+
+    if not lutkernel.kernel_available():
+        pytest.skip("C kernel disabled or no compiler")
+    force_body(monkeypatch, body)
+    lut = edge_lut(levels)
+    planes = lutkernel.byte_planes(lut)
+    m, k = 9, 12
+    wrow, xq = edge_operands(levels, m, k, c, seed=c)
+    rng = np.random.default_rng(c)
+    zw, m0, d0, shift = _serve_constants(per_channel, rng, m)
+    # Sums reach 12 * 0xFFFF: rescale so the corners stay where
+    # _serve_constants puts them (interior outputs, saturating rows).
+    d0, shift = d0 << 12, shift + 12
+    qlo, qhi = 3, 250
+    colsum = xq.sum(axis=0, dtype=np.int64)
+    acc = lut[wrow[:, :, None] + xq[None]].sum(axis=1, dtype=np.int64)
+    want = execcore._requant_clamp(acc, colsum, zw, m0, d0, shift, qlo, qhi)
+    if c <= 65:
+        assert np.array_equal(
+            want,
+            execcore._serve_reference(
+                lut, wrow, xq, zw, m0, d0, shift, qlo, qhi
+            ),
+        )
+    vbmi = runs_vbmi(body, c)
+    for threads in (1, 4, 7):
+        for acc_dtype in (np.int64, np.int32):
+            with tracing() as tr:
+                got = lutkernel.fused_serve(
+                    lut, wrow, xq, colsum, zw, m0, d0, shift, qlo, qhi,
+                    acc_dtype, threads, planes=planes,
+                )
+                counts = tr.counters()
+            assert counts.get("lutkernel.gather.vbmi", 0) == int(vbmi)
+            assert counts.get("lutkernel.gather.scalar", 0) == int(not vbmi)
+            assert np.array_equal(got, want)
+    assert ((want > qlo) & (want < qhi)).any()
+    if per_channel:
+        assert (want[0] == qhi).all() and (want[1] == qlo).all()
+
+
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+def test_plans_bit_identical_on_both_bodies(model_cases, monkeypatch, body):
+    """Fused and unfused int plans agree with the float plan on each body."""
+    from repro.core import lutkernel
+
+    if not lutkernel.kernel_available():
+        pytest.skip("C kernel disabled or no compiler")
+    force_body(monkeypatch, body)
+    for model, x in model_cases:
+        want = compile_plan(model).run(x)
+        for fuse in (True, False):
+            plan = compile_plan(model, arithmetic="int", fuse=fuse)
+            np.testing.assert_array_equal(plan.run(x), want)
 
 
 def _separable_engine(levels=16, seed=0):

@@ -20,6 +20,15 @@ from repro.core.lutgemm import (
     clear_engine_cache,
 )
 from repro.multipliers import get_multiplier
+from tests.gather_bodies import (
+    BODY_COLUMNS,
+    NO_VBMI,
+    edge_lut,
+    edge_operands,
+    force_body,
+    runs_vbmi,
+    vbmi_ok,
+)
 
 MULT = get_multiplier("mul6u_rm4")
 PAIR = gradient_luts(MULT, "difference", hws=2)
@@ -545,3 +554,299 @@ def test_reset_backend_state_rechecks_env(monkeypatch):
     monkeypatch.delenv("REPRO_NO_CCKERNEL")
     execcore.reset_backend_state()
     assert execcore.backend_info()["forward_backend"] == "c"
+
+
+# ----------------------------------------------------------------------
+# Shape validation: the raw kernels trust their shapes, so the wrappers
+# must reject mismatches before any C call (they used to segfault).
+def _bad_shape_calls():
+    lut = np.zeros(64, dtype=np.int32)
+    tab = np.zeros(64, dtype=np.float32)
+    w43 = np.zeros((4, 3), dtype=np.int64)
+    x5 = np.zeros((5, 100), dtype=np.int32)
+    x3 = np.zeros((3, 100), dtype=np.int32)
+    g = np.zeros((4, 100), dtype=np.float32)
+    one = np.ones(1, dtype=np.int64)
+
+    def serve(wrow, xq):
+        return lutkernel.fused_serve(
+            lut, wrow, xq, np.zeros(xq.shape[-1], np.int64), one, one,
+            one, one, 0, 255,
+        )
+
+    def fwd(wrow, xq):
+        return lutkernel.fused_product_sums(lut, wrow, xq)
+
+    def bwd(wrow, xq, gout=g):
+        return lutkernel.fused_backward_grads(tab, tab, wrow, xq, gout, 64)
+
+    return {
+        "product_sums_k_mismatch": lambda: fwd(w43, x5),
+        "product_sums_1d_wrow": lambda: fwd(np.zeros(3, np.int64), x3),
+        "serve_k_mismatch": lambda: serve(w43, x5),
+        "serve_3d_xq": lambda: serve(w43, np.zeros((3, 10, 10), np.int32)),
+        "backward_k_mismatch": lambda: bwd(w43, x5),
+        "backward_short_gout": lambda: bwd(
+            w43, x3, np.zeros((2, 50), np.float32)
+        ),
+        "backward_1d_gout": lambda: bwd(w43, x3, np.zeros(400, np.float32)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_shape_calls()))
+def test_raw_kernels_reject_mismatched_shapes(case):
+    with pytest.raises(ValueError):
+        _bad_shape_calls()[case]()
+
+
+# ----------------------------------------------------------------------
+# The forward gathers' two bodies: the in-register AVX-512 VBMI body and
+# the scalar loop (forced through the private ``_force_scalar`` switch),
+# each bit-identical to numpy.
+def _body_counts(tracer):
+    c = tracer.counters()
+    return c.get("lutkernel.gather.vbmi", 0), c.get("lutkernel.gather.scalar", 0)
+
+
+def _forward_reference(lut, wrow, xq):
+    idx = np.clip(wrow[:, :, None] + xq[None], 0, lut.size - 1)
+    return lut[idx].sum(axis=1, dtype=np.int64)
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("c", BODY_COLUMNS)
+@pytest.mark.parametrize("levels", [256, 128, 64])
+def test_forward_bodies_bit_identical(monkeypatch, levels, c, body):
+    from repro.obs.trace import tracing
+
+    force_body(monkeypatch, body)
+    lut = edge_lut(levels)
+    planes = lutkernel.byte_planes(lut)
+    wrow, xq = edge_operands(levels, 9, 12, c, seed=c)
+    want = _forward_reference(lut, wrow, xq)
+    for threads in (1, 4, 7):
+        for acc_dtype in (np.int64, np.int32):
+            with tracing() as tr:
+                got = lutkernel.fused_product_sums(
+                    lut, wrow, xq, acc_dtype, threads, planes
+                )
+                assert _body_counts(tr) == (
+                    (1, 0) if runs_vbmi(body, c) else (0, 1)
+                )
+            assert got.dtype == acc_dtype
+            assert np.array_equal(got, want)
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("k", [255, 256, 257, 600])
+def test_forward_bodies_across_partial_sum_flushes(monkeypatch, k, body):
+    # The VBMI body keeps uint16 partial sums for at most 256 steps of K;
+    # an all-0xFFFF table puts 256 * 0xFF in every partial before a flush.
+    force_body(monkeypatch, body)
+    for lut in (np.full(65536, 0xFFFF, dtype=np.int32), edge_lut(256)):
+        wrow, xq = edge_operands(256, 5, k, 130, seed=k)
+        want = _forward_reference(lut, wrow, xq)
+        got = lutkernel.fused_product_sums(
+            lut, wrow, xq, np.int32, 2, lutkernel.byte_planes(lut)
+        )
+        assert np.array_equal(got, want)
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+def test_forward_bodies_at_the_int32_bound(monkeypatch, body):
+    # K = VBMI_MAX_K terms of 0xFFFF: the largest sum the VBMI body
+    # admits, 2**31 - 98302, exactly representable in its int32 lanes.
+    from repro.obs.trace import tracing
+
+    force_body(monkeypatch, body)
+    k = lutkernel.VBMI_MAX_K
+    lut = np.full(65536, 0xFFFF, dtype=np.int32)
+    rng = np.random.default_rng(2)
+    wrow = (rng.integers(0, 256, size=(2, k)) * 256).astype(np.int64)
+    xq = rng.integers(0, 256, size=(k, lutkernel.VBMI_MIN_C))
+    xq = xq.astype(np.int32)
+    with tracing() as tr:
+        got = lutkernel.fused_product_sums(
+            lut, wrow, xq, np.int32, 1, lutkernel.byte_planes(lut)
+        )
+        assert _body_counts(tr) == ((1, 0) if body == "vbmi" else (0, 1))
+    assert (got == k * 0xFFFF).all() and k * 0xFFFF < 2**31
+
+
+def _fallback_case(name):
+    """``(lut, wrow, xq, planes)`` of a call the VBMI body must refuse."""
+    lut = edge_lut(256)
+    wrow, xq = edge_operands(256, 4, 6, 70)
+    planes = lutkernel.byte_planes(lut)
+    if name == "signed_lut":
+        lut = lut - 1
+        planes = lutkernel.byte_planes(lut)
+        assert planes is None
+    elif name == "lut_above_uint16":
+        lut = lut.copy()
+        lut[5] = 0x10000
+        planes = lutkernel.byte_planes(lut)
+        assert planes is None
+    elif name == "shifted_operands":
+        # In bounds (the proof bounds the sum), but a row load at
+        # wrow = -8 would start before the table.
+        wrow, xq = wrow - 8, xq % 248 + 8
+        assert wrow.min() == -8 and xq.max() <= 255
+    elif name == "xq_above_255":
+        wrow = wrow % (128 * 256)
+        xq = xq.copy()
+        xq[1, 3] = 300
+    elif name == "failed_proof":
+        xq = xq.copy()
+        xq[2, 5] = -1
+    elif name == "k_32768":
+        rng = np.random.default_rng(1)
+        wrow = (rng.integers(0, 256, size=(1, lutkernel.VBMI_MAX_K + 1))
+                * 256).astype(np.int64)
+        xq = rng.integers(0, 256, size=(wrow.shape[1], lutkernel.VBMI_MIN_C))
+        xq = xq.astype(np.int32)
+    elif name == "narrow_c":
+        # Below the measured crossover the scalar loop is faster.
+        wrow, xq = edge_operands(256, 4, 6, lutkernel.VBMI_MIN_C - 1)
+    else:
+        assert name == "control"
+    return lut, wrow, xq, planes
+
+
+FALLBACKS = ("signed_lut", "lut_above_uint16", "shifted_operands",
+             "xq_above_255", "failed_proof", "k_32768", "narrow_c")
+
+
+@requires_kernel
+@pytest.mark.parametrize("case", ("control",) + FALLBACKS)
+def test_vbmi_fallbacks_take_the_scalar_body(case):
+    from repro.obs.trace import tracing
+
+    lut, wrow, xq, planes = _fallback_case(case)
+    want = _forward_reference(lut, wrow, xq)
+    vbmi = case == "control" and lutkernel.vbmi_trusted()
+    with tracing() as tr:
+        got = lutkernel.fused_product_sums(lut, wrow, xq, np.int64, 1, planes)
+        assert _body_counts(tr) == ((1, 0) if vbmi else (0, 1))
+        # Only the failed proof fails the proof: every other case is
+        # refused by a VBMI-specific condition.
+        assert _branch_counts(tr) == (
+            (0, 1) if case == "failed_proof" else (1, 0)
+        )
+    assert np.array_equal(got, want)
+
+
+def test_engine_builds_planes_only_for_uint16_luts():
+    from repro.multipliers.base import LutMultiplier
+
+    eng = LutGemm(get_multiplier("mul8u_2NDH"), None)
+    assert eng._lut_planes.nbytes == 2 * (65536 + 256)
+    assert eng._lut_planes.ctypes.data % 64 == 0
+    signed = np.arange(-8, 8).reshape(4, 4)
+    assert LutGemm(LutMultiplier("s", 2, signed), None)._lut_planes is None
+    wide = np.full((4, 4), 0x10000)
+    assert LutGemm(LutMultiplier("w", 2, wide), None)._lut_planes is None
+
+
+@requires_kernel
+def test_vbmi_self_check_passes_and_is_reported(restore_backend):
+    if not vbmi_ok():
+        pytest.skip(NO_VBMI)
+    assert lutkernel.vbmi_trusted()
+    assert execcore.backend_info()["gather_isa"] == "avx512vbmi"
+
+
+def test_gather_isa_scalar_without_vbmi(monkeypatch, restore_backend):
+    monkeypatch.setattr(lutkernel, "_force_scalar", True)
+    assert not lutkernel.vbmi_trusted()
+    assert execcore.backend_info()["gather_isa"] == "scalar"
+
+
+def test_vbmi_self_check_rejects_wrong_body(monkeypatch, restore_backend):
+    from repro.obs.trace import tracing
+
+    if not vbmi_ok():
+        pytest.skip(NO_VBMI)
+    real = lutkernel.fused_product_sums
+
+    def corrupted(*args):
+        out = real(*args)
+        if out is not None and len(args) > 5 and args[5] is not None:
+            out.flat[0] += 1  # the VBMI body's sums, one off
+        return out
+
+    monkeypatch.setattr(lutkernel, "fused_product_sums", corrupted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert not lutkernel.vbmi_trusted()
+    assert any("VBMI" in str(w.message) for w in caught)
+    # Pinned for the process to the scalar C body (not to numpy).
+    assert execcore.backend_info()["gather_isa"] == "scalar"
+    assert execcore.backend_info()["forward_backend"] == "c"
+    monkeypatch.setattr(lutkernel, "fused_product_sums", real)
+    mult = get_multiplier("mul8u_2NDH")
+    eng = LutGemm(mult, None)
+    rng = np.random.default_rng(4)
+    wq = rng.integers(0, 256, size=(8, 30))
+    xq = rng.integers(0, 256, size=(30, 200)).astype(np.int32)
+    with tracing() as tr:
+        got = eng.product_sums(wq, xq)
+        assert _body_counts(tr) == (0, 1)
+        # A direct caller passing planes gets the scalar body too.
+        lutkernel.fused_product_sums(
+            eng._lut_i32, (wq * 256).astype(np.int64), xq, np.int64, 1,
+            eng._lut_planes,
+        )
+        assert _body_counts(tr) == (0, 2)
+    assert eng.ckernel_forward_calls == 1
+    assert np.array_equal(
+        got, _forward_reference(eng._lut_i32, (wq * 256).astype(np.int64), xq)
+    )
+
+
+@requires_kernel
+def test_vbmi_self_check_runs_outside_the_gather_span(restore_backend):
+    # The first forward of a process runs the self-check's probe calls,
+    # each its own lutkernel.product_sums span; only the forward's own
+    # call may sit inside its lutgemm.gather span.
+    from repro.obs.trace import tracing
+
+    eng = LutGemm(get_multiplier("mul8u_2NDH"), None)
+    rng = np.random.default_rng(5)
+    wq = rng.integers(0, 256, size=(8, 30))
+    xq = rng.integers(0, 256, size=(30, 200)).astype(np.int32)
+    with tracing() as tr:
+        eng.product_sums(wq, xq)
+        spans = tr.spans()
+    (outer,) = [s for s in spans if s.name == "lutgemm.gather"]
+    inner = [
+        s for s in spans
+        if s.name == "lutkernel.product_sums"
+        and outer.start <= s.start <= outer.start + outer.dur
+    ]
+    assert len(inner) == 1
+    if vbmi_ok():  # the probe calls ran, before the span
+        assert sum(s.name == "lutkernel.product_sums" for s in spans) > 1
+
+
+@pytest.mark.parametrize(
+    "m, c, threads, want",
+    [
+        # Enough 128-column tiles: threads own column tiles, all rows.
+        (9, 1000, 4, [(0, 9, 0, 256), (0, 9, 256, 512), (0, 9, 512, 768),
+                      (0, 9, 768, 1000)]),
+        # Fewer tiles than threads: row blocks over every column.
+        (128, 64, 2, [(0, 64, 0, 64), (64, 128, 0, 64)]),
+        (9, 129, 4, [(0, 3, 0, 129), (3, 6, 0, 129), (6, 9, 0, 129)]),
+        (5, 300, 1, [(0, 5, 0, 300)]),
+    ],
+)
+def test_vbmi_blocks_use_every_thread(m, c, threads, want):
+    blocks, tiles = lutkernel._gather_blocks(m, c, 16, True, threads)
+    assert blocks == want
+    assert [t.nbytes for t in tiles] == [16 * 128] * len(want)
+    scalar, none = lutkernel._gather_blocks(m, c, 16, False, threads)
+    assert all(b[2:] == (0, c) for b in scalar) and set(none) == {None}
