@@ -26,10 +26,11 @@ funnels through here:
 * The C *forward* is integer arithmetic, so either of its two gather
   bodies -- the scalar loop and the in-register AVX-512 VBMI body that
   :mod:`repro.core.lutkernel` runs when the host and operands qualify --
-  is exact.  The VBMI body still splits, permutes and re-packs bytes, so
-  it runs only after a one-time byte-edge **forward self-check** against
-  numpy (:func:`repro.core.lutkernel.vbmi_trusted`, which this module
-  triggers before its gather spans); a mismatch pins the scalar C loop.
+  is exact.  The VBMI bodies (forward and backward) still split, permute
+  and re-pack bytes, so they run only after a one-time byte-edge
+  **VBMI self-check** against numpy
+  (:func:`repro.core.lutkernel.vbmi_trusted`, which this module triggers
+  before its gather spans); a mismatch pins every scalar C loop.
   The C *backward* re-implements numpy's float32 reduction orders; that
   claim is platform-sensitive (numpy may change its pairwise blocking),
   so before the first use this module runs a deterministic
@@ -202,9 +203,10 @@ def backward_grads(
 def _c_backward(engine, wq, xq, gout):
     wrow = (wq * engine.levels).astype(np.int64)
     xq32 = np.ascontiguousarray(xq, dtype=np.int32)
+    planes = engine._grad_byte_planes() if lutkernel.vbmi_trusted() else None
     res = lutkernel.fused_backward_grads(
         engine.grad_w_flat, engine.grad_x_flat, wrow, xq32, gout,
-        engine.chunk,
+        engine.chunk, None, planes,
     )
     if res is not None:
         engine.ckernel_backward_calls += 1
@@ -414,26 +416,6 @@ def backward_kernel_trusted() -> bool:
     return _bwd_verdict
 
 
-def _probe_reference(gw_flat, gx_flat, wrow, xq, gout, chunk):
-    """The numpy backward, restated standalone for the self-check."""
-    m, k = wrow.shape
-    c = xq.shape[1]
-    gw = np.zeros((m, k), dtype=np.float64)
-    gx = np.empty((k, c), dtype=np.float64)
-    for c0 in range(0, c, chunk):
-        hi = min(c0 + chunk, c)
-        idx = wrow[:, :, None] + xq[None, :, c0:hi]
-        g = gout[:, None, c0:hi]
-        b = np.empty((m, k, hi - c0), dtype=np.float32)
-        np.take(gw_flat, idx, out=b, mode="clip")
-        np.multiply(b, g, out=b)
-        gw += b.sum(axis=2)
-        np.take(gx_flat, idx, out=b, mode="clip")
-        np.multiply(b, g, out=b)
-        gx[:, c0:hi] = b.sum(axis=0)
-    return gw, gx
-
-
 def _run_self_check() -> bool:
     """Compare C vs numpy backward on shapes covering every sum regime.
 
@@ -470,8 +452,9 @@ def _run_self_check() -> bool:
             sub_x = sub_x.copy()
             sub_x[1, ::7] = 3000
             sub_x[3, 11] = -77
-        want = _probe_reference(gw_flat, gx_flat, wrow_p, sub_x, sub_g,
-                                chunk)
+        want = lutkernel._backward_reference(
+            gw_flat, gx_flat, wrow_p, sub_x, sub_g, chunk
+        )
         for threads in (1, 2):
             got = lutkernel.fused_backward_grads(
                 gw_flat, gx_flat, wrow_p.astype(np.int64),
@@ -700,7 +683,7 @@ def reset_backend_state() -> None:
     The one entry point tests and the ``--no-cckernel`` CLI flag should
     use: the next call re-reads ``REPRO_NO_CCKERNEL``, re-attempts the
     build if allowed, and re-runs the backward, serving and VBMI
-    forward self-checks.
+    self-checks.
     """
     global _bwd_verdict, _srv_verdict
     with _check_lock:
@@ -729,9 +712,9 @@ def backend_info() -> dict:
         "serve_backend": (
             "c" if available and serve_kernel_trusted() else "numpy"
         ),
-        # Body of the C forward gathers: the in-register AVX-512 VBMI
-        # body on hosts that have it (and pass its self-check), else the
-        # scalar loop.
+        # Body of the C gathers, forward and backward: the in-register
+        # AVX-512 VBMI bodies on hosts that have VBMI (and pass their
+        # self-check), else the scalar loops.
         "gather_isa": "avx512vbmi" if lutkernel.vbmi_trusted() else "scalar",
         "threads": lutkernel.threads_requested(),
         "fused_min_elems": FUSED_MIN_ELEMS,

@@ -158,6 +158,9 @@ class LutGemm:
             a, b = self.separable
             self._sep_f64 = (a.astype(np.float64), b.astype(np.float64))
             self._sep_bound = int(np.abs(a).max()) * int(np.abs(b).max())
+        # Byte planes of both gradient tables for the C backward's VBMI
+        # body (see :meth:`_grad_byte_planes`).
+        self._grad_planes = None
         if self.forward_only:
             self.grad_w_flat = None
             self.grad_x_flat = None
@@ -289,6 +292,23 @@ class LutGemm:
                     "from the engine's table"
                 )
             self._lut_i32 = lut_i32
+
+    def _grad_byte_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The byte planes of both gradient tables, built on first use.
+
+        The C backward's VBMI body reads them (512 KB for an 8-bit
+        training engine).  Built lazily, so engines that never run a C
+        backward -- forward-only ones, and the training engines that
+        calibration and serving set-up create -- hold none.  The tables
+        are assigned once and never mutated, so the planes stay valid; a
+        race between two first calls builds equal planes twice.
+        """
+        if self._grad_planes is None:
+            self._grad_planes = (
+                lutkernel.byte_planes(self.grad_w_flat),
+                lutkernel.byte_planes(self.grad_x_flat),
+            )
+        return self._grad_planes
 
     # ------------------------------------------------------------------
     def _build_idx(

@@ -37,26 +37,30 @@ JIT-compiles single-pass C kernels at first use:
   bit-identical to the numpy path (verified at runtime by
   :mod:`repro.core.execcore` before the kernel is trusted).
 
-Two gather bodies: both forward gathers (``fused_product_sums`` and
-``fused_serve``) have a scalar C loop and an in-register AVX-512 VBMI
-body.  Each (m, k) reads one fixed 256-entry table row
-``lut[wrow[m, k] + 0..255]`` for every column, so the VBMI body holds
-that row in eight zmm registers -- split into a low-byte and a
-high-byte plane (:func:`byte_planes`) -- and looks up 64 uint8
-activations with four ``vpermi2b`` and two byte blends, column tile
-outermost so a tile of activations stays in cache across rows.  It runs
-when every condition holds (:func:`_gather_body`): the host has VBMI
-and BW (read once at kernel load), the caller passed the planes (the
-LUT fits uint16), the in-bounds proof below holds with
-``min(wrow) >= 0`` and ``xq`` in ``[0, 255]``, ``K <= VBMI_MAX_K`` (its
-int32 sums cannot overflow), ``C >= VBMI_MIN_C`` (below that measured
-crossover a mostly-padding tile costs more than the scalar loop), and
-the body passed its one-time byte-edge self-check against numpy
-(:func:`vbmi_trusted`; a mismatch pins the scalar loop).  Otherwise the
-scalar loop runs; it is the only body off x86.  Integer sums are
-order-free, so the two are bit-identical.  Each call counts its body
-as ``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.  The
-backward stays scalar.
+Two gather bodies: all three gathers (``fused_product_sums``,
+``fused_serve`` and ``fused_backward_grads``) have a scalar C loop and
+an in-register AVX-512 VBMI body.  Each (m, k) reads one fixed
+256-entry table row ``table[wrow[m, k] + 0..255]`` for every column, so
+the VBMI body holds that row in zmm registers, split into byte planes
+(:func:`byte_planes`), and looks up 64 uint8 activations with two
+``vpermi2b`` and one byte blend per plane.  The forward's uint16 LUT
+row is two planes (eight zmm), with the column tile outermost so a tile
+of activations stays in cache across rows.  The backward's float32
+gradient-table rows are four planes (sixteen zmm) each, so each (m, k)
+makes one pass per table, and two unpack rounds assemble the floats.  A
+body runs when every condition holds (:func:`_gather_body`): the host
+has VBMI and BW (read once at kernel load), the caller passed the
+planes, the in-bounds proof below holds with ``min(wrow) >= 0`` and
+``xq`` in ``[0, 255]``, for the forward ``K <= VBMI_MAX_K`` (its int32
+sums cannot overflow), ``C >= VBMI_MIN_C`` (``VBMI_BWD_MIN_C`` for
+the backward: below these measured crossovers the per-row costs and
+the padded 64-lane blocks outweigh the scalar loop), and the bodies
+passed their one-time byte-edge self-check against numpy
+(:func:`vbmi_trusted`; a mismatch pins every scalar loop).  Otherwise
+the scalar loop runs; it is the only body off x86.  Integer sums are
+order-free, and the backward body rounds every float operation in the
+scalar loop's order, so the two are bit-identical.  Each call counts
+its body as ``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.
 
 Index clamping: every gather here must match the numpy path's
 ``np.take(..., mode="clip")``, including on diverged operands (NaN
@@ -71,8 +75,9 @@ same order, so the choice never changes a result.
 Optional threading: ``REPRO_LUTKERNEL_THREADS=N`` splits the scalar
 forward over row blocks, the VBMI forward over 128-column tiles (each
 thread narrows the activation tiles it owns) -- or, with fewer tiles
-than threads, over row blocks too -- and the backward over
-chunk-aligned column blocks.
+than threads, over row blocks too -- and both backward bodies over
+chunk-aligned column blocks (the VBMI body narrows each activation row
+of its chunks once, into per-thread scratch).
 ctypes releases the GIL for the duration of each call, partitions are
 disjoint, and the weight-gradient merge always runs in global chunk
 order, so results are bit-identical for every thread count.
@@ -166,6 +171,7 @@ static inline long clamp_idx(int64_t id, long n)
  */
 #define VBMI_TILE 128  /* columns per tile: two 64-lane sub-tiles */
 #define PLANE_PAD 256  /* bytes after each plane: one table row */
+#define BWD_ROWS 32    /* rows per block of the VBMI backward */
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -860,6 +866,181 @@ static float pairwise_sum_f32(const float *a, long n)
 }
 
 /* ------------------------------------------------------------------
+ * In-register backward body (AVX-512 VBMI).  Like the forward, each
+ * (m, k) reads one fixed 256-entry row of each gradient table for every
+ * column.  A float32 table is split into four byte planes (byte_planes,
+ * bytes 0..3 of each entry's bit pattern, each plane followed by
+ * PLANE_PAD bytes), so one table row is sixteen zmm registers.  The gw
+ * row and the gx row cannot both stay in registers, so each (m, k)
+ * makes two passes over the chunk, one per table (bwd_pass).  Per 64
+ * lookups a plane costs two vpermi2b and one blend on index bit 7, and
+ * two unpack rounds (epi8, then epi16) assemble the four byte vectors
+ * into four float vectors.
+ *
+ * The unpacks are lane-local: float vector j, 128-bit lane L, dword i
+ * holds the lookup of index byte 16 L + 4 j + i.  Column order needs
+ * column 16 j + 4 L + i there, so xq_row_u8 applies that 4x4 transpose
+ * (128-bit lane L against dword group j) to the index bytes as it
+ * narrows them, once per index row, and every gathered float vector
+ * comes out in column order: the products, tmp and the gx row need no
+ * un-permuting.
+ *
+ * Float order is the scalar loop's: each product rounds once
+ * (table entry * gout, no FMA: -ffp-contract=off), tmp goes through
+ * the same pairwise_sum_f32, and each gx element adds its products in
+ * ascending m from 0.0f.  Within a block of BWD_ROWS rows the loop runs
+ * k outermost, so one gx row and one narrowed index row stay in L1
+ * across the block's rows, and the block's wrow, gout and gw_part rows
+ * stay cached across k; blocks run in ascending m, which is all the gx
+ * order needs.
+ */
+#if defined(__x86_64__)
+/* Narrow the cc columns at src (one row of xq, values in [0, 255]) to
+ * uint8 in dst (64-byte aligned, cc rounded up to a multiple of 64, zero
+ * past cc): index byte 16 L + 4 j + i of each 64-column block holds
+ * column 16 j + 4 L + i. */
+static inline VBMI_TARGET void xq_row_u8(const int32_t *restrict src,
+                                         long cc, uint8_t *restrict dst)
+{
+    const __m512i order = _mm512_set_epi32(15, 11, 7, 3, 14, 10, 6, 2,
+                                           13, 9, 5, 1, 12, 8, 4, 0);
+    for (long b = 0; b < cc; b += 64) {
+        const __mmask64 live = cc - b >= 64 ? ~0ULL : (1ULL << (cc - b)) - 1;
+        __m128i q[4];
+        for (int j = 0; j < 4; j++)
+            q[j] = _mm512_cvtepi32_epi8(_mm512_maskz_loadu_epi32(
+                (__mmask16) (live >> (16 * j)), src + b + 16 * j));
+        __m512i v = _mm512_castsi128_si512(q[0]);
+        v = _mm512_inserti32x4(v, q[1], 1);
+        v = _mm512_inserti32x4(v, q[2], 2);
+        v = _mm512_inserti32x4(v, q[3], 3);
+        _mm512_store_si512(dst + b, _mm512_permutexvar_epi32(order, v));
+    }
+}
+
+/* The 64 bytes of one plane (quarters Q0..Q3) at the indices idx. */
+#define PLANE_BYTES(Q0, Q1, Q2, Q3)                                     \
+    _mm512_mask_blend_epi8(top, _mm512_permutex2var_epi8(Q0, idx, Q1),  \
+                           _mm512_permutex2var_epi8(Q2, idx, Q3))
+
+/* The 64 floats row[xt[b + 0..63]], in column order, into F[0..3]: four
+ * plane lookups, then two unpack rounds (see above). */
+#define ROW_FLOATS(F, B)                                                \
+    __m512 F[4];                                                        \
+    do {                                                                \
+        const __m512i idx = _mm512_load_si512(xt + (B));                \
+        const __mmask64 top = _mm512_movepi8_mask(idx);                 \
+        const __m512i p0 = PLANE_BYTES(a0, a1, a2, a3);                 \
+        const __m512i p1 = PLANE_BYTES(b0, b1, b2, b3);                 \
+        const __m512i p2 = PLANE_BYTES(c0, c1, c2, c3);                 \
+        const __m512i p3 = PLANE_BYTES(d0, d1, d2, d3);                 \
+        const __m512i lo01 = _mm512_unpacklo_epi8(p0, p1);              \
+        const __m512i hi01 = _mm512_unpackhi_epi8(p0, p1);              \
+        const __m512i lo23 = _mm512_unpacklo_epi8(p2, p3);              \
+        const __m512i hi23 = _mm512_unpackhi_epi8(p2, p3);              \
+        F[0] = _mm512_castsi512_ps(_mm512_unpacklo_epi16(lo01, lo23));  \
+        F[1] = _mm512_castsi512_ps(_mm512_unpackhi_epi16(lo01, lo23));  \
+        F[2] = _mm512_castsi512_ps(_mm512_unpacklo_epi16(hi01, hi23));  \
+        F[3] = _mm512_castsi512_ps(_mm512_unpackhi_epi16(hi01, hi23));  \
+    } while (0)
+
+/* out[0..15] = prod (gx == 0) or out[0..15] += prod (gx == 1). */
+static inline VBMI_TARGET void bwd_put(float *o, __m512 prod, int gx)
+{
+    _mm512_storeu_ps(o, gx ? _mm512_add_ps(_mm512_loadu_ps(o), prod) : prod);
+}
+
+/* One pass of the table row at row (plane stride ps) over the chunk's
+ * cc columns: out[c] = row[xt[c]] * g[c] (gx == 0, the gw pass into
+ * tmp) or out[c] += row[xt[c]] * g[c] (gx == 1, the gx row).  The last,
+ * partial block reads no gout past cc (masked loads); its lanes past cc
+ * are written but never read. */
+static inline VBMI_TARGET void bwd_pass(const uint8_t *restrict row, long ps,
+                                        const uint8_t *restrict xt,
+                                        const float *restrict g, long cc,
+                                        float *restrict out, int gx)
+{
+    const __m512i a0 = _mm512_loadu_si512(row);
+    const __m512i a1 = _mm512_loadu_si512(row + 64);
+    const __m512i a2 = _mm512_loadu_si512(row + 128);
+    const __m512i a3 = _mm512_loadu_si512(row + 192);
+    const __m512i b0 = _mm512_loadu_si512(row + ps);
+    const __m512i b1 = _mm512_loadu_si512(row + ps + 64);
+    const __m512i b2 = _mm512_loadu_si512(row + ps + 128);
+    const __m512i b3 = _mm512_loadu_si512(row + ps + 192);
+    const __m512i c0 = _mm512_loadu_si512(row + 2 * ps);
+    const __m512i c1 = _mm512_loadu_si512(row + 2 * ps + 64);
+    const __m512i c2 = _mm512_loadu_si512(row + 2 * ps + 128);
+    const __m512i c3 = _mm512_loadu_si512(row + 2 * ps + 192);
+    const __m512i d0 = _mm512_loadu_si512(row + 3 * ps);
+    const __m512i d1 = _mm512_loadu_si512(row + 3 * ps + 64);
+    const __m512i d2 = _mm512_loadu_si512(row + 3 * ps + 128);
+    const __m512i d3 = _mm512_loadu_si512(row + 3 * ps + 192);
+    long b = 0;
+    for (; b + 64 <= cc; b += 64) {
+        ROW_FLOATS(f, b);
+        for (int j = 0; j < 4; j++)
+            bwd_put(out + b + 16 * j, _mm512_mul_ps(
+                f[j], _mm512_loadu_ps(g + b + 16 * j)), gx);
+    }
+    if (b < cc) {
+        ROW_FLOATS(f, b);
+        const __mmask64 live = (1ULL << (cc - b)) - 1;
+        for (int j = 0; j < 4; j++)
+            bwd_put(out + b + 16 * j, _mm512_mul_ps(
+                f[j], _mm512_maskz_loadu_ps((__mmask16) (live >> (16 * j)),
+                                            g + b + 16 * j)), gx);
+    }
+}
+
+/* Backward body over columns [c_lo, c_hi) (chunk-aligned): the scalar
+ * loop's results, see backward_grads_range.  With ccp the chunk width
+ * rounded up to a multiple of 64, xt (64-byte aligned) and tmp hold ccp
+ * entries and gx32 holds K rows of ccp: the chunk's float32 gx. */
+static VBMI_TARGET void backward_grads_vbmi(
+    const uint8_t *restrict gw_planes, long n_gw,
+    const uint8_t *restrict gx_planes, long n_gx,
+    const int64_t *restrict wrow, const int32_t *restrict xq,
+    const float *restrict gout, float *restrict gw_part,
+    double *restrict gx, float *restrict tmp, float *restrict gx32,
+    uint8_t *restrict xt, long M, long K, long C, long chunk,
+    long c_lo, long c_hi)
+{
+    const long ps_w = n_gw + PLANE_PAD, ps_x = n_gx + PLANE_PAD;
+    for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
+        const long cc = (c0 + chunk < c_hi ? c0 + chunk : c_hi) - c0;
+        const long ccp = (cc + 63) & ~63L;
+        float *gwp = gw_part + (c0 / chunk) * M * K;
+        for (long m0 = 0; m0 < M; m0 += BWD_ROWS) {
+            const long m1 = m0 + BWD_ROWS < M ? m0 + BWD_ROWS : M;
+            for (long k = 0; k < K; k++) {
+                float *gxr = gx32 + k * ccp;
+                if (m0 == 0)
+                    for (long i = 0; i < ccp; i++)
+                        gxr[i] = 0.0f;
+                xq_row_u8(xq + k * C + c0, cc, xt);
+                for (long m = m0; m < m1; m++) {
+                    const int64_t base = wrow[m * K + k];
+                    const float *g = gout + m * C + c0;
+                    bwd_pass(gw_planes + base, ps_w, xt, g, cc, tmp, 0);
+                    gwp[m * K + k] = pairwise_sum_f32(tmp, cc);
+                    bwd_pass(gx_planes + base, ps_x, xt, g, cc, gxr, 1);
+                }
+                if (m1 == M) {
+                    double *gxd = gx + k * C + c0;
+                    for (long i = 0; i < cc; i++)
+                        gxd[i] = (double) gxr[i];
+                }
+            }
+        }
+    }
+}
+#else
+/* Never reached: the wrapper only passes planes on a VBMI host. */
+#define backward_grads_vbmi(...) ((void) 0)
+#endif
+
+/* ------------------------------------------------------------------
  * Fused difference-LUT backward over columns [c_lo, c_hi), which must
  * be chunk-aligned (c_lo % chunk == 0).  One cache-tiled loop per
  * chunk gathers BOTH gradient tables from the shared flat index
@@ -884,6 +1065,14 @@ static float pairwise_sum_f32(const float *a, long n)
  * either way.  restrict lets the compiler vectorize the elementwise
  * gather-multiply loop (no reassociation: each lane rounds exactly like
  * the scalar code), which it must not do while gxr may alias tmp.
+ *
+ * Two bodies: non-NULL gw_planes / gx_planes (byte_planes of the two
+ * tables, with xt a 64-byte-aligned index row) select the in-register
+ * VBMI body above, which the wrapper only passes under the forward's
+ * conditions (the proof with min(wrow) >= 0 and xq in [0, 255], the
+ * self-check) but with its own crossover, C >= VBMI_BWD_MIN_C; its tmp
+ * and gx32 rows are padded to whole 64-lane blocks.
+ * Otherwise the scalar loop below runs -- the only body off x86.
  */
 void backward_grads_range(const float *restrict gwtab, long n_gw,
                           const float *restrict gxtab, long n_gx,
@@ -897,8 +1086,16 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                           float *restrict tmp,
                           float *restrict gx32,
                           long M, long K, long C, long chunk,
-                          long c_lo, long c_hi, long fast)
+                          long c_lo, long c_hi, long fast,
+                          const uint8_t *gw_planes,
+                          const uint8_t *gx_planes, uint8_t *xt)
 {
+    if (gw_planes) {
+        backward_grads_vbmi(gw_planes, n_gw, gx_planes, n_gx, wrow, xq,
+                            gout, gw_part, gx, tmp, gx32, xt, M, K, C,
+                            chunk, c_lo, c_hi);
+        return;
+    }
     for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
         long hi = c0 + chunk < c_hi ? c0 + chunk : c_hi;
         long cc = hi - c0;
@@ -965,6 +1162,13 @@ VBMI_MAX_K = 32767
 #: the scalar loop is 1.5-5.6x faster at C <= 4 and up to 1.2x at
 #: C = 16, the VBMI body 1.06-1.8x faster at C = 32.
 VBMI_MIN_C = 32
+#: The backward's own crossover: each (m, k) loads two 16-zmm table rows
+#: and runs a pairwise sum, so narrow chunks amortize less.  Measured on
+#: one AVX-512 VBMI Xeon core at M x K = 16 x 144, 64 x 576, 128 x 1152
+#: and 512 x 4608 (VBMI time against the scalar loop's): 0.43-0.60x at
+#: C = 8, 0.78-0.85x at C = 32, 0.90-1.04x at C = 48, 0.99-1.20x at
+#: C = 64 and 1.18-1.46x at C = 128.
+VBMI_BWD_MIN_C = 64
 #: Padding after each byte plane: a 256-byte row load at the last
 #: table entry stays inside the array.
 _PLANE_PAD = 256
@@ -1053,7 +1257,7 @@ def _compile() -> "ctypes.CDLL | None":
     bwd.restype = None
     bwd.argtypes = [
         _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _f64, _f32, _f32,
-        _long, _long, _long, _long, _long, _long, _long,
+        _long, _long, _long, _long, _long, _long, _long, _ptr, _ptr, _ptr,
     ]
     return lib
 
@@ -1122,16 +1326,18 @@ def vbmi_available() -> bool:
 
 
 def vbmi_trusted() -> bool:
-    """Whether the forward gathers may run their AVX-512 VBMI body.
+    """Whether the C gathers may run their AVX-512 VBMI bodies.
 
     False when :func:`vbmi_available` is; otherwise the verdict of a
-    one-time self-check of the body against numpy
-    (:func:`_run_vbmi_self_check`), cached for the process.  A failed
-    check warns once and pins both forward gathers to the scalar C loop
-    (not to numpy).  Every gather consults it, so a direct caller of
-    :func:`fused_product_sums` or :func:`fused_serve` never gets an
-    unvetted body; callers that trace should call it first, outside
-    their spans, so the probe calls land in no traced operation.
+    one-time self-check of the bodies against numpy
+    (:func:`_run_vbmi_self_check`), cached for the process.  One verdict
+    covers every VBMI body: a failed check warns once and pins both
+    forward gathers and the backward to their scalar C loops (not to
+    numpy).  Every gather consults it, so a direct caller of
+    :func:`fused_product_sums`, :func:`fused_serve` or
+    :func:`fused_backward_grads` never gets an unvetted body; callers
+    that trace should call it first, outside their spans, so the probe
+    calls land in no traced operation.
     """
     global _vbmi_verdict, _vbmi_prober
     if not vbmi_available():
@@ -1151,23 +1357,29 @@ def vbmi_trusted() -> bool:
     return _vbmi_verdict
 
 
-def _run_vbmi_self_check() -> bool:
-    """Compare the VBMI gather body with numpy on byte-edge probes.
+#: Rows and columns of a levels-256 table where the VBMI bodies switch
+#: 64-lane quarter or 128-byte half; the self-check puts byte edges there.
+_PROBE_EDGES = np.array([0, 63, 64, 127, 128, 255])
 
-    The body splits each uint16 entry into two byte planes, selects a
-    table half on index bit 7 and un-permutes its lanes at store, so the
-    probe places the byte edges 0x00FF, 0x0100, 0xFF00 and 0xFFFF at
-    table rows and columns 0/63/64/127/128/255 of a levels-256 LUT, and
-    cuts columns at 63/64/65/129 (partial and full 64-lane sub-tiles,
-    one and two 128-column tiles).  Both entry points, int32 and int64
-    accumulators, one thread, and two threads at C = 63 (row blocks:
-    fewer tiles than threads) and C = 129 (one column tile each).
-    Under 10 ms of CPU.
+
+def _run_vbmi_self_check() -> bool:
+    """Compare the VBMI bodies with numpy on byte-edge probes.
+
+    Forward: the body splits each uint16 entry into two byte planes,
+    selects a table half on index bit 7 and un-permutes its lanes at
+    store, so the probe places the byte edges 0x00FF, 0x0100, 0xFF00 and
+    0xFFFF at table rows and columns 0/63/64/127/128/255 of a levels-256
+    LUT, and cuts columns at 63/64/65/129 (partial and full 64-lane
+    sub-tiles, one and two 128-column tiles).  Both entry points, int32
+    and int64 accumulators, one thread, and two threads at C = 63 (row
+    blocks: fewer tiles than threads) and C = 129 (one column tile
+    each).  Backward: :func:`_backward_probes_match`.  About 15 ms of
+    CPU in all.
     """
     rng = np.random.default_rng(0xB17E)
     levels = 256
     lut = rng.integers(0, 0x10000, size=levels * levels).astype(np.int32)
-    probe = np.array([0, 63, 64, 127, 128, 255])
+    probe = _PROBE_EDGES
     edges = np.array([0x00FF, 0x0100, 0xFF00, 0xFFFF], dtype=np.int32)
     spread = np.arange(6)[:, None] + np.arange(6)[None, :]
     lut.reshape(levels, levels)[np.ix_(probe, probe)] = edges[spread % 4]
@@ -1197,36 +1409,98 @@ def _run_vbmi_self_check() -> bool:
                 if not (
                     np.array_equal(got, want) and np.array_equal(got_q, want_q)
                 ):
-                    warnings.warn(
-                        "repro.core.lutkernel: the AVX-512 VBMI gather body "
-                        "is not bit-identical to numpy on this platform; "
-                        "the C forward gathers use their scalar loop.",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    return False
+                    return _vbmi_mismatch()
+    return _backward_probes_match(rng, wrow, xq) or _vbmi_mismatch()
+
+
+def _backward_probes_match(rng, wrow, xq) -> bool:
+    """The backward body against numpy, bit for bit, on byte-edge tables.
+
+    Two float32 tables hold the bit patterns -0.0, the smallest
+    denormal, 0x00FF00FF, 0x7F7FFFFF and +-inf (every byte plane at 0x00,
+    0x01, 0x7F, 0x80 and 0xFF) at the forward probe's edge rows and
+    columns; ``gout`` carries denormals.  Chunks 64 and 96 over 64 and
+    129 columns (at least ``VBMI_BWD_MIN_C``) cut partial 64-lane blocks
+    and, at 129 / 64, leave a one-column chunk that the second of two
+    threads owns.  Compared by bit pattern, so the inf and NaN sums
+    count too.  About 4 ms of CPU.
+    """
+    levels = 256
+    edges = np.array(
+        [0x80000000, 0x00000001, 0x00FF00FF, 0x7F7FFFFF, 0x7F800000,
+         0xFF800000],
+        dtype=np.uint32,
+    ).view(np.float32)
+    spread = np.arange(6)[:, None] + 2 * np.arange(6)[None, :]
+    tables = []
+    for shift in (0, 1):
+        tab = rng.random(levels * levels, dtype=np.float32) - 0.5
+        tab.reshape(levels, levels)[np.ix_(_PROBE_EDGES, _PROBE_EDGES)] = (
+            edges[(spread + shift) % 6]
+        )
+        tables.append(tab)
+    planes = (byte_planes(tables[0]), byte_planes(tables[1]))
+    gout = rng.standard_normal((wrow.shape[0], xq.shape[1]))
+    gout = gout.astype(np.float32)
+    gout[:, ::9] *= np.float32(1e-39)
+    for c, chunk, threads in ((64, 64, 1), (129, 64, 2), (129, 96, 1)):
+        sub_x = np.ascontiguousarray(xq[:, :c])
+        sub_g = np.ascontiguousarray(gout[:, :c])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _backward_reference(*tables, wrow, sub_x, sub_g, chunk)
+            got = fused_backward_grads(
+                *tables, wrow, sub_x, sub_g, chunk, threads, planes
+            )
+        if got is None or not all(
+            np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            for a, b in zip(got, want)
+        ):
+            return False
     return True
 
 
-def byte_planes(lut_flat: np.ndarray) -> np.ndarray | None:
-    """The VBMI body's table operand: a LUT's low and high byte planes.
+def _vbmi_mismatch() -> bool:
+    """Warn that the VBMI bodies failed their self-check; returns False."""
+    warnings.warn(
+        "repro.core.lutkernel: the AVX-512 VBMI gather bodies are not "
+        "bit-identical to numpy on this platform; the C forward gathers "
+        "and the C backward use their scalar loops.",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+    return False
 
-    One 64-byte-aligned uint8 array ``[lo | pad | hi | pad]``: ``lo`` and
-    ``hi`` are the low and high bytes of every entry, each followed by
-    256 bytes of padding so a 256-entry row load at the last entry stays
-    inside the array.  ``None`` when an entry is outside ``[0, 0xFFFF]``
-    (the body needs uint16 values).  128 KB for an 8-bit multiplier.
+
+def byte_planes(table: np.ndarray) -> np.ndarray | None:
+    """The VBMI bodies' table operand: a table's byte planes.
+
+    One 64-byte-aligned uint8 array ``[b0 | pad | b1 | pad | ...]``, one
+    plane per byte of the entries' itemsize, lowest byte first, each
+    followed by 256 bytes of padding so a 256-entry row load at the last
+    entry stays inside the array.  An integer table (a product LUT, for
+    the forward) is stored as uint16: two planes, and ``None`` when an
+    entry is outside ``[0, 0xFFFF]``.  Any other 2- or 4-byte table (a
+    float32 gradient table, for the backward) splits its bit patterns:
+    four planes.  ``None`` for an empty table or another itemsize.  128
+    KB for an 8-bit multiplier's LUT, 256 KB per gradient table.
     Derived data: engines build it once and never publish it.
     """
-    lut = np.asarray(lut_flat).ravel()
-    if lut.size == 0 or int(lut.min()) < 0 or int(lut.max()) > 0xFFFF:
+    tab = np.ascontiguousarray(table).ravel()
+    if tab.size == 0:
         return None
-    plane = lut.size + _PLANE_PAD
-    planes = _aligned_empty(2 * plane)
+    if tab.dtype.kind in "iu":
+        if int(tab.min()) < 0 or int(tab.max()) > 0xFFFF:
+            return None
+        tab = tab.astype(np.uint16)
+    n_planes = tab.dtype.itemsize
+    if n_planes not in (2, 4):
+        return None
+    bits = tab.view(f"u{n_planes}")
+    plane = tab.size + _PLANE_PAD
+    planes = _aligned_empty(n_planes * plane)
     planes[:] = 0
-    u16 = lut.astype(np.uint16)
-    planes[: lut.size] = u16 & 0xFF
-    planes[plane : plane + lut.size] = u16 >> 8
+    for p in range(n_planes):
+        planes[p * plane : p * plane + tab.size] = (bits >> (8 * p)) & 0xFF
     planes.flags.writeable = False
     return planes
 
@@ -1340,18 +1614,24 @@ def _gather_body(
     planes: np.ndarray | None,
     wrow_bounds: tuple[int, int] | None = None,
     xq_bounds: tuple[int, int] | None = None,
+    max_k: int | None = VBMI_MAX_K,
+    min_c: int = VBMI_MIN_C,
 ) -> tuple[int, bool]:
-    """Pick a forward gather body: ``(fast, vbmi)``.
+    """Pick a gather body: ``(fast, vbmi)``.
 
-    ``fast`` is the in-bounds proof's flag (:func:`_gather_in_bounds`);
+    ``fast`` is the in-bounds proof's flag (:func:`_gather_in_bounds`;
+    the backward passes the smaller gradient table's size);
     ``vbmi`` says whether the VBMI body runs (else the scalar loop).
-    It needs all of: byte ``planes`` (a uint16 LUT), the proof,
-    ``min(wrow) >= 0`` and ``xq`` in ``[0, 255]`` -- so a row load
-    ``lut[wrow + 0..255]`` never starts before the table, which the proof
-    alone allows (``wrow - 8`` with ``xq + 8``) -- ``K <= VBMI_MAX_K``,
-    ``C >= VBMI_MIN_C`` and :func:`vbmi_trusted`.  The proof's extrema
-    are reused, so the choice costs no extra scan.  Counted as
-    ``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.
+    It needs all of: byte ``planes`` (a uint16 LUT, or the backward's
+    pair), the proof, ``min(wrow) >= 0`` and ``xq`` in ``[0, 255]`` -- so
+    a row load ``table[wrow + 0..255]`` never starts before the table,
+    which the proof alone allows (``wrow - 8`` with ``xq + 8``) --
+    ``K <= max_k`` (the forward's int32 bound ``VBMI_MAX_K``; the
+    backward's float sums have none), ``C >= min_c`` (the measured
+    crossover: ``VBMI_MIN_C``, the backward's ``VBMI_BWD_MIN_C``) and
+    :func:`vbmi_trusted`.  The proof's extrema are reused, so the choice
+    costs no extra scan.  Counted as ``lutkernel.gather.vbmi`` /
+    ``lutkernel.gather.scalar``.
     """
     ext = _extrema(wrow, xq, wrow_bounds, xq_bounds)
     fast = _in_bounds(ext, lut_size)
@@ -1362,8 +1642,8 @@ def _gather_body(
         and ext[0] >= 0
         and ext[2] >= 0
         and ext[3] <= 0xFF
-        and wrow.shape[1] <= VBMI_MAX_K
-        and xq.shape[1] >= VBMI_MIN_C
+        and (max_k is None or wrow.shape[1] <= max_k)
+        and xq.shape[1] >= min_c
         and vbmi_trusted()
     )
     _TRACE.count(
@@ -1398,14 +1678,23 @@ def _ptr(arr: np.ndarray | None) -> int:
     return 0 if arr is None else arr.ctypes.data
 
 
-def _check_operands(who, lut_size, wrow, xq, planes=None, gout=None):
+def _check_operands(
+    who, tables, wrow, xq, planes, n_planes=2, gout=None, chunk=None
+):
     """Reject operands the C loops would read out of bounds with.
 
     The kernels trust their shapes: a ``wrow`` whose K differs from
     ``xq``'s, or a short ``gout``, reads past a buffer (SIGSEGV or
-    garbage).  ``planes`` must be :func:`byte_planes` of the LUT; only
-    their size and layout are checked, not their bytes.
+    garbage), and an empty table has no entry to clamp an index into.
+    ``planes`` holds, per table, ``None`` or its :func:`byte_planes`
+    (``n_planes`` of them); only their size and layout are checked, not
+    their bytes.  ``chunk`` (the backward's column step) must be >= 1.
     """
+    sizes = [np.size(t) for t in tables]
+    if min(sizes) == 0:
+        raise ValueError(f"{who}: a gather table is empty")
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"{who}: chunk must be >= 1, got {chunk}")
     if wrow.ndim != 2 or xq.ndim != 2:
         raise ValueError(
             f"{who}: wrow and xq must be 2-D, got {wrow.shape} and {xq.shape}"
@@ -1419,12 +1708,15 @@ def _check_operands(who, lut_size, wrow, xq, planes=None, gout=None):
             f"{who}: gout has shape {gout.shape}, expected "
             f"{(wrow.shape[0], xq.shape[1])}"
         )
-    if planes is not None and (
-        planes.dtype != np.uint8
-        or planes.shape != (2 * (lut_size + _PLANE_PAD),)
-        or not planes.flags.c_contiguous
-    ):
-        raise ValueError(f"{who}: planes are not byte_planes(lut_flat)")
+    for pl, size in zip(planes, sizes):
+        if pl is not None and (
+            pl.dtype != np.uint8
+            or pl.shape != (n_planes * (size + _PLANE_PAD),)
+            or not pl.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"{who}: planes are not byte_planes of the table"
+            )
 
 
 def fused_product_sums(
@@ -1467,12 +1759,10 @@ def fused_product_sums(
         kernel is unavailable (callers must fall back to the numpy path).
 
     Raises:
-        ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K, or
-            ``planes`` do not fit ``lut_flat``.
+        ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K,
+            ``lut_flat`` is empty, or ``planes`` do not fit it.
     """
-    _check_operands(
-        "fused_product_sums", np.size(lut_flat), wrow, xq, planes
-    )
+    _check_operands("fused_product_sums", (lut_flat,), wrow, xq, (planes,))
     lib = _get_kernel()
     if lib is None:
         return None
@@ -1624,10 +1914,11 @@ def fused_serve(
         unavailable (callers fall back to the unfused numpy pipeline).
 
     Raises:
-        ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K, or
-            a constant block, the rails or ``planes`` do not fit.
+        ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K,
+            ``lut_flat`` is empty, or a constant block, the rails or
+            ``planes`` do not fit.
     """
-    _check_operands("fused_serve", np.size(lut_flat), wrow, xq, planes)
+    _check_operands("fused_serve", (lut_flat,), wrow, xq, (planes,))
     lib = _get_kernel()
     if lib is None:
         return None
@@ -1795,6 +2086,7 @@ def fused_backward_grads(
     gout: np.ndarray,
     chunk: int,
     threads: int | None = None,
+    planes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Fused difference-LUT backward: gradient-table gather + reduce.
 
@@ -1812,15 +2104,29 @@ def fused_backward_grads(
     inside the smaller gradient table (:func:`_gather_in_bounds`) both
     gathers index directly; otherwise out-of-range indices clip into
     each table exactly like ``np.take(..., mode="clip")``.  The float32
-    operation order is the same in both loops.
+    operation order is the same in both loops.  Given ``planes``
+    (``(byte_planes(grad_w_flat), byte_planes(grad_x_flat))`` of the
+    float32 tables), a qualifying call runs the in-register AVX-512 VBMI
+    body instead of the scalar loop (:func:`_gather_body`, with no bound
+    on K and its own crossover, ``C >= VBMI_BWD_MIN_C``), in the same
+    float order.  Used as given, like :func:`fused_product_sums`'s.
 
     Returns ``(gw, gx)`` as float64 ``(M, K)`` / ``(K, C)`` arrays, or
     ``None`` when the kernel is unavailable.  Raises ``ValueError`` when
-    ``wrow`` / ``xq`` are not 2-D or disagree on K, or ``gout`` is not
-    ``(M, C)``.
+    ``wrow`` / ``xq`` are not 2-D or disagree on K, ``gout`` is not
+    ``(M, C)``, a table is empty, ``chunk < 1``, or ``planes`` do not
+    fit the tables.
     """
+    chunk = int(chunk)
+    if planes is not None and (
+        len(planes) != 2 or any(pl is None for pl in planes)
+    ):
+        raise ValueError(
+            "fused_backward_grads: planes must be a pair of byte_planes"
+        )
     _check_operands(
-        "fused_backward_grads", 0, wrow, xq, gout=np.asarray(gout)
+        "fused_backward_grads", (grad_w_flat, grad_x_flat), wrow, xq,
+        planes or (), n_planes=4, gout=np.asarray(gout), chunk=chunk,
     )
     lib = _get_kernel()
     if lib is None:
@@ -1834,7 +2140,6 @@ def fused_backward_grads(
             np.zeros((m, k), dtype=np.float64),
             np.zeros((k2, c), dtype=np.float64),
         )
-    chunk = int(chunk)
     n_chunks = -(-c // chunk)
     grad_w_flat = np.ascontiguousarray(grad_w_flat, dtype=np.float32)
     grad_x_flat = np.ascontiguousarray(grad_x_flat, dtype=np.float32)
@@ -1843,20 +2148,31 @@ def fused_backward_grads(
     gout = np.ascontiguousarray(gout, dtype=np.float32)
     gw_part = np.empty((n_chunks, m, k), dtype=np.float32)
     gx = np.empty((k2, c), dtype=np.float64)
-    fast = int(_gather_in_bounds(
-        wrow, xq, min(grad_w_flat.size, grad_x_flat.size)
-    ))
+    fast, vbmi = _gather_body(
+        min(grad_w_flat.size, grad_x_flat.size), wrow, xq, planes,
+        max_k=None, min_c=VBMI_BWD_MIN_C,
+    )
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _chunk_ranges(c, chunk, nthreads)
-    # Per-thread scratch: the chunk product row and the float32 gx tile.
-    tmp = [np.empty(chunk, dtype=np.float32) for _ in ranges]
-    gx32 = [np.empty(k2 * chunk, dtype=np.float32) for _ in ranges]
+    # Per-thread scratch: the chunk product row and the float32 gx tile,
+    # padded to whole 64-lane blocks for the VBMI body, which also
+    # narrows one index row at a time.
+    width = min(chunk, c)
+    if vbmi:
+        width = -(-width // 64) * 64
+        gw_pl, gx_pl = _ptr(planes[0]), _ptr(planes[1])
+        xt = [_aligned_empty(width) for _ in ranges]
+    else:
+        gw_pl = gx_pl = 0
+        xt = [None] * len(ranges)
+    tmp = [np.empty(width, dtype=np.float32) for _ in ranges]
+    gx32 = [np.empty(k2 * width, dtype=np.float32) for _ in ranges]
 
     def work(lo, hi, slot):
         lib.backward_grads_range(
             grad_w_flat, grad_w_flat.size, grad_x_flat, grad_x_flat.size,
             wrow, xq, gout, gw_part, gx, tmp[slot], gx32[slot],
-            m, k2, c, chunk, lo, hi, fast,
+            m, k2, c, chunk, lo, hi, fast, gw_pl, gx_pl, _ptr(xt[slot]),
         )
 
     _TRACE.count("lutkernel.fused_backward_calls")
@@ -1869,4 +2185,24 @@ def fused_backward_grads(
     gw = np.zeros((m, k), dtype=np.float64)
     for ci in range(n_chunks):
         gw += gw_part[ci]
+    return gw, gx
+
+
+def _backward_reference(gw_flat, gx_flat, wrow, xq, gout, chunk):
+    """The numpy backward, restated standalone for the self-checks."""
+    m, k = wrow.shape
+    c = xq.shape[1]
+    gw = np.zeros((m, k), dtype=np.float64)
+    gx = np.empty((k, c), dtype=np.float64)
+    for c0 in range(0, c, chunk):
+        hi = min(c0 + chunk, c)
+        idx = wrow[:, :, None] + xq[None, :, c0:hi]
+        g = gout[:, None, c0:hi]
+        b = np.empty((m, k, hi - c0), dtype=np.float32)
+        np.take(gw_flat, idx, out=b, mode="clip")
+        np.multiply(b, g, out=b)
+        gw += b.sum(axis=2)
+        np.take(gx_flat, idx, out=b, mode="clip")
+        np.multiply(b, g, out=b)
+        gx[:, c0:hi] = b.sum(axis=0)
     return gw, gx

@@ -23,10 +23,13 @@ from repro.multipliers import get_multiplier
 from tests.gather_bodies import (
     BODY_COLUMNS,
     NO_VBMI,
+    edge_grad_table,
+    edge_gout,
     edge_lut,
     edge_operands,
     force_body,
     runs_vbmi,
+    same_bits,
     vbmi_ok,
 )
 
@@ -248,7 +251,9 @@ def test_raw_kernel_oob_clip_both_directions():
     gout = rng.standard_normal((6, 700)).astype(np.float32)
     idx = np.clip(wrow[:, :, None] + xq[None], 0, lut.size - 1)
     want_f = lut[idx].sum(axis=1, dtype=np.int64)
-    want_b = execcore._probe_reference(gw_flat, gx_flat, wrow, xq, gout, 96)
+    want_b = lutkernel._backward_reference(
+        gw_flat, gx_flat, wrow, xq, gout, 96
+    )
     for threads in (1, 3):
         got_f = lutkernel.fused_product_sums(
             lut, wrow, xq, np.int64, threads
@@ -332,7 +337,9 @@ def test_gather_in_bounds_edges_bit_identical(case):
     gx_flat = rng.standard_normal(n_gx).astype(np.float32)
     gout = rng.standard_normal((6, 700)).astype(np.float32)
     want_f = lut[np.clip(idx, 0, _EDGE_N - 1)].sum(axis=1, dtype=np.int64)
-    want_b = execcore._probe_reference(gw_flat, gx_flat, wrow, xq, gout, 96)
+    want_b = lutkernel._backward_reference(
+        gw_flat, gx_flat, wrow, xq, gout, 96
+    )
     fwd_branch = (1, 0) if fwd_fast else (0, 1)
     bwd_branch = (1, 0) if bwd_fast else (0, 1)
     # threads=None reads REPRO_LUTKERNEL_THREADS (CI reruns with 4).
@@ -577,9 +584,12 @@ def _bad_shape_calls():
     def fwd(wrow, xq):
         return lutkernel.fused_product_sums(lut, wrow, xq)
 
-    def bwd(wrow, xq, gout=g):
-        return lutkernel.fused_backward_grads(tab, tab, wrow, xq, gout, 64)
+    def bwd(wrow, xq, gout=g, chunk=64, gw=tab, gx=tab, planes=None):
+        return lutkernel.fused_backward_grads(
+            gw, gx, wrow, xq, gout, chunk, planes=planes
+        )
 
+    empty_f = np.zeros(0, dtype=np.float32)
     return {
         "product_sums_k_mismatch": lambda: fwd(w43, x5),
         "product_sums_1d_wrow": lambda: fwd(np.zeros(3, np.int64), x3),
@@ -590,6 +600,27 @@ def _bad_shape_calls():
             w43, x3, np.zeros((2, 50), np.float32)
         ),
         "backward_1d_gout": lambda: bwd(w43, x3, np.zeros(400, np.float32)),
+        # chunk < 1 used to divide by zero (0) or reach numpy's "negative
+        # dimensions" (-1); an empty table used to be read out of bounds
+        # (the clamp maps every index to -1) and return zeros where
+        # np.take raises.
+        "backward_chunk_0": lambda: bwd(w43, x3, chunk=0),
+        "backward_chunk_negative": lambda: bwd(w43, x3, chunk=-1),
+        "backward_empty_gw_table": lambda: bwd(w43, x3, gw=empty_f),
+        "backward_empty_gx_table": lambda: bwd(w43, x3, gx=empty_f),
+        "product_sums_empty_lut": lambda: lutkernel.fused_product_sums(
+            np.zeros(0, np.int32), w43, x3
+        ),
+        "serve_empty_lut": lambda: lutkernel.fused_serve(
+            np.zeros(0, np.int32), w43, x3, np.zeros(100, np.int64), one,
+            one, one, one, 0, 255,
+        ),
+        "backward_one_plane": lambda: bwd(
+            w43, x3, planes=(lutkernel.byte_planes(tab), None)
+        ),
+        "backward_uint16_planes": lambda: bwd(
+            w43, x3, planes=(lutkernel.byte_planes(lut),) * 2
+        ),
     }
 
 
@@ -850,3 +881,182 @@ def test_vbmi_blocks_use_every_thread(m, c, threads, want):
     assert [t.nbytes for t in tiles] == [16 * 128] * len(want)
     scalar, none = lutkernel._gather_blocks(m, c, 16, False, threads)
     assert all(b[2:] == (0, c) for b in scalar) and set(none) == {None}
+
+
+# ----------------------------------------------------------------------
+# The backward's two bodies: the in-register VBMI body (four byte planes
+# per float32 gradient table) and the scalar loop, each bit-identical to
+# numpy -- compared by bit pattern, so inf and NaN sums count too.
+def _backward_case(levels, m, k, c, seed=0):
+    gw_flat = edge_grad_table(levels, seed)
+    gx_flat = edge_grad_table(levels, seed + 1)
+    wrow, xq = edge_operands(levels, m, k, c, seed=seed)
+    planes = (lutkernel.byte_planes(gw_flat), lutkernel.byte_planes(gx_flat))
+    return gw_flat, gx_flat, wrow, xq, edge_gout(m, c, seed), planes
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("c", BODY_COLUMNS)
+@pytest.mark.parametrize("levels", [256, 128, 64])
+def test_backward_bodies_bit_identical(monkeypatch, levels, c, body):
+    from repro.obs.trace import tracing
+
+    force_body(monkeypatch, body)
+    gw_flat, gx_flat, wrow, xq, gout, planes = _backward_case(
+        levels, 9, 12, c, seed=c
+    )
+    # Chunks 7 and 96 cut a 64-lane block; 1024 holds every width here.
+    for chunk in (7, 96, 1024):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = lutkernel._backward_reference(
+                gw_flat, gx_flat, wrow, xq, gout, chunk
+            )
+        for threads in (1, 4, 7):
+            with tracing() as tr, np.errstate(invalid="ignore"):
+                got = lutkernel.fused_backward_grads(
+                    gw_flat, gx_flat, wrow, xq, gout, chunk, threads, planes
+                )
+                assert _body_counts(tr) == (
+                    (1, 0)
+                    if runs_vbmi(body, c, lutkernel.VBMI_BWD_MIN_C)
+                    else (0, 1)
+                )
+            assert same_bits(got, want), (chunk, threads)
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+def test_backward_bodies_on_full_chunks(monkeypatch, body):
+    # Whole chunks of 256 to 1024 columns (pairwise sums recursing to
+    # 2-8 leaves of 128), several per call, plus a 5-column tail chunk.
+    force_body(monkeypatch, body)
+    gw_flat, gx_flat, wrow, xq, gout, planes = _backward_case(
+        256, 3, 4, 2053, seed=9
+    )
+    for chunk in (256, 512, 1024):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = lutkernel._backward_reference(
+                gw_flat, gx_flat, wrow, xq, gout, chunk
+            )
+            got = lutkernel.fused_backward_grads(
+                gw_flat, gx_flat, wrow, xq, gout, chunk, 2, planes
+            )
+        assert same_bits(got, want), chunk
+
+
+def _backward_fallback_case(name, monkeypatch):
+    """``(wrow, xq)`` of a backward call, after arranging case ``name``."""
+    wrow, xq = edge_operands(256, 4, 6, 70)
+    if name == "failed_proof":
+        xq = xq.copy()
+        xq[2, 5] = -1
+    elif name == "negative_wrow":
+        # In bounds, but a row load at wrow = -8 starts before the table.
+        wrow, xq = wrow - 8, xq % 248 + 8
+    elif name == "xq_above_255":
+        wrow = wrow % (128 * 256)
+        xq = xq.copy()
+        xq[1, 3] = 300
+    elif name == "narrow_c":
+        # Below the backward's own measured crossover.
+        wrow, xq = edge_operands(256, 4, 6, lutkernel.VBMI_BWD_MIN_C - 1)
+    elif name == "force_scalar":
+        monkeypatch.setattr(lutkernel, "_force_scalar", True)
+    elif name == "k_32768":
+        # The forward's int32 bound on K does not apply to float sums.
+        rng = np.random.default_rng(3)
+        k = lutkernel.VBMI_MAX_K + 1
+        wrow = (rng.integers(0, 256, size=(1, k)) * 256).astype(np.int64)
+        xq = rng.integers(0, 256, size=(k, lutkernel.VBMI_BWD_MIN_C))
+        xq = xq.astype(np.int32)
+    else:
+        assert name == "control"
+    return wrow, xq
+
+
+@requires_kernel
+@pytest.mark.parametrize(
+    "case",
+    ("control", "k_32768", "failed_proof", "negative_wrow", "xq_above_255",
+     "narrow_c", "force_scalar"),
+)
+def test_backward_vbmi_fallbacks_take_the_scalar_body(monkeypatch, case):
+    from repro.obs.trace import tracing
+
+    gw_flat, gx_flat = edge_grad_table(256), edge_grad_table(256, 1)
+    planes = (lutkernel.byte_planes(gw_flat), lutkernel.byte_planes(gx_flat))
+    wrow, xq = _backward_fallback_case(case, monkeypatch)
+    gout = edge_gout(wrow.shape[0], xq.shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = lutkernel._backward_reference(
+            gw_flat, gx_flat, wrow, xq, gout, 64
+        )
+    vbmi = case in ("control", "k_32768") and lutkernel.vbmi_trusted()
+    with tracing() as tr, np.errstate(invalid="ignore"):
+        got = lutkernel.fused_backward_grads(
+            gw_flat, gx_flat, wrow, xq, gout, 64, 1, planes
+        )
+        assert _body_counts(tr) == ((1, 0) if vbmi else (0, 1))
+        assert _branch_counts(tr) == (
+            (0, 1) if case == "failed_proof" else (1, 0)
+        )
+    assert same_bits(got, want)
+
+
+def test_engine_builds_grad_planes_on_first_use():
+    mult = get_multiplier("mul8u_2NDH")
+    assert LutGemm(mult, None)._grad_planes is None
+    train = LutGemm(mult, gradient_luts(mult, "difference", hws=2))
+    # Lazy: engines that never run a C backward (calibration, serving
+    # set-up) hold no gradient planes.
+    assert train._grad_planes is None
+    assert train._grad_byte_planes() is train._grad_byte_planes()
+    for table, planes in zip(
+        (train.grad_w_flat, train.grad_x_flat), train._grad_byte_planes()
+    ):
+        assert planes.nbytes == 4 * (65536 + 256)
+        assert planes.ctypes.data % 64 == 0
+        # Plane p holds byte p of each entry's bit pattern.
+        stacked = planes.reshape(4, -1)[:, :65536].astype(np.uint32)
+        rebuilt = sum(stacked[p] << (8 * p) for p in range(4))
+        assert np.array_equal(rebuilt, table.view(np.uint32))
+
+
+@requires_kernel
+def test_vbmi_self_check_rejects_wrong_backward_body(
+    monkeypatch, restore_backend
+):
+    from repro.obs.trace import tracing
+
+    if not vbmi_ok():
+        pytest.skip(NO_VBMI)
+    real = lutkernel.fused_backward_grads
+
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out is not None and len(args) > 7 and args[7] is not None:
+            out[1].view(np.uint64).flat[0] ^= 1  # one ulp, NaN or not
+        return out
+
+    monkeypatch.setattr(lutkernel, "fused_backward_grads", corrupted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert not lutkernel.vbmi_trusted()
+        info = execcore.backend_info()
+    assert sum("VBMI" in str(w.message) for w in caught) == 1
+    # One verdict pins every body to its scalar C loop, not to numpy.
+    assert info["gather_isa"] == "scalar"
+    assert info["forward_backend"] == "c"
+    assert info["backward_backend"] == "c"
+    monkeypatch.setattr(lutkernel, "fused_backward_grads", real)
+    wq, xq, gout = _operands(8, 32, 100)
+    zw, zx = np.int32(3), np.int32(5)
+    eng = LutGemm(MULT, PAIR)
+    with tracing() as tr:
+        eng.product_sums(wq, xq)
+        got = eng.backward_grads(wq, xq, gout, zw, zx)
+        assert _body_counts(tr) == (0, 2)
+    assert eng.ckernel_forward_calls == eng.ckernel_backward_calls == 1
+    _, gw_np, gx_np = _numpy_results(wq, xq, gout, zw, zx)
+    assert same_bits(got, (gw_np, gx_np))
