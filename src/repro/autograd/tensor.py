@@ -78,7 +78,11 @@ class Tensor:
 
     Attributes:
         data: The underlying :class:`numpy.ndarray`.
-        grad: Accumulated gradient (same shape as ``data``) or ``None``.
+        grad: Accumulated float64 gradient (same shape as ``data``) or
+            ``None``.  :meth:`backward` fills it on leaves only -- tensors
+            that require grad but have no backward closure, such as
+            parameters and inputs -- as PyTorch does; interior nodes pass
+            their gradient on and keep ``None``.
         requires_grad: Whether gradients flow into this tensor.
     """
 
@@ -385,6 +389,9 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode accumulation from this tensor.
 
+        Gradients accumulate into ``.grad`` of the leaves reached (nodes
+        without a backward closure); interior nodes keep ``None``.
+
         Args:
             grad: Seed gradient; defaults to ones (must be scalar output
                 for the default to make sense).
@@ -417,13 +424,15 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data, dtype=np.float64)
-            # In-place accumulate: node.grad is float64 and owned by the
-            # tape (allocated above or by a prior sweep), so no caller's
-            # array is mutated; avoids one full-size temporary per node.
-            np.add(node.grad, g, out=node.grad)
             if node._backward is None:
+                # A leaf: the only kind of node that keeps ``.grad``.
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data, dtype=np.float64)
+                # In-place accumulate: node.grad is float64 and owned by
+                # the tape (allocated above or by a prior sweep), so no
+                # caller's array is mutated; avoids one full-size
+                # temporary per leaf.
+                np.add(node.grad, g, out=node.grad)
                 continue
             if _TRACE.enabled:
                 with _TRACE.span(_backward_label(node._backward),

@@ -39,6 +39,11 @@ funnels through here:
   mismatch it warns once and pins the backward to numpy for the
   process -- correctness never depends on the C path being right.
 
+* :func:`fold_input_grad` folds a conv layer's raw activation gradient
+  back onto its input image on the same backend choice: the C fold
+  under the backward's verdict (which probes it), else
+  :func:`_numpy_fold`, the old ``col2im`` arithmetic.
+
 Env vars (all honored per call): ``REPRO_NO_CCKERNEL=1`` disables both
 C kernels, ``REPRO_LUTKERNEL_THREADS=N`` threads them.  Use
 :func:`reset_backend_state` (tests, CLI flags) to forget the compiled
@@ -106,18 +111,25 @@ def separable_sums(engine, wa: np.ndarray, xq: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Forward
 def product_sums(
-    engine, wq: np.ndarray, xq: np.ndarray, acc_dtype, record_backward: bool
+    engine,
+    wq: np.ndarray,
+    xq: np.ndarray,
+    acc_dtype,
+    record_backward: bool,
+    xq_bounds: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """``out[m, c] = sum_k lut[wq[m,k], xq[k,c]]`` on the best backend.
 
     ``record_backward=False`` (eval under ``no_grad``, forward-only
     engines) skips the operand snapshot that lets a following backward
-    reuse the forward's scratch index tensor.
+    reuse the forward's scratch index tensor.  ``xq_bounds`` is the
+    caller's ``(min, max)`` of ``xq``, if it knows them (the C gather
+    then skips its extrema scan of ``xq``).
     """
     m, k = wq.shape
     c = xq.shape[1]
     if engine._lut_i32 is not None and m * k * c >= FUSED_MIN_ELEMS:
-        out = _c_forward(engine, wq, xq, acc_dtype)
+        out = _c_forward(engine, wq, xq, acc_dtype, xq_bounds)
         if out is not None:
             # The C kernel never touches the numpy scratch buffers, so a
             # previously recorded forward-operand snapshot still describes
@@ -126,7 +138,7 @@ def product_sums(
     return _numpy_forward(engine, wq, xq, acc_dtype, record_backward)
 
 
-def _c_forward(engine, wq, xq, acc_dtype) -> np.ndarray | None:
+def _c_forward(engine, wq, xq, acc_dtype, xq_bounds) -> np.ndarray | None:
     wrow = (wq * engine.levels).astype(np.int64)
     xq32 = np.ascontiguousarray(xq, dtype=np.int32)
     # Positional call through the module attribute: tests monkeypatch
@@ -137,7 +149,7 @@ def _c_forward(engine, wq, xq, acc_dtype) -> np.ndarray | None:
     planes = _planes(engine)
     with _TRACE.span("lutgemm.gather", cat="engine"):
         out = lutkernel.fused_product_sums(
-            engine._lut_i32, wrow, xq32, acc_dtype, None, planes
+            engine._lut_i32, wrow, xq32, acc_dtype, None, planes, xq_bounds
         )
     if out is not None:
         engine.ckernel_forward_calls += 1
@@ -184,29 +196,34 @@ def _numpy_forward(
 # Backward (gradient-LUT gather + reduce; zero-point cross terms are
 # applied in closed form by the engine, identically for both backends).
 def backward_grads(
-    engine, wq: np.ndarray, xq: np.ndarray, gout: np.ndarray
+    engine,
+    wq: np.ndarray,
+    xq: np.ndarray,
+    gout: np.ndarray,
+    xq_bounds: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 9 inner sums ``(gw, gx)`` on the best backend.
 
     ``gout`` must already be float32 C-contiguous (the engine
     normalizes it once, before the zero-point math that shares it).
+    ``xq_bounds`` as for :func:`product_sums`.
     """
     m, k = wq.shape
     c = xq.shape[1]
     if m * k * c >= FUSED_MIN_ELEMS and backward_kernel_trusted():
-        res = _c_backward(engine, wq, xq, gout)
+        res = _c_backward(engine, wq, xq, gout, xq_bounds)
         if res is not None:
             return res
     return _numpy_backward(engine, wq, xq, gout)
 
 
-def _c_backward(engine, wq, xq, gout):
+def _c_backward(engine, wq, xq, gout, xq_bounds):
     wrow = (wq * engine.levels).astype(np.int64)
     xq32 = np.ascontiguousarray(xq, dtype=np.int32)
     planes = engine._grad_byte_planes() if lutkernel.vbmi_trusted() else None
     res = lutkernel.fused_backward_grads(
         engine.grad_w_flat, engine.grad_x_flat, wrow, xq32, gout,
-        engine.chunk, None, planes,
+        engine.chunk, None, planes, xq_bounds,
     )
     if res is not None:
         engine.ckernel_backward_calls += 1
@@ -259,6 +276,65 @@ def _numpy_backward(engine, wq, xq, gout):
             np.multiply(buf, g, out=buf)
             gx[:, c0:hi] = buf.sum(axis=0)
     return gw, gx
+
+
+def fold_input_grad(
+    gx: np.ndarray,
+    zcol: np.ndarray,
+    sx: float,
+    mask: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int,
+    pad: int,
+) -> np.ndarray:
+    """A conv layer's input gradient from the engine's raw activation gradient.
+
+    ``gx`` is the raw ``(Cin*kh*kw, N*OH*OW)`` output of
+    :meth:`repro.core.lutgemm.LutGemm.backward_raw`, ``zcol`` its
+    zero-point column term, ``mask`` the ``(N, Cin, H, W)`` clipped-STE
+    pixel mask.  Returns ``(N, Cin, H, W)`` float64: each pixel sums
+    ``((gx - zcol) / sx) * mask`` over its taps from ``+0.0`` in
+    ascending ``(i, j)``.  The C fold
+    (:func:`repro.core.lutkernel.fold_input_grad`) runs when the backward
+    self-check trusts the C backward; otherwise :func:`_numpy_fold`, its
+    reference.
+    """
+    if backward_kernel_trusted():
+        out = lutkernel.fold_input_grad(
+            gx, zcol, sx, mask, kh, kw, stride, pad
+        )
+        if out is not None:
+            return out
+    return _numpy_fold(gx, zcol, sx, mask, kh, kw, stride, pad)
+
+
+def _numpy_fold(gx, zcol, sx, mask, kh, kw, stride, pad) -> np.ndarray:
+    """The fold in numpy: ``col2im``'s loop, read from the ``(K, N*L)`` layout.
+
+    Every operation is one of the float-column pipeline's passes (the
+    zero-point subtraction, the ``/ sx``, the mask multiply, the ``+=``
+    into a zeroed padded image), so the result is theirs bit for bit.
+    """
+    n, c, h, w = mask.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    g = gx - zcol[None, :]
+    g /= sx
+    cols = g.reshape(c, kh, kw, n, oh, ow)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    out = np.zeros((n, c, hp, wp), dtype=np.float64)
+    # Padding taps are cropped below, whatever their mask says.
+    maskp = np.pad(mask, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    for i in range(kh):
+        for j in range(kw):
+            sl = (
+                slice(None), slice(None),
+                slice(i, i + stride * oh, stride),
+                slice(j, j + stride * ow, stride),
+            )
+            out[sl] += cols[:, i, j].transpose(1, 0, 2, 3) * maskp[sl]
+    return out[:, :, pad : pad + h, pad : pad + w]
 
 
 # ----------------------------------------------------------------------
@@ -429,8 +505,11 @@ def _run_self_check() -> bool:
     way ``np.take(mode="clip")`` does.  So both C loop bodies are vetted:
     probes 1-3 pass the in-bounds proof and run the unclamped gather,
     probe 4 fails it and runs the clamp loop (traced as
-    ``lutkernel.gather.unclamped`` / ``.clamped``).  Any discrepancy
-    pins the backward to numpy with a one-time warning.
+    ``lutkernel.gather.unclamped`` / ``.clamped``).  The C
+    input-gradient fold, which only the C backward's consumers call,
+    joins the same verdict (:func:`_fold_probes_match`).  Any
+    discrepancy pins the backward and the fold to numpy with a one-time
+    warning.
     """
     rng = np.random.default_rng(0x5EEDCAFE)
     levels = 4
@@ -476,6 +555,57 @@ def _run_self_check() -> bool:
                     stacklevel=3,
                 )
                 return False
+    if not _fold_probes_match(rng):
+        warnings.warn(
+            "repro.core.execcore: the C input-gradient fold is not "
+            "bit-identical to numpy on this platform; using the numpy "
+            "backward and fold. The C forward stays enabled.",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return False
+    return True
+
+
+def _fold_probes_match(rng) -> bool:
+    """The C fold against :func:`_numpy_fold`, bit for bit.
+
+    Geometries cover kernels 1, 2 and 3, strides 1 and 2 (with and
+    without ``(h + 2p - k) % s == 0``), pads 0 to 2 and non-square
+    images; ``gx`` holds -0.0, denormals and +-inf and ``zcol`` a NaN,
+    so the signed-zero, ``inf * 0`` and NaN cases of the mask multiply
+    come up; one and two threads.  Compared by bit pattern, except that
+    any NaN matches any NaN (operand order may pick either payload).
+    """
+    for kh, kw, stride, pad, h, w in (
+        (3, 3, 1, 1, 5, 6), (3, 3, 2, 1, 6, 5), (1, 1, 2, 0, 5, 5),
+        (2, 3, 2, 2, 4, 7), (3, 3, 1, 0, 3, 3),
+    ):
+        n, c = 3, 2
+        oh = (h + 2 * pad - kh) // stride + 1
+        ow = (w + 2 * pad - kw) // stride + 1
+        gx = rng.standard_normal((c * kh * kw, n * oh * ow))
+        gx.flat[::7] = -0.0
+        gx.flat[1::11] = 5e-324
+        gx.flat[2::13] = np.inf
+        gx.flat[3::17] = -np.inf
+        zcol = rng.standard_normal(n * oh * ow)
+        zcol[::5] = 0.0
+        zcol[-1] = np.nan
+        mask = rng.random((n, c, h, w)) < 0.7
+        with np.errstate(invalid="ignore"):
+            want = _numpy_fold(gx, zcol, 0.37, mask, kh, kw, stride, pad)
+            for threads in (1, 2):
+                got = lutkernel.fold_input_grad(
+                    gx, zcol, 0.37, mask, kh, kw, stride, pad, threads
+                )
+                if got is None:
+                    return False
+                same = got.view(np.uint64) == np.ascontiguousarray(
+                    want
+                ).view(np.uint64)
+                if not np.all(same | (np.isnan(got) & np.isnan(want))):
+                    return False
     return True
 
 

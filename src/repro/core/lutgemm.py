@@ -349,6 +349,7 @@ class LutGemm:
         xq: np.ndarray,
         acc_dtype=np.int64,
         record_backward: bool = True,
+        xq_bounds: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """``sum_k AM(wq[m,k], xq[k,c])``, shape (M, C).
 
@@ -362,6 +363,11 @@ class LutGemm:
         ``record_backward=False`` tells the engine no backward pass will
         consume this forward (eval under ``no_grad``, serving), letting
         it skip the operand snapshot that enables backward index reuse.
+
+        ``xq_bounds`` is the caller's ``(min, max)`` of ``xq`` when it
+        knows them by construction (the approximate conv layer reads
+        them off its quantized image): the operand range checks below
+        and in the C gather then skip their scans of ``xq``.
 
         Product-separable LUTs take one float64 matmul when
         :meth:`separable_for` and :func:`~repro.core.execcore.in_levels`
@@ -385,12 +391,14 @@ class LutGemm:
             # LUT-coverage probe: reads the quantized operands only (no
             # scratch, no RNG), so results stay bit-identical.
             _HEALTH.observe_operands(self, wq, xq)
-        if self.separable_for(wq) and execcore.in_levels(xq, self.levels):
+        if self.separable_for(wq) and execcore._xq_in_levels(
+            xq, self.levels, xq_bounds
+        ):
             wa = np.take(self._sep_f64[0], wq)
             return execcore.separable_sums(self, wa, xq).astype(acc_dtype)
         return execcore.product_sums(
             self, wq, xq, acc_dtype,
-            record_backward and not self.forward_only,
+            record_backward and not self.forward_only, xq_bounds,
         )
 
     def backward_grads(
@@ -400,6 +408,7 @@ class LutGemm:
         gout: np.ndarray,
         zw,
         zx,
+        xq_bounds: tuple[int, int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply the gradient LUTs (Eq. 9 inner part).
 
@@ -408,11 +417,36 @@ class LutGemm:
             xq: (K, C) quantized activations.
             gout: (M, C) upstream gradient ``dL/d(acc)``.
             zw, zx: Zero points of weights / activations.
+            xq_bounds: Optional ``(min, max)`` of ``xq``, as for
+                :meth:`product_sums`.
 
         Returns:
             ``(gw, gx)`` with shapes (M, K) and (K, C):
             ``gw[m,k] = sum_c gout[m,c] * (gradW(W,X) - zx)`` and
             ``gx[k,c] = sum_m gout[m,c] * (gradX(W,X) - zw)``.
+        """
+        gw, gx, zcol = self.backward_raw(wq, xq, gout, zw, zx, xq_bounds)
+        gx -= zcol[None, :]
+        return gw, gx
+
+    def backward_raw(
+        self,
+        wq: np.ndarray,
+        xq: np.ndarray,
+        gout: np.ndarray,
+        zw,
+        zx,
+        xq_bounds: tuple[int, int] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`backward_grads` with the ``gx`` zero-point term left apart.
+
+        Returns ``(gw, gx_raw, zcol)``: ``gw`` as :meth:`backward_grads`
+        returns it, the raw (K, C) ``gx_raw[k,c] = sum_m gout[m,c] *
+        gradX(W,X)`` and the (C,) column term ``zcol[c] = sum_m zw *
+        gout[m,c]``, so ``gx = gx_raw - zcol[None, :]``.  A caller that
+        passes ``gx`` on (the conv layer's fold,
+        :func:`repro.core.execcore.fold_input_grad`) subtracts the term
+        as it reads each element instead of in a pass of its own.
         """
         if self.forward_only:
             raise ReproError(
@@ -431,18 +465,18 @@ class LutGemm:
             gx = wq.astype(np.float64).T @ gf
             gw -= zx * gf.sum(axis=1)[:, None]
             # zw may be scalar (per-tensor) or per-output-channel (M,).
-            gx -= (zw_vec[:, None] * gf).sum(axis=0)[None, :] if zw_vec.size > 1 \
-                else zw_vec[0] * gf.sum(axis=0)[None, :]
-            return gw, gx
-        gw, gx = execcore.backward_grads(self, wq, xq, gout)
+            zcol = (zw_vec[:, None] * gf).sum(axis=0) if zw_vec.size > 1 \
+                else zw_vec[0] * gf.sum(axis=0)
+            return gw, gx, zcol
+        gw, gx = execcore.backward_grads(self, wq, xq, gout, xq_bounds)
         # Zero-point cross terms of Eq. 8, applied in closed form.
         gsum_c = gout.sum(axis=1, dtype=np.float64)  # (M,)
         gw -= zx * gsum_c[:, None]
         if zw_vec.size > 1:
-            gx -= (zw_vec[:, None] * gout.astype(np.float64)).sum(axis=0)[None, :]
+            zcol = (zw_vec[:, None] * gout.astype(np.float64)).sum(axis=0)
         else:
-            gx -= zw_vec[0] * gout.sum(axis=0, dtype=np.float64)[None, :]
-        return gw, gx
+            zcol = zw_vec[0] * gout.sum(axis=0, dtype=np.float64)
+        return gw, gx, zcol
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,14 @@ JIT-compiles single-pass C kernels at first use:
   the exact-integer float64 accumulator of the rank-1 (product-separable
   LUT) lowering instead of a gather; one inline C tail serves both.
 
+* ``im2col_serve`` / ``fold_input_grad`` -- the conv layers' unfold of a
+  uint8 image into the ``(K, N*L)`` gather operand (``Z_x`` padding,
+  column sums fused in), and its adjoint for the retraining backward:
+  the fold of the raw activation gradient back onto the image, with the
+  zero-point column term, the ``/ s_x`` and the clipped-STE pixel mask
+  applied per tap, in numpy's ``col2im`` order (bit-identical, vetted by
+  the execcore backward self-check).
+
 * ``fused_backward_grads`` -- the difference-LUT backward: one
   cache-tiled loop per column chunk gathers *both* gradient tables from
   the shared index and reduces against the upstream gradient.  Float32
@@ -830,6 +838,70 @@ void im2col_serve_call(const im2col_args *a)
     }
 }
 
+/* Input-gradient fold of an approximate conv layer: the adjoint of the
+ * unfold above, fused with the tail of Eq. 9.  gx is the engine's raw
+ * (K, NC) activation gradient in im2col_serve_call's layout and zcol
+ * its (NC,) zero-point column term.  Each tap adds
+ *
+ *     ((gx[k, col] - zcol[col]) / sx) * mask[pixel]
+ *
+ * into out[pixel] of the (N, Cin, H, W) input gradient, and every pixel
+ * starts at +0.0.  Per pixel the taps arrive in ascending (i, j), the
+ * order of numpy's col2im loop, and each operation rounds once, as
+ * numpy's separate passes do (-ffp-contract=off, a true division), so
+ * the result is bit-identical to the numpy fold, signed zeros included.
+ * Taps landing in the padding are skipped (col2im crops them).  Images
+ * [n_lo, n_hi) only, so threads write disjoint outputs; one (n, ci)
+ * plane stays in L1 across its kh * kw taps. */
+void fold_input_grad_range(const double *restrict gx,
+                           const double *restrict zcol,
+                           const uint8_t *restrict mask,
+                           double *restrict out, double sx,
+                           long N, long Cin, long H, long W,
+                           long kh, long kw, long stride, long pad,
+                           long oh, long ow, long n_lo, long n_hi)
+{
+    const long L = oh * ow, NC = N * L, HW = H * W;
+    for (long nn = n_lo; nn < n_hi; nn++)
+    for (long ci = 0; ci < Cin; ci++) {
+        double *restrict o = out + (nn * Cin + ci) * HW;
+        const uint8_t *restrict mk = mask + (nn * Cin + ci) * HW;
+        const double *restrict z = zcol + nn * L;
+        for (long p = 0; p < HW; p++)
+            o[p] = 0.0;
+        for (long i = 0; i < kh; i++)
+        for (long j = 0; j < kw; j++) {
+            const double *restrict g = gx + ((ci * kh + i) * kw + j) * NC
+                                          + nn * L;
+            /* Output columns whose tap lands inside the image: x0..x1. */
+            long x0 = pad - j > 0 ? (pad - j + stride - 1) / stride : 0;
+            long x1 = W + pad - j > 0 ? (W + pad - j + stride - 1) / stride
+                                      : 0;
+            if (x1 > ow) x1 = ow;
+            const long off = j - pad;
+            for (long y = 0; y < oh; y++) {
+                const long ys = y * stride + i - pad;
+                if (ys < 0 || ys >= H) continue;
+                const double *restrict gr = g + y * ow;
+                const double *restrict zr = z + y * ow;
+                double *restrict orow = o + ys * W;
+                const uint8_t *restrict mrow = mk + ys * W;
+                if (stride == 1) {
+                    for (long xx = x0; xx < x1; xx++)
+                        orow[xx + off] += ((gr[xx] - zr[xx]) / sx)
+                                          * (double) mrow[xx + off];
+                } else {
+                    for (long xx = x0; xx < x1; xx++) {
+                        const long xs = xx * stride + off;
+                        orow[xs] += ((gr[xx] - zr[xx]) / sx)
+                                    * (double) mrow[xs];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /* ------------------------------------------------------------------
  * numpy's scalar pairwise summation (umath loops.c.src), float32.
  * Reproduced operation-for-operation so the per-(m, k) column-chunk
@@ -1258,6 +1330,12 @@ def _compile() -> "ctypes.CDLL | None":
     bwd.argtypes = [
         _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _f64, _f32, _f32,
         _long, _long, _long, _long, _long, _long, _long, _ptr, _ptr, _ptr,
+    ]
+    fold = lib.fold_input_grad_range
+    fold.restype = None
+    fold.argtypes = [
+        _f64, _f64, np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),
+        _f64, ctypes.c_double, *[_long] * 12,
     ]
     return lib
 
@@ -1726,6 +1804,7 @@ def fused_product_sums(
     acc_dtype=np.int64,
     threads: int | None = None,
     planes: np.ndarray | None = None,
+    xq_bounds: tuple[int, int] | None = None,
 ) -> np.ndarray | None:
     """``out[m, c] = sum_k lut_flat[wrow[m, k] + xq[k, c]]``.
 
@@ -1753,6 +1832,9 @@ def fused_product_sums(
         planes: :func:`byte_planes` of ``lut_flat``, or ``None`` (the
             scalar loop only).  Used as given: only their size is
             checked, so planes of another LUT give that LUT's sums.
+        xq_bounds: Optional ``(min, max)`` of ``xq`` (exact or
+            conservative) the caller already knows, e.g. from the
+            quantized image its im2col unfolded; skips two reductions.
 
     Returns:
         The (M, C) accumulator in ``acc_dtype``, or ``None`` when the
@@ -1786,7 +1868,9 @@ def fused_product_sums(
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
-    fast, vbmi = _gather_body(lut_flat.size, wrow, xq, planes)
+    fast, vbmi = _gather_body(
+        lut_flat.size, wrow, xq, planes, xq_bounds=xq_bounds
+    )
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges, tiles = _gather_blocks(m, c, k2, vbmi, nthreads)
     pl = _ptr(planes) if vbmi else 0
@@ -2068,6 +2152,65 @@ def im2col_serve(
     return out, colsum
 
 
+def fold_input_grad(
+    gx: np.ndarray,
+    zcol: np.ndarray,
+    sx: float,
+    mask: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int,
+    pad: int,
+    threads: int | None = None,
+) -> np.ndarray | None:
+    """C fold of a conv layer's activation gradient back onto its input.
+
+    The adjoint of :func:`im2col_serve`'s unfold, fused with the tail of
+    Eq. 9: ``gx`` is the engine's raw ``(Cin*kh*kw, N*OH*OW)`` float64
+    activation gradient, ``zcol`` its ``(N*OH*OW,)`` zero-point column
+    term and ``mask`` the ``(N, Cin, H, W)`` clipped-STE pixel mask.
+    Returns the float64 ``(N, Cin, H, W)`` input gradient whose pixels
+    sum ``((gx - zcol) / sx) * mask`` over their taps from ``+0.0`` in
+    ascending ``(i, j)`` -- bit for bit the numpy fold
+    (:func:`repro.core.execcore.fold_input_grad`'s fallback, the old
+    ``col2im`` arithmetic).  ``threads`` splits the images (``None``
+    reads ``REPRO_LUTKERNEL_THREADS``).  ``None`` when the kernel is
+    unavailable.
+    """
+    n, c, h, w = mask.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    if (
+        oh < 1 or ow < 1
+        or gx.shape != (c * kh * kw, n * oh * ow)
+        or zcol.shape != (n * oh * ow,)
+    ):
+        raise ValueError(
+            f"fold_input_grad: gx {gx.shape} / zcol {zcol.shape} do not "
+            f"fit a {kh}x{kw} stride-{stride} pad-{pad} fold onto {mask.shape}"
+        )
+    lib = _get_kernel()
+    if lib is None:
+        return None
+    out = np.empty((n, c, h, w), dtype=np.float64)
+    if out.size == 0:
+        return out
+    gx = np.ascontiguousarray(gx, dtype=np.float64)
+    zcol = np.ascontiguousarray(zcol, dtype=np.float64)
+    mask = np.ascontiguousarray(mask, dtype=np.bool_).view(np.uint8)
+    nthreads = threads_requested() if threads is None else max(int(threads), 1)
+
+    def work(n_lo, n_hi, _slot):
+        lib.fold_input_grad_range(
+            gx, zcol, mask, out, float(sx), n, c, h, w, kh, kw, stride, pad,
+            oh, ow, n_lo, n_hi,
+        )
+
+    with _TRACE.span("lutkernel.fold_input_grad", cat="engine"):
+        _run_threaded(work, _row_ranges(n, nthreads))
+    return out
+
+
 def _chunk_ranges(c: int, chunk: int, nthreads: int) -> list[tuple[int, int]]:
     """Chunk-aligned column ranges covering ``[0, c)`` for ``nthreads``."""
     if c <= 0:
@@ -2087,6 +2230,7 @@ def fused_backward_grads(
     chunk: int,
     threads: int | None = None,
     planes: tuple[np.ndarray, np.ndarray] | None = None,
+    xq_bounds: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Fused difference-LUT backward: gradient-table gather + reduce.
 
@@ -2109,7 +2253,8 @@ def fused_backward_grads(
     float32 tables), a qualifying call runs the in-register AVX-512 VBMI
     body instead of the scalar loop (:func:`_gather_body`, with no bound
     on K and its own crossover, ``C >= VBMI_BWD_MIN_C``), in the same
-    float order.  Used as given, like :func:`fused_product_sums`'s.
+    float order.  Used as given, like :func:`fused_product_sums`'s, and
+    so is ``xq_bounds``.
 
     Returns ``(gw, gx)`` as float64 ``(M, K)`` / ``(K, C)`` arrays, or
     ``None`` when the kernel is unavailable.  Raises ``ValueError`` when
@@ -2150,7 +2295,7 @@ def fused_backward_grads(
     gx = np.empty((k2, c), dtype=np.float64)
     fast, vbmi = _gather_body(
         min(grad_w_flat.size, grad_x_flat.size), wrow, xq, planes,
-        max_k=None, min_c=VBMI_BWD_MIN_C,
+        xq_bounds=xq_bounds, max_k=None, min_c=VBMI_BWD_MIN_C,
     )
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _chunk_ranges(c, chunk, nthreads)

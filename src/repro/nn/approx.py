@@ -17,6 +17,14 @@ The ``- Z_x`` / ``- Z_w`` terms come from differentiating Eq. 8's cross
 terms; with STE tables (gradW = X, gradX = W) the expressions reduce
 exactly to ordinary fake-quantized convolution gradients, which is the
 correctness anchor used by the tests.
+
+The conv layer works on the image, not on its patch columns: it
+quantizes the float image once and unfolds the integers
+(:func:`im2col_int`, padded with ``Z_x``), masks ``1[x in range]`` per
+pixel, and folds the engine's raw activation gradient straight back onto
+the image (:func:`repro.core.execcore.fold_input_grad`).  Every value is
+the one quantizing the float columns and folding them with ``col2im``
+would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor, is_grad_enabled
+from repro.core import execcore, lutkernel
 from repro.core.gradient import GradientPair, gradient_luts
 from repro.core.lutgemm import DEFAULT_CHUNK, LutGemm, get_engine
 from repro.errors import QuantizationError
@@ -51,6 +60,7 @@ __all__ = [
     "ApproxConv2d",
     "ApproxLinear",
     "FrozenAffine",
+    "im2col_int",
 ]
 
 
@@ -180,7 +190,9 @@ class FrozenAffine:
 
     # ------------------------------------------------------------------
     # Integer serving-plan support (no float anywhere).
-    def gather_int(self, xq: np.ndarray, acc_dtype=np.int64) -> np.ndarray:
+    def gather_int(
+        self, xq: np.ndarray, acc_dtype=np.int64, colsum=None
+    ) -> np.ndarray:
         """Input-dependent Eq. 8 work in pure integers: ``(K, C) -> (M, C)``.
 
         Returns the corrected accumulator ``A = acc - Z_w * colsum`` as
@@ -193,10 +205,13 @@ class FrozenAffine:
         ``acc_dtype`` selects the engine's accumulator output width
         (int32 halves gather write traffic when
         :meth:`repro.core.lutgemm.LutGemm.int32_acc_safe` allows it); the
-        returned array is always int64 after correction.
+        returned array is always int64 after correction.  ``colsum`` is
+        ``xq``'s (C,) int64 column sums when the caller has them
+        (:func:`im2col_int` does).
         """
         acc = self.engine.product_sums(self.wq, xq, acc_dtype=acc_dtype)
-        colsum = xq.sum(axis=0, dtype=np.int64)  # (C,)
+        if colsum is None:
+            colsum = xq.sum(axis=0, dtype=np.int64)  # (C,)
         if isinstance(self.zw_int, np.ndarray):
             return acc - self.zw_int[:, None] * colsum[None, :]
         return acc - self.zw_int * colsum[None, :]
@@ -275,23 +290,38 @@ class _ApproxBase(Module):
         return FrozenAffine(self, private_engine=private_engine)
 
     # ------------------------------------------------------------------
+    def _x_range(self) -> tuple[float, float]:
+        """The float activation range Eq. 7 represents (clipped-STE mask)."""
+        qp = self.quant.x_qparams
+        return (
+            (qp.qmin - qp.zero_point) * qp.scale,
+            (qp.qmax - qp.zero_point) * qp.scale,
+        )
+
     def _approx_affine(
         self,
         x: Tensor,
-        cols: np.ndarray,  # (N, K, L) float patches/features
+        xq: np.ndarray,  # (K, C) int32 gather operand
+        colsum: np.ndarray,  # (C,) int64 column sums of xq
+        xq_bounds: tuple[int, int] | None,
         weight: Tensor,
         wmat: np.ndarray,  # (M, K) float view of the weight
         bias: Tensor | None,
+        float_cols,
         fold_x_grad,
     ) -> Tensor:
-        """Quantize, LUT-multiply, dequantize; wire the Eq. 9 backward.
+        """LUT-multiply, dequantize; wire the Eq. 9 backward.
 
-        ``fold_x_grad(gx_cols)`` maps the (N, K, L) activation-column
-        gradient back to the input tensor's shape.
-        Returns a Tensor of shape (N, M, L).
+        The layer has already quantized its input into the gather
+        operand ``xq`` (``xq_bounds``: its ``(min, max)`` when known).
+        ``float_cols()`` builds the (N, K, L) float columns ``xq`` was
+        quantized from; only the saturation probe calls it, and only
+        when it samples.  ``fold_x_grad(gx_raw, zcol)`` maps the
+        engine's raw (K, C) activation gradient and its zero-point
+        column term (:meth:`LutGemm.backward_raw`) to the input's
+        gradient.  Returns a Tensor of shape (N, M, L).
         """
         qs = self.quant
-        qs.require_frozen(type(self).__name__)
         per_channel = isinstance(qs.w_qparams, ChannelQuantParams)
         if per_channel:
             wq = quantize_per_channel(wmat, qs.w_qparams)  # (M, K)
@@ -304,11 +334,9 @@ class _ApproxBase(Module):
             sw = qs.w_qparams.scale
             zw = float(qs.w_qparams.zero_point)
             sw_col, zw_col = sw, zw
-        n, k, l = cols.shape
-        with _TRACE.span("approx.quantize", cat="approx"):
-            xq = quantize_array(cols, qs.x_qparams).transpose(1, 0, 2).reshape(
-                k, n * l
-            )
+        n = x.shape[0]
+        k, c = xq.shape
+        l = c // n if n else 0
         sx, zx = qs.x_qparams.scale, qs.x_qparams.zero_point
         m = wmat.shape[0]
 
@@ -317,30 +345,29 @@ class _ApproxBase(Module):
             # wired into the tape, so the engine can skip the operand
             # snapshot that enables backward index reuse.
             acc = self.engine.product_sums(
-                wq, xq, record_backward=is_grad_enabled()
+                wq, xq, record_backward=is_grad_enabled(),
+                xq_bounds=xq_bounds,
             )  # (M, N*L) int64
         with _TRACE.span("approx.dequantize", cat="approx"):
             # Eq. 8 zero-point corrections (accumulated over K terms).
             acc = acc.astype(np.float64)
             acc -= zx * wq.sum(axis=1, dtype=np.int64)[:, None]
-            acc -= zw_col * xq.sum(axis=0, dtype=np.int64)[None, :]
+            acc -= zw_col * colsum[None, :]
             acc += k * zw_col * zx
             y = (sw_col * sx) * acc  # (M, N*L)
             y = y.reshape(m, n, l).transpose(1, 0, 2)  # (N, M, L)
 
-        # Clipped-STE masks for Q' (Eq. 9): gradient only flows where the
-        # float value fell inside the representable range.
+        # Clipped-STE mask for Q' (Eq. 9): gradient only flows where the
+        # float weight fell inside the representable range (the layer
+        # masks its activations the same way, on its input).
         w_lo = (qs.w_qparams.qmin - zw_col) * sw_col
         w_hi = (qs.w_qparams.qmax - zw_col) * sw_col
-        x_lo = (qs.x_qparams.qmin - zx) * sx
-        x_hi = (qs.x_qparams.qmax - zx) * sx
         wmask = (wmat >= w_lo) & (wmat <= w_hi)
-        xmask = (cols >= x_lo) & (cols <= x_hi)
         if _HEALTH.enabled:
-            # Passive probe: reads the masks/ranges already computed above,
+            # Passive probe: reads the mask/ranges already computed above,
             # touches no engine state, consumes no RNG.
             _HEALTH.observe_saturation(
-                self, wmat, cols, wmask, xmask, w_lo, w_hi, x_lo, x_hi
+                self, wmat, wmask, w_lo, w_hi, *self._x_range(), float_cols
             )
 
         engine = self.engine
@@ -350,7 +377,9 @@ class _ApproxBase(Module):
                 g.transpose(1, 0, 2).reshape(m, n * l) * (sw_col * sx)
             )
             with _TRACE.span("approx.gemm_backward", cat="approx"):
-                gw_int, gx_int = engine.backward_grads(wq, xq, gmat, zw, zx)
+                gw_int, gx_raw, zcol = engine.backward_raw(
+                    wq, xq, gmat, zw, zx, xq_bounds
+                )
             if _HEALTH.enabled:
                 # Gradient-quality probe on the live operands/upstream
                 # gradient, after the real backward so scratch reuse in the
@@ -359,9 +388,7 @@ class _ApproxBase(Module):
             # dW/dw = 1/s_w, dX/dx = 1/s_x (STE through round), so the s_w
             # (resp. s_x) factors cancel one of the two scales in DQ'.
             gw = (gw_int / sw_col) * wmask
-            gx_cols = (gx_int / sx).reshape(k, n, l).transpose(1, 0, 2)
-            gx_cols = gx_cols * xmask
-            gx = fold_x_grad(gx_cols)
+            gx = fold_x_grad(gx_raw, zcol)
             gb = g.sum(axis=(0, 2)) if bias is not None else None
             gw = gw.reshape(weight.shape)
             return (gx, gw, gb) if bias is not None else (gx, gw)
@@ -371,6 +398,36 @@ class _ApproxBase(Module):
             out = out + bias.data.reshape(1, m, 1)
         parents = (x, weight) if bias is None else (x, weight, bias)
         return Tensor.make(out, parents, backward)
+
+
+def im2col_int(
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, zx: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantized im2col: the gather operand of an approximate conv layer.
+
+    Unfolds a quantized ``(N, C, H, W)`` image into ``(xq, colsum)``:
+    the ``(C*kh*kw, N*OH*OW)`` int32 operand the LUT gathers read (the
+    layout of ``im2col(x).transpose(1, 0, 2).reshape(K, -1)``) and its
+    int64 column sums (the Eq. 8 weight-zero-point operand).  The border
+    is padded with the activation zero point ``zx``: ``Q(0) == Z``, so
+    this equals quantizing the float columns.  A uint8 image takes the
+    C unfold (:func:`repro.core.lutkernel.im2col_serve`, sums fused in)
+    when the serving self-check trusts it; any other image, or no C
+    kernel, takes numpy's :func:`repro.nn.functional.im2col`.  Counted
+    as ``approx.im2col.c`` / ``approx.im2col.numpy``.  Shared by the
+    training forward and the serving plan's gather ops.
+    """
+    if x.dtype == np.uint8 and execcore.serve_kernel_trusted():
+        res = lutkernel.im2col_serve(x, kh, kw, stride, pad, zx)
+        if res is not None:
+            _TRACE.count("approx.im2col.c")
+            return res
+    _TRACE.count("approx.im2col.numpy")
+    cols = F.im2col(x, kh, kw, stride, pad, pad_value=zx)
+    xq = np.ascontiguousarray(
+        cols.transpose(1, 0, 2).reshape(cols.shape[1], -1), dtype=np.int32
+    )
+    return xq, xq.sum(axis=0, dtype=np.int64)
 
 
 class ApproxConv2d(_ApproxBase):
@@ -423,18 +480,43 @@ class ApproxConv2d(_ApproxBase):
             self.quant.x_observer.update(x.data)
             return F.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
+        self.quant.require_frozen(type(self).__name__)
         n, c, h, w = x.shape
         kh = kw = self.kernel_size
-        oh, ow = F.conv_output_size(h, w, kh, kw, self.stride, self.padding)
-        cols = F.im2col(x.data, kh, kw, self.stride, self.padding)
+        stride, pad = self.stride, self.padding
+        oh, ow = F.conv_output_size(h, w, kh, kw, stride, pad)
+        qp = self.quant.x_qparams
+        with _TRACE.span("approx.quantize", cat="approx"):
+            # Quantize the image, not its columns (kh * kw times as many
+            # values), then unfold the integers padded with Z_x.
+            ximg = quantize_array(x.data, qp)
+            zx = qp.zero_point
+            lo, hi = (int(ximg.min()), int(ximg.max())) if ximg.size else (zx, zx)
+            if pad:
+                lo, hi = min(lo, zx), max(hi, zx)
+            # The bounds of xq guard the uint8 narrowing and spare the
+            # gathers their operand scans.  A NaN activation quantizes to
+            # INT32_MIN: the int32 unfold, and the gathers' clamp loops.
+            if 0 <= lo and hi <= 0xFF:
+                ximg = ximg.astype(np.uint8)
+            xq, colsum = im2col_int(ximg, kh, kw, stride, pad, zx)
+        x_lo, x_hi = self._x_range()
+        xmask = (x.data >= x_lo) & (x.data <= x_hi)  # per pixel
         wmat = self.weight.data.reshape(self.out_channels, -1)
 
-        def fold_x_grad(gx_cols):
-            return F.col2im(
-                gx_cols, x.shape, kh, kw, self.stride, self.padding
-            )
+        def float_cols():
+            return F.im2col(x.data, kh, kw, stride, pad)
 
-        out = self._approx_affine(x, cols, self.weight, wmat, self.bias, fold_x_grad)
+        def fold_x_grad(gx_raw, zcol):
+            with _TRACE.span("approx.fold", cat="approx"):
+                return execcore.fold_input_grad(
+                    gx_raw, zcol, qp.scale, xmask, kh, kw, stride, pad
+                )
+
+        out = self._approx_affine(
+            x, xq, colsum, (lo, hi), self.weight, wmat, self.bias,
+            float_cols, fold_x_grad,
+        )
         return out.reshape(n, self.out_channels, oh, ow)
 
 
@@ -472,13 +554,24 @@ class ApproxLinear(_ApproxBase):
             self.quant.x_observer.update(x.data)
             return F.linear(x, self.weight, self.bias)
 
+        self.quant.require_frozen(type(self).__name__)
         n = x.shape[0]
-        cols = x.data.reshape(n, self.in_features, 1)  # (N, K, 1)
+        qp = self.quant.x_qparams
+        with _TRACE.span("approx.quantize", cat="approx"):
+            xq = quantize_array(x.data, qp).T  # (K, N)
+            colsum = xq.sum(axis=0, dtype=np.int64)
+        x_lo, x_hi = self._x_range()
+        xmask = (x.data >= x_lo) & (x.data <= x_hi)  # (N, K)
 
-        def fold_x_grad(gx_cols):
-            return gx_cols.reshape(n, self.in_features)
+        def float_cols():
+            return x.data.reshape(n, self.in_features, 1)  # (N, K, 1)
+
+        def fold_x_grad(gx_raw, zcol):
+            gx_raw -= zcol[None, :]
+            return (gx_raw / qp.scale).T * xmask
 
         out = self._approx_affine(
-            x, cols, self.weight, self.weight.data, self.bias, fold_x_grad
+            x, xq, colsum, None, self.weight, self.weight.data, self.bias,
+            float_cols, fold_x_grad,
         )
         return out.reshape(n, self.out_features)

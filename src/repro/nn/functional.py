@@ -279,12 +279,10 @@ def batch_norm2d(
         gbeta = g.sum(axis=(0, 2, 3)).reshape(gshape)
         gxhat = g * gamma.data.reshape(1, -1, 1, 1)
         if training:
-            cnt = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             term1 = gxhat
             term2 = gxhat.mean(axis=(0, 2, 3), keepdims=True)
             term3 = xhat * (gxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
             gx = (term1 - term2 - term3) * s
-            del cnt
         else:
             gx = gxhat * s
         return (gx, ggamma, gbeta)

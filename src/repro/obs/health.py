@@ -292,22 +292,27 @@ class HealthMonitor:
         self,
         layer,
         wmat: np.ndarray,
-        cols: np.ndarray,
         wmask: np.ndarray,
-        xmask: np.ndarray,
         w_lo, w_hi, x_lo, x_hi,
+        float_cols,
     ) -> None:
         """Record clip rates and range drift for one forward pass.
 
-        ``wmask``/``xmask`` are the clipped-STE in-range masks the layer
-        already computed; drift measures how far the live float tensors
-        extend beyond the frozen quantization range, normalized by the
-        range span (0 = fully inside).
+        ``wmask`` is the clipped-STE in-range weight mask the layer
+        already computed.  ``float_cols()`` returns the layer's (N, K, L)
+        float activation columns; it is called only when this call
+        samples, so activation rates stay patch-weighted (a pixel counts
+        once per tap) without the layer building columns every step.
+        Drift measures how far the live float tensors extend beyond the
+        frozen quantization range, normalized by the range span (0 =
+        fully inside).
         """
         if not self.enabled:
             return
         if not self._should_sample((id(layer), "sat")):
             return
+        cols = float_cols()
+        xmask = (cols >= x_lo) & (cols <= x_hi)
         w_sat = 1.0 - float(np.mean(wmask))
         x_sat = 1.0 - float(np.mean(xmask))
         w_span = np.maximum(np.asarray(w_hi, dtype=np.float64) - w_lo, 1e-30)

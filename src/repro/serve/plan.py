@@ -61,7 +61,12 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import PlanShapeError, ServeError
 from repro.nn import functional as F
-from repro.nn.approx import ApproxConv2d, ApproxLinear, FrozenAffine
+from repro.nn.approx import (
+    ApproxConv2d,
+    ApproxLinear,
+    FrozenAffine,
+    im2col_int,
+)
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -541,7 +546,6 @@ class _FusedIntFn:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         fa = self.fa
-        from repro.core import execcore, lutkernel
 
         # Plan inputs to a fused op are uint8 activations (and the
         # im2col pad value is the uint8 zero point), so the gather
@@ -555,29 +559,10 @@ class _FusedIntFn:
             oh, ow = F.conv_output_size(
                 h, w, self.kh, self.kw, self.stride, self.pad
             )
-            # Padding with Z_x is bit-identical to padding the float
-            # tensor with 0 and quantizing (Q(0) == Z).
             with _TRACE.span("serve.im2col", cat="serve"):
-                res = (
-                    lutkernel.im2col_serve(
-                        x, self.kh, self.kw, self.stride, self.pad, self.zx
-                    )
-                    if x.dtype == np.uint8
-                    and execcore.serve_kernel_trusted()
-                    else None
+                xq, colsum = im2col_int(
+                    x, self.kh, self.kw, self.stride, self.pad, self.zx
                 )
-                if res is not None:
-                    xq, colsum = res
-                else:
-                    cols = F.im2col(
-                        x, self.kh, self.kw, self.stride, self.pad,
-                        pad_value=self.zx,
-                    )
-                    xq = np.ascontiguousarray(
-                        cols.transpose(1, 0, 2).reshape(fa.k, n * oh * ow),
-                        dtype=np.int32,
-                    )
-                    colsum = None
             q = self._gemm(xq, xqb, colsum)  # (M, C) uint8
             return (
                 q.reshape(fa.m, n, oh * ow)
@@ -1084,14 +1069,8 @@ def _compile_approx_conv(module, ctx, prefix):
             n, c, h, w = xq_img.shape
             oh, ow = F.conv_output_size(h, w, kh, kw, stride, pad)
             with _TRACE.span("serve.int_gather", cat="serve"):
-                # Padding with Z_x is bit-identical to padding the float
-                # tensor with 0 and quantizing (Q(0) == Z).
-                cols = F.im2col(xq_img, kh, kw, stride, pad, pad_value=zx)
-                xq = np.ascontiguousarray(
-                    cols.transpose(1, 0, 2).reshape(fa.k, n * oh * ow),
-                    dtype=np.int32,
-                )
-                acc = fa.gather_int(xq, acc_dtype)
+                xq, colsum = im2col_int(xq_img, kh, kw, stride, pad, zx)
+                acc = fa.gather_int(xq, acc_dtype, colsum)
             return (
                 acc.reshape(fa.m, n, oh * ow)
                 .transpose(1, 0, 2)

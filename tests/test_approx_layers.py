@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.core import execcore
 from repro.core.gradient import gradient_luts
 from repro.errors import QuantizationError
 from repro.multipliers import get_multiplier
@@ -16,7 +17,13 @@ from repro.multipliers.exact import ExactMultiplier
 from repro.nn import ApproxConv2d, ApproxLinear
 from repro.nn import functional as F
 from repro.nn.approx import LutGemm
-from repro.nn.quant import fake_quantize
+from repro.nn.quant import (
+    ChannelQuantParams,
+    fake_quantize,
+    quantize_array,
+    quantize_per_channel,
+)
+from repro.obs.trace import tracing
 
 rng = np.random.default_rng(21)
 
@@ -204,3 +211,238 @@ def test_eq8_zero_point_corrections_exact():
     xq = fake_quantize(Tensor(x), layer.quant.x_qparams)
     ref = F.conv2d(xq, wq, None, 1, 0)
     assert np.allclose(out.data, ref.data, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Image-native conv vs the float-column pipeline it replaced
+# ---------------------------------------------------------------------------
+#
+# ``_float_column_reference`` is the approximate conv as it used to run:
+# im2col of the float image, quantize the columns, gather, and in the
+# backward subtract the zero-point term, divide by s_x, mask the columns
+# and col2im.  The layer now quantizes the image, unfolds integers and
+# folds the input gradient in one pass; every number must stay the same,
+# bit for bit (``tobytes``, so signed zeros count).
+
+_PARITY_MULT = get_multiplier("mul8u_2NDH")
+_PARITY_GRADS = {
+    "difference": gradient_luts(_PARITY_MULT, "difference", hws=2),
+    "ste": gradient_luts(_PARITY_MULT, "ste"),
+}
+#: (kernel, stride, pad, h, w): kernels 1 and 3, strides 1 and 2, pads 0
+#: and 1, and shapes where (h + 2p - k) % s != 0 (rows and columns the
+#: last window never reaches).
+PARITY_GEOMETRIES = [
+    (1, 1, 0, 5, 6),
+    (1, 2, 0, 7, 6),
+    (3, 1, 0, 6, 7),
+    (3, 1, 1, 6, 6),
+    (3, 2, 1, 7, 7),
+    (3, 2, 1, 8, 9),
+    (3, 2, 0, 8, 6),
+]
+
+
+def _float_column_reference(layer, x, g):
+    """``(y, gx, gw, gb)`` of the old float-column conv pipeline."""
+    qs = layer.quant
+    kh = kw = layer.kernel_size
+    stride, pad = layer.stride, layer.padding
+    cols = F.im2col(x, kh, kw, stride, pad)
+    wmat = layer.weight.data.reshape(layer.out_channels, -1)
+    if isinstance(qs.w_qparams, ChannelQuantParams):
+        wq = quantize_per_channel(wmat, qs.w_qparams)
+        sw = qs.w_qparams.scales
+        zw = qs.w_qparams.zero_points.astype(np.float64)
+        sw_col, zw_col = sw[:, None], zw[:, None]
+    else:
+        wq = quantize_array(wmat, qs.w_qparams)
+        sw = qs.w_qparams.scale
+        zw = float(qs.w_qparams.zero_point)
+        sw_col, zw_col = sw, zw
+    n, k, l = cols.shape
+    xq = quantize_array(cols, qs.x_qparams).transpose(1, 0, 2).reshape(
+        k, n * l
+    )
+    sx, zx = qs.x_qparams.scale, qs.x_qparams.zero_point
+    m = wmat.shape[0]
+    acc = layer.engine.product_sums(wq, xq).astype(np.float64)
+    acc -= zx * wq.sum(axis=1, dtype=np.int64)[:, None]
+    acc -= zw_col * xq.sum(axis=0, dtype=np.int64)[None, :]
+    acc += k * zw_col * zx
+    y = ((sw_col * sx) * acc).reshape(m, n, l).transpose(1, 0, 2)
+    y = y + layer.bias.data.reshape(1, m, 1)
+    w_lo = (qs.w_qparams.qmin - zw_col) * sw_col
+    w_hi = (qs.w_qparams.qmax - zw_col) * sw_col
+    x_lo = (qs.x_qparams.qmin - zx) * sx
+    x_hi = (qs.x_qparams.qmax - zx) * sx
+    wmask = (wmat >= w_lo) & (wmat <= w_hi)
+    xmask = (cols >= x_lo) & (cols <= x_hi)
+    gmat = g.transpose(1, 0, 2).reshape(m, n * l) * (sw_col * sx)
+    gw_int, gx_int = layer.engine.backward_grads(wq, xq, gmat, zw, zx)
+    gw = ((gw_int / sw_col) * wmask).reshape(layer.weight.shape)
+    gx_cols = (gx_int / sx).reshape(k, n, l).transpose(1, 0, 2) * xmask
+    gx = F.col2im(gx_cols, x.shape, kh, kw, stride, pad)
+    return y, gx, gw, g.sum(axis=(0, 2))
+
+
+def _parity_conv(kernel, stride, pad, method, per_channel, x):
+    layer = ApproxConv2d(
+        4, 8, kernel, multiplier=_PARITY_MULT, stride=stride, padding=pad,
+        gradients=_PARITY_GRADS[method],
+        per_channel_weights=per_channel, rng=np.random.default_rng(5),
+    )
+    layer.bias.data = np.random.default_rng(6).normal(size=8)
+    layer.calibrating = True
+    layer(Tensor(x))
+    layer.freeze_quantization()
+    return layer
+
+
+def _layer_grads(layer, x, g):
+    """The approx node's own ``(gx, gw, gb)``, before leaf accumulation
+    (which would turn a -0.0 into +0.0), plus the leaf grads."""
+    xt = Tensor(x, requires_grad=True)
+    layer.weight.grad = layer.bias.grad = None
+    out = layer(xt)
+    node = out._parents[0]  # out is the (N, M, L) -> NCHW reshape
+    raw = node._backward(g)
+    out.backward(g.reshape(out.shape))
+    return out.data, raw, (xt.grad, layer.weight.grad, layer.bias.grad)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_parity(layer, x):
+    m = layer.out_channels
+    oh, ow = F.conv_output_size(
+        x.shape[2], x.shape[3], layer.kernel_size, layer.kernel_size,
+        layer.stride, layer.padding,
+    )
+    g = np.random.default_rng(7).normal(size=(x.shape[0], m, oh * ow))
+    g[:, :, ::5] = 0.0  # zero upstream gradients: signed-zero products
+    y, raw, leaves = _layer_grads(layer, x, g)
+    ry, rgx, rgw, rgb = _float_column_reference(layer, x, g)
+    assert _same_bits(y, ry.reshape(y.shape))
+    gx, gw, gb = raw
+    assert _same_bits(gx, rgx)
+    assert _same_bits(gw, rgw)
+    assert _same_bits(gb, rgb)
+    # The leaves start from zeros, exactly as the old pipeline's did.
+    for got, want in zip(leaves, (rgx, rgw, rgb)):
+        assert _same_bits(got, np.zeros_like(want) + want)
+
+
+@pytest.fixture(params=["c", "numpy"])
+def conv_backend(request, monkeypatch):
+    if request.param == "numpy":
+        monkeypatch.setenv("REPRO_NO_CCKERNEL", "1")
+    return request.param
+
+
+@pytest.mark.parametrize("kernel,stride,pad,h,w", PARITY_GEOMETRIES)
+@pytest.mark.parametrize("method", ["difference", "ste"])
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_image_native_conv_matches_float_columns(
+    kernel, stride, pad, h, w, method, per_channel, conv_backend
+):
+    x = np.random.default_rng(h * 10 + w).normal(size=(3, 4, h, w))
+    layer = _parity_conv(kernel, stride, pad, method, per_channel, x)
+    # Activations exactly on the clipped-STE mask edges, and just past them.
+    x_lo, x_hi = layer._x_range()
+    x2 = x * 1.3
+    x2[0, 0, 0, :3] = (x_lo, x_hi, np.nextafter(x_hi, np.inf))
+    x2[1, 2, -1, -2:] = (np.nextafter(x_lo, -np.inf), x_lo)
+    _assert_parity(layer, x2)
+
+
+def test_image_native_conv_takes_the_c_unfold_and_fold(conv_backend):
+    """The C leg really runs the C unfold; the numpy leg never does."""
+    x = np.random.default_rng(1).normal(size=(3, 4, 8, 8))
+    layer = _parity_conv(3, 1, 1, "difference", False, x)
+    c_live = conv_backend == "c" and execcore.backend_info()[
+        "backward_backend"
+    ] == "c"
+    with tracing() as tr:
+        _layer_grads(layer, x, np.ones((3, 8, 64)))
+        counts = tr.counters()
+    assert counts.get("approx.im2col.c", 0) == (1 if c_live else 0)
+    assert counts.get("approx.im2col.numpy", 0) == (0 if c_live else 1)
+    stats = {k[0] for k in tr.stats()}
+    assert ("lutkernel.fold_input_grad" in stats) == c_live
+    assert "approx.quantize" in stats
+
+
+def test_image_native_conv_nan_activation(conv_backend):
+    """A NaN pixel quantizes to INT32_MIN: the int32 unfold, the clamped
+    gathers, and still the old pipeline's numbers."""
+    x = np.random.default_rng(2).normal(size=(3, 4, 7, 7))
+    layer = _parity_conv(3, 2, 1, "difference", False, x)
+    x[1, 3, 2, 4] = np.nan
+    with np.errstate(invalid="ignore"), tracing() as tr:
+        _assert_parity(layer, x)
+        counts = tr.counters()
+    assert counts.get("approx.im2col.c", 0) == 0
+    assert counts.get("approx.im2col.numpy", 0) >= 1
+
+
+def test_uncalibrated_conv_raises_before_quantizing(monkeypatch):
+    import repro.nn.approx as approx
+
+    def no_quantize(*_a, **_k):
+        raise AssertionError("quantized before the calibration check")
+
+    monkeypatch.setattr(approx, "quantize_array", no_quantize)
+    layer = ApproxConv2d(3, 4, 3, multiplier=ExactMultiplier(6), padding=1)
+    with pytest.raises(QuantizationError):
+        layer(Tensor(rng.normal(size=(1, 3, 5, 5))))
+    lin = ApproxLinear(5, 2, multiplier=ExactMultiplier(6))
+    with pytest.raises(QuantizationError):
+        lin(Tensor(rng.normal(size=(2, 5))))
+
+
+def test_saturation_probe_reads_float_columns_only_when_sampling(
+    monkeypatch,
+):
+    """x_sat / x_drift stay patch-weighted over the float columns, and the
+    layer builds those columns only on the probe's sampled calls."""
+    from repro.obs import telemetry
+    from repro.obs.health import get_monitor
+    from repro.obs.telemetry import get_registry
+
+    x = np.random.default_rng(3).normal(size=(2, 4, 6, 6))
+    layer = _parity_conv(3, 1, 1, "difference", False, x)
+    x_lo, x_hi = layer._x_range()
+    x = x * 2.5  # well past the calibrated range
+    cols = F.im2col(x, 3, 3, 1, 1)
+    xmask = (cols >= x_lo) & (cols <= x_hi)
+    span = max(float(x_hi) - float(x_lo), 1e-30)
+    want_sat = 1.0 - float(np.mean(xmask))
+    want_drift = float(np.mean(
+        np.maximum(np.maximum(x_lo - cols, cols - x_hi), 0.0) / span
+    ))
+    float_unfolds = []
+    real_im2col = F.im2col
+
+    def counting_im2col(arr, *a, **k):
+        if arr.dtype.kind == "f":
+            float_unfolds.append(arr.shape)
+        return real_im2col(arr, *a, **k)
+
+    monkeypatch.setattr(F, "im2col", counting_im2col)
+    try:
+        telemetry.enable(sample_every=2, sample_cols=8)
+        for _ in range(3):
+            layer(Tensor(x))
+        assert len(float_unfolds) == 2  # calls 1 and 3 sample
+        rec = get_monitor().flush_epoch(0)
+        stats = next(iter(rec["layers"].values()))
+        assert stats["x_sat"] == want_sat
+        assert stats["x_drift"] == want_drift
+    finally:
+        telemetry.disable()
+        get_monitor().reset()
+        get_registry().reset()

@@ -526,6 +526,111 @@ def test_backward_self_check_passes_on_healthy_kernel(restore_backend):
 
 
 # ----------------------------------------------------------------------
+# The input-gradient fold: C against its numpy reference.
+FOLD_GEOMETRIES = [
+    # (n, cin, h, w, kh, kw, stride, pad)
+    (2, 3, 6, 6, 3, 3, 1, 1),
+    (3, 2, 7, 8, 3, 3, 2, 1),
+    (2, 2, 8, 6, 3, 3, 2, 0),
+    (4, 1, 5, 5, 1, 1, 2, 0),
+    (1, 3, 4, 7, 2, 3, 2, 2),
+    (5, 2, 9, 9, 3, 3, 1, 0),
+]
+
+
+def _fold_operands(n, c, h, w, kh, kw, stride, pad, seed=0):
+    rng = np.random.default_rng(seed)
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    gx = rng.normal(size=(c * kh * kw, n * oh * ow))
+    gx.flat[::9] = -0.0
+    zcol = rng.normal(size=n * oh * ow)
+    zcol[::4] = 0.0
+    mask = rng.random((n, c, h, w)) < 0.75
+    return gx, zcol, mask
+
+
+@requires_kernel
+@pytest.mark.parametrize("geom", FOLD_GEOMETRIES)
+@pytest.mark.parametrize("threads", [1, 2, 7])
+def test_fold_matches_numpy_reference(geom, threads):
+    n, c, h, w, kh, kw, stride, pad = geom
+    gx, zcol, mask = _fold_operands(*geom)
+    want = execcore._numpy_fold(gx, zcol, 0.0173, mask, kh, kw, stride, pad)
+    got = lutkernel.fold_input_grad(
+        gx, zcol, 0.0173, mask, kh, kw, stride, pad, threads
+    )
+    assert got.shape == (n, c, h, w) and got.flags.c_contiguous
+    assert same_bits((got,), (np.ascontiguousarray(want),))
+
+
+def test_fold_reference_is_col2im_arithmetic():
+    """The numpy fold is the old subtract / divide / mask / col2im chain."""
+    from repro.nn import functional as F
+
+    for geom in FOLD_GEOMETRIES:
+        n, c, h, w, kh, kw, stride, pad = geom
+        gx, zcol, mask = _fold_operands(*geom, seed=1)
+        oh = (h + 2 * pad - kh) // stride + 1
+        ow = (w + 2 * pad - kw) // stride + 1
+        padded = np.pad(mask, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        cmask = F.im2col(padded, kh, kw, stride, 0)  # per-tap pixel mask
+        g = gx.copy()
+        g -= zcol[None, :]
+        cols = (g / 0.0173).reshape(c * kh * kw, n, oh * ow)
+        want = F.col2im(
+            cols.transpose(1, 0, 2) * cmask, (n, c, h, w), kh, kw, stride,
+            pad,
+        )
+        got = execcore._numpy_fold(gx, zcol, 0.0173, mask, kh, kw, stride, pad)
+        assert same_bits(
+            (np.ascontiguousarray(got),), (np.ascontiguousarray(want),)
+        )
+
+
+def test_fold_rejects_mismatched_shapes():
+    gx, zcol, mask = _fold_operands(*FOLD_GEOMETRIES[0])
+    with pytest.raises(ValueError):
+        lutkernel.fold_input_grad(gx[:, 1:], zcol[1:], 0.5, mask, 3, 3, 1, 1)
+    with pytest.raises(ValueError):
+        lutkernel.fold_input_grad(gx, zcol, 0.5, mask, 3, 3, 2, 1)
+    # A 9x9 kernel on 6x6 images: OH = OW = -2, whose product would pass
+    # a bare shape check.
+    with pytest.raises(ValueError):
+        lutkernel.fold_input_grad(
+            np.zeros((3 * 81, 2 * 4)), np.zeros(2 * 4), 0.5, mask, 9, 9, 1, 0
+        )
+
+
+def test_fold_self_check_failure_pins_numpy(monkeypatch, restore_backend):
+    """A wrong C fold fails the backward self-check: one warning, and the
+    backward and the fold both run on numpy, with identical results."""
+    if not lutkernel.kernel_available():
+        pytest.skip("C kernel unavailable")
+    real = lutkernel.fold_input_grad
+
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out is not None:
+            out.view(np.uint64).flat[0] ^= 1
+        return out
+
+    monkeypatch.setattr(lutkernel, "fold_input_grad", corrupted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert not execcore.backward_kernel_trusted()
+    assert sum("fold" in str(w.message) for w in caught) == 1
+    assert execcore.backend_info()["backward_backend"] == "numpy"
+    geom = FOLD_GEOMETRIES[1]
+    gx, zcol, mask = _fold_operands(*geom)
+    got = execcore.fold_input_grad(gx, zcol, 0.25, mask, *geom[4:])
+    want = execcore._numpy_fold(gx, zcol, 0.25, mask, *geom[4:])
+    assert same_bits(
+        (np.ascontiguousarray(got),), (np.ascontiguousarray(want),)
+    )
+
+
+# ----------------------------------------------------------------------
 # record_backward semantics through the shared core.
 def test_record_backward_false_invalidates_stale_index():
     # fwd(A) records operands; fwd(B) with record_backward=False reuses
