@@ -201,29 +201,31 @@ def backward_grads(
     xq: np.ndarray,
     gout: np.ndarray,
     xq_bounds: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    need_gx: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Eq. 9 inner sums ``(gw, gx)`` on the best backend.
 
     ``gout`` must already be float32 C-contiguous (the engine
     normalizes it once, before the zero-point math that shares it).
-    ``xq_bounds`` as for :func:`product_sums`.
+    ``xq_bounds`` as for :func:`product_sums`.  ``need_gx=False`` skips
+    the ``gx`` sum on both backends and returns ``(gw, None)``.
     """
     m, k = wq.shape
     c = xq.shape[1]
     if m * k * c >= FUSED_MIN_ELEMS and backward_kernel_trusted():
-        res = _c_backward(engine, wq, xq, gout, xq_bounds)
+        res = _c_backward(engine, wq, xq, gout, xq_bounds, need_gx)
         if res is not None:
             return res
-    return _numpy_backward(engine, wq, xq, gout)
+    return _numpy_backward(engine, wq, xq, gout, need_gx)
 
 
-def _c_backward(engine, wq, xq, gout, xq_bounds):
+def _c_backward(engine, wq, xq, gout, xq_bounds, need_gx):
     wrow = (wq * engine.levels).astype(np.int64)
     xq32 = np.ascontiguousarray(xq, dtype=np.int32)
     planes = engine._grad_byte_planes() if lutkernel.vbmi_trusted() else None
     res = lutkernel.fused_backward_grads(
         engine.grad_w_flat, engine.grad_x_flat, wrow, xq32, gout,
-        engine.chunk, None, planes, xq_bounds,
+        engine.chunk, None, planes, xq_bounds, need_gx,
     )
     if res is not None:
         engine.ckernel_backward_calls += 1
@@ -231,14 +233,14 @@ def _c_backward(engine, wq, xq, gout, xq_bounds):
     return res
 
 
-def _numpy_backward(engine, wq, xq, gout):
+def _numpy_backward(engine, wq, xq, gout, need_gx):
     m, k = wq.shape
     c = xq.shape[1]
     chunk = engine.chunk
     scratch = engine._scratch
     wrow = (wq * engine.levels).astype(np.intp)
     gw = np.zeros((m, k), dtype=np.float64)
-    gx = np.empty((k, c), dtype=np.float64)
+    gx = np.empty((k, c), dtype=np.float64) if need_gx else None
     reuse = (
         c <= chunk
         and engine._fwd_operands is not None
@@ -270,6 +272,8 @@ def _numpy_backward(engine, wq, xq, gout):
         with _TRACE.span("lutgemm.bwd.accumulate", cat="engine"):
             np.multiply(buf, g, out=buf)
             gw += buf.sum(axis=2)
+        if not need_gx:
+            continue
         with _TRACE.span("lutgemm.bwd.gather", cat="engine"):
             np.take(grad_x_flat, idx, out=buf, mode="clip")
         with _TRACE.span("lutgemm.bwd.accumulate", cat="engine"):

@@ -158,7 +158,7 @@ class LutGemm:
             a, b = self.separable
             self._sep_f64 = (a.astype(np.float64), b.astype(np.float64))
             self._sep_bound = int(np.abs(a).max()) * int(np.abs(b).max())
-        # Byte planes of both gradient tables for the C backward's VBMI
+        # Byte planes of the gx gradient table for the C backward's VBMI
         # body (see :meth:`_grad_byte_planes`).
         self._grad_planes = None
         if self.forward_only:
@@ -293,21 +293,19 @@ class LutGemm:
                 )
             self._lut_i32 = lut_i32
 
-    def _grad_byte_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The byte planes of both gradient tables, built on first use.
+    def _grad_byte_planes(self) -> np.ndarray:
+        """The byte planes of the ``gx`` gradient table, built on first use.
 
-        The C backward's VBMI body reads them (512 KB for an 8-bit
-        training engine).  Built lazily, so engines that never run a C
-        backward -- forward-only ones, and the training engines that
-        calibration and serving set-up create -- hold none.  The tables
-        are assigned once and never mutated, so the planes stay valid; a
-        race between two first calls builds equal planes twice.
+        The C backward's VBMI body gathers ``gx`` from them (256 KB for
+        an 8-bit training engine); its ``gw`` sum reads the table itself.
+        Built lazily, so engines that never run a C backward --
+        forward-only ones, and the training engines that calibration and
+        serving set-up create -- hold none.  The table is assigned once
+        and never mutated, so the planes stay valid; a race between two
+        first calls builds equal planes twice.
         """
         if self._grad_planes is None:
-            self._grad_planes = (
-                lutkernel.byte_planes(self.grad_w_flat),
-                lutkernel.byte_planes(self.grad_x_flat),
-            )
+            self._grad_planes = lutkernel.byte_planes(self.grad_x_flat)
         return self._grad_planes
 
     # ------------------------------------------------------------------
@@ -437,7 +435,8 @@ class LutGemm:
         zw,
         zx,
         xq_bounds: tuple[int, int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        need_gx: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """:meth:`backward_grads` with the ``gx`` zero-point term left apart.
 
         Returns ``(gw, gx_raw, zcol)``: ``gw`` as :meth:`backward_grads`
@@ -447,6 +446,8 @@ class LutGemm:
         passes ``gx`` on (the conv layer's fold,
         :func:`repro.core.execcore.fold_input_grad`) subtracts the term
         as it reads each element instead of in a pass of its own.
+        ``need_gx=False`` (a layer whose input needs no gradient) skips
+        both and returns ``(gw, None, None)``; ``gw`` is unchanged.
         """
         if self.forward_only:
             raise ReproError(
@@ -462,16 +463,22 @@ class LutGemm:
             _TRACE.count("lutgemm.backward.ste_fast_path")
             gf = gout.astype(np.float64)
             gw = gf @ xq.astype(np.float64).T
-            gx = wq.astype(np.float64).T @ gf
             gw -= zx * gf.sum(axis=1)[:, None]
+            if not need_gx:
+                return gw, None, None
+            gx = wq.astype(np.float64).T @ gf
             # zw may be scalar (per-tensor) or per-output-channel (M,).
             zcol = (zw_vec[:, None] * gf).sum(axis=0) if zw_vec.size > 1 \
                 else zw_vec[0] * gf.sum(axis=0)
             return gw, gx, zcol
-        gw, gx = execcore.backward_grads(self, wq, xq, gout, xq_bounds)
+        gw, gx = execcore.backward_grads(
+            self, wq, xq, gout, xq_bounds, need_gx
+        )
         # Zero-point cross terms of Eq. 8, applied in closed form.
         gsum_c = gout.sum(axis=1, dtype=np.float64)  # (M,)
         gw -= zx * gsum_c[:, None]
+        if not need_gx:
+            return gw, None, None
         if zw_vec.size > 1:
             zcol = (zw_vec[:, None] * gout.astype(np.float64)).sum(axis=0)
         else:

@@ -34,15 +34,15 @@ JIT-compiles single-pass C kernels at first use:
   applied per tap, in numpy's ``col2im`` order (bit-identical, vetted by
   the execcore backward self-check).
 
-* ``fused_backward_grads`` -- the difference-LUT backward: one
-  cache-tiled loop per column chunk gathers *both* gradient tables from
-  the shared index and reduces against the upstream gradient.  Float32
-  partial sums replicate numpy's reduction orders exactly -- the
-  scalar pairwise algorithm for the per-``(m, k)`` sum over columns
-  (``buf.sum(axis=2)``) and sequential-over-rows accumulation for the
-  activation gradient (``buf.sum(axis=0)``) -- and per-chunk weight
-  partials are merged in global chunk order, so results are
-  bit-identical to the numpy path (verified at runtime by
+* ``fused_backward_grads`` -- the difference-LUT backward: per column
+  chunk it reads *both* gradient tables at the shared index and reduces
+  against the upstream gradient (``need_gx=False`` skips the activation
+  gradient).  Float32 partial sums replicate numpy's reduction orders
+  exactly -- the scalar pairwise algorithm for the per-``(m, k)`` sum
+  over columns (``buf.sum(axis=2)``) and sequential-over-rows
+  accumulation for the activation gradient (``buf.sum(axis=0)``) -- and
+  per-chunk weight partials are merged in global chunk order, so
+  results are bit-identical to the numpy path (verified at runtime by
   :mod:`repro.core.execcore` before the kernel is trusted).
 
 Two gather bodies: all three gathers (``fused_product_sums``,
@@ -53,22 +53,26 @@ the VBMI body holds that row in zmm registers, split into byte planes
 (:func:`byte_planes`), and looks up 64 uint8 activations with two
 ``vpermi2b`` and one byte blend per plane.  The forward's uint16 LUT
 row is two planes (eight zmm), with the column tile outermost so a tile
-of activations stays in cache across rows.  The backward's float32
-gradient-table rows are four planes (sixteen zmm) each, so each (m, k)
-makes one pass per table, and two unpack rounds assemble the floats.  A
-body runs when every condition holds (:func:`_gather_body`): the host
-has VBMI and BW (read once at kernel load), the caller passed the
-planes, the in-bounds proof below holds with ``min(wrow) >= 0`` and
-``xq`` in ``[0, 255]``, for the forward ``K <= VBMI_MAX_K`` (its int32
-sums cannot overflow), ``C >= VBMI_MIN_C`` (``VBMI_BWD_MIN_C`` for
-the backward: below these measured crossovers the per-row costs and
-the padded 64-lane blocks outweigh the scalar loop), and the bodies
-passed their one-time byte-edge self-check against numpy
-(:func:`vbmi_trusted`; a mismatch pins every scalar loop).  Otherwise
-the scalar loop runs; it is the only body off x86.  Integer sums are
-order-free, and the backward body rounds every float operation in the
-scalar loop's order, so the two are bit-identical.  Each call counts
-its body as ``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.
+of activations stays in cache across rows.  The backward gathers only
+its activation gradient this way: a float32 ``gx`` table row is four
+planes (sixteen zmm), and two unpack rounds assemble the floats.  Its
+weight gradient needs no gather: for one k and 16 rows the table entry
+can only be one of ``max(xq) + 1`` row vectors, so the body transposes
+them into a tile and sums with its lanes over rows, in the scalar
+pairwise order.  A body runs when every condition holds
+(:func:`_gather_body`): the host has VBMI and BW (read once at kernel
+load), the caller passed the planes, the in-bounds proof below holds
+with ``min(wrow) >= 0`` and ``xq`` in ``[0, 255]``, for the forward
+``K <= VBMI_MAX_K`` (its int32 sums cannot overflow),
+``C >= VBMI_MIN_C`` (``VBMI_BWD_MIN_C`` for the backward: below these
+measured crossovers the per-row costs and the padded 64-lane blocks
+outweigh the scalar loop), and the bodies passed their one-time
+byte-edge self-check against numpy (:func:`vbmi_trusted`; a mismatch
+pins every scalar loop).  Otherwise the scalar loop runs; it is the
+only body off x86.  Integer sums are order-free, and the backward body
+rounds every float operation in the scalar loop's order, so the two
+are bit-identical.  Each call counts its body as
+``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.
 
 Index clamping: every gather here must match the numpy path's
 ``np.take(..., mode="clip")``, including on diverged operands (NaN
@@ -85,7 +89,8 @@ forward over row blocks, the VBMI forward over 128-column tiles (each
 thread narrows the activation tiles it owns) -- or, with fewer tiles
 than threads, over row blocks too -- and both backward bodies over
 chunk-aligned column blocks (the VBMI body narrows each activation row
-of its chunks once, into per-thread scratch).
+of its chunks once, and transposes its table and ``gout`` tiles, into
+per-thread scratch).
 ctypes releases the GIL for the duration of each call, partitions are
 disjoint, and the weight-gradient merge always runs in global chunk
 order, so results are bit-identical for every thread count.
@@ -179,7 +184,7 @@ static inline long clamp_idx(int64_t id, long n)
  */
 #define VBMI_TILE 128  /* columns per tile: two 64-lane sub-tiles */
 #define PLANE_PAD 256  /* bytes after each plane: one table row */
-#define BWD_ROWS 32    /* rows per block of the VBMI backward */
+#define BWD_ROWS 32    /* rows per block of the VBMI gx pass */
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -938,34 +943,46 @@ static float pairwise_sum_f32(const float *a, long n)
 }
 
 /* ------------------------------------------------------------------
- * In-register backward body (AVX-512 VBMI).  Like the forward, each
- * (m, k) reads one fixed 256-entry row of each gradient table for every
- * column.  A float32 table is split into four byte planes (byte_planes,
- * bytes 0..3 of each entry's bit pattern, each plane followed by
- * PLANE_PAD bytes), so one table row is sixteen zmm registers.  The gw
- * row and the gx row cannot both stay in registers, so each (m, k)
- * makes two passes over the chunk, one per table (bwd_pass).  Per 64
- * lookups a plane costs two vpermi2b and one blend on index bit 7, and
- * two unpack rounds (epi8, then epi16) assemble the four byte vectors
- * into four float vectors.
+ * In-register backward body (AVX-512 VBMI).  Its two sums put their
+ * SIMD lanes on different axes.
  *
- * The unpacks are lane-local: float vector j, 128-bit lane L, dword i
- * holds the lookup of index byte 16 L + 4 j + i.  Column order needs
- * column 16 j + 4 L + i there, so xq_row_u8 applies that 4x4 transpose
- * (128-bit lane L against dword group j) to the index bytes as it
- * narrows them, once per index row, and every gathered float vector
- * comes out in column order: the products, tmp and the gx row need no
- * un-permuting.
+ * gx, lanes over columns (bwd_pass): like the forward, each (m, k)
+ * reads one fixed 256-entry row of the gx table for every column.  The
+ * float32 table is split into four byte planes (byte_planes, bytes
+ * 0..3 of each entry's bit pattern, each plane followed by PLANE_PAD
+ * bytes), so one table row is sixteen zmm registers.  Per 64 lookups a
+ * plane costs two vpermi2b and one blend on index bit 7, and two unpack
+ * rounds (epi8, then epi16) assemble the four byte vectors into four
+ * float vectors.  The unpacks are lane-local: float vector j, 128-bit
+ * lane L, dword i holds the lookup of index byte 16 L + 4 j + i.  Column
+ * order needs column 16 j + 4 L + i there, so xq_row_u8 applies that
+ * 4x4 transpose (128-bit lane L against dword group j) to the index
+ * bytes as it narrows them, once per index row, and every gathered
+ * float vector comes out in column order.  Each gx element adds its
+ * products in ascending m from 0.0f, as the scalar loop does: within a
+ * block of BWD_ROWS rows the loop runs k outermost, so one gx row and
+ * one narrowed index row stay in L1 across the block's rows, and blocks
+ * run in ascending m.
  *
- * Float order is the scalar loop's: each product rounds once
- * (table entry * gout, no FMA: -ffp-contract=off), tmp goes through
- * the same pairwise_sum_f32, and each gx element adds its products in
- * ascending m from 0.0f.  Within a block of BWD_ROWS rows the loop runs
- * k outermost, so one gx row and one narrowed index row stay in L1
- * across the block's rows, and the block's wrow, gout and gw_part rows
- * stay cached across k; blocks run in ascending m, which is all the gx
- * order needs.
+ * gw, lanes over rows (no gather): for one k and a block of GW_LANES
+ * rows, the gw table entry gwtab[wrow[m, k] + x] can only be one of
+ * xmax + 1 row vectors, one per activation value x <= xmax = max(xq).
+ * So per chunk the block's gout is transposed once into
+ * gT[c][lane] = gout[m0 + lane, c0 + c], and per k the block's table
+ * rows into T[v][lane] = gwtab[wrow[m0 + lane, k] + v] for v <= xmax
+ * only: the in-bounds proof covers exactly those reads, and the float
+ * tables carry no padding.  Each lane then sums T[xq[k, c]][lane] *
+ * gT[c][lane] over the chunk's columns in pairwise_sum_f32's recursion
+ * (lane_pairwise), so every lane adds in the scalar loop's order.  Dead
+ * lanes of a last block with M % GW_LANES != 0 read the block's first
+ * row and are never stored.
+ *
+ * Float order is the scalar loop's in both: each product rounds once,
+ * table entry first (table entry * gout, no FMA: -ffp-contract=off).
  */
+#define GW_LANES 16   /* rows per block of the gw sum: one per lane */
+#define GW_VALUES 256 /* rows of T: one per uint8 activation value */
+
 #if defined(__x86_64__)
 /* Narrow the cc columns at src (one row of xq, values in [0, 255]) to
  * uint8 in dst (64-byte aligned, cc rounded up to a multiple of 64, zero
@@ -1016,21 +1033,20 @@ static inline VBMI_TARGET void xq_row_u8(const int32_t *restrict src,
         F[3] = _mm512_castsi512_ps(_mm512_unpackhi_epi16(hi01, hi23));  \
     } while (0)
 
-/* out[0..15] = prod (gx == 0) or out[0..15] += prod (gx == 1). */
-static inline VBMI_TARGET void bwd_put(float *o, __m512 prod, int gx)
+/* out[0..15] += prod. */
+static inline VBMI_TARGET void bwd_add(float *o, __m512 prod)
 {
-    _mm512_storeu_ps(o, gx ? _mm512_add_ps(_mm512_loadu_ps(o), prod) : prod);
+    _mm512_storeu_ps(o, _mm512_add_ps(_mm512_loadu_ps(o), prod));
 }
 
-/* One pass of the table row at row (plane stride ps) over the chunk's
- * cc columns: out[c] = row[xt[c]] * g[c] (gx == 0, the gw pass into
- * tmp) or out[c] += row[xt[c]] * g[c] (gx == 1, the gx row).  The last,
- * partial block reads no gout past cc (masked loads); its lanes past cc
- * are written but never read. */
+/* One pass of the gx table row at row (plane stride ps) over the
+ * chunk's cc columns: out[c] += row[xt[c]] * g[c].  The last, partial
+ * block reads no gout past cc (masked loads); its lanes past cc are
+ * written but never read. */
 static inline VBMI_TARGET void bwd_pass(const uint8_t *restrict row, long ps,
                                         const uint8_t *restrict xt,
                                         const float *restrict g, long cc,
-                                        float *restrict out, int gx)
+                                        float *restrict out)
 {
     const __m512i a0 = _mm512_loadu_si512(row);
     const __m512i a1 = _mm512_loadu_si512(row + 64);
@@ -1052,37 +1068,34 @@ static inline VBMI_TARGET void bwd_pass(const uint8_t *restrict row, long ps,
     for (; b + 64 <= cc; b += 64) {
         ROW_FLOATS(f, b);
         for (int j = 0; j < 4; j++)
-            bwd_put(out + b + 16 * j, _mm512_mul_ps(
-                f[j], _mm512_loadu_ps(g + b + 16 * j)), gx);
+            bwd_add(out + b + 16 * j,
+                    _mm512_mul_ps(f[j], _mm512_loadu_ps(g + b + 16 * j)));
     }
     if (b < cc) {
         ROW_FLOATS(f, b);
         const __mmask64 live = (1ULL << (cc - b)) - 1;
         for (int j = 0; j < 4; j++)
-            bwd_put(out + b + 16 * j, _mm512_mul_ps(
+            bwd_add(out + b + 16 * j, _mm512_mul_ps(
                 f[j], _mm512_maskz_loadu_ps((__mmask16) (live >> (16 * j)),
-                                            g + b + 16 * j)), gx);
+                                            g + b + 16 * j)));
     }
 }
 
-/* Backward body over columns [c_lo, c_hi) (chunk-aligned): the scalar
- * loop's results, see backward_grads_range.  With ccp the chunk width
- * rounded up to a multiple of 64, xt (64-byte aligned) and tmp hold ccp
- * entries and gx32 holds K rows of ccp: the chunk's float32 gx. */
-static VBMI_TARGET void backward_grads_vbmi(
-    const uint8_t *restrict gw_planes, long n_gw,
-    const uint8_t *restrict gx_planes, long n_gx,
+/* gx over columns [c_lo, c_hi) (chunk-aligned), see above.  With ccp
+ * the chunk width rounded up to a multiple of 64, xt (64-byte aligned)
+ * holds ccp index bytes and gx32 K rows of ccp floats: the chunk's
+ * float32 gx. */
+static VBMI_TARGET void backward_gx_vbmi(
+    const uint8_t *restrict planes, long n_gx,
     const int64_t *restrict wrow, const int32_t *restrict xq,
-    const float *restrict gout, float *restrict gw_part,
-    double *restrict gx, float *restrict tmp, float *restrict gx32,
-    uint8_t *restrict xt, long M, long K, long C, long chunk,
-    long c_lo, long c_hi)
+    const float *restrict gout, double *restrict gx,
+    float *restrict gx32, uint8_t *restrict xt, long M, long K, long C,
+    long chunk, long c_lo, long c_hi)
 {
-    const long ps_w = n_gw + PLANE_PAD, ps_x = n_gx + PLANE_PAD;
+    const long ps = n_gx + PLANE_PAD;
     for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
         const long cc = (c0 + chunk < c_hi ? c0 + chunk : c_hi) - c0;
         const long ccp = (cc + 63) & ~63L;
-        float *gwp = gw_part + (c0 / chunk) * M * K;
         for (long m0 = 0; m0 < M; m0 += BWD_ROWS) {
             const long m1 = m0 + BWD_ROWS < M ? m0 + BWD_ROWS : M;
             for (long k = 0; k < K; k++) {
@@ -1091,13 +1104,9 @@ static VBMI_TARGET void backward_grads_vbmi(
                     for (long i = 0; i < ccp; i++)
                         gxr[i] = 0.0f;
                 xq_row_u8(xq + k * C + c0, cc, xt);
-                for (long m = m0; m < m1; m++) {
-                    const int64_t base = wrow[m * K + k];
-                    const float *g = gout + m * C + c0;
-                    bwd_pass(gw_planes + base, ps_w, xt, g, cc, tmp, 0);
-                    gwp[m * K + k] = pairwise_sum_f32(tmp, cc);
-                    bwd_pass(gx_planes + base, ps_x, xt, g, cc, gxr, 1);
-                }
+                for (long m = m0; m < m1; m++)
+                    bwd_pass(planes + wrow[m * K + k], ps, xt,
+                             gout + m * C + c0, cc, gxr);
                 if (m1 == M) {
                     double *gxd = gx + k * C + c0;
                     for (long i = 0; i < cc; i++)
@@ -1107,9 +1116,134 @@ static VBMI_TARGET void backward_grads_vbmi(
         }
     }
 }
+
+/* Bit j set for the first n of 16 columns. */
+static inline __mmask16 first_cols(long n)
+{
+    return n >= 16 ? (__mmask16) 0xFFFF : (__mmask16) ((1u << n) - 1);
+}
+
+/* dst[16 j + i] = src[i][off + j] for i, j < 16: a 16 x 16 float
+ * transpose of the columns [off, off + 16) of 16 rows, reading column j
+ * only where bit j of live is set (zero elsewhere).  dst is 64-byte
+ * aligned. */
+static inline VBMI_TARGET void transpose16(const float *const *src, long off,
+                                           __mmask16 live,
+                                           float *restrict dst)
+{
+    __m512 r[16], t[16];
+    for (int i = 0; i < 16; i++)
+        r[i] = _mm512_maskz_loadu_ps(live, src[i] + off);
+    for (int i = 0; i < 16; i += 2) {
+        t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+    }
+    for (int i = 0; i < 16; i += 4)
+        for (int h = 0; h < 2; h++) {
+            const __m512d a = _mm512_castps_pd(t[i + h]);
+            const __m512d b = _mm512_castps_pd(t[i + h + 2]);
+            r[i + 2 * h] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, b));
+            r[i + 2 * h + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, b));
+        }
+    /* r[4 q + j], 128-bit lane L: column 4 L + j of rows 4 q .. 4 q + 3. */
+    for (int j = 0; j < 4; j++) {
+        const __m512 u = _mm512_shuffle_f32x4(r[j], r[4 + j], 0x88);
+        const __m512 w = _mm512_shuffle_f32x4(r[8 + j], r[12 + j], 0x88);
+        const __m512 u2 = _mm512_shuffle_f32x4(r[j], r[4 + j], 0xDD);
+        const __m512 w2 = _mm512_shuffle_f32x4(r[8 + j], r[12 + j], 0xDD);
+        float *d = dst + 16 * j;
+        _mm512_store_ps(d, _mm512_shuffle_f32x4(u, w, 0x88));
+        _mm512_store_ps(d + 64, _mm512_shuffle_f32x4(u2, w2, 0x88));
+        _mm512_store_ps(d + 128, _mm512_shuffle_f32x4(u, w, 0xDD));
+        _mm512_store_ps(d + 192, _mm512_shuffle_f32x4(u2, w2, 0xDD));
+    }
+}
+
+/* The 16 lanes' products of column i: T[x[i]] * gT[i], table first. */
+static inline VBMI_TARGET __m512 lane_prod(const float *restrict T,
+                                           const float *restrict gT,
+                                           const int32_t *restrict x, long i)
+{
+    return _mm512_mul_ps(_mm512_load_ps(T + GW_LANES * (long) x[i]),
+                         _mm512_load_ps(gT + GW_LANES * i));
+}
+
+/* pairwise_sum_f32 of each lane's n products, operation for operation:
+ * an n < 8 sum starts from +0.0f, a leaf's eight accumulators start as
+ * its first eight products, and longer runs split at n / 2 rounded
+ * down to a multiple of 8. */
+static VBMI_TARGET __m512 lane_pairwise(const float *restrict T,
+                                        const float *restrict gT,
+                                        const int32_t *restrict x, long n)
+{
+    if (n < 8) {
+        __m512 res = _mm512_setzero_ps();
+        for (long i = 0; i < n; i++)
+            res = _mm512_add_ps(res, lane_prod(T, gT, x, i));
+        return res;
+    }
+    if (n <= 128) {
+        __m512 r[8];
+        long i;
+        for (int j = 0; j < 8; j++)
+            r[j] = lane_prod(T, gT, x, j);
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] = _mm512_add_ps(r[j], lane_prod(T, gT, x, i + j));
+        __m512 res = _mm512_add_ps(
+            _mm512_add_ps(_mm512_add_ps(r[0], r[1]),
+                          _mm512_add_ps(r[2], r[3])),
+            _mm512_add_ps(_mm512_add_ps(r[4], r[5]),
+                          _mm512_add_ps(r[6], r[7])));
+        for (; i < n; i++)
+            res = _mm512_add_ps(res, lane_prod(T, gT, x, i));
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return _mm512_add_ps(lane_pairwise(T, gT, x, n2),
+                         lane_pairwise(T, gT + GW_LANES * n2, x + n2, n - n2));
+}
+
+/* gw over columns [c_lo, c_hi) (chunk-aligned), see above.  tile
+ * (64-byte aligned) holds T, GW_VALUES x GW_LANES floats, then gT, the
+ * chunk width rounded up to 16 times GW_LANES floats. */
+static VBMI_TARGET void backward_gw_vbmi(
+    const float *restrict gwtab, const int64_t *restrict wrow,
+    const int32_t *restrict xq, const float *restrict gout,
+    float *restrict gw_part, float *restrict tile, long M, long K,
+    long C, long chunk, long xmax, long c_lo, long c_hi)
+{
+    float *T = tile, *gT = tile + GW_VALUES * GW_LANES;
+    const float *rows[GW_LANES];
+    float sums[GW_LANES] __attribute__((aligned(64)));
+    for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
+        const long cc = (c0 + chunk < c_hi ? c0 + chunk : c_hi) - c0;
+        float *gwp = gw_part + (c0 / chunk) * M * K;
+        for (long m0 = 0; m0 < M; m0 += GW_LANES) {
+            const long live = M - m0 < GW_LANES ? M - m0 : GW_LANES;
+            for (long l = 0; l < GW_LANES; l++)
+                rows[l] = gout + (m0 + (l < live ? l : 0)) * C + c0;
+            for (long c = 0; c < cc; c += 16)
+                transpose16(rows, c, first_cols(cc - c), gT + GW_LANES * c);
+            for (long k = 0; k < K; k++) {
+                for (long l = 0; l < GW_LANES; l++)
+                    rows[l] = gwtab + wrow[(m0 + (l < live ? l : 0)) * K + k];
+                for (long v = 0; v <= xmax; v += 16)
+                    transpose16(rows, v, first_cols(xmax + 1 - v),
+                                T + GW_LANES * v);
+                _mm512_store_ps(sums, lane_pairwise(T, gT, xq + k * C + c0,
+                                                    cc));
+                for (long l = 0; l < live; l++)
+                    gwp[(m0 + l) * K + k] = sums[l];
+            }
+        }
+    }
+}
 #else
 /* Never reached: the wrapper only passes planes on a VBMI host. */
-#define backward_grads_vbmi(...) ((void) 0)
+#define backward_gw_vbmi(...) ((void) 0)
+#define backward_gx_vbmi(...) ((void) 0)
 #endif
 
 /* ------------------------------------------------------------------
@@ -1126,8 +1260,11 @@ static VBMI_TARGET void backward_grads_vbmi(
  * gw chunk partials are indexed by GLOBAL chunk number ci so the
  * caller can merge them into the float64 gw in deterministic chunk
  * order regardless of how column blocks were split across threads.
- * tmp (>= chunk floats) and gx32 (>= K * chunk floats) are per-thread
- * scratch supplied by the caller.
+ * A NULL gx skips the gx sum (a caller that needs no activation
+ * gradient); gw is the same either way.  tmp and gx32 (>= K * chunk
+ * floats; unused without gx) are per-thread scratch supplied by the
+ * caller: tmp holds chunk floats for the scalar loop, the VBMI body's
+ * T and gT tiles for it.
  *
  * ``fast`` is the same caller-proven in-bounds flag as the forward's,
  * proven against the SMALLER of the two tables (n_gw, n_gx): set, both
@@ -1138,13 +1275,13 @@ static VBMI_TARGET void backward_grads_vbmi(
  * gather-multiply loop (no reassociation: each lane rounds exactly like
  * the scalar code), which it must not do while gxr may alias tmp.
  *
- * Two bodies: non-NULL gw_planes / gx_planes (byte_planes of the two
- * tables, with xt a 64-byte-aligned index row) select the in-register
+ * Two bodies: non-NULL planes (byte_planes of the gx table, with xt a
+ * 64-byte-aligned index row and xmax = max(xq)) select the in-register
  * VBMI body above, which the wrapper only passes under the forward's
  * conditions (the proof with min(wrow) >= 0 and xq in [0, 255], the
- * self-check) but with its own crossover, C >= VBMI_BWD_MIN_C; its tmp
- * and gx32 rows are padded to whole 64-lane blocks.
- * Otherwise the scalar loop below runs -- the only body off x86.
+ * self-check) but with its own crossover, C >= VBMI_BWD_MIN_C; its
+ * gx32 rows are padded to whole 64-lane blocks.  Otherwise the scalar
+ * loop below runs -- the only body off x86.
  */
 void backward_grads_range(const float *restrict gwtab, long n_gw,
                           const float *restrict gxtab, long n_gx,
@@ -1154,34 +1291,42 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                           const float *restrict gout,     /* (M, C) */
                           /* (n_chunks, M, K) */
                           float *restrict gw_part,
-                          double *restrict gx,            /* (K, C) */
+                          double *restrict gx,     /* (K, C) or NULL */
                           float *restrict tmp,
                           float *restrict gx32,
                           long M, long K, long C, long chunk,
-                          long c_lo, long c_hi, long fast,
-                          const uint8_t *gw_planes,
-                          const uint8_t *gx_planes, uint8_t *xt)
+                          long c_lo, long c_hi, long fast, long xmax,
+                          const uint8_t *planes, uint8_t *xt)
 {
-    if (gw_planes) {
-        backward_grads_vbmi(gw_planes, n_gw, gx_planes, n_gx, wrow, xq,
-                            gout, gw_part, gx, tmp, gx32, xt, M, K, C,
-                            chunk, c_lo, c_hi);
+    if (planes) {
+        backward_gw_vbmi(gwtab, wrow, xq, gout, gw_part, tmp, M, K, C,
+                         chunk, xmax, c_lo, c_hi);
+        if (gx)
+            backward_gx_vbmi(planes, n_gx, wrow, xq, gout, gx, gx32, xt,
+                             M, K, C, chunk, c_lo, c_hi);
         return;
     }
     for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
         long hi = c0 + chunk < c_hi ? c0 + chunk : c_hi;
         long cc = hi - c0;
         float *gwp = gw_part + (c0 / chunk) * M * K;
-        for (long i = 0; i < K * cc; i++)
-            gx32[i] = 0.0f;
+        if (gx)
+            for (long i = 0; i < K * cc; i++)
+                gx32[i] = 0.0f;
         for (long m = 0; m < M; m++) {
             const int64_t *wr = wrow + m * K;
             const float *grow = gout + m * C + c0;
             for (long k = 0; k < K; k++) {
                 const int64_t base = wr[k];
                 const int32_t *xrow = xq + k * C + c0;
-                float *gxr = gx32 + k * cc;
-                if (fast) {
+                if (!gx) {
+                    for (long c = 0; c < cc; c++) {
+                        const int64_t id = base + xrow[c];
+                        tmp[c] = gwtab[fast ? id : clamp_idx(id, n_gw)]
+                                 * grow[c];
+                    }
+                } else if (fast) {
+                    float *gxr = gx32 + k * cc;
                     for (long c = 0; c < cc; c++) {
                         const int64_t id = base + xrow[c];
                         const float gv = grow[c];
@@ -1189,6 +1334,7 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                         gxr[c] += gxtab[id] * gv;
                     }
                 } else {
+                    float *gxr = gx32 + k * cc;
                     for (long c = 0; c < cc; c++) {
                         const int64_t id = base + xrow[c];
                         const float gv = grow[c];
@@ -1199,12 +1345,13 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                 gwp[m * K + k] = pairwise_sum_f32(tmp, cc);
             }
         }
-        for (long k = 0; k < K; k++) {
-            double *gxd = gx + k * C + c0;
-            const float *gxr = gx32 + k * cc;
-            for (long c = 0; c < cc; c++)
-                gxd[c] = (double) gxr[c];
-        }
+        if (gx)
+            for (long k = 0; k < K; k++) {
+                double *gxd = gx + k * C + c0;
+                const float *gxr = gx32 + k * cc;
+                for (long c = 0; c < cc; c++)
+                    gxd[c] = (double) gxr[c];
+            }
     }
 }
 """
@@ -1234,13 +1381,15 @@ VBMI_MAX_K = 32767
 #: the scalar loop is 1.5-5.6x faster at C <= 4 and up to 1.2x at
 #: C = 16, the VBMI body 1.06-1.8x faster at C = 32.
 VBMI_MIN_C = 32
-#: The backward's own crossover: each (m, k) loads two 16-zmm table rows
-#: and runs a pairwise sum, so narrow chunks amortize less.  Measured on
-#: one AVX-512 VBMI Xeon core at M x K = 16 x 144, 64 x 576, 128 x 1152
-#: and 512 x 4608 (VBMI time against the scalar loop's): 0.43-0.60x at
-#: C = 8, 0.78-0.85x at C = 32, 0.90-1.04x at C = 48, 0.99-1.20x at
-#: C = 64 and 1.18-1.46x at C = 128.
-VBMI_BWD_MIN_C = 64
+#: The backward's own crossover: per 16-row block and k the gw sum
+#: transposes a 256 x 16 table tile, and each (m, k) loads a 16-zmm gx
+#: table row, whatever the width, so narrow chunks amortize less.
+#: Measured twice on one AVX-512 VBMI Xeon core at M x K = 16 x 144,
+#: 64 x 576, 128 x 1152 and 512 x 4608 (the VBMI body's speed-up over the
+#: scalar loop): 0.42-0.66x at C = 16, 0.62-0.80x at C = 32, 0.79-0.90x
+#: at C = 48, 0.86-1.07x at C = 64, 0.94-1.01x at C = 80, 0.94-1.14x at
+#: C = 96, 1.15-1.35x at C = 112 and 1.06-1.50x at C = 128.
+VBMI_BWD_MIN_C = 96
 #: Padding after each byte plane: a 256-byte row load at the last
 #: table entry stays inside the array.
 _PLANE_PAD = 256
@@ -1328,8 +1477,8 @@ def _compile() -> "ctypes.CDLL | None":
     bwd = lib.backward_grads_range
     bwd.restype = None
     bwd.argtypes = [
-        _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _f64, _f32, _f32,
-        _long, _long, _long, _long, _long, _long, _long, _ptr, _ptr, _ptr,
+        _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _ptr, _f32, _ptr,
+        *[_long] * 8, _ptr, _ptr,
     ]
     fold = lib.fold_input_grad_range
     fold.restype = None
@@ -1451,7 +1600,7 @@ def _run_vbmi_self_check() -> bool:
     sub-tiles, one and two 128-column tiles).  Both entry points, int32
     and int64 accumulators, one thread, and two threads at C = 63 (row
     blocks: fewer tiles than threads) and C = 129 (one column tile
-    each).  Backward: :func:`_backward_probes_match`.  About 15 ms of
+    each).  Backward: :func:`_backward_probes_match`.  About 20 ms of
     CPU in all.
     """
     rng = np.random.default_rng(0xB17E)
@@ -1497,11 +1646,18 @@ def _backward_probes_match(rng, wrow, xq) -> bool:
     Two float32 tables hold the bit patterns -0.0, the smallest
     denormal, 0x00FF00FF, 0x7F7FFFFF and +-inf (every byte plane at 0x00,
     0x01, 0x7F, 0x80 and 0xFF) at the forward probe's edge rows and
-    columns; ``gout`` carries denormals.  Chunks 64 and 96 over 64 and
+    columns; ``gout`` carries denormals.  Chunks 64 and 96 over 96 and
     129 columns (at least ``VBMI_BWD_MIN_C``) cut partial 64-lane blocks
     and, at 129 / 64, leave a one-column chunk that the second of two
-    threads owns.  Compared by bit pattern, so the inf and NaN sums
-    count too.  About 4 ms of CPU.
+    threads owns.  One 129-column chunk makes the pairwise sum split.
+    5 and 17 rows leave dead lanes in the gw sum's 16-row blocks.
+    Results are compared with numpy by bit pattern, so the inf and NaN
+    sums count too.  The last probe puts a positive gw table against a
+    ``gout`` row of -0.0, whose chunk sums are -0.0 over 8 or more
+    columns and +0.0 over fewer; the merge into +0.0 hides those signs,
+    so its per-chunk sums are compared with the scalar loop's
+    (:func:`_backward_parts`), and a leaf that starts from +0.0 fails.
+    About 10 ms of CPU.
     """
     levels = 256
     edges = np.array(
@@ -1517,24 +1673,37 @@ def _backward_probes_match(rng, wrow, xq) -> bool:
             edges[(spread + shift) % 6]
         )
         tables.append(tab)
-    planes = (byte_planes(tables[0]), byte_planes(tables[1]))
-    gout = rng.standard_normal((wrow.shape[0], xq.shape[1]))
-    gout = gout.astype(np.float32)
+    positive = rng.random(levels * levels, dtype=np.float32) + 0.5
+    planes = byte_planes(tables[1])
+    rows = np.arange(17)[:, None] + np.arange(wrow.shape[1])[None, :]
+    rows = (_PROBE_EDGES[rows % 6] * levels).astype(np.int64)  # (17, 6)
+    gout = rng.standard_normal((17, xq.shape[1])).astype(np.float32)
     gout[:, ::9] *= np.float32(1e-39)
-    for c, chunk, threads in ((64, 64, 1), (129, 64, 2), (129, 96, 1)):
+    gout[3] = -0.0
+    for gw_flat, w, c, chunk, threads in (
+        (tables[0], wrow, 96, 96, 1),
+        (tables[0], wrow, 129, 64, 2),
+        (tables[0], wrow, 129, 96, 1),
+        (tables[0], rows[:5], 129, 160, 1),
+        (positive, rows, 129, 64, 2),
+    ):
         sub_x = np.ascontiguousarray(xq[:, :c])
-        sub_g = np.ascontiguousarray(gout[:, :c])
+        sub_g = np.ascontiguousarray(gout[: w.shape[0], :c])
+        args = (gw_flat, tables[1], w, sub_x, sub_g, chunk, threads)
         with np.errstate(invalid="ignore", over="ignore"):
-            want = _backward_reference(*tables, wrow, sub_x, sub_g, chunk)
-            got = fused_backward_grads(
-                *tables, wrow, sub_x, sub_g, chunk, threads, planes
-            )
+            want = _backward_reference(*args[:-1])
+            got = fused_backward_grads(*args, planes)
         if got is None or not all(
             np.array_equal(a.view(np.uint64), b.view(np.uint64))
             for a, b in zip(got, want)
         ):
             return False
-    return True
+    # The last probe's chunk sums, with the -0.0 row's zero signs.
+    vbmi, scalar = (
+        _backward_parts(_get_kernel(), *args, pl, None, False)[0]
+        for pl in (planes, None)
+    )
+    return np.array_equal(vbmi.view(np.uint32), scalar.view(np.uint32))
 
 
 def _vbmi_mismatch() -> bool:
@@ -2229,9 +2398,10 @@ def fused_backward_grads(
     gout: np.ndarray,
     chunk: int,
     threads: int | None = None,
-    planes: tuple[np.ndarray, np.ndarray] | None = None,
+    planes: np.ndarray | None = None,
     xq_bounds: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
+    need_gx: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None] | None:
     """Fused difference-LUT backward: gradient-table gather + reduce.
 
     Computes the inner Eq. 9 sums (zero-point cross terms excluded --
@@ -2249,88 +2419,114 @@ def fused_backward_grads(
     gathers index directly; otherwise out-of-range indices clip into
     each table exactly like ``np.take(..., mode="clip")``.  The float32
     operation order is the same in both loops.  Given ``planes``
-    (``(byte_planes(grad_w_flat), byte_planes(grad_x_flat))`` of the
-    float32 tables), a qualifying call runs the in-register AVX-512 VBMI
-    body instead of the scalar loop (:func:`_gather_body`, with no bound
-    on K and its own crossover, ``C >= VBMI_BWD_MIN_C``), in the same
-    float order.  Used as given, like :func:`fused_product_sums`'s, and
-    so is ``xq_bounds``.
+    (``byte_planes(grad_x_flat)``), a qualifying call runs the
+    in-register AVX-512 VBMI body instead of the scalar loop
+    (:func:`_gather_body`, with no bound on K and its own crossover,
+    ``C >= VBMI_BWD_MIN_C``), in the same float order: ``gx`` gathers
+    from the planes, ``gw`` sums lanes over rows from the table itself.
+    Used as given, like :func:`fused_product_sums`'s, and so is
+    ``xq_bounds``.  ``need_gx=False`` skips the ``gx`` sum (a layer
+    whose input needs no gradient); ``gw`` is unchanged.
 
-    Returns ``(gw, gx)`` as float64 ``(M, K)`` / ``(K, C)`` arrays, or
-    ``None`` when the kernel is unavailable.  Raises ``ValueError`` when
-    ``wrow`` / ``xq`` are not 2-D or disagree on K, ``gout`` is not
-    ``(M, C)``, a table is empty, ``chunk < 1``, or ``planes`` do not
-    fit the tables.
+    Returns ``(gw, gx)`` as float64 ``(M, K)`` / ``(K, C)`` arrays
+    (``gx`` is ``None`` without ``need_gx``), or ``None`` when the
+    kernel is unavailable.  Raises ``ValueError`` when ``wrow`` / ``xq``
+    are not 2-D or disagree on K, ``gout`` is not ``(M, C)``, a table is
+    empty, ``chunk < 1``, or ``planes`` do not fit the ``gx`` table.
     """
     chunk = int(chunk)
-    if planes is not None and (
-        len(planes) != 2 or any(pl is None for pl in planes)
-    ):
+    if planes is not None and not isinstance(planes, np.ndarray):
         raise ValueError(
-            "fused_backward_grads: planes must be a pair of byte_planes"
+            "fused_backward_grads: planes must be byte_planes(grad_x_flat)"
         )
     _check_operands(
         "fused_backward_grads", (grad_w_flat, grad_x_flat), wrow, xq,
-        planes or (), n_planes=4, gout=np.asarray(gout), chunk=chunk,
+        (None, planes), n_planes=4, gout=np.asarray(gout), chunk=chunk,
     )
     lib = _get_kernel()
     if lib is None:
         return None
+    gw_part, gx = _backward_parts(
+        lib, grad_w_flat, grad_x_flat, wrow, xq, gout, chunk, threads,
+        planes, xq_bounds, need_gx,
+    )
+    # Merge weight-gradient chunk partials in global chunk order: float64
+    # accumulation of float32 chunk sums, exactly like the numpy path's
+    # per-chunk ``gw += buf.sum(axis=2)``.  This is what keeps every
+    # thread count bit-identical to serial.
+    gw = np.zeros(gw_part.shape[1:], dtype=np.float64)
+    for part in gw_part:
+        gw += part
+    return gw, gx
+
+
+def _backward_parts(
+    lib, grad_w_flat, grad_x_flat, wrow, xq, gout, chunk, threads, planes,
+    xq_bounds, need_gx,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(gw_part, gx)``: :func:`fused_backward_grads` before its merge.
+
+    Runs on operands the caller has checked.  ``gw_part[ci, m, k]`` is
+    chunk ``ci``'s float32 pairwise sum.  Its zero signs do not survive
+    the merge into ``+0.0``, so the VBMI self-check compares these sums
+    between the two bodies directly.
+    """
     m, k = wrow.shape
     k2, c = xq.shape
+    n_chunks = -(-c // chunk)
     if m == 0 or c == 0:
         # Matches the numpy path on degenerate shapes: zero weight
         # gradients, an empty/zero activation gradient, no kernel call.
         return (
-            np.zeros((m, k), dtype=np.float64),
-            np.zeros((k2, c), dtype=np.float64),
+            np.zeros((n_chunks, m, k), dtype=np.float32),
+            np.zeros((k2, c), dtype=np.float64) if need_gx else None,
         )
-    n_chunks = -(-c // chunk)
     grad_w_flat = np.ascontiguousarray(grad_w_flat, dtype=np.float32)
     grad_x_flat = np.ascontiguousarray(grad_x_flat, dtype=np.float32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
     gout = np.ascontiguousarray(gout, dtype=np.float32)
     gw_part = np.empty((n_chunks, m, k), dtype=np.float32)
-    gx = np.empty((k2, c), dtype=np.float64)
+    gx = np.empty((k2, c), dtype=np.float64) if need_gx else None
+    ext = _extrema(wrow, xq, xq_bounds=xq_bounds)
     fast, vbmi = _gather_body(
         min(grad_w_flat.size, grad_x_flat.size), wrow, xq, planes,
-        xq_bounds=xq_bounds, max_k=None, min_c=VBMI_BWD_MIN_C,
+        ext and ext[:2], ext and ext[2:], max_k=None, min_c=VBMI_BWD_MIN_C,
     )
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _chunk_ranges(c, chunk, nthreads)
-    # Per-thread scratch: the chunk product row and the float32 gx tile,
-    # padded to whole 64-lane blocks for the VBMI body, which also
-    # narrows one index row at a time.
+    # Per-thread scratch.  Scalar loop: the chunk's product row and
+    # float32 gx tile.  VBMI body: the gw sum's T and gT tiles (16 lanes
+    # by 256 activation values, and by the chunk width rounded up to
+    # 16), and the gx tile and narrowed index row padded to whole
+    # 64-lane blocks.
     width = min(chunk, c)
     if vbmi:
+        n_tmp = 16 * (256 + -(-width // 16) * 16)
         width = -(-width // 64) * 64
-        gw_pl, gx_pl = _ptr(planes[0]), _ptr(planes[1])
         xt = [_aligned_empty(width) for _ in ranges]
     else:
-        gw_pl = gx_pl = 0
+        n_tmp = width
         xt = [None] * len(ranges)
-    tmp = [np.empty(width, dtype=np.float32) for _ in ranges]
-    gx32 = [np.empty(k2 * width, dtype=np.float32) for _ in ranges]
+    tmp = [_aligned_empty(4 * n_tmp).view(np.float32) for _ in ranges]
+    gx32 = [
+        np.empty(k2 * width, dtype=np.float32) if need_gx else None
+        for _ in ranges
+    ]
+    xmax = ext[3] if ext else 0
 
     def work(lo, hi, slot):
         lib.backward_grads_range(
             grad_w_flat, grad_w_flat.size, grad_x_flat, grad_x_flat.size,
-            wrow, xq, gout, gw_part, gx, tmp[slot], gx32[slot],
-            m, k2, c, chunk, lo, hi, fast, gw_pl, gx_pl, _ptr(xt[slot]),
+            wrow, xq, gout, gw_part, _ptr(gx), tmp[slot], _ptr(gx32[slot]),
+            m, k2, c, chunk, lo, hi, fast, xmax,
+            _ptr(planes if vbmi else None), _ptr(xt[slot]),
         )
 
     _TRACE.count("lutkernel.fused_backward_calls")
     with _TRACE.span("lutkernel.backward_grads", cat="engine"):
         _run_threaded(work, ranges)
-    # Merge weight-gradient chunk partials in global chunk order: float64
-    # accumulation of float32 chunk sums, exactly like the numpy path's
-    # per-chunk ``gw += buf.sum(axis=2)``.  This is what keeps every
-    # thread count bit-identical to serial.
-    gw = np.zeros((m, k), dtype=np.float64)
-    for ci in range(n_chunks):
-        gw += gw_part[ci]
-    return gw, gx
+    return gw_part, gx
 
 
 def _backward_reference(gw_flat, gx_flat, wrow, xq, gout, chunk):

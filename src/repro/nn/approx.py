@@ -319,7 +319,9 @@ class _ApproxBase(Module):
         when it samples.  ``fold_x_grad(gx_raw, zcol)`` maps the
         engine's raw (K, C) activation gradient and its zero-point
         column term (:meth:`LutGemm.backward_raw`) to the input's
-        gradient.  Returns a Tensor of shape (N, M, L).
+        gradient; an input that needs none (``x.requires_grad`` false,
+        the data batch at the stem) skips the engine's ``gx`` sum and
+        the fold.  Returns a Tensor of shape (N, M, L).
         """
         qs = self.quant
         per_channel = isinstance(qs.w_qparams, ChannelQuantParams)
@@ -378,7 +380,7 @@ class _ApproxBase(Module):
             )
             with _TRACE.span("approx.gemm_backward", cat="approx"):
                 gw_int, gx_raw, zcol = engine.backward_raw(
-                    wq, xq, gmat, zw, zx, xq_bounds
+                    wq, xq, gmat, zw, zx, xq_bounds, x.requires_grad
                 )
             if _HEALTH.enabled:
                 # Gradient-quality probe on the live operands/upstream
@@ -388,7 +390,7 @@ class _ApproxBase(Module):
             # dW/dw = 1/s_w, dX/dx = 1/s_x (STE through round), so the s_w
             # (resp. s_x) factors cancel one of the two scales in DQ'.
             gw = (gw_int / sw_col) * wmask
-            gx = fold_x_grad(gx_raw, zcol)
+            gx = fold_x_grad(gx_raw, zcol) if x.requires_grad else None
             gb = g.sum(axis=(0, 2)) if bias is not None else None
             gw = gw.reshape(weight.shape)
             return (gx, gw, gb) if bias is not None else (gx, gw)

@@ -446,3 +446,61 @@ def test_saturation_probe_reads_float_columns_only_when_sampling(
         telemetry.disable()
         get_monitor().reset()
         get_registry().reset()
+
+
+def _no_grad_input_layer(kind):
+    """A calibrated difference-gradient layer and an input batch, big
+    enough (M * K * C >= FUSED_MIN_ELEMS) for the C backward."""
+    data = np.random.default_rng(3)
+    if kind == "conv":
+        x = data.normal(size=(3, 4, 8, 8))
+        return _parity_conv(3, 1, 1, "difference", False, x), x
+    layer = ApproxLinear(
+        64, 16, multiplier=_PARITY_MULT, gradients=_PARITY_GRADS["difference"],
+        rng=np.random.default_rng(5),
+    )
+    x = data.normal(size=(40, 64))
+    layer.calibrating = True
+    layer(Tensor(x))
+    layer.freeze_quantization()
+    return layer, x
+
+
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+def test_input_without_grad_skips_the_activation_gradient(
+    kind, conv_backend, monkeypatch
+):
+    """An input that needs no gradient (the data batch) skips the
+    engine's gx sum and the fold; the weight and bias gradients keep
+    their bits."""
+    layer, x = _no_grad_input_layer(kind)
+    engine = layer.engine
+    real = engine.backward_raw
+    seen = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(engine, "backward_raw", spy)
+    c_live = conv_backend == "c" and execcore.backend_info()[
+        "backward_backend"
+    ] == "c"
+    grads = []
+    for needs in (True, False):
+        xt = Tensor(x, requires_grad=needs)
+        layer.weight.grad = layer.bias.grad = None
+        with tracing() as tr:
+            out = layer(xt)
+            out.backward(np.random.default_rng(8).normal(size=out.shape))
+            stats = {k[0] for k in tr.stats()}
+            counts = tr.counters()
+        grads.append((xt.grad, layer.weight.grad, layer.bias.grad))
+        assert ("approx.fold" in stats) == (needs and kind == "conv")
+        assert counts.get("lutgemm.backward.cckernel", 0) == int(c_live)
+    with_x, without_x = grads
+    assert with_x[0] is not None and without_x[0] is None
+    assert seen[0][1] is not None and seen[1][1:] == (None, None)
+    assert _same_bits(with_x[1], without_x[1])
+    assert _same_bits(with_x[2], without_x[2])

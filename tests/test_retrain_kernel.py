@@ -720,11 +720,17 @@ def _bad_shape_calls():
             np.zeros(0, np.int32), w43, x3, np.zeros(100, np.int64), one,
             one, one, one, 0, 255,
         ),
+        # The gx table's four planes, not one of them, nor a uint16
+        # LUT's two, nor the (gw, gx) pair of planes the backward used
+        # to take.
         "backward_one_plane": lambda: bwd(
-            w43, x3, planes=(lutkernel.byte_planes(tab), None)
+            w43, x3, planes=lutkernel.byte_planes(tab)[: 64 + 256]
         ),
         "backward_uint16_planes": lambda: bwd(
-            w43, x3, planes=(lutkernel.byte_planes(lut),) * 2
+            w43, x3, planes=lutkernel.byte_planes(lut)
+        ),
+        "backward_plane_pair": lambda: bwd(
+            w43, x3, planes=(lutkernel.byte_planes(tab),) * 2
         ),
     }
 
@@ -996,7 +1002,7 @@ def _backward_case(levels, m, k, c, seed=0):
     gw_flat = edge_grad_table(levels, seed)
     gx_flat = edge_grad_table(levels, seed + 1)
     wrow, xq = edge_operands(levels, m, k, c, seed=seed)
-    planes = (lutkernel.byte_planes(gw_flat), lutkernel.byte_planes(gx_flat))
+    planes = lutkernel.byte_planes(gx_flat)
     return gw_flat, gx_flat, wrow, xq, edge_gout(m, c, seed), planes
 
 
@@ -1050,9 +1056,167 @@ def test_backward_bodies_on_full_chunks(monkeypatch, body):
         assert same_bits(got, want), chunk
 
 
+# The VBMI body sums gw with its lanes over rows (16-row blocks, T and gT
+# tiles) and gx with its lanes over columns: row counts around 16,
+# chunks around the pairwise leaf (128 columns) and its recursion.
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("levels", [256, 128, 64])
+def test_backward_bodies_over_row_blocks(monkeypatch, levels, m, body):
+    from repro.obs.trace import tracing
+
+    force_body(monkeypatch, body)
+    gw_flat, gx_flat, wrow, xq, gout, planes = _backward_case(
+        levels, m, 5, 1100, seed=m
+    )
+    for chunk in (7, 96, 128, 129, 256, 1000, 1024):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = lutkernel._backward_reference(
+                gw_flat, gx_flat, wrow, xq, gout, chunk
+            )
+        for threads in (1, 4, 7):
+            with tracing() as tr, np.errstate(invalid="ignore"):
+                got = lutkernel.fused_backward_grads(
+                    gw_flat, gx_flat, wrow, xq, gout, chunk, threads, planes
+                )
+                assert _body_counts(tr) == (
+                    (1, 0) if body == "vbmi" else (0, 1)
+                )
+            assert same_bits(got, want), (chunk, threads)
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+def test_backward_bodies_sum_negative_zero_products(monkeypatch, body):
+    # All products -0.0 (a positive table times a gout of -0.0): each
+    # chunk sum follows the pairwise recursion, -0.0 over 8 or more
+    # columns and +0.0 over fewer (a sum of under 8 starts from +0.0),
+    # and the merge into +0.0 gives numpy's +0.0 either way.
+    force_body(monkeypatch, body)
+    rng = np.random.default_rng(5)
+    gw_flat = rng.random(256 * 256, dtype=np.float32) + 0.5
+    gx_flat = edge_grad_table(256, 1)
+    wrow, xq = edge_operands(256, 17, 3, 1000)
+    gout = np.full((17, 1000), -0.0, dtype=np.float32)
+    planes = lutkernel.byte_planes(gx_flat)
+    for chunk, tail in ((8, 8), (129, 97), (1000, 1000), (96, 40), (7, 6),
+                        (999, 1)):
+        parts, _ = lutkernel._backward_parts(
+            lutkernel._get_kernel(), gw_flat, gx_flat, wrow, xq, gout,
+            chunk, 2, planes, None, False,
+        )
+        assert np.signbit(parts[:-1]).all() == (chunk >= 8), chunk
+        assert np.signbit(parts[-1]).all() == (tail >= 8), chunk
+        want = lutkernel._backward_reference(
+            gw_flat, gx_flat, wrow, xq, gout, chunk
+        )
+        got = lutkernel.fused_backward_grads(
+            gw_flat, gx_flat, wrow, xq, gout, chunk, 2, planes
+        )
+        assert same_bits(got, want), chunk
+        assert not np.signbit(got[0]).any()
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+def test_backward_bodies_skip_gx_when_not_needed(monkeypatch, body):
+    from repro.obs.trace import tracing
+
+    force_body(monkeypatch, body)
+    gw_flat, gx_flat, wrow, xq, gout, planes = _backward_case(
+        256, 17, 6, 300, seed=4
+    )
+    for chunk, threads in ((96, 1), (129, 4), (1024, 2)):
+        want = lutkernel.fused_backward_grads(
+            gw_flat, gx_flat, wrow, xq, gout, chunk, threads, planes
+        )
+        with tracing() as tr:
+            got = lutkernel.fused_backward_grads(
+                gw_flat, gx_flat, wrow, xq, gout, chunk, threads, planes,
+                need_gx=False,
+            )
+            assert _body_counts(tr) == ((1, 0) if body == "vbmi" else (0, 1))
+        assert got[1] is None
+        assert same_bits(got[:1], want[:1]), (chunk, threads)
+
+
+#: Runs in a subprocess: a levels-128 table flush against a PROT_NONE
+#: page, where ``max(wrow) + 255`` runs past the table's end, so a gw
+#: tile row past ``max(xq)`` faults instead of reading a neighbour.
+_GUARD_PAGE_SCRIPT = r"""
+import ctypes, mmap
+import numpy as np
+from repro.core import lutkernel
+from repro.obs.trace import tracing
+from tests.gather_bodies import (
+    edge_grad_table, edge_gout, edge_operands, same_bits,
+)
+
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+keep = []
+
+def guarded(table):
+    page = mmap.PAGESIZE
+    span = -(-table.nbytes // page) * page
+    buf = mmap.mmap(-1, span + page)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    assert libc.mprotect(base + span, page, 0) == 0  # PROT_NONE
+    out = np.frombuffer(buf, dtype=np.float32, count=table.size,
+                        offset=span - table.nbytes)
+    out[:] = table
+    keep.append(buf)
+    return out
+
+levels = 128
+gw_flat = guarded(edge_grad_table(levels))
+gx_flat = guarded(edge_grad_table(levels, 1))
+wrow, xq = edge_operands(levels, 17, 9, 300)
+assert wrow.max() + 255 >= gw_flat.size
+assert wrow.max() + xq.max() == gw_flat.size - 1
+gout = edge_gout(17, 300)
+planes = lutkernel.byte_planes(gx_flat)
+assert lutkernel.vbmi_trusted()
+for chunk, threads in ((64, 1), (129, 2), (1024, 1)):
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = lutkernel._backward_reference(
+            gw_flat, gx_flat, wrow, xq, gout, chunk
+        )
+        with tracing() as tr:
+            got = lutkernel.fused_backward_grads(
+                gw_flat, gx_flat, wrow, xq, gout, chunk, threads, planes
+            )
+            assert tr.counters().get("lutkernel.gather.vbmi") == 1
+    assert same_bits(got, want), chunk
+print("guarded ok")
+"""
+
+
+@requires_kernel
+def test_backward_bodies_read_no_tile_row_past_max_xq():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if not vbmi_ok():
+        pytest.skip(NO_VBMI)
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD_PAGE_SCRIPT],
+        cwd=root, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert "guarded ok" in proc.stdout
+
+
 def _backward_fallback_case(name, monkeypatch):
     """``(wrow, xq)`` of a backward call, after arranging case ``name``."""
-    wrow, xq = edge_operands(256, 4, 6, 70)
+    wrow, xq = edge_operands(256, 4, 6, lutkernel.VBMI_BWD_MIN_C + 6)
     if name == "failed_proof":
         xq = xq.copy()
         xq[2, 5] = -1
@@ -1090,7 +1254,7 @@ def test_backward_vbmi_fallbacks_take_the_scalar_body(monkeypatch, case):
     from repro.obs.trace import tracing
 
     gw_flat, gx_flat = edge_grad_table(256), edge_grad_table(256, 1)
-    planes = (lutkernel.byte_planes(gw_flat), lutkernel.byte_planes(gx_flat))
+    planes = lutkernel.byte_planes(gx_flat)
     wrow, xq = _backward_fallback_case(case, monkeypatch)
     gout = edge_gout(wrow.shape[0], xq.shape[1])
     with np.errstate(invalid="ignore", over="ignore"):
@@ -1116,16 +1280,15 @@ def test_engine_builds_grad_planes_on_first_use():
     # Lazy: engines that never run a C backward (calibration, serving
     # set-up) hold no gradient planes.
     assert train._grad_planes is None
-    assert train._grad_byte_planes() is train._grad_byte_planes()
-    for table, planes in zip(
-        (train.grad_w_flat, train.grad_x_flat), train._grad_byte_planes()
-    ):
-        assert planes.nbytes == 4 * (65536 + 256)
-        assert planes.ctypes.data % 64 == 0
-        # Plane p holds byte p of each entry's bit pattern.
-        stacked = planes.reshape(4, -1)[:, :65536].astype(np.uint32)
-        rebuilt = sum(stacked[p] << (8 * p) for p in range(4))
-        assert np.array_equal(rebuilt, table.view(np.uint32))
+    planes = train._grad_byte_planes()
+    assert planes is train._grad_byte_planes()
+    # Only the gx table's: the VBMI body sums gw from the table itself.
+    assert planes.nbytes == 4 * (65536 + 256)
+    assert planes.ctypes.data % 64 == 0
+    # Plane p holds byte p of each entry's bit pattern.
+    stacked = planes.reshape(4, -1)[:, :65536].astype(np.uint32)
+    rebuilt = sum(stacked[p] << (8 * p) for p in range(4))
+    assert np.array_equal(rebuilt, train.grad_x_flat.view(np.uint32))
 
 
 @requires_kernel
