@@ -207,8 +207,10 @@ def backward_grads(
 
     ``gout`` must already be float32 C-contiguous (the engine
     normalizes it once, before the zero-point math that shares it).
-    ``xq_bounds`` as for :func:`product_sums`.  ``need_gx=False`` skips
-    the ``gx`` sum on both backends and returns ``(gw, None)``.
+    ``xq_bounds`` as for :func:`product_sums`.  Returns ``gw`` as
+    float64 ``(M, K)`` and ``gx`` as float32 ``(K, C)``, the dtype both
+    backends sum it in.  ``need_gx=False`` skips the ``gx`` sum on both
+    backends and returns ``(gw, None)``.
     """
     m, k = wq.shape
     c = xq.shape[1]
@@ -240,7 +242,7 @@ def _numpy_backward(engine, wq, xq, gout, need_gx):
     scratch = engine._scratch
     wrow = (wq * engine.levels).astype(np.intp)
     gw = np.zeros((m, k), dtype=np.float64)
-    gx = np.empty((k, c), dtype=np.float64) if need_gx else None
+    gx = np.empty((k, c), dtype=np.float32) if need_gx else None
     reuse = (
         c <= chunk
         and engine._fwd_operands is not None
@@ -295,14 +297,15 @@ def fold_input_grad(
     """A conv layer's input gradient from the engine's raw activation gradient.
 
     ``gx`` is the raw ``(Cin*kh*kw, N*OH*OW)`` output of
-    :meth:`repro.core.lutgemm.LutGemm.backward_raw`, ``zcol`` its
-    zero-point column term, ``mask`` the ``(N, Cin, H, W)`` clipped-STE
-    pixel mask.  Returns ``(N, Cin, H, W)`` float64: each pixel sums
+    :meth:`repro.core.lutgemm.LutGemm.backward_raw` (float32, or float64
+    from the STE fast path), ``zcol`` its float64 zero-point column
+    term, ``mask`` the ``(N, Cin, H, W)`` clipped-STE pixel mask.
+    Returns ``(N, Cin, H, W)`` float64: each pixel sums
     ``((gx - zcol) / sx) * mask`` over its taps from ``+0.0`` in
-    ascending ``(i, j)``.  The C fold
-    (:func:`repro.core.lutkernel.fold_input_grad`) runs when the backward
-    self-check trusts the C backward; otherwise :func:`_numpy_fold`, its
-    reference.
+    ascending ``(i, j)``, with a float32 ``gx`` widened exactly first.
+    The C fold (:func:`repro.core.lutkernel.fold_input_grad`) runs when
+    the backward self-check trusts the C backward; otherwise
+    :func:`_numpy_fold`, its reference.
     """
     if backward_kernel_trusted():
         out = lutkernel.fold_input_grad(
@@ -319,6 +322,8 @@ def _numpy_fold(gx, zcol, sx, mask, kh, kw, stride, pad) -> np.ndarray:
     Every operation is one of the float-column pipeline's passes (the
     zero-point subtraction, the ``/ sx``, the mask multiply, the ``+=``
     into a zeroed padded image), so the result is theirs bit for bit.
+    The subtraction runs in float64 (``zcol`` is float64), widening a
+    float32 ``gx`` exactly.
     """
     n, c, h, w = mask.shape
     oh = (h + 2 * pad - kh) // stride + 1
@@ -578,8 +583,11 @@ def _fold_probes_match(rng) -> bool:
     without ``(h + 2p - k) % s == 0``), pads 0 to 2 and non-square
     images; ``gx`` holds -0.0, denormals and +-inf and ``zcol`` a NaN,
     so the signed-zero, ``inf * 0`` and NaN cases of the mask multiply
-    come up; one and two threads.  Compared by bit pattern, except that
-    any NaN matches any NaN (operand order may pick either payload).
+    come up; one and two threads.  Each geometry runs a float64 ``gx``
+    (the STE fast path's) and a float32 one (the LUT backward's, with a
+    float32 denormal), so both instantiations of the C fold are vetted.
+    Compared by bit pattern, except that any NaN matches any NaN
+    (operand order may pick either payload).
     """
     for kh, kw, stride, pad, h, w in (
         (3, 3, 1, 1, 5, 6), (3, 3, 2, 1, 6, 5), (1, 1, 2, 0, 5, 5),
@@ -597,19 +605,22 @@ def _fold_probes_match(rng) -> bool:
         zcol[::5] = 0.0
         zcol[-1] = np.nan
         mask = rng.random((n, c, h, w)) < 0.7
-        with np.errstate(invalid="ignore"):
-            want = _numpy_fold(gx, zcol, 0.37, mask, kh, kw, stride, pad)
-            for threads in (1, 2):
-                got = lutkernel.fold_input_grad(
-                    gx, zcol, 0.37, mask, kh, kw, stride, pad, threads
-                )
-                if got is None:
-                    return False
-                same = got.view(np.uint64) == np.ascontiguousarray(
-                    want
-                ).view(np.uint64)
-                if not np.all(same | (np.isnan(got) & np.isnan(want))):
-                    return False
+        gx32 = gx.astype(np.float32)
+        gx32.flat[1::11] = np.float32(1e-45)
+        for g in (gx, gx32):
+            with np.errstate(invalid="ignore"):
+                want = _numpy_fold(g, zcol, 0.37, mask, kh, kw, stride, pad)
+                for threads in (1, 2):
+                    got = lutkernel.fold_input_grad(
+                        g, zcol, 0.37, mask, kh, kw, stride, pad, threads
+                    )
+                    if got is None:
+                        return False
+                    same = got.view(np.uint64) == np.ascontiguousarray(
+                        want
+                    ).view(np.uint64)
+                    if not np.all(same | (np.isnan(got) & np.isnan(want))):
+                        return False
     return True
 
 

@@ -423,9 +423,10 @@ class LutGemm:
             ``gw[m,k] = sum_c gout[m,c] * (gradW(W,X) - zx)`` and
             ``gx[k,c] = sum_m gout[m,c] * (gradX(W,X) - zw)``.
         """
-        gw, gx, zcol = self.backward_raw(wq, xq, gout, zw, zx, xq_bounds)
-        gx -= zcol[None, :]
-        return gw, gx
+        gw, gx_raw, zcol = self.backward_raw(wq, xq, gout, zw, zx, xq_bounds)
+        # Out of place: gx_raw is float32 off the LUT backends, and the
+        # float64 zcol subtraction must not round back into it.
+        return gw, gx_raw - zcol[None, :]
 
     def backward_raw(
         self,
@@ -441,11 +442,14 @@ class LutGemm:
 
         Returns ``(gw, gx_raw, zcol)``: ``gw`` as :meth:`backward_grads`
         returns it, the raw (K, C) ``gx_raw[k,c] = sum_m gout[m,c] *
-        gradX(W,X)`` and the (C,) column term ``zcol[c] = sum_m zw *
-        gout[m,c]``, so ``gx = gx_raw - zcol[None, :]``.  A caller that
-        passes ``gx`` on (the conv layer's fold,
-        :func:`repro.core.execcore.fold_input_grad`) subtracts the term
-        as it reads each element instead of in a pass of its own.
+        gradX(W,X)`` and the float64 (C,) column term ``zcol[c] = sum_m
+        zw * gout[m,c]``, so ``gx = gx_raw - zcol[None, :]`` (out of
+        place, in float64).  ``gx_raw`` is float32 -- the dtype both
+        backends sum it in -- except on the STE fast path, whose exact
+        matmul gives float64.  A caller that passes ``gx`` on (the conv
+        layer's fold, :func:`repro.core.execcore.fold_input_grad`)
+        subtracts the term as it reads each element instead of in a pass
+        of its own.
         ``need_gx=False`` (a layer whose input needs no gradient) skips
         both and returns ``(gw, None, None)``; ``gw`` is unchanged.
         """

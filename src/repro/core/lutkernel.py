@@ -38,12 +38,17 @@ JIT-compiles single-pass C kernels at first use:
   chunk it reads *both* gradient tables at the shared index and reduces
   against the upstream gradient (``need_gx=False`` skips the activation
   gradient).  Float32 partial sums replicate numpy's reduction orders
-  exactly -- the scalar pairwise algorithm for the per-``(m, k)`` sum
-  over columns (``buf.sum(axis=2)``) and sequential-over-rows
-  accumulation for the activation gradient (``buf.sum(axis=0)``) -- and
-  per-chunk weight partials are merged in global chunk order, so
-  results are bit-identical to the numpy path (verified at runtime by
-  :mod:`repro.core.execcore` before the kernel is trusted).
+  -- the scalar pairwise algorithm for the per-``(m, k)`` sum over
+  columns (``buf.sum(axis=2)``) and sequential-over-rows accumulation
+  for the activation gradient (``buf.sum(axis=0)``), which the kernel
+  writes in place into its float32 ``(K, C)`` output.  The pairwise
+  chunk sums match numpy's up to one zero sign: numpy adds a reduction
+  into ``+0.0``, so a chunk of 8 or more products that are all ``-0.0``
+  reads ``+0.0`` there and ``-0.0`` here.  Per-chunk weight partials
+  are merged into float64 from ``+0.0`` in global chunk order, which
+  hides that sign, so results are bit-identical to the numpy path
+  (verified at runtime by :mod:`repro.core.execcore` before the kernel
+  is trusted).
 
 Two gather bodies: all three gathers (``fused_product_sums``,
 ``fused_serve`` and ``fused_backward_grads``) have a scalar C loop and
@@ -845,73 +850,81 @@ void im2col_serve_call(const im2col_args *a)
 
 /* Input-gradient fold of an approximate conv layer: the adjoint of the
  * unfold above, fused with the tail of Eq. 9.  gx is the engine's raw
- * (K, NC) activation gradient in im2col_serve_call's layout and zcol
- * its (NC,) zero-point column term.  Each tap adds
+ * (K, NC) activation gradient in im2col_serve_call's layout (float32
+ * from the LUT backward, float64 from the STE fast path: one body,
+ * instantiated for each) and zcol its (NC,) zero-point column term.
+ * Each tap adds
  *
- *     ((gx[k, col] - zcol[col]) / sx) * mask[pixel]
+ *     (((double) gx[k, col] - zcol[col]) / sx) * mask[pixel]
  *
  * into out[pixel] of the (N, Cin, H, W) input gradient, and every pixel
- * starts at +0.0.  Per pixel the taps arrive in ascending (i, j), the
- * order of numpy's col2im loop, and each operation rounds once, as
- * numpy's separate passes do (-ffp-contract=off, a true division), so
- * the result is bit-identical to the numpy fold, signed zeros included.
- * Taps landing in the padding are skipped (col2im crops them).  Images
- * [n_lo, n_hi) only, so threads write disjoint outputs; one (n, ci)
- * plane stays in L1 across its kh * kw taps. */
-void fold_input_grad_range(const double *restrict gx,
-                           const double *restrict zcol,
-                           const uint8_t *restrict mask,
-                           double *restrict out, double sx,
-                           long N, long Cin, long H, long W,
-                           long kh, long kw, long stride, long pad,
-                           long oh, long ow, long n_lo, long n_hi)
-{
-    const long L = oh * ow, NC = N * L, HW = H * W;
-    for (long nn = n_lo; nn < n_hi; nn++)
-    for (long ci = 0; ci < Cin; ci++) {
-        double *restrict o = out + (nn * Cin + ci) * HW;
-        const uint8_t *restrict mk = mask + (nn * Cin + ci) * HW;
-        const double *restrict z = zcol + nn * L;
-        for (long p = 0; p < HW; p++)
-            o[p] = 0.0;
-        for (long i = 0; i < kh; i++)
-        for (long j = 0; j < kw; j++) {
-            const double *restrict g = gx + ((ci * kh + i) * kw + j) * NC
-                                          + nn * L;
-            /* Output columns whose tap lands inside the image: x0..x1. */
-            long x0 = pad - j > 0 ? (pad - j + stride - 1) / stride : 0;
-            long x1 = W + pad - j > 0 ? (W + pad - j + stride - 1) / stride
-                                      : 0;
-            if (x1 > ow) x1 = ow;
-            const long off = j - pad;
-            for (long y = 0; y < oh; y++) {
-                const long ys = y * stride + i - pad;
-                if (ys < 0 || ys >= H) continue;
-                const double *restrict gr = g + y * ow;
-                const double *restrict zr = z + y * ow;
-                double *restrict orow = o + ys * W;
-                const uint8_t *restrict mrow = mk + ys * W;
-                if (stride == 1) {
-                    for (long xx = x0; xx < x1; xx++)
-                        orow[xx + off] += ((gr[xx] - zr[xx]) / sx)
-                                          * (double) mrow[xx + off];
-                } else {
-                    for (long xx = x0; xx < x1; xx++) {
-                        const long xs = xx * stride + off;
-                        orow[xs] += ((gr[xx] - zr[xx]) / sx)
-                                    * (double) mrow[xs];
-                    }
-                }
-            }
-        }
-    }
+ * starts at +0.0.  A float32 gx widens exactly, as numpy's float32 -
+ * float64 subtraction does.  Per pixel the taps arrive in ascending
+ * (i, j), the order of numpy's col2im loop, and each operation rounds
+ * once, as numpy's separate passes do (-ffp-contract=off, a true
+ * division), so the result is bit-identical to the numpy fold, signed
+ * zeros included.  Taps landing in the padding are skipped (col2im crops
+ * them).  Images [n_lo, n_hi) only, so threads write disjoint outputs;
+ * one (n, ci) plane stays in L1 across its kh * kw taps. */
+#define FOLD_INPUT_GRAD(NAME, GX_T)                                      \
+void NAME(const GX_T *restrict gx, const double *restrict zcol,         \
+          const uint8_t *restrict mask, double *restrict out, double sx,\
+          long N, long Cin, long H, long W, long kh, long kw,           \
+          long stride, long pad, long oh, long ow, long n_lo, long n_hi)\
+{                                                                       \
+    const long L = oh * ow, NC = N * L, HW = H * W;                     \
+    for (long nn = n_lo; nn < n_hi; nn++)                               \
+    for (long ci = 0; ci < Cin; ci++) {                                 \
+        double *restrict o = out + (nn * Cin + ci) * HW;                \
+        const uint8_t *restrict mk = mask + (nn * Cin + ci) * HW;       \
+        const double *restrict z = zcol + nn * L;                       \
+        for (long p = 0; p < HW; p++)                                   \
+            o[p] = 0.0;                                                 \
+        for (long i = 0; i < kh; i++)                                   \
+        for (long j = 0; j < kw; j++) {                                 \
+            const GX_T *restrict g = gx + ((ci * kh + i) * kw + j) * NC \
+                                        + nn * L;                       \
+            /* Output columns whose tap lands inside the image. */      \
+            long x0 = pad - j > 0 ? (pad - j + stride - 1) / stride : 0;\
+            long x1 = W + pad - j > 0                                   \
+                      ? (W + pad - j + stride - 1) / stride : 0;        \
+            if (x1 > ow) x1 = ow;                                       \
+            const long off = j - pad;                                   \
+            for (long y = 0; y < oh; y++) {                             \
+                const long ys = y * stride + i - pad;                   \
+                if (ys < 0 || ys >= H) continue;                        \
+                const GX_T *restrict gr = g + y * ow;                   \
+                const double *restrict zr = z + y * ow;                 \
+                double *restrict orow = o + ys * W;                     \
+                const uint8_t *restrict mrow = mk + ys * W;             \
+                if (stride == 1) {                                      \
+                    for (long xx = x0; xx < x1; xx++)                   \
+                        orow[xx + off] +=                               \
+                            (((double) gr[xx] - zr[xx]) / sx)           \
+                            * (double) mrow[xx + off];                  \
+                } else {                                                \
+                    for (long xx = x0; xx < x1; xx++) {                 \
+                        const long xs = xx * stride + off;              \
+                        orow[xs] += (((double) gr[xx] - zr[xx]) / sx)   \
+                                    * (double) mrow[xs];                \
+                    }                                                   \
+                }                                                       \
+            }                                                           \
+        }                                                               \
+    }                                                                   \
 }
+
+FOLD_INPUT_GRAD(fold_input_grad_range_f32, float)
+FOLD_INPUT_GRAD(fold_input_grad_range_f64, double)
 
 /* ------------------------------------------------------------------
  * numpy's scalar pairwise summation (umath loops.c.src), float32.
  * Reproduced operation-for-operation so the per-(m, k) column-chunk
- * sum below is bit-identical to ``buf.sum(axis=2)`` on the numpy
- * path.  PW_BLOCKSIZE = 128, 8-way unrolled inner block.
+ * sum below matches ``buf.sum(axis=2)`` on the numpy path, up to one
+ * zero sign: numpy adds a reduction into +0.0, so a chunk of 8 or more
+ * products that are all -0.0 sums to +0.0 there and to -0.0 here.  The
+ * float64 merge into +0.0 hides that sign, so the merged gw is
+ * bit-identical.  PW_BLOCKSIZE = 128, 8-way unrolled inner block.
  */
 static float pairwise_sum_f32(const float *a, long n)
 {
@@ -959,10 +972,12 @@ static float pairwise_sum_f32(const float *a, long n)
  * 4x4 transpose (128-bit lane L against dword group j) to the index
  * bytes as it narrows them, once per index row, and every gathered
  * float vector comes out in column order.  Each gx element adds its
- * products in ascending m from 0.0f, as the scalar loop does: within a
- * block of BWD_ROWS rows the loop runs k outermost, so one gx row and
- * one narrowed index row stay in L1 across the block's rows, and blocks
- * run in ascending m.
+ * products in ascending m from 0.0f, as the scalar loop does, straight
+ * into the float32 output row: within a block of BWD_ROWS rows the loop
+ * runs k outermost, so the chunk's slice of one gx row and one narrowed
+ * index row stay in L1 across the block's rows, and blocks run in
+ * ascending m.  A last, partial 64-lane block loads and stores under a
+ * mask, so it never touches another chunk's (or thread's) columns.
  *
  * gw, lanes over rows (no gather): for one k and a block of GW_LANES
  * rows, the gw table entry gwtab[wrow[m, k] + x] can only be one of
@@ -973,9 +988,12 @@ static float pairwise_sum_f32(const float *a, long n)
  * only: the in-bounds proof covers exactly those reads, and the float
  * tables carry no padding.  Each lane then sums T[xq[k, c]][lane] *
  * gT[c][lane] over the chunk's columns in pairwise_sum_f32's recursion
- * (lane_pairwise), so every lane adds in the scalar loop's order.  Dead
- * lanes of a last block with M % GW_LANES != 0 read the block's first
- * row and are never stored.
+ * (lane_pairwise), so every lane adds in the scalar loop's order.  The
+ * ks go in pairs: T tiles for k and k + 1 side by side, and one
+ * recursion (lane_pairwise2) sums both, loading each gT column once
+ * (gT is 64 KB at 1024 columns, more than L1); an odd last k sums
+ * alone.  Dead lanes of a last block with M % GW_LANES != 0 read the
+ * block's first row and are never stored.
  *
  * Float order is the scalar loop's in both: each product rounds once,
  * table entry first (table entry * gout, no FMA: -ffp-contract=off).
@@ -1041,8 +1059,7 @@ static inline VBMI_TARGET void bwd_add(float *o, __m512 prod)
 
 /* One pass of the gx table row at row (plane stride ps) over the
  * chunk's cc columns: out[c] += row[xt[c]] * g[c].  The last, partial
- * block reads no gout past cc (masked loads); its lanes past cc are
- * written but never read. */
+ * block reads gout and reads and writes out only below cc (masked). */
 static inline VBMI_TARGET void bwd_pass(const uint8_t *restrict row, long ps,
                                         const uint8_t *restrict xt,
                                         const float *restrict g, long cc,
@@ -1074,44 +1091,41 @@ static inline VBMI_TARGET void bwd_pass(const uint8_t *restrict row, long ps,
     if (b < cc) {
         ROW_FLOATS(f, b);
         const __mmask64 live = (1ULL << (cc - b)) - 1;
-        for (int j = 0; j < 4; j++)
-            bwd_add(out + b + 16 * j, _mm512_mul_ps(
-                f[j], _mm512_maskz_loadu_ps((__mmask16) (live >> (16 * j)),
-                                            g + b + 16 * j)));
+        for (int j = 0; j < 4; j++) {
+            const __mmask16 mj = (__mmask16) (live >> (16 * j));
+            float *o = out + b + 16 * j;
+            const __m512 prod = _mm512_mul_ps(
+                f[j], _mm512_maskz_loadu_ps(mj, g + b + 16 * j));
+            _mm512_mask_storeu_ps(
+                o, mj, _mm512_add_ps(_mm512_maskz_loadu_ps(mj, o), prod));
+        }
     }
 }
 
-/* gx over columns [c_lo, c_hi) (chunk-aligned), see above.  With ccp
- * the chunk width rounded up to a multiple of 64, xt (64-byte aligned)
- * holds ccp index bytes and gx32 K rows of ccp floats: the chunk's
- * float32 gx. */
+/* gx over columns [c_lo, c_hi) (chunk-aligned), see above, written in
+ * place into the (K, C) float32 gx.  xt (64-byte aligned) holds the
+ * chunk width rounded up to a multiple of 64 index bytes. */
 static VBMI_TARGET void backward_gx_vbmi(
     const uint8_t *restrict planes, long n_gx,
     const int64_t *restrict wrow, const int32_t *restrict xq,
-    const float *restrict gout, double *restrict gx,
-    float *restrict gx32, uint8_t *restrict xt, long M, long K, long C,
+    const float *restrict gout, float *restrict gx,
+    uint8_t *restrict xt, long M, long K, long C,
     long chunk, long c_lo, long c_hi)
 {
     const long ps = n_gx + PLANE_PAD;
     for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
         const long cc = (c0 + chunk < c_hi ? c0 + chunk : c_hi) - c0;
-        const long ccp = (cc + 63) & ~63L;
         for (long m0 = 0; m0 < M; m0 += BWD_ROWS) {
             const long m1 = m0 + BWD_ROWS < M ? m0 + BWD_ROWS : M;
             for (long k = 0; k < K; k++) {
-                float *gxr = gx32 + k * ccp;
+                float *gxr = gx + k * C + c0;
                 if (m0 == 0)
-                    for (long i = 0; i < ccp; i++)
+                    for (long i = 0; i < cc; i++)
                         gxr[i] = 0.0f;
                 xq_row_u8(xq + k * C + c0, cc, xt);
                 for (long m = m0; m < m1; m++)
                     bwd_pass(planes + wrow[m * K + k], ps, xt,
                              gout + m * C + c0, cc, gxr);
-                if (m1 == M) {
-                    double *gxd = gx + k * C + c0;
-                    for (long i = 0; i < cc; i++)
-                        gxd[i] = (double) gxr[i];
-                }
             }
         }
     }
@@ -1205,18 +1219,103 @@ static VBMI_TARGET __m512 lane_pairwise(const float *restrict T,
                          lane_pairwise(T, gT + GW_LANES * n2, x + n2, n - n2));
 }
 
+/* lane_pairwise for two ks at once, sharing each gT load: T0 / x0 and
+ * T1 / x1 are the two ks' tiles and activation rows, and each sum runs
+ * lane_pairwise's operations in its order, into *s0 and *s1. */
+static VBMI_TARGET void lane_pairwise2(const float *restrict T0,
+                                       const float *restrict T1,
+                                       const float *restrict gT,
+                                       const int32_t *restrict x0,
+                                       const int32_t *restrict x1, long n,
+                                       __m512 *s0, __m512 *s1)
+{
+#define PROD2(I)                                                        \
+    const __m512 g = _mm512_load_ps(gT + GW_LANES * (I));               \
+    const __m512 p0 = _mm512_mul_ps(                                    \
+        _mm512_load_ps(T0 + GW_LANES * (long) x0[I]), g);               \
+    const __m512 p1 = _mm512_mul_ps(                                    \
+        _mm512_load_ps(T1 + GW_LANES * (long) x1[I]), g)
+    if (n < 8) {
+        __m512 a = _mm512_setzero_ps(), b = _mm512_setzero_ps();
+        for (long i = 0; i < n; i++) {
+            PROD2(i);
+            a = _mm512_add_ps(a, p0);
+            b = _mm512_add_ps(b, p1);
+        }
+        *s0 = a;
+        *s1 = b;
+        return;
+    }
+    if (n <= 128) {
+        __m512 r[8], q[8];
+        long i;
+        for (int j = 0; j < 8; j++) {
+            PROD2(j);
+            r[j] = p0;
+            q[j] = p1;
+        }
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++) {
+                PROD2(i + j);
+                r[j] = _mm512_add_ps(r[j], p0);
+                q[j] = _mm512_add_ps(q[j], p1);
+            }
+        __m512 a = _mm512_add_ps(
+            _mm512_add_ps(_mm512_add_ps(r[0], r[1]),
+                          _mm512_add_ps(r[2], r[3])),
+            _mm512_add_ps(_mm512_add_ps(r[4], r[5]),
+                          _mm512_add_ps(r[6], r[7])));
+        __m512 b = _mm512_add_ps(
+            _mm512_add_ps(_mm512_add_ps(q[0], q[1]),
+                          _mm512_add_ps(q[2], q[3])),
+            _mm512_add_ps(_mm512_add_ps(q[4], q[5]),
+                          _mm512_add_ps(q[6], q[7])));
+        for (; i < n; i++) {
+            PROD2(i);
+            a = _mm512_add_ps(a, p0);
+            b = _mm512_add_ps(b, p1);
+        }
+        *s0 = a;
+        *s1 = b;
+        return;
+    }
+#undef PROD2
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    __m512 a0, b0, a1, b1;
+    lane_pairwise2(T0, T1, gT, x0, x1, n2, &a0, &b0);
+    lane_pairwise2(T0, T1, gT + GW_LANES * n2, x0 + n2, x1 + n2, n - n2,
+                   &a1, &b1);
+    *s0 = _mm512_add_ps(a0, a1);
+    *s1 = _mm512_add_ps(b0, b1);
+}
+
+/* The T tile of k for the block of rows m0 (live of them) into T. */
+static inline VBMI_TARGET void table_tile(const float *restrict gwtab,
+                                          const int64_t *restrict wrow,
+                                          long m0, long live, long K, long k,
+                                          long xmax, float *restrict T)
+{
+    const float *rows[GW_LANES];
+    for (long l = 0; l < GW_LANES; l++)
+        rows[l] = gwtab + wrow[(m0 + (l < live ? l : 0)) * K + k];
+    for (long v = 0; v <= xmax; v += 16)
+        transpose16(rows, v, first_cols(xmax + 1 - v), T + GW_LANES * v);
+}
+
 /* gw over columns [c_lo, c_hi) (chunk-aligned), see above.  tile
- * (64-byte aligned) holds T, GW_VALUES x GW_LANES floats, then gT, the
- * chunk width rounded up to 16 times GW_LANES floats. */
+ * (64-byte aligned) holds two T tiles, GW_VALUES x GW_LANES floats each,
+ * then gT, the chunk width rounded up to 16 times GW_LANES floats. */
 static VBMI_TARGET void backward_gw_vbmi(
     const float *restrict gwtab, const int64_t *restrict wrow,
     const int32_t *restrict xq, const float *restrict gout,
     float *restrict gw_part, float *restrict tile, long M, long K,
     long C, long chunk, long xmax, long c_lo, long c_hi)
 {
-    float *T = tile, *gT = tile + GW_VALUES * GW_LANES;
+    float *T0 = tile, *T1 = tile + GW_VALUES * GW_LANES;
+    float *gT = tile + 2 * GW_VALUES * GW_LANES;
     const float *rows[GW_LANES];
-    float sums[GW_LANES] __attribute__((aligned(64)));
+    float sums[2][GW_LANES] __attribute__((aligned(64)));
     for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
         const long cc = (c0 + chunk < c_hi ? c0 + chunk : c_hi) - c0;
         float *gwp = gw_part + (c0 / chunk) * M * K;
@@ -1226,16 +1325,26 @@ static VBMI_TARGET void backward_gw_vbmi(
                 rows[l] = gout + (m0 + (l < live ? l : 0)) * C + c0;
             for (long c = 0; c < cc; c += 16)
                 transpose16(rows, c, first_cols(cc - c), gT + GW_LANES * c);
-            for (long k = 0; k < K; k++) {
-                for (long l = 0; l < GW_LANES; l++)
-                    rows[l] = gwtab + wrow[(m0 + (l < live ? l : 0)) * K + k];
-                for (long v = 0; v <= xmax; v += 16)
-                    transpose16(rows, v, first_cols(xmax + 1 - v),
-                                T + GW_LANES * v);
-                _mm512_store_ps(sums, lane_pairwise(T, gT, xq + k * C + c0,
-                                                    cc));
+            long k = 0;
+            for (; k + 1 < K; k += 2) {
+                __m512 s0, s1;
+                table_tile(gwtab, wrow, m0, live, K, k, xmax, T0);
+                table_tile(gwtab, wrow, m0, live, K, k + 1, xmax, T1);
+                lane_pairwise2(T0, T1, gT, xq + k * C + c0,
+                               xq + (k + 1) * C + c0, cc, &s0, &s1);
+                _mm512_store_ps(sums[0], s0);
+                _mm512_store_ps(sums[1], s1);
+                for (long l = 0; l < live; l++) {
+                    gwp[(m0 + l) * K + k] = sums[0][l];
+                    gwp[(m0 + l) * K + k + 1] = sums[1][l];
+                }
+            }
+            if (k < K) {
+                table_tile(gwtab, wrow, m0, live, K, k, xmax, T0);
+                _mm512_store_ps(sums[0], lane_pairwise(T0, gT, xq + k * C + c0,
+                                                       cc));
                 for (long l = 0; l < live; l++)
-                    gwp[(m0 + l) * K + k] = sums[l];
+                    gwp[(m0 + l) * K + k] = sums[0][l];
             }
         }
     }
@@ -1253,18 +1362,22 @@ static VBMI_TARGET void backward_gw_vbmi(
  * wrow[m, k] + xq[k, c] and reduces against gout:
  *
  *   gw_part[ci, m, k] = pairwise_f32 over the chunk's columns of
- *                       gwtab[idx] * gout[m, c]      (== buf.sum(axis=2))
+ *                       gwtab[idx] * gout[m, c]      (~ buf.sum(axis=2))
  *   gx[k, c]          = f32 sum over m (sequential) of
  *                       gxtab[idx] * gout[m, c]      (== buf.sum(axis=0))
  *
- * gw chunk partials are indexed by GLOBAL chunk number ci so the
- * caller can merge them into the float64 gw in deterministic chunk
- * order regardless of how column blocks were split across threads.
- * A NULL gx skips the gx sum (a caller that needs no activation
- * gradient); gw is the same either way.  tmp and gx32 (>= K * chunk
- * floats; unused without gx) are per-thread scratch supplied by the
- * caller: tmp holds chunk floats for the scalar loop, the VBMI body's
- * T and gT tiles for it.
+ * The gw_part sums match numpy's up to the zero sign of an all-(-0.0)
+ * chunk (see pairwise_sum_f32), which the merge into +0.0 hides.  gw
+ * chunk partials are indexed by GLOBAL chunk number ci so the caller
+ * can merge them into the float64 gw in deterministic chunk order
+ * regardless of how column blocks were split across threads.  gx is the
+ * caller's float32 (K, C) output: each element adds its products from
+ * 0.0f in ascending m straight into it, and a call writes only the
+ * columns [c_lo, c_hi) of each row.  A NULL gx skips the gx sum (a
+ * caller that needs no activation gradient); gw is the same either way.
+ * tmp is per-thread scratch supplied by the caller: chunk floats (the
+ * product row) for the scalar loop, the VBMI body's T and gT tiles for
+ * it.
  *
  * ``fast`` is the same caller-proven in-bounds flag as the forward's,
  * proven against the SMALLER of the two tables (n_gw, n_gx): set, both
@@ -1279,9 +1392,8 @@ static VBMI_TARGET void backward_gw_vbmi(
  * 64-byte-aligned index row and xmax = max(xq)) select the in-register
  * VBMI body above, which the wrapper only passes under the forward's
  * conditions (the proof with min(wrow) >= 0 and xq in [0, 255], the
- * self-check) but with its own crossover, C >= VBMI_BWD_MIN_C; its
- * gx32 rows are padded to whole 64-lane blocks.  Otherwise the scalar
- * loop below runs -- the only body off x86.
+ * self-check) but with its own crossover, C >= VBMI_BWD_MIN_C.
+ * Otherwise the scalar loop below runs -- the only body off x86.
  */
 void backward_grads_range(const float *restrict gwtab, long n_gw,
                           const float *restrict gxtab, long n_gx,
@@ -1291,9 +1403,8 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                           const float *restrict gout,     /* (M, C) */
                           /* (n_chunks, M, K) */
                           float *restrict gw_part,
-                          double *restrict gx,     /* (K, C) or NULL */
+                          float *restrict gx,      /* (K, C) or NULL */
                           float *restrict tmp,
-                          float *restrict gx32,
                           long M, long K, long C, long chunk,
                           long c_lo, long c_hi, long fast, long xmax,
                           const uint8_t *planes, uint8_t *xt)
@@ -1302,7 +1413,7 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
         backward_gw_vbmi(gwtab, wrow, xq, gout, gw_part, tmp, M, K, C,
                          chunk, xmax, c_lo, c_hi);
         if (gx)
-            backward_gx_vbmi(planes, n_gx, wrow, xq, gout, gx, gx32, xt,
+            backward_gx_vbmi(planes, n_gx, wrow, xq, gout, gx, xt,
                              M, K, C, chunk, c_lo, c_hi);
         return;
     }
@@ -1311,8 +1422,9 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
         long cc = hi - c0;
         float *gwp = gw_part + (c0 / chunk) * M * K;
         if (gx)
-            for (long i = 0; i < K * cc; i++)
-                gx32[i] = 0.0f;
+            for (long k = 0; k < K; k++)
+                for (long c = 0; c < cc; c++)
+                    gx[k * C + c0 + c] = 0.0f;
         for (long m = 0; m < M; m++) {
             const int64_t *wr = wrow + m * K;
             const float *grow = gout + m * C + c0;
@@ -1326,7 +1438,7 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                                  * grow[c];
                     }
                 } else if (fast) {
-                    float *gxr = gx32 + k * cc;
+                    float *gxr = gx + k * C + c0;
                     for (long c = 0; c < cc; c++) {
                         const int64_t id = base + xrow[c];
                         const float gv = grow[c];
@@ -1334,7 +1446,7 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                         gxr[c] += gxtab[id] * gv;
                     }
                 } else {
-                    float *gxr = gx32 + k * cc;
+                    float *gxr = gx + k * C + c0;
                     for (long c = 0; c < cc; c++) {
                         const int64_t id = base + xrow[c];
                         const float gv = grow[c];
@@ -1345,13 +1457,6 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                 gwp[m * K + k] = pairwise_sum_f32(tmp, cc);
             }
         }
-        if (gx)
-            for (long k = 0; k < K; k++) {
-                double *gxd = gx + k * C + c0;
-                const float *gxr = gx32 + k * cc;
-                for (long c = 0; c < cc; c++)
-                    gxd[c] = (double) gxr[c];
-            }
     }
 }
 """
@@ -1477,15 +1582,17 @@ def _compile() -> "ctypes.CDLL | None":
     bwd = lib.backward_grads_range
     bwd.restype = None
     bwd.argtypes = [
-        _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _ptr, _f32, _ptr,
+        _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _ptr, _f32,
         *[_long] * 8, _ptr, _ptr,
     ]
-    fold = lib.fold_input_grad_range
-    fold.restype = None
-    fold.argtypes = [
-        _f64, _f64, np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),
-        _f64, ctypes.c_double, *[_long] * 12,
-    ]
+    for gx_arg, fold in ((_f32, lib.fold_input_grad_range_f32),
+                         (_f64, lib.fold_input_grad_range_f64)):
+        fold.restype = None
+        fold.argtypes = [
+            gx_arg, _f64,
+            np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),
+            _f64, ctypes.c_double, *[_long] * 12,
+        ]
     return lib
 
 
@@ -1650,14 +1757,21 @@ def _backward_probes_match(rng, wrow, xq) -> bool:
     129 columns (at least ``VBMI_BWD_MIN_C``) cut partial 64-lane blocks
     and, at 129 / 64, leave a one-column chunk that the second of two
     threads owns.  One 129-column chunk makes the pairwise sum split.
-    5 and 17 rows leave dead lanes in the gw sum's 16-row blocks.
-    Results are compared with numpy by bit pattern, so the inf and NaN
-    sums count too.  The last probe puts a positive gw table against a
-    ``gout`` row of -0.0, whose chunk sums are -0.0 over 8 or more
-    columns and +0.0 over fewer; the merge into +0.0 hides those signs,
-    so its per-chunk sums are compared with the scalar loop's
-    (:func:`_backward_parts`), and a leaf that starts from +0.0 fails.
-    About 10 ms of CPU.
+    5 and 17 rows leave dead lanes in the gw sum's 16-row blocks.  Five
+    ks leave the gw sum's last k unpaired.  Results are compared with
+    numpy by bit pattern (:func:`_same_bits`), so the inf and NaN sums
+    count too.  The first probe writes ``gx`` in place into rows followed
+    by a canary row of -0.0: two threads over 96-column chunks of 129
+    columns each end a chunk in a partial 64-lane block, next to the
+    other thread's columns and, at a row's end, the next row's.  A tail
+    store past the chunk adds ``table * 0.0`` there, which turns a
+    canary into +0.0 or NaN, so the probe fails before any store past an
+    array's end can corrupt the heap.  The last probe puts a positive gw
+    table against a ``gout`` row of -0.0, whose chunk sums are -0.0 over
+    8 or more columns and +0.0 over fewer; the merge into +0.0 hides
+    those signs, so its per-chunk sums are compared with the scalar
+    loop's (:func:`_backward_parts`), and a leaf that starts from +0.0
+    fails.  About 10 ms of CPU.
     """
     levels = 256
     edges = np.array(
@@ -1680,30 +1794,48 @@ def _backward_probes_match(rng, wrow, xq) -> bool:
     gout = rng.standard_normal((17, xq.shape[1])).astype(np.float32)
     gout[:, ::9] *= np.float32(1e-39)
     gout[3] = -0.0
+    lib = _get_kernel()
+    canary = np.full((rows.shape[1] + 1, 129), -0.0, dtype=np.float32)
+    args = (tables[0], tables[1], rows, xq, gout, 96, 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _backward_reference(*args[:-1])[1]
+        _backward_parts(lib, *args, planes, None, True, out=canary[:-1])
+    if not _same_bits((canary[:-1],), (want,)) or not np.all(
+        canary[-1].view(np.uint32) == 0x80000000
+    ):
+        return False
     for gw_flat, w, c, chunk, threads in (
         (tables[0], wrow, 96, 96, 1),
         (tables[0], wrow, 129, 64, 2),
         (tables[0], wrow, 129, 96, 1),
         (tables[0], rows[:5], 129, 160, 1),
+        (tables[0], wrow[:, :5], 129, 129, 1),
         (positive, rows, 129, 64, 2),
     ):
-        sub_x = np.ascontiguousarray(xq[:, :c])
+        sub_x = np.ascontiguousarray(xq[: w.shape[1], :c])
         sub_g = np.ascontiguousarray(gout[: w.shape[0], :c])
         args = (gw_flat, tables[1], w, sub_x, sub_g, chunk, threads)
         with np.errstate(invalid="ignore", over="ignore"):
             want = _backward_reference(*args[:-1])
             got = fused_backward_grads(*args, planes)
-        if got is None or not all(
-            np.array_equal(a.view(np.uint64), b.view(np.uint64))
-            for a, b in zip(got, want)
-        ):
+        if got is None or not _same_bits(got, want):
             return False
     # The last probe's chunk sums, with the -0.0 row's zero signs.
     vbmi, scalar = (
-        _backward_parts(_get_kernel(), *args, pl, None, False)[0]
+        _backward_parts(lib, *args, pl, None, False)[0]
         for pl in (planes, None)
     )
-    return np.array_equal(vbmi.view(np.uint32), scalar.view(np.uint32))
+    return _same_bits((vbmi,), (scalar,))
+
+
+def _same_bits(got, want) -> bool:
+    """Whether two tuples of float arrays match in dtype, shape and bits."""
+    return all(
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+        for a, b in zip(got, want)
+    )
 
 
 def _vbmi_mismatch() -> bool:
@@ -2335,12 +2467,14 @@ def fold_input_grad(
     """C fold of a conv layer's activation gradient back onto its input.
 
     The adjoint of :func:`im2col_serve`'s unfold, fused with the tail of
-    Eq. 9: ``gx`` is the engine's raw ``(Cin*kh*kw, N*OH*OW)`` float64
-    activation gradient, ``zcol`` its ``(N*OH*OW,)`` zero-point column
+    Eq. 9: ``gx`` is the engine's raw ``(Cin*kh*kw, N*OH*OW)``
+    activation gradient (float32 from the LUT backward, read as is and
+    widened exactly; float64 from the STE fast path; anything else is
+    converted to float64), ``zcol`` its ``(N*OH*OW,)`` zero-point column
     term and ``mask`` the ``(N, Cin, H, W)`` clipped-STE pixel mask.
     Returns the float64 ``(N, Cin, H, W)`` input gradient whose pixels
     sum ``((gx - zcol) / sx) * mask`` over their taps from ``+0.0`` in
-    ascending ``(i, j)`` -- bit for bit the numpy fold
+    ascending ``(i, j)``, in float64 -- bit for bit the numpy fold
     (:func:`repro.core.execcore.fold_input_grad`'s fallback, the old
     ``col2im`` arithmetic).  ``threads`` splits the images (``None``
     reads ``REPRO_LUTKERNEL_THREADS``).  ``None`` when the kernel is
@@ -2364,13 +2498,18 @@ def fold_input_grad(
     out = np.empty((n, c, h, w), dtype=np.float64)
     if out.size == 0:
         return out
-    gx = np.ascontiguousarray(gx, dtype=np.float64)
+    if gx.dtype == np.float32:
+        fold = lib.fold_input_grad_range_f32
+        gx = np.ascontiguousarray(gx)
+    else:
+        fold = lib.fold_input_grad_range_f64
+        gx = np.ascontiguousarray(gx, dtype=np.float64)
     zcol = np.ascontiguousarray(zcol, dtype=np.float64)
     mask = np.ascontiguousarray(mask, dtype=np.bool_).view(np.uint8)
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
 
     def work(n_lo, n_hi, _slot):
-        lib.fold_input_grad_range(
+        fold(
             gx, zcol, mask, out, float(sx), n, c, h, w, kh, kw, stride, pad,
             oh, ow, n_lo, n_hi,
         )
@@ -2411,13 +2550,16 @@ def fused_backward_grads(
         ``gx[k, c] = sum_m grad_x_flat[wrow[m,k] + xq[k,c]] * gout[m,c]``
 
     Float32 accumulation replicates the numpy path's reduction orders
-    exactly (see the module docstring), and per-chunk ``gw`` partials
-    are merged into the float64 result in global chunk order, so the
-    output is bit-identical to the numpy fallback for every
-    ``threads`` value.  When the operand extrema prove every index
-    inside the smaller gradient table (:func:`_gather_in_bounds`) both
-    gathers index directly; otherwise out-of-range indices clip into
-    each table exactly like ``np.take(..., mode="clip")``.  The float32
+    (see the module docstring): ``gx`` exactly, and each per-chunk
+    ``gw`` partial up to one zero sign (numpy sums a chunk of 8 or more
+    all-``-0.0`` products to ``+0.0``, the C bodies to ``-0.0``).  The
+    partials are merged into the float64 ``gw`` from ``+0.0`` in global
+    chunk order, which hides that sign, so the output is bit-identical
+    to the numpy fallback for every ``threads`` value.  When the operand
+    extrema prove every index inside the smaller gradient table
+    (:func:`_gather_in_bounds`) both gathers index directly; otherwise
+    out-of-range indices clip into each table exactly like
+    ``np.take(..., mode="clip")``.  The float32
     operation order is the same in both loops.  Given ``planes``
     (``byte_planes(grad_x_flat)``), a qualifying call runs the
     in-register AVX-512 VBMI body instead of the scalar loop
@@ -2428,7 +2570,8 @@ def fused_backward_grads(
     ``xq_bounds``.  ``need_gx=False`` skips the ``gx`` sum (a layer
     whose input needs no gradient); ``gw`` is unchanged.
 
-    Returns ``(gw, gx)`` as float64 ``(M, K)`` / ``(K, C)`` arrays
+    Returns ``(gw, gx)``: float64 ``(M, K)`` and float32 ``(K, C)``,
+    the dtype the sums are made in, written in place by the kernel
     (``gx`` is ``None`` without ``need_gx``), or ``None`` when the
     kernel is unavailable.  Raises ``ValueError`` when ``wrow`` / ``xq``
     are not 2-D or disagree on K, ``gout`` is not ``(M, C)``, a table is
@@ -2462,32 +2605,38 @@ def fused_backward_grads(
 
 def _backward_parts(
     lib, grad_w_flat, grad_x_flat, wrow, xq, gout, chunk, threads, planes,
-    xq_bounds, need_gx,
+    xq_bounds, need_gx, out=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``(gw_part, gx)``: :func:`fused_backward_grads` before its merge.
 
     Runs on operands the caller has checked.  ``gw_part[ci, m, k]`` is
     chunk ``ci``'s float32 pairwise sum.  Its zero signs do not survive
     the merge into ``+0.0``, so the VBMI self-check compares these sums
-    between the two bodies directly.
+    between the two bodies directly.  ``out``, a C-contiguous float32
+    ``(K, C)`` array, receives ``gx`` in place of a new one (the
+    self-check surrounds it with canaries).
     """
     m, k = wrow.shape
     k2, c = xq.shape
     n_chunks = -(-c // chunk)
+    if need_gx:
+        gx = np.empty((k2, c), dtype=np.float32) if out is None else out
+        assert gx.dtype == np.float32 and gx.shape == (k2, c)
+        assert gx.flags.c_contiguous
+    else:
+        gx = None
     if m == 0 or c == 0:
         # Matches the numpy path on degenerate shapes: zero weight
         # gradients, an empty/zero activation gradient, no kernel call.
-        return (
-            np.zeros((n_chunks, m, k), dtype=np.float32),
-            np.zeros((k2, c), dtype=np.float64) if need_gx else None,
-        )
+        if gx is not None:
+            gx[...] = 0.0
+        return np.zeros((n_chunks, m, k), dtype=np.float32), gx
     grad_w_flat = np.ascontiguousarray(grad_w_flat, dtype=np.float32)
     grad_x_flat = np.ascontiguousarray(grad_x_flat, dtype=np.float32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
     gout = np.ascontiguousarray(gout, dtype=np.float32)
     gw_part = np.empty((n_chunks, m, k), dtype=np.float32)
-    gx = np.empty((k2, c), dtype=np.float64) if need_gx else None
     ext = _extrema(wrow, xq, xq_bounds=xq_bounds)
     fast, vbmi = _gather_body(
         min(grad_w_flat.size, grad_x_flat.size), wrow, xq, planes,
@@ -2495,30 +2644,24 @@ def _backward_parts(
     )
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _chunk_ranges(c, chunk, nthreads)
-    # Per-thread scratch.  Scalar loop: the chunk's product row and
-    # float32 gx tile.  VBMI body: the gw sum's T and gT tiles (16 lanes
-    # by 256 activation values, and by the chunk width rounded up to
-    # 16), and the gx tile and narrowed index row padded to whole
-    # 64-lane blocks.
+    # Per-thread scratch.  Scalar loop: the chunk's product row.  VBMI
+    # body: the gw sum's two T tiles (16 lanes by 256 activation values,
+    # one per k of a pair) and its gT tile (by the chunk width rounded up
+    # to 16), and the narrowed index row padded to whole 64-lane blocks.
     width = min(chunk, c)
     if vbmi:
-        n_tmp = 16 * (256 + -(-width // 16) * 16)
-        width = -(-width // 64) * 64
-        xt = [_aligned_empty(width) for _ in ranges]
+        n_tmp = 16 * (2 * 256 + -(-width // 16) * 16)
+        xt = [_aligned_empty(-(-width // 64) * 64) for _ in ranges]
     else:
         n_tmp = width
         xt = [None] * len(ranges)
     tmp = [_aligned_empty(4 * n_tmp).view(np.float32) for _ in ranges]
-    gx32 = [
-        np.empty(k2 * width, dtype=np.float32) if need_gx else None
-        for _ in ranges
-    ]
     xmax = ext[3] if ext else 0
 
     def work(lo, hi, slot):
         lib.backward_grads_range(
             grad_w_flat, grad_w_flat.size, grad_x_flat, grad_x_flat.size,
-            wrow, xq, gout, gw_part, _ptr(gx), tmp[slot], _ptr(gx32[slot]),
+            wrow, xq, gout, gw_part, _ptr(gx), tmp[slot],
             m, k2, c, chunk, lo, hi, fast, xmax,
             _ptr(planes if vbmi else None), _ptr(xt[slot]),
         )
@@ -2530,11 +2673,15 @@ def _backward_parts(
 
 
 def _backward_reference(gw_flat, gx_flat, wrow, xq, gout, chunk):
-    """The numpy backward, restated standalone for the self-checks."""
+    """The numpy backward, restated standalone for the self-checks.
+
+    ``(gw, gx)`` as :func:`fused_backward_grads` returns them: float64
+    and float32.
+    """
     m, k = wrow.shape
     c = xq.shape[1]
     gw = np.zeros((m, k), dtype=np.float64)
-    gx = np.empty((k, c), dtype=np.float64)
+    gx = np.empty((k, c), dtype=np.float32)
     for c0 in range(0, c, chunk):
         hi = min(c0 + chunk, c)
         idx = wrow[:, :, None] + xq[None, :, c0:hi]

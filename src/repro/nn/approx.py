@@ -569,8 +569,8 @@ class ApproxLinear(_ApproxBase):
             return x.data.reshape(n, self.in_features, 1)  # (N, K, 1)
 
         def fold_x_grad(gx_raw, zcol):
-            gx_raw -= zcol[None, :]
-            return (gx_raw / qp.scale).T * xmask
+            # Out of place, in float64: gx_raw may be float32.
+            return ((gx_raw - zcol[None, :]) / qp.scale).T * xmask
 
         out = self._approx_affine(
             x, xq, colsum, None, self.weight, self.weight.data, self.bias,

@@ -111,9 +111,11 @@ def edge_gout(m, c, seed=0):
 
 
 def same_bits(got, want) -> bool:
-    """Whether two float64 result tuples match bit for bit (NaN included)."""
+    """Whether two result tuples match in dtype, shape and bits (NaN
+    included): the backward's float64 ``gw`` and float32 ``gx``."""
     return all(
-        g.shape == w.shape
-        and np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        g.dtype == w.dtype
+        and g.shape == w.shape
+        and np.array_equal(g.view(f"u{g.itemsize}"), w.view(f"u{w.itemsize}"))
         for g, w in zip(got, want)
     )

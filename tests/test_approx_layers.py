@@ -504,3 +504,38 @@ def test_input_without_grad_skips_the_activation_gradient(
     assert seen[0][1] is not None and seen[1][1:] == (None, None)
     assert _same_bits(with_x[1], without_x[1])
     assert _same_bits(with_x[2], without_x[2])
+
+
+@pytest.mark.parametrize("method", ["difference", "ste"])
+def test_linear_input_gradient_keeps_float64_arithmetic(method, conv_backend):
+    """ApproxLinear's input gradient is the float64 ``(gx_raw - zcol) /
+    s_x`` times the mask, bit for bit, whatever dtype the engine's raw
+    gradient comes in (float32 off the LUT backends): the zero-point
+    subtraction must not round into it."""
+    layer = ApproxLinear(
+        64, 16, multiplier=_PARITY_MULT, gradients=_PARITY_GRADS[method],
+        rng=np.random.default_rng(5),
+    )
+    data = np.random.default_rng(3)
+    x = data.normal(size=(40, 64))
+    layer.calibrating = True
+    layer(Tensor(x))
+    layer.freeze_quantization()
+    g = data.normal(size=(40, 16, 1))
+    g[:, ::3] = 0.0
+    out = layer(Tensor(x, requires_grad=True))
+    gx = out._parents[0]._backward(g)[0]
+    # The arithmetic as a float64 raw gradient took it, in place.
+    qs = layer.quant
+    sx, zx = qs.x_qparams.scale, qs.x_qparams.zero_point
+    sw, zw = qs.w_qparams.scale, float(qs.w_qparams.zero_point)
+    wq = quantize_array(layer.weight.data, qs.w_qparams)
+    xq = quantize_array(x, qs.x_qparams).T
+    gmat = g.transpose(1, 0, 2).reshape(16, 40) * (sw * sx)
+    _, gx_raw, zcol = layer.engine.backward_raw(wq, xq, gmat, zw, zx)
+    want = np.array(gx_raw, dtype=np.float64)
+    want -= zcol[None, :]
+    x_lo, x_hi = layer._x_range()
+    want = (want / sx).T * ((x >= x_lo) & (x <= x_hi))
+    assert gx_raw.dtype == (np.float64 if method == "ste" else np.float32)
+    assert _same_bits(gx, want)

@@ -564,6 +564,29 @@ def test_fold_matches_numpy_reference(geom, threads):
     assert same_bits((got,), (np.ascontiguousarray(want),))
 
 
+@requires_kernel
+@pytest.mark.parametrize("geom", FOLD_GEOMETRIES)
+def test_fold_reads_float32_gx(geom):
+    # The LUT backward's float32 gx folds as its exact float64 widening
+    # does, on the C fold's float32 body and on the numpy fold.
+    n, c, h, w, kh, kw, stride, pad = geom
+    gx, zcol, mask = _fold_operands(*geom)
+    gx32 = gx.astype(np.float32)
+    gx32.flat[1::11] = np.float32(1e-45)
+    want = execcore._numpy_fold(
+        gx32.astype(np.float64), zcol, 0.0173, mask, kh, kw, stride, pad
+    )
+    for got in (
+        execcore._numpy_fold(gx32, zcol, 0.0173, mask, kh, kw, stride, pad),
+        lutkernel.fold_input_grad(
+            gx32, zcol, 0.0173, mask, kh, kw, stride, pad, 2
+        ),
+    ):
+        assert same_bits(
+            (np.ascontiguousarray(got),), (np.ascontiguousarray(want),)
+        )
+
+
 def test_fold_reference_is_col2im_arithmetic():
     """The numpy fold is the old subtract / divide / mask / col2im chain."""
     from repro.nn import functional as F
@@ -1141,6 +1164,96 @@ def test_backward_bodies_skip_gx_when_not_needed(monkeypatch, body):
         assert same_bits(got[:1], want[:1]), (chunk, threads)
 
 
+# gx is float32, written in place at row stride C: odd K (the gw sum's
+# unpaired last k), M % 16 != 0, and C = 1000 cut by chunk and thread
+# boundaries mid-block.
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("m, k", [(17, 1), (9, 145), (33, 6)])
+def test_backward_bodies_float32_gx_over_odd_k(monkeypatch, m, k, body):
+    from repro.obs.trace import tracing
+
+    force_body(monkeypatch, body)
+    gw_flat, gx_flat, wrow, xq, gout, planes = _backward_case(
+        256, m, k, 1000, seed=k
+    )
+    for chunk in (7, 96, 1000, 1024):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = lutkernel._backward_reference(
+                gw_flat, gx_flat, wrow, xq, gout, chunk
+            )
+        assert want[1].dtype == np.float32
+        for threads in (1, 4, 7):
+            with tracing() as tr, np.errstate(invalid="ignore"):
+                got = lutkernel.fused_backward_grads(
+                    gw_flat, gx_flat, wrow, xq, gout, chunk, threads, planes
+                )
+                assert _body_counts(tr) == (
+                    (1, 0) if body == "vbmi" else (0, 1)
+                )
+            assert got[0].dtype == np.float64
+            assert got[1].dtype == np.float32
+            assert same_bits(got, want), (chunk, threads)
+
+
+#: The canary around ``gx`` in the column-range test: -0.0, which a
+#: stray ``table * 0.0`` store turns into +0.0 or NaN.
+_CANARY_BITS = 0x80000000
+
+
+def _backward_range(body, case, chunk, lo, hi):
+    """One ``backward_grads_range`` call over the columns ``[lo, hi)``,
+    writing ``gx`` into the first K rows of a (K + 1, C) canary buffer;
+    returns the buffer."""
+    gw_flat, gx_flat, wrow, xq, gout, planes = case
+    lib = lutkernel._get_kernel()
+    (m, k), c = wrow.shape, xq.shape[1]
+    buf = np.full((k + 1, c), _CANARY_BITS, dtype=np.uint32).view(np.float32)
+    gw_part = np.zeros((-(-c // chunk), m, k), dtype=np.float32)
+    # Scratch as large as either body needs: the scalar loop's product
+    # row, or two T tiles and a gT tile; and the narrowed index row.
+    tmp = lutkernel._aligned_empty(4 * 16 * (512 + chunk + 16))
+    tmp = tmp.view(np.float32)
+    xt = lutkernel._aligned_empty(chunk + 64)
+    with np.errstate(invalid="ignore"):
+        lib.backward_grads_range(
+            gw_flat, gw_flat.size, gx_flat, gx_flat.size, wrow, xq, gout,
+            gw_part, buf.ctypes.data, tmp, m, k, c, chunk, lo, hi, 1,
+            int(xq.max()), planes.ctypes.data if body == "vbmi" else None,
+            xt.ctypes.data,
+        )
+    return buf
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("chunk", [7, 96, 1000, 1024])
+def test_backward_bodies_write_only_their_columns(body, chunk):
+    # A call (one thread's share) over chunk-aligned columns [lo, hi)
+    # writes gx there and nowhere else: a partial 64-lane block at a
+    # chunk's end, a thread boundary or a row's end stores under a mask,
+    # so every other column, and the row after the last, keeps the canary.
+    if body == "vbmi" and not vbmi_ok():
+        pytest.skip(NO_VBMI)
+    c = 1000
+    case = _backward_case(256, 17, 5, c, seed=chunk)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = lutkernel._backward_reference(*case[:5], chunk)[1]
+    n_chunks = -(-c // chunk)
+    for lo_chunk, hi_chunk in ((0, 1), (1, 3), (n_chunks - 1, n_chunks),
+                               (0, n_chunks)):
+        lo, hi = lo_chunk * chunk, min(hi_chunk * chunk, c)
+        if lo >= hi:
+            continue
+        buf = _backward_range(body, case, chunk, lo, hi)
+        gx = buf[:-1]
+        assert same_bits((gx[:, lo:hi],), (want[:, lo:hi],)), (lo, hi)
+        bits = buf.view(np.uint32)
+        outside = np.ones(bits.shape, dtype=bool)
+        outside[:-1, lo:hi] = False
+        assert np.all(bits[outside] == _CANARY_BITS), (lo, hi)
+
+
 #: Runs in a subprocess: a levels-128 table flush against a PROT_NONE
 #: page, where ``max(wrow) + 255`` runs past the table's end, so a gw
 #: tile row past ``max(xq)`` faults instead of reading a neighbour.
@@ -1304,7 +1417,7 @@ def test_vbmi_self_check_rejects_wrong_backward_body(
     def corrupted(*args, **kwargs):
         out = real(*args, **kwargs)
         if out is not None and len(args) > 7 and args[7] is not None:
-            out[1].view(np.uint64).flat[0] ^= 1  # one ulp, NaN or not
+            out[1].view(np.uint32).flat[0] ^= 1  # one ulp, NaN or not
         return out
 
     monkeypatch.setattr(lutkernel, "fused_backward_grads", corrupted)
