@@ -764,8 +764,11 @@ def _run_serve_self_check() -> bool:
                 return False
     # The C im2col (unfold + column sums in one pass) feeds the fused
     # ops' gather operand, so it is held to the same standard: exact
-    # agreement with the numpy unfold, across strides, pads (including
-    # the zero-point border fill), and batches.
+    # agreement with the numpy unfold (the numpy branch of
+    # approx.im2col_int), across strides, pads (including the zero-point
+    # border fill), and batches.
+    from repro.nn.functional import im2col
+
     x_img = rng.integers(0, 256, size=(2, 3, 7, 6)).astype(np.uint8)
     for kh, kw, stride, pad, zx in (
         (3, 2, 1, 2, 7),
@@ -775,26 +778,8 @@ def _run_serve_self_check() -> bool:
         got = lutkernel.im2col_serve(x_img, kh, kw, stride, pad, zx)
         if got is None:
             return False
-        n, cc, h, w = x_img.shape
-        oh = (h + 2 * pad - kh) // stride + 1
-        ow = (w + 2 * pad - kw) // stride + 1
-        xp = np.pad(
-            x_img.astype(np.int32),
-            ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-            constant_values=zx,
-        )
-        want = np.empty((cc * kh * kw, n * oh * ow), dtype=np.int32)
-        row = 0
-        for ci in range(cc):
-            for i in range(kh):
-                for j in range(kw):
-                    patch = xp[
-                        :, ci,
-                        i : i + stride * oh : stride,
-                        j : j + stride * ow : stride,
-                    ]
-                    want[row] = patch.reshape(-1)
-                    row += 1
+        cols = im2col(x_img, kh, kw, stride, pad, pad_value=zx)
+        want = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
         if not (
             np.array_equal(got[0], want)
             and np.array_equal(got[1], want.sum(axis=0, dtype=np.int64))

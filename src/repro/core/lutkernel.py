@@ -22,6 +22,11 @@ JIT-compiles single-pass C kernels at first use:
   per-channel (size-M) blocks -- including read-only shared-memory
   views -- are consumed in place, zero-copy.
 
+  Both are one forward gather: one C body per accumulator width behind
+  one packed entry (``gather_call``) and one Python dispatch
+  (``_gather``).  The serving op only adds the requant tail, which each
+  finished accumulator row or VBMI tile goes through into uint8.
+
 * ``requant_f64`` -- the same correction / requant / clamp tail, fed by
   the exact-integer float64 accumulator of the rank-1 (product-separable
   LUT) lowering instead of a gather; one inline C tail serves both.
@@ -50,9 +55,9 @@ JIT-compiles single-pass C kernels at first use:
   (verified at runtime by :mod:`repro.core.execcore` before the kernel
   is trusted).
 
-Two gather bodies: all three gathers (``fused_product_sums``,
-``fused_serve`` and ``fused_backward_grads``) have a scalar C loop and
-an in-register AVX-512 VBMI body.  Each (m, k) reads one fixed
+Two gather bodies: both gathers (the forward behind
+``fused_product_sums`` and ``fused_serve``, and ``fused_backward_grads``)
+have a scalar C loop and an in-register AVX-512 VBMI body.  Each (m, k) reads one fixed
 256-entry table row ``table[wrow[m, k] + 0..255]`` for every column, so
 the VBMI body holds that row in zmm registers, split into byte planes
 (:func:`byte_planes`), and looks up 64 uint8 activations with two
@@ -157,7 +162,99 @@ static inline long clamp_idx(int64_t id, long n)
 }
 
 /* ------------------------------------------------------------------
- * In-register gather body (AVX-512 VBMI).  The forward gathers read,
+ * Packed arguments of the forward gather (gather_call, below), which
+ * serves both forward entry points.  A serving plan op calls it once
+ * per thread's block per sample, and ctypes marshalling of 26
+ * individual arguments costs ~20us per call with ndpointer validation
+ * -- comparable to the kernel itself on the smaller layers.  Packing
+ * them into one block of int64 slots (pointers and scalars alike; every
+ * field is 8 bytes, so the numpy side fills a plain int64 row and no
+ * padding can appear) makes the crossing a single-pointer call.  Slot
+ * order must match the _gather wrapper in Python.
+ */
+typedef struct {
+    int64_t lut;        /* const int32_t*, n_lut entries */
+    int64_t n_lut;
+    int64_t wrow;       /* const int64_t*, (M, K): wq * levels */
+    int64_t xq;         /* const int32_t*, (K, C) quantized acts */
+    int64_t K, C;
+    int64_t fast;       /* the caller's in-bounds proof held */
+    int64_t acc_is32;   /* acc is int32_t*, else int64_t* */
+    int64_t acc;        /* row m at acc + m * acc_stride */
+    int64_t acc_stride; /* C: the (M, C) sums; 0: the tail's scratch row */
+    int64_t out;        /* uint8_t*, (M, C): the tail's output, or 0 */
+    int64_t colsum;     /* const int64_t*, (C,): xq.sum(axis=0) */
+    int64_t zw;         /* const int64_t*, 1 or M entries */
+    int64_t zw_stride;  /* 0 for 1 entry, 1 for M */
+    int64_t m0, d0, shift; /* const int64_t*, 1 or M entries each */
+    int64_t rq_stride;
+    int64_t qlo, qhi;
+    int64_t planes;     /* const uint8_t*, or 0: the scalar body */
+    int64_t xt;         /* uint8_t*, the VBMI body's tile scratch */
+    int64_t m_lo, m_hi; /* this call's rows */
+    int64_t c_lo, c_hi; /* this call's columns (the VBMI body's) */
+} gather_args;
+
+/* ------------------------------------------------------------------
+ * Requant + clamp tail of one integer serving output, shared by the
+ * gather (with out set) and requant_f64_call:
+ *
+ *   A = acc - zw * colsum                                 (int64)
+ *   t = A * m0 + d0                                       (int64)
+ *   q = (t + half) >> sh, half = sh > 0 ? 1 << (sh - 1) : 0
+ *   out = clamp(q, qlo, qhi)                              (uint8)
+ *
+ * Exactly repro.nn.requant.rounding_right_shift (round half toward +inf
+ * via an arithmetic shift; shift == 0 adds no half) -- verified
+ * bit-identical against the numpy reference by the execcore serve
+ * self-check before either entry point is trusted.  zw_stride /
+ * rq_stride are 0 for per-tensor (size-1) constant arrays and 1 for
+ * per-channel (size-M) ones, so both layouts -- including read-only shm
+ * views -- are read in place.  qlo already folds the integer ReLU
+ * (max(q, Z) == a raised lower clamp, since Z >= qmin).
+ */
+static inline int64_t requant_half(long sh)
+{
+    return sh > 0 ? (int64_t) 1 << (sh - 1) : 0;
+}
+
+static inline uint8_t requant_clamp(int64_t acc, int64_t zw, int64_t colsum,
+                                    int64_t m0, int64_t d0, long sh,
+                                    int64_t half, long qlo, long qhi)
+{
+    const int64_t t = (acc - zw * colsum) * m0 + d0;
+    int64_t q = (t + half) >> sh;
+    if (q < qlo) q = qlo;
+    if (q > qhi) q = qhi;
+    return (uint8_t) q;
+}
+
+/* The tail of output row m over the w columns from c0:
+ * out[m, c0 + i] = requant_clamp(src[i], ...).  One instance per sum
+ * width: the scalar loop's accumulator row, the VBMI body's int32 tile. */
+#define DEFINE_REQUANT_ROW(NAME, SRC_T)                                 \
+static inline void NAME(const gather_args *a, long m, long c0, long w, \
+                        const SRC_T *restrict src)                      \
+{                                                                       \
+    const long rq = m * (long) a->rq_stride;                            \
+    const int64_t zw = ((const int64_t *) a->zw)[m * a->zw_stride];     \
+    const int64_t m0 = ((const int64_t *) a->m0)[rq];                   \
+    const int64_t d0 = ((const int64_t *) a->d0)[rq];                   \
+    const long sh = (long) ((const int64_t *) a->shift)[rq];            \
+    const int64_t half = requant_half(sh);                              \
+    const long qlo = (long) a->qlo, qhi = (long) a->qhi;                \
+    const int64_t *restrict colsum = (const int64_t *) a->colsum + c0;  \
+    uint8_t *restrict orow = (uint8_t *) a->out + m * a->C + c0;        \
+    for (long i = 0; i < w; i++)                                        \
+        orow[i] = requant_clamp((int64_t) src[i], zw, colsum[i], m0,    \
+                                d0, sh, half, qlo, qhi);                \
+}
+
+DEFINE_REQUANT_ROW(requant_row_i32, int32_t)
+DEFINE_REQUANT_ROW(requant_row_i64, int64_t)
+
+/* ------------------------------------------------------------------
+ * In-register gather body (AVX-512 VBMI).  The forward gather reads,
  * for each (m, k), one fixed 256-entry table row lut[wrow[m, k] + 0..255]
  * for every column, so that row can live in registers instead of being
  * looked up once per column.  The caller (Python) splits a uint16 LUT
@@ -181,9 +278,9 @@ static inline long clamp_idx(int64_t id, long n)
  *
  * vbmi_tile covers a 128-column tile (two 64-lane sub-tiles sharing
  * each table-row load) for one output row and writes the 128 int32
- * sums, in column order, to res.  Its callers put the column tile
- * outermost, so the tile's K x 128 bytes of xq stay in cache across all
- * rows of the thread's range.  gather_vbmi_supported is read once at
+ * sums, in column order, to res.  Its caller (gather_vbmi) puts the
+ * column tile outermost, so the tile's K x 128 bytes of xq stay in cache
+ * across all rows of the thread's range.  gather_vbmi_supported is read once at
  * kernel load; the VBMI code is compiled for its target by attribute,
  * so the build needs no extra flag and a non-x86 host compiles stubs.
  */
@@ -333,32 +430,33 @@ static inline VBMI_TARGET void vbmi_tile(const uint8_t *restrict lo,
     vbmi_store(res + 64, acc + 64);
 }
 
-/* Forward body over rows [m_lo, m_hi) x columns [c_lo, c_hi) (c_lo a
- * multiple of VBMI_TILE): the int32 tile sums, widened to the output
- * width at store. */
-static VBMI_TARGET void product_sums_vbmi(const uint8_t *restrict planes,
-                                          long n_lut,
-                                          const int64_t *restrict wrow,
-                                          const int32_t *restrict xq,
-                                          void *out, long is32,
-                                          long K, long C,
-                                          long m_lo, long m_hi,
-                                          long c_lo, long c_hi,
-                                          uint8_t *restrict xt)
+/* The VBMI body over rows [m_lo, m_hi) x columns [c_lo, c_hi) (c_lo a
+ * multiple of VBMI_TILE): each tile's int32 sums go through the requant
+ * tail, or are stored to the sums, widened to the accumulator width. */
+static VBMI_TARGET void gather_vbmi(const gather_args *a,
+                                    const int64_t *restrict wrow,
+                                    const int32_t *restrict xq)
 {
-    const uint8_t *hi = planes + n_lut + PLANE_PAD;
+    const uint8_t *lo = (const uint8_t *) a->planes;
+    const uint8_t *hi = lo + a->n_lut + PLANE_PAD;
+    uint8_t *xt = (uint8_t *) a->xt;
+    const long K = (long) a->K, C = (long) a->C;
+    const long m_lo = (long) a->m_lo, m_hi = (long) a->m_hi;
+    const long c_hi = (long) a->c_hi, stride = (long) a->acc_stride;
     int32_t res[VBMI_TILE];
-    for (long c0 = c_lo; c0 < c_hi; c0 += VBMI_TILE) {
+    for (long c0 = (long) a->c_lo; c0 < c_hi; c0 += VBMI_TILE) {
         const long w = c_hi - c0 < VBMI_TILE ? c_hi - c0 : VBMI_TILE;
         xq_tile_u8(xq, K, C, c0, xt);
         for (long m = m_lo; m < m_hi; m++) {
-            vbmi_tile(planes, hi, wrow + m * K, xt, K, res);
-            if (is32) {
-                int32_t *o = (int32_t *) out + m * C + c0;
+            vbmi_tile(lo, hi, wrow + m * K, xt, K, res);
+            if (a->out) {
+                requant_row_i32(a, m, c0, w, res);
+            } else if (a->acc_is32) {
+                int32_t *o = (int32_t *) a->acc + m * stride + c0;
                 for (long i = 0; i < w; i++)
                     o[i] = res[i];
             } else {
-                int64_t *o = (int64_t *) out + m * C + c0;
+                int64_t *o = (int64_t *) a->acc + m * stride + c0;
                 for (long i = 0; i < w; i++)
                     o[i] = res[i];
             }
@@ -372,345 +470,127 @@ int gather_vbmi_supported(void)
 }
 
 /* Never reached: the wrapper only passes planes on a VBMI host. */
-#define product_sums_vbmi(...) ((void) 0)
+#define gather_vbmi(...) ((void) 0)
 #endif
 
 /* ------------------------------------------------------------------
- * Forward: acc[m, c] = sum_k lut[wrow[m, k] + xq[k, c]] over rows
- * [m_lo, m_hi).  Integer arithmetic: bit-identical to numpy for any
- * row partition, which is what makes threading over row blocks safe.
- * One body per accumulator width: product_sums_range (int64) and
- * product_sums_i32_range (int32, half the accumulator write traffic).
- * Callers of the int32 instance must guarantee K * max|lut| < 2**31
- * (checked in LutGemm.int32_acc_safe); within that bound results are
- * bit-identical to product_sums_range.
+ * The forward gather over rows [m_lo, m_hi), one body for both forward
+ * entry points:
  *
- * ``fast`` is the caller-proven in-bounds flag of fused_serve below:
- * when the Python wrapper has shown min(wrow) + min(xq) >= 0 and
- * max(wrow) + max(xq) < n_lut, the gather indexes the table directly;
- * otherwise every lookup goes through clamp_idx, so diverged operands
- * clip exactly like np.take(mode="clip") and the sums are bit-identical
- * either way.  restrict lets the compiler keep the accumulator row out
- * of the xq load's alias set.
+ *   acc[m, c] = sum_k lut[wrow[m, k] + xq[k, c]]
+ *   out[m, c] = requant_clamp(acc[m, c], zw[m], colsum[c], ...)  (tail)
  *
- * Two bodies: non-NULL planes (the LUT's byte planes, with xt a
- * K * VBMI_TILE-byte scratch tile) select the in-register VBMI body
- * above over columns [c_lo, c_hi), which the wrapper only passes when
- * the host has VBMI, the proof holds with min(wrow) >= 0 and xq in
- * [0, 255], the LUT fits uint16, K < 32768 and C >= VBMI_MIN_C (the
- * measured crossover), and the body passed its self-check.  Otherwise
- * the scalar loops below run over all columns -- the only body off
- * x86.
- */
-#define DEFINE_PRODUCT_SUMS_RANGE(NAME, ACC_T)                          \
-void NAME(const int32_t *restrict lut, long n_lut,                      \
-          /* (M, K): wq * levels */                                     \
-          const int64_t *restrict wrow,                                 \
-          /* (K, C) quantized acts */                                   \
-          const int32_t *restrict xq,                                   \
-          ACC_T *restrict out,   /* (M, C), rows overwritten */         \
-          long M, long K, long C,                                       \
-          long m_lo, long m_hi, long fast,                              \
-          const uint8_t *planes, uint8_t *xt, long c_lo, long c_hi)     \
-{                                                                       \
-    if (planes) {                                                       \
-        product_sums_vbmi(planes, n_lut, wrow, xq, out,                 \
-                          sizeof(ACC_T) == 4, K, C, m_lo, m_hi,         \
-                          c_lo, c_hi, xt);                              \
-        return;                                                         \
-    }                                                                   \
-    for (long m = m_lo; m < m_hi; m++) {                                \
-        const int64_t *wr = wrow + m * K;                               \
-        ACC_T *acc = out + m * C;                                       \
-        for (long c = 0; c < C; c++)                                    \
-            acc[c] = 0;                                                 \
-        if (fast) {                                                     \
-            for (long k = 0; k < K; k++) {                              \
-                const int64_t base = wr[k];                             \
-                const int32_t *xrow = xq + k * C;                       \
-                for (long c = 0; c < C; c++)                            \
-                    acc[c] += lut[base + xrow[c]];                      \
-            }                                                           \
-        } else {                                                        \
-            for (long k = 0; k < K; k++) {                              \
-                const int64_t base = wr[k];                             \
-                const int32_t *xrow = xq + k * C;                       \
-                for (long c = 0; c < C; c++)                            \
-                    acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];    \
-            }                                                           \
-        }                                                               \
-    }                                                                   \
-}
-
-DEFINE_PRODUCT_SUMS_RANGE(product_sums_range, int64_t)
-DEFINE_PRODUCT_SUMS_RANGE(product_sums_i32_range, int32_t)
-
-/* ------------------------------------------------------------------
- * Requant + clamp tail of one integer serving output, shared by the
- * gather kernel below and requant_f64_call:
+ * Without the tail (out == 0, fused_product_sums) the accumulator rows
+ * are the (M, C) result, acc_stride C.  With it (fused_serve) each row
+ * goes through the requant tail into uint8 while it is hot, and acc is
+ * the thread's scratch row, acc_stride 0.  Integer arithmetic over
+ * disjoint rows: bit-identical to numpy for any row partition, which is
+ * what makes threading over row blocks safe.
  *
- *   A = acc - zw * colsum                                 (int64)
- *   t = A * m0 + d0                                       (int64)
- *   q = (t + half) >> sh, half = sh > 0 ? 1 << (sh - 1) : 0
- *   out = clamp(q, qlo, qhi)                              (uint8)
+ * One body per accumulator width: gather_range_i64 and gather_range_i32
+ * (half the accumulator traffic).  Callers of the int32 instance must
+ * guarantee K * max|lut| < 2**31 (checked in LutGemm.int32_acc_safe);
+ * the tail widens each sum to int64 before the correction, so within
+ * that bound the two are bit-identical.
  *
- * Exactly repro.nn.requant.rounding_right_shift (round half toward +inf
- * via an arithmetic shift; shift == 0 adds no half) -- verified
- * bit-identical against the numpy reference by the execcore serve
- * self-check before either entry point is trusted.
- */
-static inline int64_t requant_half(long sh)
-{
-    return sh > 0 ? (int64_t) 1 << (sh - 1) : 0;
-}
-
-static inline uint8_t requant_clamp(int64_t acc, int64_t zw, int64_t colsum,
-                                    int64_t m0, int64_t d0, long sh,
-                                    int64_t half, long qlo, long qhi)
-{
-    const int64_t t = (acc - zw * colsum) * m0 + d0;
-    int64_t q = (t + half) >> sh;
-    if (q < qlo) q = qlo;
-    if (q > qhi) q = qhi;
-    return (uint8_t) q;
-}
-
-/* In-register serving body over rows [m_lo, m_hi): each 128-column
- * tile's int32 sums go straight into the requant tail, tile by tile
- * (see vbmi_tile; the wrapper picks it under the forward's
- * conditions). */
-#if defined(__x86_64__)
-static VBMI_TARGET void fused_serve_vbmi(
-    const uint8_t *restrict planes, long n_lut,
-    const int64_t *restrict wrow, const int32_t *restrict xq,
-    const int64_t *restrict colsum,
-    const int64_t *restrict zw, long zw_stride,
-    const int64_t *restrict m0, const int64_t *restrict d0,
-    const int64_t *restrict shift, long rq_stride,
-    long qlo, long qhi, uint8_t *restrict out,
-    long K, long C, long m_lo, long m_hi, long c_lo, long c_hi,
-    uint8_t *restrict xt)
-{
-    const uint8_t *hi = planes + n_lut + PLANE_PAD;
-    int32_t res[VBMI_TILE];
-    for (long c0 = c_lo; c0 < c_hi; c0 += VBMI_TILE) {
-        const long w = c_hi - c0 < VBMI_TILE ? c_hi - c0 : VBMI_TILE;
-        xq_tile_u8(xq, K, C, c0, xt);
-        for (long m = m_lo; m < m_hi; m++) {
-            vbmi_tile(planes, hi, wrow + m * K, xt, K, res);
-            const int64_t zwm = zw[m * zw_stride];
-            const int64_t mm = m0[m * rq_stride];
-            const int64_t dm = d0[m * rq_stride];
-            const long sh = (long) shift[m * rq_stride];
-            const int64_t half = requant_half(sh);
-            uint8_t *orow = out + m * C + c0;
-            for (long i = 0; i < w; i++)
-                orow[i] = requant_clamp((int64_t) res[i], zwm,
-                                        colsum[c0 + i], mm, dm, sh, half,
-                                        qlo, qhi);
-        }
-    }
-}
-#else
-#define fused_serve_vbmi(...) ((void) 0)
-#endif
-
-/* ------------------------------------------------------------------
- * Fused integer serving op over rows [m_lo, m_hi): LUT gather +
- * weight-zero-point correction + fixed-point requantization + clamp,
- * the whole pipeline per output row while the accumulator row is hot:
- *
- *   acc[c]   = sum_k lut[wrow[m, k] + xq[k, c]]           (accrow)
- *   out[m,c] = requant_clamp(acc[c], zw[m], colsum[c], m0[m], d0[m], ...)
- *
- * zw_stride / rq_stride are 0 for per-tensor (size-1) constant arrays
- * and 1 for per-channel (size-M) ones, so both layouts -- including
- * read-only shm views -- are read in place.  qlo already folds the
- * integer ReLU (max(q, Z) == a raised lower clamp, since Z >= qmin).
- * accrow is per-thread scratch of >= C entries; rows are disjoint, so
- * threading over row blocks is bit-identical for every thread count.
- *
- * Non-NULL planes select the in-register VBMI body (fused_serve_vbmi,
- * above) over columns [c_lo, c_hi), under the forward's conditions
- * (C >= VBMI_MIN_C among them, so C == 1 never reaches it); otherwise
- * the scalar loops below run over all columns.
- *
- * One body per accumulator-row width: fused_serve_range (int64) and
- * fused_serve_i32_range (int32, half the accumulator traffic).  Callers
- * of the int32 instance must guarantee K * max|lut| < 2**31 (checked in
- * LutGemm.int32_acc_safe); each accumulator is widened to int64 before
- * the correction, so the requant math always runs in int64 and within
- * that bound the two are bit-identical.  Only fused_serve_call below
- * reaches them, hence static.
- *
- * ``fast`` (last parameter) is a caller-proven in-bounds flag: the
- * Python wrapper (_gather_in_bounds, shared with the other two gather
- * kernels) checks min(wrow) + min(xq) >= 0 and
- * max(wrow) + max(xq) < n_lut with SIMD numpy reductions (the wrow
- * bounds are input-independent and cached per plan op), which holds
- * for every real serving input (wq in [0, levels), xq clipped onto
- * the uint8 grid).  When set, the gather skips clamp_idx -- whose
- * cmp/cmov chain sits on the address-generation critical path and
- * costs ~2.7x on conv-shaped gathers -- and out-of-range data falls
- * back to the exact clamp loop, so results are bit-identical either
- * way.  C == 1 (linear single-sample) rows take a scalar reduction
- * with four independent int64 accumulator chains instead (inside the
- * int32-safe bound they give the same value as int32 accumulation):
+ * ``fast`` is a caller-proven in-bounds flag: the Python wrapper
+ * (_gather_in_bounds, shared with the backward) checks
+ * min(wrow) + min(xq) >= 0 and max(wrow) + max(xq) < n_lut with SIMD
+ * numpy reductions (serving plan ops cache the input-independent wrow
+ * bounds), which holds for every real operand (wq in [0, levels), xq on
+ * the uint8 grid).  When set, the gather indexes the table directly,
+ * skipping clamp_idx -- whose cmp/cmov chain sits on the
+ * address-generation critical path and costs ~2.7x on conv-shaped
+ * gathers; otherwise every lookup goes through clamp_idx, so diverged
+ * operands clip exactly like np.take(mode="clip") and the sums are
+ * bit-identical either way.  C == 1 (linear single-sample) rows take a
+ * scalar reduction with four independent int64 chains instead (inside
+ * the int32-safe bound they give the same value as int32 accumulation):
  * the column loop has no parallelism to hide the gather latency, the
  * chains do.
  *
- * accrow's restrict matters: without it the accrow store may alias
- * the next xq load and the gather runs serialized (~1.7x).
+ * acc's restrict matters: without it the accumulator row's store may
+ * alias the next xq load and the gather runs serialized (~1.7x).
+ *
+ * Two bodies: non-NULL planes (the LUT's byte planes, with xt a
+ * K * VBMI_TILE-byte scratch tile) select the in-register VBMI body
+ * (gather_vbmi, above) over columns [c_lo, c_hi), which the wrapper only
+ * passes when the host has VBMI, the proof holds with min(wrow) >= 0 and
+ * xq in [0, 255], the LUT fits uint16, K < 32768 and C >= VBMI_MIN_C
+ * (the measured crossover, so C == 1 never reaches it), and the body
+ * passed its self-check.  Otherwise the scalar loops below run over all
+ * columns -- the only body off x86.
  */
-#define DEFINE_FUSED_SERVE_RANGE(NAME, ACC_T)                           \
-static void NAME(const int32_t *restrict lut, long n_lut,               \
-                 /* (M, K): wq * levels */                              \
+#define DEFINE_GATHER_RANGE(NAME, ACC_T, REQUANT_ROW)                   \
+static void NAME(const gather_args *a, const int32_t *restrict lut,     \
                  const int64_t *restrict wrow,                          \
-                 /* (K, C) quantized acts */                            \
-                 const int32_t *restrict xq,                            \
-                 /* (C,): xq.sum(axis=0) */                             \
-                 const int64_t *restrict colsum,                        \
-                 const int64_t *restrict zw, long zw_stride,            \
-                 const int64_t *restrict m0,                            \
-                 const int64_t *restrict d0,                            \
-                 const int64_t *restrict shift, long rq_stride,         \
-                 long qlo, long qhi,                                    \
-                 uint8_t *restrict out,  /* (M, C) */                   \
-                 ACC_T *restrict accrow, /* scratch, >= C */            \
-                 long M, long K, long C,                                \
-                 long m_lo, long m_hi, long fast,                       \
-                 const uint8_t *planes, uint8_t *xt,                    \
-                 long c_lo, long c_hi)                                  \
+                 const int32_t *restrict xq, ACC_T *restrict acc)       \
 {                                                                       \
-    if (C == 1) {                                                       \
-        for (long m = m_lo; m < m_hi; m++) {                            \
-            const int64_t *wr = wrow + m * K;                           \
-            int64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;                     \
+    if (a->planes) {                                                    \
+        gather_vbmi(a, wrow, xq);                                       \
+        return;                                                         \
+    }                                                                   \
+    const long n_lut = (long) a->n_lut, K = (long) a->K, C = (long) a->C; \
+    const long stride = (long) a->acc_stride, fast = (long) a->fast;    \
+    const long m_hi = (long) a->m_hi, tail = a->out != 0;               \
+    for (long m = (long) a->m_lo; m < m_hi; m++) {                      \
+        const int64_t *wr = wrow + m * K;                               \
+        ACC_T *row = acc + m * stride;                                  \
+        if (C == 1) {                                                   \
+            int64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;                     \
             long k = 0;                                                 \
             if (fast) {                                                 \
                 for (; k + 4 <= K; k += 4) {                            \
-                    a0 += lut[wr[k] + xq[k]];                           \
-                    a1 += lut[wr[k + 1] + xq[k + 1]];                   \
-                    a2 += lut[wr[k + 2] + xq[k + 2]];                   \
-                    a3 += lut[wr[k + 3] + xq[k + 3]];                   \
+                    s0 += lut[wr[k] + xq[k]];                           \
+                    s1 += lut[wr[k + 1] + xq[k + 1]];                   \
+                    s2 += lut[wr[k + 2] + xq[k + 2]];                   \
+                    s3 += lut[wr[k + 3] + xq[k + 3]];                   \
                 }                                                       \
                 for (; k < K; k++)                                      \
-                    a0 += lut[wr[k] + xq[k]];                           \
+                    s0 += lut[wr[k] + xq[k]];                           \
             } else {                                                    \
                 for (; k < K; k++)                                      \
-                    a0 += lut[clamp_idx(wr[k] + xq[k], n_lut)];         \
+                    s0 += lut[clamp_idx(wr[k] + xq[k], n_lut)];         \
             }                                                           \
-            const long sh = (long) shift[m * rq_stride];                \
-            out[m] = requant_clamp(a0 + a1 + a2 + a3, zw[m * zw_stride],  \
-                                   colsum[0], m0[m * rq_stride],        \
-                                   d0[m * rq_stride], sh,               \
-                                   requant_half(sh), qlo, qhi);         \
-        }                                                               \
-        return;                                                         \
-    }                                                                   \
-    if (planes) {                                                       \
-        fused_serve_vbmi(planes, n_lut, wrow, xq, colsum, zw,           \
-                         zw_stride, m0, d0, shift, rq_stride, qlo, qhi, \
-                         out, K, C, m_lo, m_hi, c_lo, c_hi, xt);        \
-        return;                                                         \
-    }                                                                   \
-    for (long m = m_lo; m < m_hi; m++) {                                \
-        const int64_t *wr = wrow + m * K;                               \
-        for (long c = 0; c < C; c++)                                    \
-            accrow[c] = 0;                                              \
-        if (fast) {                                                     \
-            for (long k = 0; k < K; k++) {                              \
-                const int64_t base = wr[k];                             \
-                const int32_t *xrow = xq + k * C;                       \
-                for (long c = 0; c < C; c++)                            \
-                    accrow[c] += lut[base + xrow[c]];                   \
-            }                                                           \
+            row[0] = (ACC_T) (s0 + s1 + s2 + s3);                       \
         } else {                                                        \
-            for (long k = 0; k < K; k++) {                              \
-                const int64_t base = wr[k];                             \
-                const int32_t *xrow = xq + k * C;                       \
-                for (long c = 0; c < C; c++)                            \
-                    accrow[c] += lut[clamp_idx(base + xrow[c], n_lut)]; \
+            for (long c = 0; c < C; c++)                                \
+                row[c] = 0;                                             \
+            if (fast) {                                                 \
+                for (long k = 0; k < K; k++) {                          \
+                    const int64_t base = wr[k];                         \
+                    const int32_t *xrow = xq + k * C;                   \
+                    for (long c = 0; c < C; c++)                        \
+                        row[c] += lut[base + xrow[c]];                  \
+                }                                                       \
+            } else {                                                    \
+                for (long k = 0; k < K; k++) {                          \
+                    const int64_t base = wr[k];                         \
+                    const int32_t *xrow = xq + k * C;                   \
+                    for (long c = 0; c < C; c++)                        \
+                        row[c] += lut[clamp_idx(base + xrow[c], n_lut)]; \
+                }                                                       \
             }                                                           \
         }                                                               \
-        const int64_t zwm = zw[m * zw_stride];                          \
-        const int64_t mm = m0[m * rq_stride];                           \
-        const int64_t dm = d0[m * rq_stride];                           \
-        const long sh = (long) shift[m * rq_stride];                    \
-        const int64_t half = requant_half(sh);                          \
-        uint8_t *orow = out + m * C;                                    \
-        for (long c = 0; c < C; c++)                                    \
-            orow[c] = requant_clamp((int64_t) accrow[c], zwm, colsum[c], \
-                                    mm, dm, sh, half, qlo, qhi);        \
+        if (tail)                                                       \
+            REQUANT_ROW(a, m, 0, C, row);                               \
     }                                                                   \
 }
 
-DEFINE_FUSED_SERVE_RANGE(fused_serve_range, int64_t)
-DEFINE_FUSED_SERVE_RANGE(fused_serve_i32_range, int32_t)
+DEFINE_GATHER_RANGE(gather_range_i64, int64_t, requant_row_i64)
+DEFINE_GATHER_RANGE(gather_range_i32, int32_t, requant_row_i32)
 
-/* Packed-argument entry point for the fused serving kernels.  A plan
- * op calls this once per row range per sample, and ctypes marshalling
- * of the 26 individual arguments costs ~20us per call with ndpointer
- * validation -- comparable to the kernel itself on the smaller layers.
- * Packing them into one block of int64 slots (pointers and scalars
- * alike; every field is 8 bytes, so the numpy side fills a plain int64
- * row and no padding can appear) makes the crossing a single-pointer
- * call.  Slot order must match the fused_serve wrapper in Python. */
-typedef struct {
-    int64_t lut;        /* const int32_t* */
-    int64_t n_lut;
-    int64_t wrow;       /* const int64_t* */
-    int64_t xq;         /* const int32_t* */
-    int64_t colsum;     /* const int64_t* */
-    int64_t zw;         /* const int64_t* */
-    int64_t zw_stride;
-    int64_t m0;         /* const int64_t* */
-    int64_t d0;         /* const int64_t* */
-    int64_t shift;      /* const int64_t* */
-    int64_t rq_stride;
-    int64_t qlo;
-    int64_t qhi;
-    int64_t out;        /* uint8_t* */
-    int64_t accrow;     /* int64_t* or int32_t*, per acc_is32 */
-    int64_t M, K, C;
-    int64_t m_lo, m_hi;
-    int64_t fast;
-    int64_t acc_is32;
-    int64_t planes;     /* const uint8_t*, or 0: the scalar body */
-    int64_t xt;         /* uint8_t*, the VBMI body's tile scratch */
-    int64_t c_lo, c_hi; /* the VBMI body's columns */
-} fused_serve_args;
-
-void fused_serve_call(const fused_serve_args *a)
+/* The forward gather's one entry point: a thread's block of either
+ * forward kernel (see gather_args). */
+void gather_call(const gather_args *a)
 {
+    const int32_t *lut = (const int32_t *) a->lut;
+    const int64_t *wrow = (const int64_t *) a->wrow;
+    const int32_t *xq = (const int32_t *) a->xq;
     if (a->acc_is32)
-        fused_serve_i32_range(
-            (const int32_t *) a->lut, (long) a->n_lut,
-            (const int64_t *) a->wrow, (const int32_t *) a->xq,
-            (const int64_t *) a->colsum,
-            (const int64_t *) a->zw, (long) a->zw_stride,
-            (const int64_t *) a->m0, (const int64_t *) a->d0,
-            (const int64_t *) a->shift, (long) a->rq_stride,
-            (long) a->qlo, (long) a->qhi,
-            (uint8_t *) a->out, (int32_t *) a->accrow,
-            (long) a->M, (long) a->K, (long) a->C,
-            (long) a->m_lo, (long) a->m_hi, (long) a->fast,
-            (const uint8_t *) a->planes, (uint8_t *) a->xt,
-            (long) a->c_lo, (long) a->c_hi);
+        gather_range_i32(a, lut, wrow, xq, (int32_t *) a->acc);
     else
-        fused_serve_range(
-            (const int32_t *) a->lut, (long) a->n_lut,
-            (const int64_t *) a->wrow, (const int32_t *) a->xq,
-            (const int64_t *) a->colsum,
-            (const int64_t *) a->zw, (long) a->zw_stride,
-            (const int64_t *) a->m0, (const int64_t *) a->d0,
-            (const int64_t *) a->shift, (long) a->rq_stride,
-            (long) a->qlo, (long) a->qhi,
-            (uint8_t *) a->out, (int64_t *) a->accrow,
-            (long) a->M, (long) a->K, (long) a->C,
-            (long) a->m_lo, (long) a->m_hi, (long) a->fast,
-            (const uint8_t *) a->planes, (uint8_t *) a->xt,
-            (long) a->c_lo, (long) a->c_hi);
+        gather_range_i64(a, lut, wrow, xq, (int64_t *) a->acc);
 }
 
 /* Requant + clamp of an exact-integer float64 accumulator (M, C): the
@@ -1560,23 +1440,11 @@ def _compile() -> "ctypes.CDLL | None":
     _long = ctypes.c_long
     # Packed-argument entries: one pointer crosses the FFI boundary, so
     # per-call marshalling stays ~1us instead of ~20us for 21 args.
-    for sym in ("fused_serve_call", "requant_f64_call", "im2col_serve_call"):
+    for sym in ("gather_call", "requant_f64_call", "im2col_serve_call"):
         packed = getattr(lib, sym)
         packed.restype = None
         packed.argtypes = [ctypes.c_void_p]
     _ptr = ctypes.c_void_p
-    fn = lib.product_sums_range
-    fn.restype = None
-    fn.argtypes = [
-        _i32, _long, _i64, _i32, _i64, _long, _long, _long, _long, _long,
-        _long, _ptr, _ptr, _long, _long,
-    ]
-    fn32 = lib.product_sums_i32_range
-    fn32.restype = None
-    fn32.argtypes = [
-        _i32, _long, _i64, _i32, _i32, _long, _long, _long, _long, _long,
-        _long, _ptr, _ptr, _long, _long,
-    ]
     lib.gather_vbmi_supported.restype = ctypes.c_int
     lib.gather_vbmi_supported.argtypes = []
     bwd = lib.backward_grads_range
@@ -1625,9 +1493,10 @@ def reset_kernel_cache() -> None:
     The next :func:`_get_kernel` call re-evaluates ``REPRO_NO_CCKERNEL``
     and, if allowed, re-attempts the build (the compiled ``.so`` disk
     cache makes that cheap), and :func:`vbmi_trusted` re-runs its
-    self-check.  Also resets the execution core's backward
-    self-check via :func:`repro.core.execcore.reset_backend_state` --
-    use that entry point unless you specifically want only this half.
+    self-check.  Only the kernel and the VBMI verdict are cleared: the
+    execution core's backward and serving self-check verdicts stay, so
+    use :func:`repro.core.execcore.reset_backend_state`, which clears
+    those and calls this, unless you want only this half.
     """
     global _lib, _compile_attempted, _vbmi_host, _vbmi_verdict
     with _lock:
@@ -2098,6 +1967,92 @@ def _check_operands(
             )
 
 
+#: Int64 slots of the C ``gather_args`` struct.
+_GATHER_SLOTS = 26
+
+
+def _gather(
+    who, lut_flat, wrow, xq, acc_dtype, threads, planes, wrow_bounds=None,
+    xq_bounds=None, tail=None,
+):
+    """The one forward gather behind :func:`fused_product_sums` and
+    :func:`fused_serve`.
+
+    ``tail`` is ``None`` for the sums (the (M, C) result in
+    ``acc_dtype``) or the requant operands ``(colsum, zw, m0, d0, shift,
+    qlo, qhi)`` (the (M, C) uint8 result).  Checks the operands, the
+    accumulator dtype among them, before any C call; picks the body
+    (:func:`_gather_body`) and the per-thread blocks
+    (:func:`_gather_blocks`); and runs one packed ``gather_call`` per
+    block, slots in the order of the C ``gather_args`` struct.
+    """
+    _check_operands(who, (lut_flat,), wrow, xq, (planes,))
+    acc_dtype = np.dtype(acc_dtype)
+    if acc_dtype not in (np.int32, np.int64):
+        # The C bodies size their accumulator rows by this width.
+        raise ValueError(
+            f"{who}: acc_dtype must be int32 or int64, got {acc_dtype}"
+        )
+    lib = _get_kernel()
+    if lib is None:
+        return None
+    m, (k, c) = wrow.shape[0], xq.shape
+    out = np.empty((m, c), dtype=np.uint8 if tail else acc_dtype)
+    if m == 0 or c == 0:
+        # Empty micro-batch: never a kernel call (the row/chunk
+        # partitioners have no ranges to offer).
+        return out
+    if tail:
+        colsum, zw, zw_stride, m0, d0, shift, rq_stride = _requant_operands(
+            *tail, m, c, who
+        )
+        tail_slots = (
+            out.ctypes.data, colsum.ctypes.data, zw.ctypes.data, zw_stride,
+            m0.ctypes.data, d0.ctypes.data, shift.ctypes.data, rq_stride,
+            *tail[5:],
+        )
+    else:
+        tail_slots = (0,) * 10
+    lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
+    wrow = np.ascontiguousarray(wrow, dtype=np.int64)
+    xq = np.ascontiguousarray(xq, dtype=np.int32)
+    fast, vbmi = _gather_body(
+        lut_flat.size, wrow, xq, planes, wrow_bounds, xq_bounds
+    )
+    nthreads = threads_requested() if threads is None else max(int(threads), 1)
+    ranges, tiles = _gather_blocks(m, c, k, vbmi, nthreads)
+    # The accumulator rows: the sums themselves, or with the tail one
+    # scratch row per thread for the scalar body, the row that never
+    # leaves cache (the VBMI body sums its tiles in registers).
+    if tail:
+        accs = [np.empty(0 if vbmi else c, dtype=acc_dtype) for _ in ranges]
+    else:
+        accs = [out] * len(ranges)
+    args = np.empty((len(ranges), _GATHER_SLOTS), dtype=np.int64)
+    args[:, :21] = (
+        lut_flat.ctypes.data, lut_flat.size, wrow.ctypes.data,
+        xq.ctypes.data, k, c, fast, acc_dtype == np.int32, 0,
+        0 if tail else c, *tail_slots, _ptr(planes) if vbmi else 0,
+    )
+    for i, block in enumerate(ranges):
+        args[i, 8] = accs[i].ctypes.data
+        args[i, 21:] = (_ptr(tiles[i]), *block)
+    base, row_bytes = args.ctypes.data, args.strides[0]
+    call = lib.gather_call
+
+    def work(_m_lo, _m_hi, _c_lo, _c_hi, slot):
+        call(base + slot * row_bytes)
+
+    counter, span = (
+        ("lutkernel.fused_serve_calls", "lutkernel.fused_serve") if tail
+        else ("lutkernel.fused_calls", "lutkernel.product_sums")
+    )
+    _TRACE.count(counter)
+    with _TRACE.span(span, cat="engine"):
+        _run_threaded(work, ranges)
+    return out
+
+
 def fused_product_sums(
     lut_flat: np.ndarray,
     wrow: np.ndarray,
@@ -2143,47 +2098,13 @@ def fused_product_sums(
 
     Raises:
         ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K,
-            ``lut_flat`` is empty, or ``planes`` do not fit it.
+            ``lut_flat`` is empty, ``acc_dtype`` is not int32 or int64,
+            or ``planes`` do not fit it.
     """
-    _check_operands("fused_product_sums", (lut_flat,), wrow, xq, (planes,))
-    lib = _get_kernel()
-    if lib is None:
-        return None
-    m, k = wrow.shape
-    k2, c = xq.shape
-    acc_dtype = np.dtype(acc_dtype)
-    if m == 0 or c == 0:
-        # Empty micro-batch: an empty accumulator, never a kernel call
-        # (the row/chunk partitioners have no ranges to offer).
-        return np.zeros((m, c), dtype=acc_dtype)
-    fn = (
-        lib.product_sums_i32_range
-        if acc_dtype == np.int32
-        else lib.product_sums_range
+    return _gather(
+        "fused_product_sums", lut_flat, wrow, xq, acc_dtype, threads, planes,
+        xq_bounds=xq_bounds,
     )
-    out = np.empty((m, c), dtype=acc_dtype)
-    # ascontiguousarray is a no-op for the common already-contiguous case
-    # and transparently fixes Fortran-ordered / sliced views coming out
-    # of transpose-heavy tape paths (the ndpointer signatures reject
-    # anything non-contiguous outright).
-    lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
-    wrow = np.ascontiguousarray(wrow, dtype=np.int64)
-    xq = np.ascontiguousarray(xq, dtype=np.int32)
-    fast, vbmi = _gather_body(
-        lut_flat.size, wrow, xq, planes, xq_bounds=xq_bounds
-    )
-    nthreads = threads_requested() if threads is None else max(int(threads), 1)
-    ranges, tiles = _gather_blocks(m, c, k2, vbmi, nthreads)
-    pl = _ptr(planes) if vbmi else 0
-
-    def work(m_lo, m_hi, c_lo, c_hi, slot):
-        fn(lut_flat, lut_flat.size, wrow, xq, out, m, k2, c, m_lo, m_hi,
-           fast, pl, _ptr(tiles[slot]), c_lo, c_hi)
-
-    _TRACE.count("lutkernel.fused_calls")
-    with _TRACE.span("lutkernel.product_sums", cat="engine"):
-        _run_threaded(work, ranges)
-    return out
 
 
 def _const_row(
@@ -2300,62 +2221,13 @@ def fused_serve(
 
     Raises:
         ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K,
-            ``lut_flat`` is empty, or a constant block, the rails or
-            ``planes`` do not fit.
+            ``lut_flat`` is empty, ``acc_dtype`` is not int32 or int64,
+            or a constant block, the rails or ``planes`` do not fit.
     """
-    _check_operands("fused_serve", (lut_flat,), wrow, xq, (planes,))
-    lib = _get_kernel()
-    if lib is None:
-        return None
-    m, k = wrow.shape
-    k2, c = xq.shape
-    out = np.empty((m, c), dtype=np.uint8)
-    if m == 0 or c == 0:
-        return out
-    colsum, zw, zw_stride, m0, d0, shift, rq_stride = _requant_operands(
-        colsum, zw, m0, d0, shift, qlo, qhi, m, c, "fused_serve"
+    return _gather(
+        "fused_serve", lut_flat, wrow, xq, acc_dtype, threads, planes,
+        wrow_bounds, xq_bounds, (colsum, zw, m0, d0, shift, qlo, qhi),
     )
-    acc_dtype = np.dtype(acc_dtype)
-    lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
-    wrow = np.ascontiguousarray(wrow, dtype=np.int64)
-    xq = np.ascontiguousarray(xq, dtype=np.int32)
-    fast, vbmi = _gather_body(
-        lut_flat.size, wrow, xq, planes, wrow_bounds, xq_bounds
-    )
-    nthreads = threads_requested() if threads is None else max(int(threads), 1)
-    ranges, tiles = _gather_blocks(m, c, k2, vbmi, nthreads)
-    # Per-thread accumulator row of the scalar body: the tile that never
-    # leaves cache (the VBMI body sums its tiles in registers).
-    accrow = [np.empty(0 if vbmi else c, dtype=acc_dtype) for _ in ranges]
-    # One packed int64 argument block per thread -- slot order matches
-    # the C ``fused_serve_args`` struct, so a single-pointer call
-    # replaces 26 individually marshalled arguments.
-    args = np.empty((len(ranges), 26), dtype=np.int64)
-    args[:, :18] = (
-        lut_flat.ctypes.data, lut_flat.size, wrow.ctypes.data,
-        xq.ctypes.data, colsum.ctypes.data, zw.ctypes.data, zw_stride,
-        m0.ctypes.data, d0.ctypes.data, shift.ctypes.data, rq_stride,
-        qlo, qhi, out.ctypes.data, 0, m, k2, c,
-    )
-    args[:, 20] = fast
-    args[:, 21] = int(acc_dtype == np.int32)
-    args[:, 22] = _ptr(planes) if vbmi else 0
-    for i, (m_lo, m_hi, c_lo, c_hi) in enumerate(ranges):
-        args[i, 14] = accrow[i].ctypes.data
-        args[i, 18:20] = m_lo, m_hi
-        args[i, 23] = _ptr(tiles[i])
-        args[i, 24:26] = c_lo, c_hi
-    base = args.ctypes.data
-    row_bytes = args.strides[0]
-    call = lib.fused_serve_call
-
-    def work(_m_lo, _m_hi, _c_lo, _c_hi, slot):
-        call(base + slot * row_bytes)
-
-    _TRACE.count("lutkernel.fused_serve_calls")
-    with _TRACE.span("lutkernel.fused_serve", cat="engine"):
-        _run_threaded(work, ranges)
-    return out
 
 
 def requant_f64(

@@ -269,6 +269,8 @@ def _serve_constants(per_channel, rng, m=9):
 def test_fused_serve_matches_reference(
     acc_dtype, c, in_bounds, threads, per_channel
 ):
+    """The serving op and its sums (``fused_product_sums``, one gather
+    body) against the int references, C == 1 rows included."""
     from repro.core import lutkernel
 
     if not lutkernel.kernel_available():
@@ -297,6 +299,10 @@ def test_fused_serve_matches_reference(
     )
     assert got.dtype == np.uint8 and got.shape == (m, c)
     assert np.array_equal(got, want)
+    idx = np.clip(wrow[:, :, None] + xq[None], 0, lut.size - 1)
+    acc = lutkernel.fused_product_sums(lut, wrow, xq, acc_dtype, threads)
+    assert acc.dtype == acc_dtype
+    assert np.array_equal(acc, lut[idx].sum(axis=1, dtype=np.int64))
     if in_bounds:
         assert ((want > qlo) & (want < qhi)).any()
     if per_channel:
@@ -425,6 +431,26 @@ def test_separable_serve_matches_reference(
     assert ((want > qlo) & (want < qhi)).any()
     if per_channel:
         assert (want[0] == qhi).all() and (want[1] == qlo).all()
+
+
+def test_serve_self_check_rejects_a_wrong_unfold(monkeypatch):
+    """The C unfold is held to numpy's ``functional.im2col``: a border
+    tap one off fails the serving self-check."""
+    from repro.core import lutkernel
+
+    if not lutkernel.kernel_available():
+        pytest.skip("C kernel disabled or no compiler")
+    real = lutkernel.im2col_serve
+
+    def off_by_one(x, kh, kw, stride, pad, zx):
+        xq, colsum = real(x, kh, kw, stride, pad, zx)
+        xq[0, 0] += pad > 0
+        return xq, colsum
+
+    assert execcore._run_serve_self_check()
+    monkeypatch.setattr(lutkernel, "im2col_serve", off_by_one)
+    with pytest.warns(RuntimeWarning, match="im2col"):
+        assert not execcore._run_serve_self_check()
 
 
 def test_separable_serve_out_of_range_takes_the_gather():

@@ -701,16 +701,18 @@ def _bad_shape_calls():
     x5 = np.zeros((5, 100), dtype=np.int32)
     x3 = np.zeros((3, 100), dtype=np.int32)
     g = np.zeros((4, 100), dtype=np.float32)
+    w35 = np.zeros((3, 5), dtype=np.int64)
+    x520 = np.zeros((5, 20), dtype=np.int32)
     one = np.ones(1, dtype=np.int64)
 
-    def serve(wrow, xq):
+    def serve(wrow, xq, acc_dtype=np.int64):
         return lutkernel.fused_serve(
             lut, wrow, xq, np.zeros(xq.shape[-1], np.int64), one, one,
-            one, one, 0, 255,
+            one, one, 0, 255, acc_dtype,
         )
 
-    def fwd(wrow, xq):
-        return lutkernel.fused_product_sums(lut, wrow, xq)
+    def fwd(wrow, xq, acc_dtype=np.int64):
+        return lutkernel.fused_product_sums(lut, wrow, xq, acc_dtype)
 
     def bwd(wrow, xq, gout=g, chunk=64, gw=tab, gx=tab, planes=None):
         return lutkernel.fused_backward_grads(
@@ -723,6 +725,11 @@ def _bad_shape_calls():
         "product_sums_1d_wrow": lambda: fwd(np.zeros(3, np.int64), x3),
         "serve_k_mismatch": lambda: serve(w43, x5),
         "serve_3d_xq": lambda: serve(w43, np.zeros((3, 10, 10), np.int32)),
+        # An accumulator narrower than int32 used to overrun the C body's
+        # int64 scratch row (serving: a heap corruption and abort at
+        # (3, 5, 20)); only int32 and int64 rows exist.
+        "product_sums_int16_acc": lambda: fwd(w35, x520, np.int16),
+        "serve_uint8_acc": lambda: serve(w35, x520, np.uint8),
         "backward_k_mismatch": lambda: bwd(w43, x5),
         "backward_short_gout": lambda: bwd(
             w43, x3, np.zeros((2, 50), np.float32)
