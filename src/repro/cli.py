@@ -268,33 +268,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     load_checkpoint(model, args.checkpoint)
     model.eval()
 
+    # Both front ends take the same settings; --sharded forks the workers
+    # (one plan compile in the parent, LUTs in shared memory) instead of
+    # starting threads, which each need a private engine's scratch.
     metrics = ServeMetrics()
+    front_end = dict(
+        plan_factory=lambda: compile_plan(
+            model, private_engines=not args.sharded,
+            arithmetic=args.arithmetic,
+        ),
+        workers=args.workers,
+        max_batch=args.max_batch,
+        max_wait_ms=args.max_wait_ms,
+        queue_size=args.queue_size,
+        metrics=metrics,
+    )
     if args.sharded:
-        # N forked worker processes over shared-memory LUT segments; one
-        # plan compile in the parent, inherited by every worker.
-        pool = ShardServer(
-            plan_factory=lambda: compile_plan(
-                model, arithmetic=args.arithmetic
-            ),
-            workers=args.workers,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            queue_size=args.queue_size,
-            metrics=metrics,
-            trace_dir=trace_dir,
-        ).start()
+        pool = ShardServer(trace_dir=trace_dir, **front_end).start()
         mode = f"sharded x{args.workers}"
     else:
-        pool = WorkerPool(
-            plan_factory=lambda: compile_plan(
-                model, private_engines=True, arithmetic=args.arithmetic
-            ),
-            workers=args.workers,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            queue_size=args.queue_size,
-            metrics=metrics,
-        ).start()
+        pool = WorkerPool(**front_end).start()
         mode = f"threads x{args.workers}"
     server = make_server(
         pool, metrics, host=args.host, port=args.port,

@@ -9,8 +9,9 @@ inference stack, with no autograd tape and no gradient LUTs:
 - :mod:`repro.serve.scheduler` -- micro-batching request queue
   (:class:`~repro.serve.scheduler.MicroBatcher`) that coalesces concurrent
   single-sample requests and sheds load when full.
-- :mod:`repro.serve.pool` -- :class:`~repro.serve.pool.WorkerPool` threads,
-  each reusing its own compiled plan.
+- :mod:`repro.serve.pool` -- :class:`~repro.serve.pool.WorkerPool`, the
+  one serving front end (submit, delivery, error fan-out, drain) over
+  threads, each reusing its own compiled plan.
 - :mod:`repro.serve.metrics` -- counters, latency percentiles, batch-size
   distribution, engine cache statistics.
 - :mod:`repro.serve.http` -- stdlib JSON endpoint
@@ -19,10 +20,10 @@ inference stack, with no autograd tape and no gradient LUTs:
   :mod:`repro.serve.supervisor` -- sharded multi-process serving:
   :class:`~repro.serve.shm.SharedLutStore` publishes LUT tables and
   requant constants into shared memory once per host,
-  :class:`~repro.serve.shard.ShardServer` routes micro-batches to N
-  forked plan workers, and :class:`~repro.serve.supervisor.Supervisor`
-  respawns crashed workers with capped backoff
-  (``repro serve --sharded``).
+  :class:`~repro.serve.shard.ShardServer` is a ``WorkerPool`` whose N
+  workers are forked processes, and
+  :class:`~repro.serve.supervisor.Supervisor` respawns crashed or hung
+  workers with capped backoff (``repro serve --sharded``).
 """
 
 from repro.serve.metrics import LatencyHistogram, ServeMetrics

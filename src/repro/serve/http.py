@@ -86,12 +86,9 @@ class _Handler(BaseHTTPRequestHandler):
                 "status": "ok",
                 "model": self.server.model_name,
                 "queue_depth": self.server.pool.batcher.depth,
+                # Threads for a WorkerPool, processes for a ShardServer.
+                "workers": self.server.pool.alive_workers,
             }
-            # Duck-typed: WorkerPool counts threads, ShardServer counts
-            # live worker processes.
-            workers = getattr(self.server.pool, "alive_workers", None)
-            if workers is not None:
-                payload["workers"] = workers
             self._send_json(200, payload)
         elif path == "/metrics":
             if "format=text" in query:

@@ -57,13 +57,14 @@ class PendingRequest:
     """Future for one submitted sample."""
 
     __slots__ = ("payload", "enqueued_at", "trace_id", "dispatched_at",
-                 "_event", "_result", "_error")
+                 "deaths", "_event", "_result", "_error")
 
     def __init__(self, payload: np.ndarray):
         self.payload = payload
         self.enqueued_at = time.perf_counter()
         self.trace_id = next(_TRACE_IDS)
         self.dispatched_at: float | None = None  # stamped by next_batch
+        self.deaths = 0  # shard workers that died holding this request
         self._event = threading.Event()
         self._result: np.ndarray | None = None
         self._error: BaseException | None = None
@@ -141,13 +142,15 @@ class MicroBatcher:
         """Pop up to ``max_batch`` coalesced requests (worker side).
 
         Blocks up to ``timeout`` seconds for the first request; returns
-        ``None`` on timeout or when the queue is closed and drained.  Call
+        ``None`` on timeout or when the queue is closed and drained (empty,
+        no batch in flight).  A closed queue with a batch still in flight
+        keeps waiting, since a re-dispatch may return its requests.  Call
         :meth:`task_done` after executing the returned batch.
         """
         with self._cond:
             deadline = None if timeout is None else time.monotonic() + timeout
             while not self._queue:
-                if self._closed:
+                if self._closed and self._inflight == 0:
                     return None
                 if deadline is not None and time.monotonic() >= deadline:
                     return None

@@ -1,27 +1,29 @@
 """Sharded multi-process serving: router + forked plan workers.
 
-The thread :class:`~repro.serve.pool.WorkerPool` is GIL-bound: the numpy
-gather pipeline holds the interpreter for most of each batch, so adding
-threads adds little throughput.  :class:`ShardServer` is the
-process-level equivalent with the same outside surface (``submit`` /
-``infer`` / ``batcher`` / ``metrics`` / ``shutdown``, so the HTTP layer
-and CLI work unchanged):
+The thread :class:`~repro.serve.pool.WorkerPool` shares one interpreter:
+whatever of a batch runs in Python holds the GIL.  :class:`ShardServer`
+is a :class:`~repro.serve.pool.WorkerPool` whose workers are forked
+processes.  It inherits the whole front half (``submit`` / ``infer``,
+the micro-batcher, result delivery, error fan-out, ``shutdown``'s
+drain) and overrides only how a batch reaches a plan:
 
 - The parent compiles the plan **once**, publishes every LUT table and
   requant constant block into shared memory
   (:class:`~repro.serve.shm.SharedLutStore`), and forks N
   :func:`plan_worker` processes that inherit the compiled plan and the
   mappings -- per-worker incremental memory is scratch buffers only.
-- A :class:`Router` feeds workers from the same bounded
-  :class:`~repro.serve.scheduler.MicroBatcher` the thread pool uses
-  (identical 503 load-shedding semantics), dispatching each coalesced
-  batch to the **least-loaded** live worker over a duplex pipe.
+- A dispatcher thread sends each coalesced batch to the
+  **least-loaded** live worker over a duplex pipe (at most
+  :data:`MAX_INFLIGHT` unanswered batches per worker); a collector thread
+  completes the futures.
 - A :class:`~repro.serve.supervisor.Supervisor` watches sentinels and
   shared-memory heartbeats; a crashed or hung worker is respawned with
-  capped backoff and its in-flight batches are **re-dispatched** (results
+  capped backoff and its in-flight requests are **re-dispatched** (results
   a worker reported before dying are kept -- a batch is never both
   answered and re-run; re-execution itself is safe because plans are
-  pure).  After ``max_redispatch`` deaths the batch fails fast instead.
+  pure).  Each request counts the workers that died holding it; after
+  ``MAX_REDISPATCH + 1`` deaths it fails with :class:`ServeError`, so a
+  poison request cannot take every worker slot down.
 
 Results are bit-identical to the single-process plan by construction:
 workers run the very op closures the parent compiled, over
@@ -45,13 +47,23 @@ from repro.obs.trace import get_tracer
 from repro.retrain.lifecycle import Heartbeat
 from repro.serve.metrics import ServeMetrics
 from repro.serve.plan import InferencePlan
-from repro.serve.scheduler import MicroBatcher, PendingRequest
+from repro.serve.pool import WorkerPool
+from repro.serve.scheduler import PendingRequest
 from repro.serve.shm import SharedLutStore
-from repro.serve.supervisor import Supervisor, WorkerHandle
+from repro.serve.supervisor import HEARTBEAT_S, Supervisor, WorkerHandle
 
 __all__ = ["ShardServer", "plan_worker", "worker_metric_families"]
 
 _TRACE = get_tracer()
+
+#: Batches one worker may hold unanswered.  Two keep a worker busy while
+#: the next batch crosses the pipe: quarter-width VGG-19 mul8u_1DMU,
+#: sharded x2, max_batch=1, bursts of 8, OPENBLAS_NUM_THREADS=1, 2-vCPU
+#: Xeon, reads 182-186 req/s at 2 and 151-166 at 1.
+MAX_INFLIGHT = 2
+#: Re-dispatches one request survives; it fails on worker death number
+#: ``MAX_REDISPATCH + 1``.
+MAX_REDISPATCH = 2
 
 #: Latency buckets (milliseconds) for the per-worker batch histogram.
 BATCH_MS_BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0)
@@ -97,8 +109,8 @@ def worker_metric_families(registry: MetricRegistry | None = None) -> dict:
 
 # ----------------------------------------------------------------------
 # Child process entry point.
-def plan_worker(conn, index: int, hb_slab, heartbeat_s: float,
-                plan: InferencePlan, trace_block=None) -> None:
+def plan_worker(conn, index: int, hb_slab, plan: InferencePlan,
+                trace_block=None) -> None:
     """Run batches from ``conn`` through ``plan`` until stopped.
 
     Forked entry point: ``plan``, ``hb_slab`` (the supervisor's writable
@@ -124,7 +136,7 @@ def plan_worker(conn, index: int, hb_slab, heartbeat_s: float,
 
         tracectx = install_worker_tracing(trace_block)
     beat()
-    hb = Heartbeat(heartbeat_s, beat, name=f"shard-worker-{index}-hb").start()
+    hb = Heartbeat(HEARTBEAT_S, beat, name=f"shard-worker-{index}-hb").start()
     try:
         conn.send(("ready", os.getpid()))
         while True:
@@ -166,43 +178,31 @@ def plan_worker(conn, index: int, hb_slab, heartbeat_s: float,
 class _DispatchedBatch:
     """One coalesced batch while it is out at a worker."""
 
-    __slots__ = ("id", "requests", "payload", "deaths", "sent_at", "worker")
+    __slots__ = ("id", "requests", "payload", "sent_at")
 
     def __init__(self, batch_id: int, requests: list[PendingRequest]):
         self.id = batch_id
         self.requests = requests
         self.payload = np.stack([p.payload for p in requests])
-        self.deaths = 0  # workers that died holding this batch
         self.sent_at: float | None = None  # stamped at pipe send
-        self.worker: int | None = None
 
 
-class ShardServer:
+class ShardServer(WorkerPool):
     """Multi-process serving shard: router + N forked plan workers.
 
-    Duck-type compatible with :class:`~repro.serve.pool.WorkerPool`
-    (``submit`` / ``infer`` / ``batcher`` / ``metrics`` / ``shutdown`` /
-    ``alive_workers``), so :func:`repro.serve.http.make_server` serves a
-    shard without changes.
+    A :class:`~repro.serve.pool.WorkerPool` whose workers are processes,
+    so :func:`repro.serve.http.make_server` and the CLI treat both alike.
+    The supervision policy is module constants (:data:`MAX_INFLIGHT`,
+    :data:`MAX_REDISPATCH` here, the heartbeat and respawn constants in
+    :mod:`repro.serve.supervisor`).
 
     Args:
         plan_factory: Builds the :class:`InferencePlan` (compiled once,
             in the parent, before forking).
         workers: Worker process count.
-        max_batch / max_wait_ms / queue_size: Micro-batcher knobs, same
-            semantics (including 503 shedding) as the thread pool.
-        max_inflight: Batches a single worker may hold unanswered; keeps
-            dispatch least-loaded-meaningful and bounds re-dispatch loss.
-        redispatch: Re-dispatch a dead worker's in-flight batches
-            (default) instead of failing them fast.
-        max_redispatch: Worker deaths one batch survives before its
-            requests fail with :class:`ServeError` (guards against a
-            poison batch that kills every worker it touches).
-        heartbeat_s / stale_after_s / backoff_base / backoff_cap /
-            max_respawns: Supervision policy, see
-            :class:`~repro.serve.supervisor.Supervisor`.
-        share_lut_segments: Publish LUT/requant constants into shared
-            memory before forking (disable only in tests).
+        max_batch / max_wait_ms / queue_size / metrics: As for
+            :class:`~repro.serve.pool.WorkerPool` (including 503
+            shedding).
         trace_dir: Where distributed-trace artifacts (flight-recorder
             black boxes) are written; only used when the process tracer
             is enabled at :meth:`start` time (``repro serve --trace``).
@@ -216,52 +216,17 @@ class ShardServer:
         max_wait_ms: float = 2.0,
         queue_size: int = 64,
         metrics: ServeMetrics | None = None,
-        max_inflight: int = 2,
-        redispatch: bool = True,
-        max_redispatch: int = 2,
-        heartbeat_s: float = 0.25,
-        stale_after_s: float | None = None,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        max_respawns: int = 5,
-        on_event: Callable[[dict], None] | None = None,
-        share_lut_segments: bool = True,
         trace_dir: str | None = None,
     ):
-        if workers < 1:
-            raise ServeError(f"workers must be >= 1, got {workers}")
-        if max_inflight < 1:
-            raise ServeError(f"max_inflight must be >= 1, got {max_inflight}")
-        self.metrics = metrics or ServeMetrics()
-        self.batcher = MicroBatcher(
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            capacity=queue_size,
-            metrics=self.metrics,
-        )
-        self.redispatch = redispatch
-        self.max_redispatch = max_redispatch
-        self.max_inflight = max_inflight
+        super().__init__(plan_factory, workers, max_batch, max_wait_ms,
+                         queue_size, metrics)
         self._wm = worker_metric_families()
-        self._plan = plan_factory()  # compiled once; workers inherit it
-        summary = getattr(self._plan, "op_summary", None)
-        if summary is not None:
-            self.metrics.set_plan_info(summary())
+        self._plan = self._compile()  # compiled once; workers inherit it
         self.store = SharedLutStore(prefix=f"repro-lut-{os.getpid()}")
-        self.shm_info: dict = {}
-        if share_lut_segments:
-            self.shm_info = self.store.publish_plan(self._plan)
+        self.shm_info = self.store.publish_plan(self._plan)
         self.supervisor = Supervisor(
-            self._worker_entry,
-            workers,
-            heartbeat_s=heartbeat_s,
-            stale_after_s=stale_after_s,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            max_respawns=max_respawns,
-            on_event=self._on_supervisor_event,
+            self._worker_entry, workers, on_event=self._on_supervisor_event
         )
-        self._on_event = on_event
         self.trace_dir = trace_dir
         self.tracectl = None  # ShardTraceController when tracing is on
         # One send lock per worker slot: the dispatcher (batches) and the
@@ -274,21 +239,17 @@ class ShardServer:
         # worker index -> {batch_id: _DispatchedBatch}
         self._outstanding: dict[int, dict[int, _DispatchedBatch]] = {}
         self._next_id = 0
-        self._started = False
-        self._stopping = False
         self._dispatcher: threading.Thread | None = None
         self._collector: threading.Thread | None = None
-        self.metrics.register_gauge("queue_depth", lambda: self.batcher.depth)
-        self.metrics.register_gauge("workers", lambda: self.alive_workers)
 
     # ------------------------------------------------------------------
-    def _worker_entry(self, conn, index, hb_slab, heartbeat_s) -> None:
+    def _worker_entry(self, conn, index, hb_slab) -> None:
         # Runs in the forked child: the trace block (a view into the
         # pre-fork shm slab) comes along for free, respawns included.
         block = (
             self.tracectl.block(index) if self.tracectl is not None else None
         )
-        plan_worker(conn, index, hb_slab, heartbeat_s, self._plan, block)
+        plan_worker(conn, index, hb_slab, self._plan, block)
 
     def _on_supervisor_event(self, event: dict) -> None:
         if event["event"] == "worker_spawned":
@@ -300,30 +261,21 @@ class ShardServer:
             self._wm["up"].set(0, worker=event["worker"])
             if event["event"] == "worker_down":
                 self.metrics.inc("workers_lost_total")
-        if self._on_event is not None:
-            self._on_event(event)
 
     @property
     def alive_workers(self) -> int:
         return len(self.supervisor.live_handles())
 
-    @property
-    def num_workers(self) -> int:
-        return self.supervisor.num_workers
-
     # ------------------------------------------------------------------
-    def start(self) -> "ShardServer":
-        """Fork the workers and start the router threads (idempotent)."""
-        if self._started:
-            return self
-        self._started = True
+    def _start_workers(self) -> None:
+        """Fork the workers and start the dispatcher and the collector."""
         if _TRACE.enabled:
             # Create the trace slab BEFORE forking so workers inherit
             # the mapping (exactly like the heartbeat slab).
             from repro.obs.dist import ShardTraceController
 
             self.tracectl = ShardTraceController(
-                self.num_workers, trace_dir=self.trace_dir
+                self.supervisor.num_workers, trace_dir=self.trace_dir
             )
             self.metrics.register_gauge(
                 "trace_transport_dropped",
@@ -342,25 +294,12 @@ class ShardServer:
         )
         self._collector.start()
         self._dispatcher.start()
-        return self
-
-    def __enter__(self) -> "ShardServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
 
     def submit(self, x: np.ndarray) -> PendingRequest:
-        """Enqueue one sample; 503-style backpressure via the batcher."""
-        if not self._started or self._stopping:
-            raise ServeError("shard server is not running")
+        """As :meth:`WorkerPool.submit`; refuses once every slot is down."""
         if self.supervisor.all_down():
             raise ServeError("all shard workers are permanently down")
-        return self.batcher.submit(x)
-
-    def infer(self, x: np.ndarray, timeout: float | None = 30.0) -> np.ndarray:
-        """Blocking convenience wrapper: submit one sample, wait, return."""
-        return self.submit(x).result(timeout)
+        return super().submit(x)
 
     # ------------------------------------------------------------------
     # Dispatcher: batcher -> least-loaded worker.
@@ -369,7 +308,7 @@ class ShardServer:
         best, best_load = None, None
         for handle in self.supervisor.live_handles():
             load = len(self._outstanding.get(handle.index, ()))
-            if load >= self.max_inflight:
+            if load >= MAX_INFLIGHT:
                 continue
             if best_load is None or load < best_load:
                 best, best_load = handle, load
@@ -407,7 +346,6 @@ class ShardServer:
                        [p.trace_id for p in rec.requests])
             else:
                 msg = ("batch", rec.id, rec.payload)
-            rec.worker = handle.index
             rec.sent_at = time.perf_counter()
             try:
                 with self._send_locks[handle.index]:
@@ -423,14 +361,11 @@ class ShardServer:
 
     def _fail_unassigned(self, rec: _DispatchedBatch) -> None:
         """A batch that never reached a worker (stop/all-down): fail it."""
-        exc = ServeError(
+        self._fail(rec.requests, ServeError(
             "no shard workers available"
             if self.supervisor.all_down()
             else "server shutting down"
-        )
-        for pending in rec.requests:
-            pending.set_error(exc)
-        self.metrics.inc("errors_total")
+        ))
         self.batcher.task_done()
 
     # ------------------------------------------------------------------
@@ -459,10 +394,12 @@ class ShardServer:
                 if handle is not None:
                     if not self._drain_conn(handle, limit=64):
                         self._handle_death(handle)
-            # Sentinel-only deaths (conn had no final message).
+            # Sentinel-only deaths (conn had no final message).  A ready
+            # sentinel means the process has exited, though waitpid may
+            # not see it yet: is_alive() can still read True here.
             for obj in ready:
                 handle = by_sentinel.get(obj)
-                if handle is not None and not handle.is_alive():
+                if handle is not None:
                     self._drain_conn(handle, limit=None)
                     self._handle_death(handle)
             for handle in self.supervisor.stale_handles():
@@ -519,30 +456,22 @@ class ShardServer:
             return  # batch was re-dispatched elsewhere after a false death
         if kind == "result":
             _, _, ys, exec_ms = msg
-            done = time.perf_counter()
-            traced = _TRACE.enabled
-            for pending, y in zip(rec.requests, ys):
-                pending.set_result(np.ascontiguousarray(y))
-                total_ms = (done - pending.enqueued_at) * 1000.0
-                self.metrics.observe_latency("request_ms", total_ms)
-                if traced:
+            done = self._deliver(rec.requests, ys, exec_ms)
+            if _TRACE.enabled:
+                for pending in rec.requests:
                     self._record_request_span(
-                        pending, rec, handle, exec_ms, total_ms
+                        pending, rec, handle, exec_ms, done
                     )
-            self.metrics.observe_latency("batch_exec_ms", exec_ms)
-            self.metrics.inc("predictions_total", len(rec.requests))
             self._wm["batches"].inc(worker=handle.index)
             self._wm["batch_ms"].observe(exec_ms, worker=handle.index)
         else:  # ("error", id, message)
-            exc = ServeError(f"worker {handle.index} failed: {msg[2]}")
-            for pending in rec.requests:
-                pending.set_error(exc)
-            self.metrics.inc("errors_total")
+            self._fail(rec.requests,
+                       ServeError(f"worker {handle.index} failed: {msg[2]}"))
         self.batcher.task_done()
 
     def _record_request_span(self, pending: PendingRequest,
                              rec: _DispatchedBatch, handle: WorkerHandle,
-                             exec_ms: float, total_ms: float) -> None:
+                             exec_ms: float, done: float) -> None:
         """One ``serve.request`` span per answered request.
 
         The args carry the stage split ``repro trace`` reports on:
@@ -551,6 +480,7 @@ class ShardServer:
         pipe transfer both ways + collector pickup), which partition
         ``total_ms`` by construction.
         """
+        total_ms = (done - pending.enqueued_at) * 1000.0
         dispatched = pending.dispatched_at or pending.enqueued_at
         sent = rec.sent_at or dispatched
         queue_ms = (dispatched - pending.enqueued_at) * 1000.0
@@ -599,58 +529,40 @@ class ShardServer:
             )
             self._wm["inflight"].set(0, worker=handle.index)
             self._slots.notify_all()
-        if not orphans:
-            return
+        give_up = self._stopping or self.supervisor.all_down()
         for rec in orphans:
-            rec.deaths += 1
-            if (
-                self.redispatch
-                and rec.deaths <= self.max_redispatch
-                and not self._stopping
-                and not self.supervisor.all_down()
-            ):
+            # The count rides on the requests: a re-dispatched request
+            # is re-coalesced into a new batch, so a per-batch count
+            # would restart at zero on every requeue.
+            retry, failed = [], []
+            for pending in rec.requests:
+                pending.deaths += 1
+                if not give_up and pending.deaths <= MAX_REDISPATCH:
+                    retry.append(pending)
+                else:
+                    failed.append(pending)
+            if failed:
+                self._fail(failed, ServeError(
+                    f"worker died with batch in flight (after "
+                    f"{max(p.deaths for p in failed)} attempt(s))"
+                ))
+            if retry:
                 # Back to the head of the global queue: the dispatcher
                 # re-coalesces and re-sends to a live worker.  Safe to
                 # re-run -- plans are pure functions of the input.
-                self.batcher.requeue(rec.requests)
+                self.batcher.requeue(retry)
                 self.metrics.inc("redispatched_batches_total")
             else:
-                exc = ServeError(
-                    f"worker died with batch in flight "
-                    f"(after {rec.deaths} attempt(s))"
-                )
-                for pending in rec.requests:
-                    pending.set_error(exc)
-                self.metrics.inc("errors_total")
                 self.batcher.task_done()
 
     # ------------------------------------------------------------------
-    def shutdown(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Stop the shard.
-
-        With ``drain=True`` the queue closes, every accepted request
-        resolves (including re-dispatches), then workers and router
-        threads stop and all shared-memory segments are unlinked.
-        """
-        if not self._started or self._stopping:
-            if not self._stopping:
-                self._stopping = True
-                self.supervisor.stop()
-                self._close_tracectl()
-                self.store.close()
-            return
-        self.batcher.close()
-        if drain:
-            self.batcher.drain(timeout)
-        else:
-            self.batcher.cancel_pending()
-        self._stopping = True
+    def _stop_workers(self, timeout: float) -> None:
+        """Stop the router threads and workers; unlink every segment."""
         with self._slots:
             self._slots.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
-        if self._collector is not None:
-            self._collector.join(timeout)
+        for thread in (self._dispatcher, self._collector):
+            if thread is not None:
+                thread.join(timeout)
         # Fail anything still outstanding (collector exited on timeout).
         with self._slots:
             leftovers = [
@@ -662,16 +574,11 @@ class ShardServer:
                 pending.set_error(ServeError("server shutting down"))
             self.batcher.task_done()
         self.supervisor.stop()
-        self._close_tracectl()
-        self.store.close()
-
-    def _close_tracectl(self) -> None:
-        """Final trace drain + slab unlink (workers are stopped by now).
-
-        The controller object stays around (closed): its drop count is
-        cached so the ``trace_transport_dropped`` gauge and post-run
-        exports keep reporting the final number.
-        """
         if self.tracectl is not None:
+            # Final trace drain + slab unlink (workers are stopped by
+            # now).  The controller object stays around (closed): its
+            # drop count is cached so the trace_transport_dropped gauge
+            # and post-run exports keep reporting the final number.
             self.tracectl.stop()
             self.tracectl.close()
+        self.store.close()

@@ -20,7 +20,7 @@ so the router can treat the worker set as a self-healing pool:
   (:func:`repro.retrain.lifecycle.capped_backoff`).  Respawns are
   *scheduled*, not slept in line, so one crashing worker never stalls
   result collection for the others; a worker that keeps dying young
-  exhausts ``max_respawns`` and is marked permanently down.
+  exhausts :data:`MAX_RESPAWNS` and is marked permanently down.
 """
 
 from __future__ import annotations
@@ -38,6 +38,16 @@ from repro.serve.shm import MutableSlab
 
 __all__ = ["Supervisor", "WorkerHandle"]
 
+#: Seconds between a worker's heartbeat writes.
+HEARTBEAT_S = 0.25
+#: Heartbeat age after which a live worker counts as hung and is SIGKILLed.
+STALE_AFTER_S = 10.0 * HEARTBEAT_S
+#: The capped-exponential respawn delay: ``BACKOFF_BASE * 2**(attempt-1)``
+#: seconds, at most ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Consecutive young-death respawns per slot before it is permanently down.
+MAX_RESPAWNS = 5
 #: A worker alive longer than this at death is "old": its respawn attempt
 #: counter resets, so long-lived workers always restart promptly and only
 #: crash-looping ones walk up the backoff schedule.
@@ -47,7 +57,8 @@ ATTEMPT_RESET_AFTER_S = 30.0
 class WorkerHandle:
     """One live (or just-dead) worker process, as the supervisor sees it."""
 
-    __slots__ = ("index", "process", "conn", "started_at", "attempt")
+    __slots__ = ("index", "process", "conn", "started_at", "attempt",
+                 "killed")
 
     def __init__(self, index: int, process, conn, attempt: int):
         self.index = index
@@ -55,6 +66,7 @@ class WorkerHandle:
         self.conn = conn  # parent end of the duplex pipe
         self.started_at = time.monotonic()
         self.attempt = attempt  # respawn generation (0 = original)
+        self.killed = False  # SIGKILLed as hung; its death is on the way
 
     @property
     def pid(self) -> int | None:
@@ -75,34 +87,26 @@ class WorkerHandle:
 class Supervisor:
     """Spawns, watches, and respawns the sharded serving workers.
 
+    The policy is the module constants (:data:`HEARTBEAT_S`,
+    :data:`STALE_AFTER_S`, :data:`BACKOFF_BASE`, :data:`BACKOFF_CAP`,
+    :data:`MAX_RESPAWNS`).
+
     Args:
-        worker_fn: Child entry point
-            ``worker_fn(conn, index, slab, heartbeat_s)``; runs in the
-            forked process.  ``slab`` is the writable heartbeat array.
+        worker_fn: Child entry point ``worker_fn(conn, index, slab)``;
+            runs in the forked process.  ``slab`` is the writable
+            heartbeat array; the worker writes ``slab[index]`` every
+            :data:`HEARTBEAT_S`.
         num_workers: Worker slot count (fixed; slots are respawned in
             place).
-        heartbeat_s: Interval workers write their slot at (<= 0 disables
-            heartbeat/staleness tracking entirely).
-        stale_after_s: Age after which a slot counts as hung; defaults to
-            ``10 * heartbeat_s``.
-        backoff_base / backoff_cap: The sweep runner's capped-exponential
-            respawn delay parameters.
-        max_respawns: Consecutive young-death respawns per slot before it
-            is marked permanently down.
         on_event: Optional callback receiving lifecycle dicts
             (``{"event": "worker_spawned" | "worker_respawn_scheduled" |
-            "worker_down", ...}``) for logs/telemetry.
+            "worker_down", ...}``); the shard feeds its metrics from it.
     """
 
     def __init__(
         self,
         worker_fn: Callable,
         num_workers: int,
-        heartbeat_s: float = 0.5,
-        stale_after_s: float | None = None,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        max_respawns: int = 5,
         on_event: Callable[[dict], None] | None = None,
     ):
         if num_workers < 1:
@@ -116,14 +120,6 @@ class Supervisor:
             ) from exc
         self.worker_fn = worker_fn
         self.num_workers = num_workers
-        self.heartbeat_s = heartbeat_s
-        self.stale_after_s = (
-            stale_after_s if stale_after_s is not None
-            else (10.0 * heartbeat_s if heartbeat_s > 0 else 0.0)
-        )
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_respawns = max_respawns
         self.on_event = on_event
         self._owner_pid = os.getpid()
         self._handles: list[WorkerHandle | None] = [None] * num_workers
@@ -165,10 +161,6 @@ class Supervisor:
     def live_handles(self) -> list[WorkerHandle]:
         return [h for h in self.handles() if h.is_alive()]
 
-    def is_down(self, index: int) -> bool:
-        """Whether slot ``index`` is permanently down (respawns exhausted)."""
-        return index in self._down
-
     def all_down(self) -> bool:
         """Every slot is permanently down (no worker will ever come back)."""
         return len(self._down) == self.num_workers
@@ -185,7 +177,7 @@ class Supervisor:
         self.hb_slab[index] = time.monotonic()
         proc = self._ctx.Process(
             target=self.worker_fn,
-            args=(child_conn, index, self.hb_slab, self.heartbeat_s),
+            args=(child_conn, index, self.hb_slab),
             name=f"repro-shard-worker-{index}",
             daemon=True,
         )
@@ -219,14 +211,14 @@ class Supervisor:
         handle.process.join(timeout=0)
         age = time.monotonic() - handle.started_at
         attempt = 1 if age >= ATTEMPT_RESET_AFTER_S else handle.attempt + 1
-        if attempt > self.max_respawns:
+        if attempt > MAX_RESPAWNS:
             self._down.add(index)
             self._emit(
                 "worker_down", worker=index, pid=handle.pid,
                 attempts=handle.attempt,
             )
             return False
-        delay = capped_backoff(attempt, self.backoff_base, self.backoff_cap)
+        delay = capped_backoff(attempt, BACKOFF_BASE, BACKOFF_CAP)
         self._pending[index] = (time.monotonic() + delay, attempt)
         self._respawns_total += 1
         self._emit(
@@ -255,18 +247,19 @@ class Supervisor:
                    - time.monotonic(), 0.0)
 
     def stale_handles(self) -> list[WorkerHandle]:
-        """Live workers whose heartbeat slot is older than ``stale_after_s``."""
-        if self.stale_after_s <= 0:
-            return []
+        """Live, not yet killed workers whose heartbeat is older than
+        :data:`STALE_AFTER_S`."""
         now = time.monotonic()
         return [
             h for h in self.live_handles()
-            if now - float(self.hb_slab[h.index]) > self.stale_after_s
+            if not h.killed
+            and now - float(self.hb_slab[h.index]) > STALE_AFTER_S
         ]
 
     def kill(self, handle: WorkerHandle) -> None:
         """SIGKILL a worker (hang handling); death flows through sentinels."""
         if handle.is_alive():
+            handle.killed = True
             handle.process.kill()
 
     # ------------------------------------------------------------------
@@ -294,9 +287,3 @@ class Supervisor:
         self._handles = [None] * self.num_workers
         self.hb_slab = None  # release the exported buffer before close()
         self._hb_shm.close()  # owner-gated unlink inside MutableSlab
-
-    def __enter__(self) -> "Supervisor":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

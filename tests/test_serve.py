@@ -8,6 +8,7 @@ atomic checkpoint save, and the CLI additions.
 
 import json
 import math
+import multiprocessing
 import threading
 import time
 import urllib.error
@@ -27,7 +28,9 @@ from repro.retrain.convert import approximate_model, calibrate, freeze
 from repro.retrain.trainer import TrainConfig, Trainer
 from repro.serve import (
     MicroBatcher,
+    PlanOp,
     ServeMetrics,
+    ShardServer,
     WorkerPool,
     compile_plan,
     make_server,
@@ -269,43 +272,69 @@ def test_pool_results_bit_identical(retrained, served_model):
         assert pool.metrics.counter("predictions_total") == len(x)
 
 
-def test_pool_backpressure_sheds_load():
-    release = threading.Event()
+def _probe_plan(model, fn):
+    """A compiled plan of ``model`` whose first op is ``fn``.
 
-    class BlockingPlan:
-        def run(self, xs):
-            release.wait(10.0)
-            return xs
+    A real :class:`InferencePlan`, so both front ends accept it (the shard
+    publishes its tables to shared memory before forking).
+    """
+    plan = compile_plan(model, private_engines=True)
+    plan.ops.insert(0, PlanOp("probe", "float", fn))
+    return plan
 
-    pool = WorkerPool(BlockingPlan, workers=1, max_batch=1,
-                      queue_size=2, max_wait_ms=0.0)
+
+FRONT_ENDS = pytest.mark.parametrize(
+    "front_end", [WorkerPool, ShardServer], ids=["threads", "shard"]
+)
+
+
+@FRONT_ENDS
+def test_pool_backpressure_sheds_load(served_model, front_end):
+    # A fork-context event reaches the shard's forked workers too.
+    release = multiprocessing.get_context("fork").Event()
+
+    def wait_for_release(x):
+        release.wait(30.0)
+        return x
+
+    pool = front_end(lambda: _probe_plan(served_model, wait_for_release),
+                     workers=1, max_batch=1, queue_size=2, max_wait_ms=0.0)
     pool.start()
+    sample = np.zeros((3, 12, 12))
+    futures = []
     try:
-        futures = [pool.submit(np.zeros(1))]
+        futures.append(pool.submit(sample))
         # Wait until the worker picks up the first request, then fill the
-        # queue behind it.
+        # queue behind it.  The shard's dispatcher may take up to two more
+        # (a second in-flight batch, one waiting for a slot) before the
+        # two queue places fill.
         deadline = time.perf_counter() + 5.0
         while pool.batcher.depth > 0 and time.perf_counter() < deadline:
             time.sleep(0.005)
-        futures += [pool.submit(np.zeros(1)) for _ in range(2)]
         with pytest.raises(ServerBusyError):
-            pool.submit(np.zeros(1))
+            for _ in range(16):
+                futures.append(pool.submit(sample))
+        assert len(futures) >= 3
         assert pool.metrics.counter("rejected_total") == 1
     finally:
         release.set()
         for fut in futures:
-            fut.result(timeout=10.0)
+            fut.result(timeout=30.0)
         pool.shutdown()
 
 
-def test_pool_propagates_plan_errors():
-    class FailingPlan:
-        def run(self, xs):
-            raise RuntimeError("kaboom")
+@FRONT_ENDS
+def test_pool_propagates_plan_errors(served_model, front_end):
+    def kaboom(x):
+        raise RuntimeError("kaboom")
 
-    with WorkerPool(FailingPlan, workers=1) as pool:
-        with pytest.raises(RuntimeError, match="kaboom"):
-            pool.infer(np.zeros(1), timeout=10.0)
+    # Threads re-raise the plan's own exception; a worker process reports
+    # it over its pipe and the shard raises ServeError naming it.
+    raised = RuntimeError if front_end is WorkerPool else ServeError
+    with front_end(lambda: _probe_plan(served_model, kaboom),
+                   workers=1) as pool:
+        with pytest.raises(raised, match="RuntimeError: kaboom|^kaboom$"):
+            pool.infer(np.zeros((3, 12, 12)), timeout=30.0)
         assert pool.metrics.counter("errors_total") == 1
 
 
@@ -361,6 +390,7 @@ def test_http_healthz(http_server):
     assert status == 200
     assert body["status"] == "ok"
     assert body["model"] == "lenet-test"
+    assert body["workers"] == 1
 
 
 def test_http_predict_single_and_batch(retrained, http_server):

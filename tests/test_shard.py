@@ -4,7 +4,8 @@ Covers the shared-memory LUT store (publish/attach/detach lifecycle,
 ownership, plan publication and restore-on-close), the supervisor's
 backoff policy, the :class:`~repro.serve.shard.ShardServer` router
 (bit-identity vs the single-process integer plan, SIGKILL respawn with
-zero failed responses, ``/dev/shm`` cleanup), the scheduler's requeue
+zero failed responses, the poison-request guard, hang detection,
+``/dev/shm`` cleanup), the scheduler's requeue
 semantics, and the HTTP-level signal shutdown handlers.
 """
 
@@ -12,6 +13,7 @@ import json
 import os
 import signal
 import threading
+import time
 import urllib.request
 from multiprocessing import shared_memory
 
@@ -26,6 +28,7 @@ from repro.retrain.convert import approximate_model, calibrate, freeze
 from repro.retrain.lifecycle import capped_backoff
 from repro.serve import (
     MicroBatcher,
+    PlanOp,
     ServeMetrics,
     ShardServer,
     SharedArraySpec,
@@ -35,7 +38,9 @@ from repro.serve import (
     install_shutdown_handlers,
     make_server,
 )
+from repro.serve.shard import MAX_REDISPATCH
 from repro.serve.shm import segment_exists
+from repro.serve.supervisor import STALE_AFTER_S
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +262,6 @@ def test_shard_sigkill_respawn_and_shm_cleanup(frozen_model):
         # Zero failed responses: orphaned batches are re-dispatched.
         assert all(np.array_equal(o, r) for o, r in zip(outs, ref))
         deadline = 15.0
-        import time
         t0 = time.monotonic()
         while (server.alive_workers < 2
                and time.monotonic() - t0 < deadline):
@@ -269,6 +273,57 @@ def test_shard_sigkill_respawn_and_shm_cleanup(frozen_model):
     # No leaked /dev/shm entries: LUT segments and the heartbeat slab.
     assert server.store.owned_segments() == []
     assert all(not segment_exists(s) for s in segs)
+
+
+POISON = 7.0
+
+
+def _exit_on_poison(x):
+    if np.any(x[:, 0, 0, 0] == POISON):
+        os._exit(1)  # the worker process dies holding the batch
+    return x
+
+
+def test_shard_poison_request_fails_without_downing_the_shard(frozen_model):
+    """A request that kills every worker it reaches fails after
+    ``MAX_REDISPATCH + 1`` deaths; the slots stay up for healthy traffic.
+    """
+    def factory():
+        plan = _int_plan(frozen_model)
+        plan.ops.insert(0, PlanOp("poison", "float", _exit_on_poison))
+        return plan
+
+    healthy = _samples(1, seed=23)[0]
+    ref = _int_plan(frozen_model).run(healthy[None])[0]
+    with ShardServer(factory, workers=2, max_batch=1) as server:
+        with pytest.raises(ServeError, match="worker died"):
+            server.infer(np.full((3, 12, 12), POISON), timeout=60.0)
+        assert server.supervisor.respawns_total <= MAX_REDISPATCH + 1
+        assert server.metrics.counter("workers_lost_total") == 0
+        assert np.array_equal(server.infer(healthy, timeout=60.0), ref)
+
+
+def test_shard_kills_and_respawns_a_hung_worker(frozen_model):
+    with ShardServer(lambda: _int_plan(frozen_model), workers=2) as server:
+        victim = server.supervisor.live_handles()[0]
+        os.kill(victim.pid, signal.SIGSTOP)  # alive, but its heartbeat stops
+        deadline = time.monotonic() + 2 * STALE_AFTER_S
+        while (server.metrics.counter("worker_hangs_total") == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert server.metrics.counter("worker_hangs_total") == 1
+        # The SIGKILLed victim's slot is respawned.
+        deadline = time.monotonic() + 15.0
+        while (server.supervisor.handle(victim.index) in (victim, None)
+               or server.alive_workers < 2) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert server.alive_workers == 2
+        assert server.supervisor.handle(victim.index) is not victim
+        assert victim.process.exitcode == -signal.SIGKILL
+        assert server.metrics.counter("worker_hangs_total") == 1
+        x = _samples(1, seed=29)
+        assert np.array_equal(server.infer(x[0], timeout=60.0),
+                              _int_plan(frozen_model).run(x)[0])
 
 
 def test_shard_server_rejects_after_shutdown(frozen_model):
@@ -330,7 +385,7 @@ def test_plan_worker_zero_row_batch_returns_empty_result(frozen_model):
     parent, child = Pipe()
     hb_slab = np.zeros(1)
     worker = threading.Thread(
-        target=plan_worker, args=(child, 0, hb_slab, 60.0, plan), daemon=True
+        target=plan_worker, args=(child, 0, hb_slab, plan), daemon=True
     )
     worker.start()
     try:
