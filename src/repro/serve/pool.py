@@ -146,7 +146,7 @@ class WorkerPool:
         while True:
             batch = self.batcher.next_batch(timeout=0.05)
             if batch is None:
-                if self._stopping:
+                if self._stopping or self.batcher.finished:
                     return
                 continue
             self._execute(plan, batch)
@@ -185,5 +185,8 @@ class WorkerPool:
             self.batcher.drain(timeout)
         else:
             self.batcher.cancel_pending()
+        # Set only now: during the drain the shard still re-dispatches
+        # the batches of a dying worker.  Worker loops leave as soon as
+        # the batcher is finished, so none spins until this is set.
         self._stopping = True
         self._stop_workers(timeout)

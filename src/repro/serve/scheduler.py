@@ -119,6 +119,12 @@ class MicroBatcher:
         with self._cond:
             return len(self._queue)
 
+    @property
+    def finished(self) -> bool:
+        """Closed with nothing queued or in flight: no batch can follow."""
+        with self._cond:
+            return self._closed and not self._queue and self._inflight == 0
+
     def submit(self, payload: np.ndarray) -> PendingRequest:
         """Enqueue one sample; raises :class:`ServerBusyError` when full."""
         with self._cond:

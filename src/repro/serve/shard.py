@@ -318,7 +318,7 @@ class ShardServer(WorkerPool):
         while True:
             batch = self.batcher.next_batch(timeout=0.05)
             if batch is None:
-                if self._stopping:
+                if self._stopping or self.batcher.finished:
                     return
                 continue
             rec = _DispatchedBatch(self._next_id, batch)
@@ -570,8 +570,7 @@ class ShardServer(WorkerPool):
             ]
             self._outstanding.clear()
         for rec in leftovers:
-            for pending in rec.requests:
-                pending.set_error(ServeError("server shutting down"))
+            self._fail(rec.requests, ServeError("server shutting down"))
             self.batcher.task_done()
         self.supervisor.stop()
         if self.tracectl is not None:

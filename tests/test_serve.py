@@ -314,7 +314,12 @@ def test_pool_backpressure_sheds_load(served_model, front_end):
         with pytest.raises(ServerBusyError):
             for _ in range(16):
                 futures.append(pool.submit(sample))
-        assert len(futures) >= 3
+        # Threads: one running, two queued.  The shard: the worker's
+        # MAX_INFLIGHT batches, one waiting for a slot, two queued.
+        if front_end is WorkerPool:
+            assert len(futures) == 3
+        else:
+            assert 3 <= len(futures) <= 5
         assert pool.metrics.counter("rejected_total") == 1
     finally:
         release.set()
