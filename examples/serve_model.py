@@ -12,7 +12,8 @@ endpoint:
 3. compile the inference plan and check it is bit-identical to the
    eval-mode forward,
 4. start the HTTP server on a random port and hit /healthz, /predict
-   (single + burst of singles, which the scheduler coalesces), /metrics,
+   (single + burst of singles, which the scheduler coalesces), /metrics
+   (JSON, then the Prometheus text, whose request count must match),
 5. drain the pool and print the serving report.
 
 The same thing is available from the command line::
@@ -124,6 +125,16 @@ def main() -> None:
     print("metrics : predictions_total =",
           snap["counters"]["predictions_total"],
           " batch sizes =", snap["batch_size_histogram"])
+    # The Prometheus exposition counts every answered request once.
+    n_predicted = 1 + len(x)
+    with urllib.request.urlopen(f"{base}/metrics?format=text",
+                                timeout=10) as resp:
+        text = resp.read().decode()
+    count_line = 'repro_latency_ms_count{series="request_ms"}'
+    counts = [line.split()[-1] for line in text.splitlines()
+              if line.startswith(count_line + " ")]
+    assert counts == [str(n_predicted)], (counts, n_predicted)
+    print(f"metrics : {count_line} {counts[0]}")
 
     print("\n== 5. Drain and report ==")
     server.shutdown()

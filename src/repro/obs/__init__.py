@@ -9,17 +9,20 @@ The subsystem has five parts:
   (the default) every hook is a no-op or patched out entirely, so numerics
   and performance are bit-identical to an untraced build.
 - :mod:`repro.obs.telemetry` -- the thread-safe metric registry
-  (counter / gauge / histogram families with labels) shared by serving
-  and the training-health probes, plus the ``REPRO_TELEMETRY`` lifecycle
-  (:func:`repro.obs.telemetry.enable` / ``disable``).
+  (counter / gauge / histogram families with labels) that holds every
+  serving metric and the training-health probes' gauges, its one
+  histogram type (buckets plus recent-sample quantiles) and its one
+  Prometheus ``# HELP``/``# TYPE`` writer, plus the ``REPRO_TELEMETRY``
+  lifecycle (:func:`repro.obs.telemetry.enable` / ``disable``).
 - :mod:`repro.obs.health` -- per-layer training-health probes (gradient
   quality vs. an exact finite-difference reference, quantization
   saturation and range drift, LUT operand coverage) and the anomaly
   monitor that raises structured errors on non-finite loss/gradients.
 - :mod:`repro.obs.export` -- Chrome-trace JSON, a sorted self/cumulative
-  time table, and a Prometheus-style text exposition that unifies
-  :class:`repro.serve.metrics.ServeMetrics`, tracer data, and telemetry
-  registry families; plus the offline trace merge and per-stage request
+  time table, and a Prometheus-style text exposition that renders
+  :class:`repro.serve.metrics.ServeMetrics`' registry, the tracer's
+  counters and span aggregates, and the telemetry registry through the
+  same formatter; plus the offline trace merge and per-stage request
   latency report behind the ``repro trace`` CLI.
 - :mod:`repro.obs.profile` -- the ``repro profile`` driver: trace a short
   retrain or a canned inference load and write the trace + table.

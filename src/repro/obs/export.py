@@ -6,8 +6,10 @@ Three output formats, all zero-dependency:
   JSON, loadable in ``chrome://tracing`` or https://ui.perfetto.dev.
 - :func:`format_table` -- a sorted self/cumulative-time text table.
 - :func:`prometheus_text` -- Prometheus-style text exposition unifying a
-  :class:`repro.serve.metrics.ServeMetrics` snapshot with the tracer's
-  counters and span aggregates (served on ``GET /metrics?format=text``).
+  :class:`repro.serve.metrics.ServeMetrics` registry snapshot with the
+  tracer's counters and span aggregates (served on
+  ``GET /metrics?format=text``); every family renders through
+  :func:`repro.obs.telemetry.family_lines`.
 
 Plus the offline side behind the ``repro trace`` CLI:
 :func:`load_trace_file` / :func:`merge_chrome_traces` fold saved Chrome
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 import os
 import re
 
 import numpy as np
 
+from repro.obs.telemetry import family_lines
 from repro.obs.trace import Tracer, get_tracer
 
 __all__ = [
@@ -133,31 +135,14 @@ def format_table(tracer: Tracer | None = None, sort: str = "self",
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _metric_name(name: str) -> str:
-    return _NAME_RE.sub("_", name)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    v = float(value)
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "+Inf" if v > 0 else "-Inf"
-    return f"{v:.9g}"
-
-
 def prometheus_text(metrics=None, tracer: Tracer | None = None,
                     registry=None) -> str:
     """Prometheus-style text exposition of serve metrics + tracer data.
 
     Args:
         metrics: Optional :class:`repro.serve.metrics.ServeMetrics`; its
-            counters, gauges, latency summaries, batch-size histogram, and
-            engine-cache stats are exported under the ``repro_`` prefix.
+            registry families (counters, gauges, latency histograms,
+            batch sizes, engine-cache stats) are exported first.
         tracer: Tracer whose counters and span aggregates to export
             (defaults to the process-wide tracer).
         registry: Optional :class:`repro.obs.telemetry.MetricRegistry`
@@ -167,87 +152,40 @@ def prometheus_text(metrics=None, tracer: Tracer | None = None,
     """
     t = tracer or get_tracer()
     lines: list[str] = []
-
-    def emit(name: str, mtype: str, help_: str, samples: list[str]) -> None:
-        if not samples:
-            return
-        lines.append(f"# HELP {name} {help_}")
-        lines.append(f"# TYPE {name} {mtype}")
-        lines.extend(samples)
-
     if metrics is not None:
-        snap = metrics.as_dict()
-        emit("repro_serve_counter", "counter", "Serving/sweep event counters.",
-             [f'repro_serve_counter{{name="{n}"}} {_fmt(v)}'
-              for n, v in sorted(snap["counters"].items())])
-        emit("repro_serve_gauge", "gauge", "Live-sampled serving gauges.",
-             [f'repro_serve_gauge{{name="{n}"}} {_fmt(v)}'
-              for n, v in sorted(snap["gauges"].items())])
-        lat_samples: list[str] = []
-        for name, hist in sorted(snap["latency"].items()):
-            for q, key in (("0.5", "p50_ms"), ("0.95", "p95_ms"),
-                           ("0.99", "p99_ms")):
-                # A histogram that exists but has an empty reservoir
-                # reports NaN percentiles (JSON keeps them -- "no data");
-                # the Prometheus exposition must stay NaN-free, so those
-                # samples are dropped while the exact count survives.
-                if isinstance(hist[key], float) and math.isnan(hist[key]):
-                    continue
-                lat_samples.append(
-                    f'repro_latency_ms{{series="{name}",quantile="{q}"}} '
-                    f"{_fmt(hist[key])}"
-                )
-            lat_samples.append(
-                f'repro_latency_ms_count{{series="{name}"}} {_fmt(hist["count"])}'
-            )
-        emit("repro_latency_ms", "summary",
-             "Latency quantiles over a recent-sample reservoir.", lat_samples)
-        emit("repro_batch_size_total", "counter",
-             "Executed micro-batches by batch size.",
-             [f'repro_batch_size_total{{size="{size}"}} {_fmt(count)}'
-              for size, count in snap["batch_size_histogram"].items()])
-        cache = snap["engine_cache"]
-        emit("repro_engine_cache", "gauge", "LUT-GEMM engine cache stats.",
-             [f'repro_engine_cache{{stat="{k}"}} {_fmt(cache[k])}'
-              for k in ("entries", "hits", "misses")])
-        # Families hosted in the ServeMetrics-private registry (e.g. the
-        # repro_serve_queue_wait_ms histogram).  The event-counter family
-        # was already rendered from the snapshot above, so skip it to
-        # avoid duplicate sample lines.
-        for fam, items in metrics.registry.snapshot():
-            if fam.name == "repro_serve_counter":
-                continue
+        for fam, items in metrics.snapshot():
             lines.extend(fam.prometheus_lines(items))
 
-    emit("repro_trace_counter", "counter",
+    spans = sorted(t.stats().values(), key=lambda s: s.name)
+    tracer_families = (
+        ("repro_trace_counter", "counter",
          "Tracer counters (trainer/engine/sweep events).",
-         [f'repro_trace_counter{{name="{_metric_name(n)}"}} {_fmt(v)}'
-          for n, v in sorted(t.counters().items())])
-    span_stats = sorted(t.stats().values(), key=lambda s: s.name)
-    emit("repro_trace_span_calls_total", "counter",
+         [("", (("name", _NAME_RE.sub("_", n)),), v)
+          for n, v in sorted(t.counters().items())]),
+        ("repro_trace_span_calls_total", "counter",
          "Completed span count per span name.",
-         [f'repro_trace_span_calls_total{{span="{s.name}"}} {_fmt(s.calls)}'
-          for s in span_stats])
-    emit("repro_trace_span_seconds_total", "counter",
+         [("", (("span", s.name),), s.calls) for s in spans]),
+        ("repro_trace_span_seconds_total", "counter",
          "Cumulative wall-clock per span name.",
-         [f'repro_trace_span_seconds_total{{span="{s.name}"}} {_fmt(s.total_s)}'
-          for s in span_stats])
-    emit("repro_trace_span_self_seconds_total", "counter",
+         [("", (("span", s.name),), s.total_s) for s in spans]),
+        ("repro_trace_span_self_seconds_total", "counter",
          "Cumulative self time (minus nested spans) per span name.",
-         [f'repro_trace_span_self_seconds_total{{span="{s.name}"}} '
-          f"{_fmt(s.self_s)}" for s in span_stats])
-    # Tracer state is always emitted: spans past max_spans drop silently
-    # otherwise, and "is tracing even on?" must be answerable from a
-    # plain GET /metrics scrape.
-    emit("repro_trace_enabled", "gauge",
+         [("", (("span", s.name),), s.self_s) for s in spans]),
+        # Tracer state is always emitted: spans past max_spans drop
+        # silently otherwise, and "is tracing even on?" must be
+        # answerable from a plain GET /metrics scrape.
+        ("repro_trace_enabled", "gauge",
          "1 while span tracing is enabled, 0 otherwise.",
-         [f"repro_trace_enabled {_fmt(t.enabled)}"])
-    emit("repro_trace_max_spans", "gauge",
+         [("", (), t.enabled)]),
+        ("repro_trace_max_spans", "gauge",
          "Raw span buffer capacity (aggregates keep growing past it).",
-         [f"repro_trace_max_spans {_fmt(t.max_spans)}"])
-    emit("repro_trace_dropped_spans_total", "counter",
+         [("", (), t.max_spans)]),
+        ("repro_trace_dropped_spans_total", "counter",
          "Spans dropped after the raw span buffer filled.",
-         [f"repro_trace_dropped_spans_total {_fmt(t.dropped)}"])
+         [("", (), t.dropped)]),
+    )
+    for name, kind, help_, samples in tracer_families:
+        lines.extend(family_lines(name, kind, help_, samples))
     if registry is not None:
         lines.extend(registry.prometheus_lines())
     return "\n".join(lines) + "\n"

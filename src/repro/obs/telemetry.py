@@ -1,15 +1,20 @@
 """Thread-safe metric registry and telemetry lifecycle (``repro.obs``).
 
 The registry holds *metric families* -- :class:`Metric` objects of kind
-``counter``, ``gauge``, or ``histogram``, each with a fixed set of label
-names -- and renders them to the same two surfaces the serving stack
-already exposes: a JSON-friendly dict snapshot and the Prometheus text
-exposition (``GET /metrics`` / ``GET /metrics?format=text``).
-:class:`repro.serve.metrics.ServeMetrics` routes its event counters
-through a registry, and the training-health probes in
-:mod:`repro.obs.health` publish their per-layer gauges to the
-process-wide registry returned by :func:`get_registry`, so serve and
-telemetry share one export path.
+``counter``, ``gauge`` (a stored value, or a function sampled at read
+time), or ``histogram``, each with a fixed set of label names -- and
+renders them to a JSON-friendly dict snapshot and the Prometheus text
+exposition (``GET /metrics`` / ``GET /metrics?format=text``).  A
+histogram cell keeps bucket counts, exact count/sum/min/max, and a ring
+of its latest :data:`RING_SIZE` samples for p50/p95/p99, so it is the
+one histogram type.  :func:`family_lines` is the one ``# HELP``/``# TYPE``
+writer.
+
+Every serving metric lives in a registry
+(:class:`repro.serve.metrics.ServeMetrics` owns one per deployment), and
+the training-health probes in :mod:`repro.obs.health` publish their
+per-layer gauges to the process-wide registry returned by
+:func:`get_registry`, so serve and telemetry share one export path.
 
 Telemetry is **default-off** and sampling-based:
 
@@ -26,20 +31,27 @@ Telemetry is **default-off** and sampling-based:
 
 from __future__ import annotations
 
+import bisect
+import copy
+import itertools
 import math
 import os
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable
+
+import numpy as np
 
 from repro.errors import ReproError
-from repro.obs.export import _fmt
 
 __all__ = [
     "TELEMETRY_ENV",
     "TelemetryConfig",
+    "HistogramCell",
     "Metric",
     "MetricRegistry",
+    "family_lines",
     "get_registry",
     "enable",
     "disable",
@@ -55,6 +67,9 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Default histogram bucket upper bounds (fractions/rates fit [0, 1]).
 DEFAULT_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+#: Latest samples each histogram cell keeps for its percentiles.
+RING_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -80,13 +95,88 @@ class TelemetryConfig:
     jsonl_path: str | None = None
 
 
-def _escape_label(value) -> str:
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    v = float(value)
+    if math.isnan(v):
+        return "NaN"
+    if math.isinf(v):
+        return "+Inf" if v > 0 else "-Inf"
+    return f"{v:.9g}"
+
+
+_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+
+def family_lines(name: str, kind: str, help_: str, samples) -> list[str]:
+    """The one Prometheus writer: ``# HELP``/``# TYPE`` plus samples.
+
+    ``samples`` are ``(suffix, labels, value)``, ``labels`` a sequence of
+    ``(label, value)`` pairs.  NaN and non-numeric values are skipped (the
+    text stays NaN-free); a family with no sample left renders nothing.
+    """
+    body: list[str] = []
+    for suffix, labels, value in samples:
+        try:
+            if math.isnan(float(value)):
+                continue
+        except (TypeError, ValueError):
+            continue
+        labelstr = ",".join(f'{n}="{str(v).translate(_LABEL_ESCAPES)}"'
+                            for n, v in labels)
+        series = f"{name}{suffix}{{{labelstr}}}" if labelstr else name + suffix
+        body.append(f"{series} {_fmt(value)}")
+    if not body:
+        return []
+    return [f"# HELP {name} {help_ or name}", f"# TYPE {name} {kind}"] + body
+
+
+class HistogramCell:
+    """One label set of a histogram family.
+
+    Bucket counts (the last slot counts samples above the top bound),
+    exact count / sum / min / max, and a ring holding the latest
+    :data:`RING_SIZE` samples for :meth:`percentiles`, so quantiles track
+    current behaviour at any traffic volume.  A cell has no lock of its
+    own: the registry lock guards live cells, and readers get copies.
+    """
+
+    __slots__ = ("counts", "sum", "count", "min", "max", "ring")
+
+    def __init__(self, n_buckets: int):
+        self.counts = [0] * (n_buckets + 1)
+        self.sum = 0.0
+        self.count = 0
+        self.min = math.inf
+        self.max = -math.inf
+        self.ring = np.empty(RING_SIZE, dtype=np.float64)
+
+    def copy(self) -> "HistogramCell":
+        cell = copy.copy(self)
+        cell.counts = list(self.counts)
+        cell.ring = self.ring[: min(self.count, RING_SIZE)].copy()
+        return cell
+
+    def percentiles(self, qs) -> list[float]:
+        """Several percentiles of the ring from one sort.
+
+        NaN, not 0.0, on zero samples: a 0 ms percentile reads as "very
+        fast", NaN reads as "no data" (and survives the JSON path --
+        json.dumps emits NaN by default).
+        """
+        if not self.count:
+            return [math.nan] * len(qs)
+        ring = self.ring[: min(self.count, RING_SIZE)]
+        return [float(v) for v in np.percentile(ring, list(qs))]
+
+
+def _sampled(items: list) -> list:
+    """Items with function gauges replaced by one call's result."""
+    return [(key, value() if callable(value) else value)
+            for key, value in items]
 
 
 class Metric:
@@ -118,18 +208,22 @@ class Metric:
         self.labelnames = tuple(labelnames)
         self.buckets = tuple(buckets) if buckets else None
         self._lock = lock
-        # counter/gauge: labelvalues -> number.
-        # histogram: labelvalues -> [bucket_counts, sum, count].
+        # counter/gauge: labelvalues -> number (or, for a function gauge,
+        # the callable sampled at read time).
+        # histogram: labelvalues -> HistogramCell.
         self._values: dict[tuple[str, ...], object] = {}
 
     # ------------------------------------------------------------------
     def _key(self, labels: dict) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ReproError(
-                f"{self.name} expects labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[n]) for n in self.labelnames)
+        if len(labels) == len(self.labelnames):
+            try:
+                return tuple([str(labels[n]) for n in self.labelnames])
+            except KeyError:
+                pass
+        raise ReproError(
+            f"{self.name} expects labels {self.labelnames}, "
+            f"got {tuple(sorted(labels))}"
+        )
 
     def inc(self, n=1, **labels) -> None:
         """Add ``n`` (counter/gauge only; counters must not decrease)."""
@@ -149,6 +243,11 @@ class Metric:
         with self._lock:
             self._values[key] = value
 
+    def set_function(self, fn: Callable[[], float], **labels) -> None:
+        """Sample this gauge from ``fn()`` at every read, outside the lock
+        (``fn`` may take locks of its own, e.g. to read a queue depth)."""
+        self.set(fn, **labels)
+
     def observe(self, value, **labels) -> None:
         """Record one sample (histograms only)."""
         if self.kind != "histogram":
@@ -158,51 +257,51 @@ class Metric:
         with self._lock:
             cell = self._values.get(key)
             if cell is None:
-                cell = self._values[key] = [[0] * len(self.buckets), 0.0, 0]
-            counts, _, _ = cell
-            for i, hi in enumerate(self.buckets):
-                if value <= hi:
-                    counts[i] += 1
-                    break
-            else:
-                pass  # beyond the last bound: counted in +Inf (== count)
-            cell[1] += value
-            cell[2] += 1
+                cell = self._values[key] = HistogramCell(len(self.buckets))
+            cell.counts[bisect.bisect_left(self.buckets, value)] += 1
+            cell.ring[cell.count % RING_SIZE] = value
+            cell.sum += value
+            cell.count += 1
+            if value < cell.min:
+                cell.min = value
+            if value > cell.max:
+                cell.max = value
 
     def value(self, **labels):
-        """Current value for one label set (0 when never touched)."""
+        """Current value for one label set (0 when never touched).
+
+        A histogram's value is its sample count.
+        """
         key = self._key(labels)
         with self._lock:
+            value = self._values.get(key, 0)
             if self.kind == "histogram":
-                cell = self._values.get(key)
-                return 0 if cell is None else cell[2]
-            return self._values.get(key, 0)
+                return value.count if value else 0
+        return value() if callable(value) else value
 
     def _snapshot_items_locked(self) -> list[tuple[tuple[str, ...], object]]:
-        """Deep-copied ``(labelvalues, value)`` pairs; caller holds the lock.
+        """Copied ``(labelvalues, value)`` pairs; caller holds the lock.
 
-        Histogram cells are live mutable lists (``observe`` appends into
-        them without replacing the cell), so handing out the raw values
-        lets an exporter render a bucket list from one instant and the
-        sum/count from another.  Copying under the lock pins every cell
-        to a single consistent instant.
+        Histogram cells are mutated in place by ``observe``, so handing
+        out the live cells would let an exporter render a bucket list
+        from one instant and the sum/count from another.  Copying under
+        the lock pins every cell to a single consistent instant.
+        Function gauges come back as their callables (see
+        :func:`_sampled`).
         """
-        out = []
-        for key, value in sorted(self._values.items()):
-            if self.kind == "histogram":
-                counts, total, count = value
-                value = (list(counts), total, count)
-            out.append((key, value))
-        return out
+        hist = self.kind == "histogram"
+        return [(key, value.copy() if hist else value)
+                for key, value in sorted(self._values.items())]
 
     def items(self) -> list[tuple[tuple[str, ...], object]]:
         """Consistent snapshot of ``(labelvalues, value)``, sorted by labels.
 
-        Histogram values are copies -- safe to render while writers keep
-        observing.
+        Histogram values are :class:`HistogramCell` copies -- safe to
+        render while writers keep observing.
         """
         with self._lock:
-            return self._snapshot_items_locked()
+            items = self._snapshot_items_locked()
+        return _sampled(items)
 
     # ------------------------------------------------------------------
     def as_dict(self, items=None) -> dict:
@@ -215,12 +314,11 @@ class Metric:
         for key, value in (self.items() if items is None else items):
             labels = dict(zip(self.labelnames, key))
             if self.kind == "histogram":
-                counts, total, count = value
                 samples.append({
                     "labels": labels,
-                    "buckets": dict(zip(map(str, self.buckets), counts)),
-                    "sum": total,
-                    "count": count,
+                    "buckets": dict(zip(map(str, self.buckets), value.counts)),
+                    "sum": value.sum,
+                    "count": value.count,
                 })
             else:
                 samples.append({"labels": labels, "value": value})
@@ -232,38 +330,23 @@ class Metric:
         }
 
     def prometheus_lines(self, items=None) -> list[str]:
-        """``# HELP``/``# TYPE`` plus one line per sample (NaN skipped)."""
-        body: list[str] = []
+        """``# HELP``/``# TYPE`` plus one line per sample (NaN skipped).
+
+        A histogram renders cumulative ``_bucket`` lines (``+Inf`` equal
+        to ``_count``), then ``_sum`` and ``_count``, per label set.
+        """
+        samples = []
         for key, value in (self.items() if items is None else items):
-            labelstr = ",".join(
-                f'{n}="{_escape_label(v)}"'
-                for n, v in zip(self.labelnames, key)
-            )
-            suffix = f"{{{labelstr}}}" if labelstr else ""
-            if self.kind == "histogram":
-                counts, total, count = value
-                cum = 0
-                for hi, c in zip(self.buckets, counts):
-                    cum += c
-                    le = ",".join(filter(None, [labelstr, f'le="{_fmt(hi)}"']))
-                    body.append(f"{self.name}_bucket{{{le}}} {cum}")
-                le = ",".join(filter(None, [labelstr, 'le="+Inf"']))
-                body.append(f"{self.name}_bucket{{{le}}} {count}")
-                if not math.isnan(float(total)):
-                    body.append(f"{self.name}_sum{suffix} {_fmt(total)}")
-                body.append(f"{self.name}_count{suffix} {count}")
-            else:
-                try:
-                    if math.isnan(float(value)):
-                        continue
-                except (TypeError, ValueError):
-                    continue
-                body.append(f"{self.name}{suffix} {_fmt(value)}")
-        if not body:
-            return []
-        help_ = self.help or self.name
-        return [f"# HELP {self.name} {help_}",
-                f"# TYPE {self.name} {self.kind}"] + body
+            labels = tuple(zip(self.labelnames, key))
+            if self.kind != "histogram":
+                samples.append(("", labels, value))
+                continue
+            for hi, cum in zip(self.buckets, itertools.accumulate(value.counts)):
+                samples.append(("_bucket", labels + (("le", _fmt(hi)),), cum))
+            samples += [("_bucket", labels + (("le", "+Inf"),), value.count),
+                        ("_sum", labels, value.sum),
+                        ("_count", labels, value.count)]
+        return family_lines(self.name, self.kind, self.help, samples)
 
 
 class MetricRegistry:
@@ -310,7 +393,7 @@ class MetricRegistry:
     def histogram(self, name: str, help_: str = "",
                   labelnames: tuple[str, ...] = (),
                   buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Metric:
-        """A fixed-bucket histogram family."""
+        """A fixed-bucket histogram family (cells also keep quantiles)."""
         return self._family(name, "histogram", help_, labelnames,
                             buckets=tuple(sorted(buckets)))
 
@@ -327,11 +410,13 @@ class MetricRegistry:
         this snapshot can never show a half-updated histogram or two
         counters from different moments.  Reads each family's raw state
         directly (the shared lock is non-reentrant -- calling the
-        family's own locking accessors here would deadlock).
+        family's own locking accessors here would deadlock).  Function
+        gauges are sampled just after the lock is released.
         """
         with self._lock:
             fams = sorted(self._families.values(), key=lambda m: m.name)
-            return [(fam, fam._snapshot_items_locked()) for fam in fams]
+            snap = [(fam, fam._snapshot_items_locked()) for fam in fams]
+        return [(fam, _sampled(items)) for fam, items in snap]
 
     def as_dict(self) -> dict:
         """JSON-friendly snapshot: ``{family_name: family_dict}``."""

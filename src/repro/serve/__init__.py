@@ -12,13 +12,14 @@ inference stack, with no autograd tape and no gradient LUTs:
 - :mod:`repro.serve.pool` -- :class:`~repro.serve.pool.WorkerPool`, the
   one serving back end: worker threads in this process, each reusing its
   own compiled plan (the LUT-GEMM kernels release the GIL).
-- :mod:`repro.serve.metrics` -- counters, latency percentiles, batch-size
-  distribution, engine cache statistics.
+- :mod:`repro.serve.metrics` -- counters, latency histograms (with
+  p50/p95/p99), batch-size distribution and engine cache statistics, all
+  families of one :class:`~repro.obs.telemetry.MetricRegistry`.
 - :mod:`repro.serve.http` -- stdlib JSON endpoint
   (``/predict``, ``/healthz``, ``/metrics``) behind ``repro serve``.
 """
 
-from repro.serve.metrics import LatencyHistogram, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.plan import (
     InferencePlan,
     PlanOp,
@@ -39,7 +40,6 @@ from repro.serve.http import (
 
 __all__ = [
     "InferencePlan",
-    "LatencyHistogram",
     "MicroBatcher",
     "PendingRequest",
     "ServeMetrics",

@@ -1,124 +1,70 @@
 """Serving metrics: counters, latency histograms, batch-size distribution.
 
 One :class:`ServeMetrics` instance is shared by the scheduler, the worker
-pool, and the HTTP endpoint.  Everything is exportable two ways:
-
-- :meth:`ServeMetrics.as_dict` -- a plain nested dict (JSON-friendly, what
-  ``GET /metrics`` returns), and
-- :meth:`ServeMetrics.format_report` -- a human-readable text report.
-
-Event counters are backed by a :class:`repro.obs.telemetry.MetricRegistry`
-family, so serving counters and the training-health telemetry share one
-metric model and one Prometheus export path; :meth:`as_dict` additionally
-embeds a snapshot of the process-wide telemetry registry under
-``"telemetry"`` so the health gauges ride along on ``GET /metrics``.
-
-Latency histograms keep a bounded reservoir of recent samples plus exact
-count/sum/min/max, so p50/p95/p99 stay cheap at any traffic volume.  Engine
-cache hit statistics are pulled live from
-:func:`repro.core.lutgemm.engine_cache_stats`.
+pool, and the HTTP endpoint.  Every metric is a family of the instance's
+own :class:`repro.obs.telemetry.MetricRegistry`: event counters
+``repro_serve_counter{name}``, latency histograms ``repro_latency_ms{series}``
+(``request_ms``, ``batch_exec_ms``, ``queue_wait_ms``, the sweep's
+``sweep_cell_wall_ms``), ``repro_batch_size_total{size}``, registered
+gauges ``repro_serve_gauge{name}`` (sampled at read time) and
+``repro_engine_cache{stat}`` (set before each snapshot).
+:meth:`ServeMetrics.as_dict` (``GET /metrics``, which also embeds the
+process-wide telemetry registry) and :meth:`ServeMetrics.prometheus_text`
+render one registry snapshot; :meth:`ServeMetrics.format_report` is the
+human-readable view.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from typing import Callable
 
-import numpy as np
+from repro.obs.telemetry import HistogramCell, MetricRegistry, get_registry
 
-from repro.obs.telemetry import MetricRegistry, get_registry
-
-#: Samples retained per latency histogram (newest overwrite oldest).
-RESERVOIR_SIZE = 4096
-
-#: Buckets (milliseconds) for the submit->dispatch queue-wait histogram.
-QUEUE_WAIT_MS_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0,
-                         50.0, 100.0, 250.0, 1000.0)
+#: Bucket bounds (milliseconds) of ``repro_latency_ms``: 0.1 ms to 10 min.
+LATENCY_MS_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
+                      100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
+                      30000.0, 60000.0, 120000.0, 300000.0, 600000.0)
 
 
-class LatencyHistogram:
-    """Streaming latency statistics with percentile estimates.
-
-    Keeps a fixed-size ring buffer of the most recent observations (so the
-    percentiles track current behavior, not the whole process lifetime)
-    alongside exact cumulative count/sum/min/max.
-    """
-
-    def __init__(self, reservoir_size: int = RESERVOIR_SIZE):
-        self._samples = np.empty(reservoir_size, dtype=np.float64)
-        self._next = 0
-        self._filled = 0
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, value_ms: float) -> None:
-        self._samples[self._next] = value_ms
-        self._next = (self._next + 1) % self._samples.size
-        self._filled = min(self._filled + 1, self._samples.size)
-        self.count += 1
-        self.total += value_ms
-        self.min = min(self.min, value_ms)
-        self.max = max(self.max, value_ms)
-
-    def percentiles(self, qs) -> list[float]:
-        """Several percentiles from one sort of the reservoir.
-
-        NaN, not 0.0, on zero samples: a 0ms percentile reads as "very
-        fast", NaN reads as "no data" (and survives the JSON path --
-        json.dumps emits NaN by default).
-        """
-        if self._filled == 0:
-            return [float("nan")] * len(qs)
-        # One np.percentile call sorts the reservoir once and interpolates
-        # every requested quantile from it (as_dict used to pay three
-        # full sorts for p50/p95/p99).
-        vals = np.percentile(self._samples[: self._filled], list(qs))
-        return [float(v) for v in np.atleast_1d(vals)]
-
-    def percentile(self, q: float) -> float:
-        return self.percentiles((q,))[0]
-
-    def as_dict(self) -> dict:
-        empty = float("nan")
-        p50, p95, p99 = self.percentiles((50, 95, 99))
-        return {
-            "count": self.count,
-            "mean_ms": self.total / self.count if self.count else empty,
-            "min_ms": self.min if self.count else empty,
-            "max_ms": self.max if self.count else empty,
-            "p50_ms": p50,
-            "p95_ms": p95,
-            "p99_ms": p99,
-        }
+def latency_summary(cell: HistogramCell) -> dict:
+    """The ``/metrics`` JSON view of one latency series (NaN when empty)."""
+    nan = math.nan
+    n = cell.count
+    p50, p95, p99 = cell.percentiles((50, 95, 99))
+    return {
+        "count": n,
+        "mean_ms": cell.sum / n if n else nan,
+        "min_ms": cell.min if n else nan,
+        "max_ms": cell.max if n else nan,
+        "p50_ms": p50,
+        "p95_ms": p95,
+        "p99_ms": p99,
+    }
 
 
 class ServeMetrics:
-    """Thread-safe metrics registry for one serving deployment.
+    """Metrics of one serving deployment, in a private registry.
 
-    Args:
-        registry: Optional :class:`MetricRegistry` to host the event
-            counters; each instance gets a private registry by default so
-            independent deployments (and tests) never share counter state.
+    Each instance gets its own :class:`MetricRegistry`, so independent
+    deployments (and tests) never share state.
     """
 
-    def __init__(self, registry: MetricRegistry | None = None):
-        self._lock = threading.Lock()
-        self.registry = registry or MetricRegistry()
-        self._events = self.registry.counter(
-            "repro_serve_counter",
-            "Serving/sweep event counters.",
-            labelnames=("name",),
-        )
-        self._queue_wait = self.registry.histogram(
-            "repro_serve_queue_wait_ms",
-            "Submit->dispatch queue wait per request, milliseconds.",
-            buckets=QUEUE_WAIT_MS_BUCKETS,
-        )
-        self._latencies: dict[str, LatencyHistogram] = {}
-        self._batch_sizes: dict[int, int] = {}
-        self._gauges: dict[str, Callable[[], float]] = {}
+    def __init__(self):
+        reg = self.registry = MetricRegistry()
+        self._events = reg.counter("repro_serve_counter",
+                                   "Serving/sweep event counters.", ("name",))
+        self._latency = reg.histogram(
+            "repro_latency_ms", "Serving and sweep latencies, milliseconds.",
+            ("series",), LATENCY_MS_BUCKETS)
+        self._batches = reg.counter("repro_batch_size_total",
+                                    "Executed micro-batches by batch size.",
+                                    ("size",))
+        self._gauge = reg.gauge("repro_serve_gauge",
+                                "Live-sampled serving gauges.", ("name",))
+        self._engine_cache = reg.gauge("repro_engine_cache",
+                                       "LUT-GEMM engine cache stats.",
+                                       ("stat",))
         self._plan_info: dict = {}
 
     # ------------------------------------------------------------------
@@ -130,77 +76,60 @@ class ServeMetrics:
         return self._events.value(name=name)
 
     def observe_latency(self, name: str, value_ms: float) -> None:
-        """Record one latency sample (milliseconds) in histogram ``name``."""
-        with self._lock:
-            hist = self._latencies.get(name)
-            if hist is None:
-                hist = self._latencies[name] = LatencyHistogram()
-            hist.observe(value_ms)
+        """Record one latency sample (milliseconds) in series ``name``."""
+        self._latency.observe(value_ms, series=name)
 
     def observe_queue_wait(self, value_ms: float) -> None:
-        """Record one submit->dispatch queue wait (milliseconds).
-
-        Lands in both export paths: the ``queue_wait_ms`` reservoir
-        (p50/p95/p99 in the JSON snapshot) and the bucketed
-        ``repro_serve_queue_wait_ms`` registry histogram (Prometheus).
-        """
+        """Record one submit->dispatch queue wait (milliseconds)."""
         self.observe_latency("queue_wait_ms", value_ms)
-        self._queue_wait.observe(value_ms)
 
     def observe_batch(self, size: int) -> None:
         """Record the size of one executed micro-batch."""
-        with self._lock:
-            self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
+        self._batches.inc(size=size)
         self._events.inc(name="batches_total")
 
     def register_gauge(self, name: str, fn: Callable[[], float]) -> None:
         """Register a live-sampled gauge (e.g. current queue depth)."""
-        with self._lock:
-            self._gauges[name] = fn
+        self._gauge.set_function(fn, name=name)
 
     def set_plan_info(self, info: dict) -> None:
         """Record the compiled plan's op summary (see
         :meth:`repro.serve.plan.InferencePlan.op_summary`), so ``GET
         /metrics`` shows which arithmetic mode and op/dtype mix is live."""
-        with self._lock:
-            self._plan_info = dict(info)
+        self._plan_info = dict(info)
 
     @property
     def batch_size_histogram(self) -> dict[int, int]:
-        with self._lock:
-            return dict(self._batch_sizes)
+        return dict(sorted((int(size), n)
+                           for (size,), n in self._batches.items()))
 
     # ------------------------------------------------------------------
+    def snapshot(self) -> list:
+        """The registry's atomic snapshot, engine-cache stats set first."""
+        from repro.core.lutgemm import engine_cache_stats
+
+        cache = engine_cache_stats()
+        for stat in ("entries", "hits", "misses"):
+            self._engine_cache.set(getattr(cache, stat), stat=stat)
+        return self.registry.snapshot()
+
     def as_dict(self) -> dict:
         """Snapshot every metric as a plain (JSON-serializable) dict."""
-        from repro.core.lutgemm import engine_cache_stats
         from repro.obs.trace import get_tracer
 
-        counters = {
-            key[0]: value for key, value in self._events.items()
-        }
-        with self._lock:
-            latencies = {k: h.as_dict() for k, h in self._latencies.items()}
-            batch_sizes = {str(k): v for k, v in sorted(self._batch_sizes.items())}
-            gauge_fns = list(self._gauges.items())
-            plan_info = dict(self._plan_info)
-        # Gauge callbacks run outside the lock: they sample live objects
-        # (queue depth, worker count) that take their own locks, and a
-        # slow or re-entrant callback must never stall metric writers.
-        gauges = {name: fn() for name, fn in gauge_fns}
-        cache = engine_cache_stats()
+        fams = {fam.name: {key[0]: value for key, value in items}
+                for fam, items in self.snapshot()}
         tracer = get_tracer()
         return {
-            "counters": counters,
-            "plan": plan_info,
-            "latency": latencies,
-            "batch_size_histogram": batch_sizes,
-            "gauges": gauges,
-            "engine_cache": {
-                "entries": cache.entries,
-                "hits": cache.hits,
-                "misses": cache.misses,
-            },
+            "counters": fams["repro_serve_counter"],
+            "plan": dict(self._plan_info),
+            "latency": {series: latency_summary(cell)
+                        for series, cell in fams["repro_latency_ms"].items()},
+            "batch_size_histogram": dict(sorted(
+                fams["repro_batch_size_total"].items(),
+                key=lambda item: int(item[0]))),
+            "gauges": fams["repro_serve_gauge"],
+            "engine_cache": fams["repro_engine_cache"],
             # Tracer state rides along so an operator can see from
             # GET /metrics whether tracing is on and whether the span
             # buffer overflowed (spans past max_spans drop silently
@@ -227,7 +156,6 @@ class ServeMetrics:
         from repro.obs.trace import get_tracer
 
         return prometheus_text(self, get_tracer(), registry=get_registry())
-
     def format_report(self) -> str:
         """Multi-line human-readable report of the current snapshot."""
         snap = self.as_dict()

@@ -1,9 +1,9 @@
 """Inference worker pool with backpressure and graceful drain.
 
 Each worker owns its own compiled :class:`~repro.serve.plan.InferencePlan`
-(compiled once at thread start and reused for every batch -- plans built
-with ``private_engines=True`` so the LUT-GEMM scratch buffers are never
-shared across threads).  Work arrives pre-coalesced from the
+(compiled once by :meth:`WorkerPool.start` and reused for every batch --
+plans built with ``private_engines=True`` so the LUT-GEMM scratch buffers
+are never shared across threads).  Work arrives pre-coalesced from the
 :class:`~repro.serve.scheduler.MicroBatcher`; a full queue rejects with
 :class:`~repro.errors.ServerBusyError` (HTTP 503) instead of queueing
 without bound, and :meth:`WorkerPool.shutdown` drains in-flight work before
@@ -70,16 +70,27 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def start(self) -> "WorkerPool":
-        """Start the workers (idempotent)."""
+        """Compile every worker's plan, then start the workers (idempotent).
+
+        Returns once each worker holds its plan, so no request waits
+        behind a compile.  A plan factory error shuts the pool down and
+        propagates from here instead of leaving a pool with no workers.
+        """
         if not self._started:
+            try:
+                plans = [self._compile() for _ in range(self._num_workers)]
+            except BaseException:
+                self.shutdown(drain=False)
+                raise
             self._started = True
             self._threads = [
                 threading.Thread(
                     target=self._worker_loop,
+                    args=(plan,),
                     name=f"repro-serve-worker-{i}",
                     daemon=True,
                 )
-                for i in range(self._num_workers)
+                for i, plan in enumerate(plans)
             ]
             for t in self._threads:
                 t.start()
@@ -172,8 +183,7 @@ class WorkerPool:
             )
 
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        plan = self._compile()  # compiled once, reused per worker
+    def _worker_loop(self, plan: InferencePlan) -> None:
         while True:
             batch = self.batcher.next_batch(timeout=0.05)
             if batch is None:

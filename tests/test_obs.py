@@ -259,7 +259,10 @@ def test_prometheus_text_unifies_serve_and_trace():
     assert text.endswith("\n")
     assert "# TYPE repro_serve_counter counter" in text
     assert 'repro_serve_counter{name="requests_total"} 7' in text
-    assert 'repro_latency_ms{series="request_ms",quantile="0.5"} 1.5' in text
+    assert "# TYPE repro_latency_ms histogram" in text
+    assert 'repro_latency_ms_bucket{series="request_ms",le="1"} 0' in text
+    assert 'repro_latency_ms_bucket{series="request_ms",le="2.5"} 1' in text
+    assert 'repro_latency_ms_sum{series="request_ms"} 1.5' in text
     assert 'repro_latency_ms_count{series="request_ms"} 1' in text
     assert 'repro_batch_size_total{size="4"} 1' in text
     assert 'repro_engine_cache{stat="entries"}' in text

@@ -37,7 +37,8 @@ from repro.serve import (
     make_server,
     verify_plan,
 )
-from repro.serve.metrics import LatencyHistogram
+from repro.obs.telemetry import RING_SIZE, HistogramCell
+from repro.serve.metrics import latency_summary
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +332,37 @@ def test_pool_propagates_plan_errors(served_model, front_end):
         assert pool.metrics.counter("errors_total") == 1
 
 
+def test_pool_start_returns_once_every_worker_has_its_plan():
+    class StubPlan:
+        def run(self, xs):
+            return xs
+
+    def slow_factory():
+        time.sleep(0.3)
+        return StubPlan()
+
+    t0 = time.perf_counter()
+    with WorkerPool(slow_factory, workers=2) as pool:
+        started = time.perf_counter()
+        assert started - t0 >= 0.3
+        # The first request never waits behind a compile.
+        pool.infer(np.zeros(1), timeout=30.0)
+        assert time.perf_counter() - started < 0.2
+
+
+def test_pool_start_raises_the_plan_factory_error():
+    def broken_factory():
+        raise RuntimeError("no plan")
+
+    pool = WorkerPool(broken_factory, workers=2)
+    with pytest.raises(RuntimeError, match="^no plan$"):
+        pool.start()
+    # The pool is stopped: a submit fails at once, not at its timeout.
+    with pytest.raises(ServeError, match="not running"):
+        pool.submit(np.zeros(1))
+    assert pool.alive_workers == 0
+
+
 def test_pool_shutdown_drains_queued_work():
     class SlowPlan:
         def run(self, xs):
@@ -453,7 +485,8 @@ def test_http_metrics_json_and_text(retrained, http_server):
         text = resp.read().decode()
     assert "# TYPE repro_serve_counter counter" in text
     assert 'repro_serve_counter{name="predictions_total"}' in text
-    assert 'repro_latency_ms{series="request_ms",quantile="0.5"}' in text
+    assert "# TYPE repro_latency_ms histogram" in text
+    assert 'repro_latency_ms_bucket{series="request_ms",le="+Inf"}' in text
     assert 'repro_engine_cache{stat="entries"}' in text
     # Tracer state rides along on both export paths, even when tracing
     # is off: an operator can tell from one scrape whether spans exist
@@ -473,29 +506,35 @@ def test_http_metrics_json_and_text(retrained, http_server):
 # ---------------------------------------------------------------------------
 
 def test_latency_histogram_percentiles():
-    hist = LatencyHistogram()
+    metrics = ServeMetrics()
     for v in range(1, 101):
-        hist.observe(float(v))
-    snap = hist.as_dict()
+        metrics.observe_latency("request_ms", float(v))
+    snap = metrics.as_dict()["latency"]["request_ms"]
     assert snap["count"] == 100
     assert snap["min_ms"] == 1.0 and snap["max_ms"] == 100.0
+    assert snap["mean_ms"] == 50.5
     assert 49.0 <= snap["p50_ms"] <= 52.0
     assert 94.0 <= snap["p95_ms"] <= 96.0
 
 
 def test_latency_histogram_reservoir_wraps():
-    hist = LatencyHistogram(reservoir_size=8)
-    for v in range(100):
-        hist.observe(float(v))
-    assert hist.count == 100  # exact count survives the ring buffer
-    assert hist.percentile(50) >= 92.0  # percentiles track recent samples
+    metrics = ServeMetrics()
+    total = RING_SIZE + 100
+    for v in range(total):
+        metrics.observe_latency("request_ms", float(v))
+    snap = metrics.as_dict()["latency"]["request_ms"]
+    assert snap["count"] == total  # exact count survives the ring buffer
+    assert snap["min_ms"] == 0.0  # and so does the exact minimum
+    # Percentiles track the latest RING_SIZE samples: 100 .. total-1.
+    recent = np.arange(100, total, dtype=np.float64)
+    assert [snap["p50_ms"], snap["p95_ms"], snap["p99_ms"]] == [
+        float(v) for v in np.percentile(recent, (50, 95, 99))
+    ]
 
 
 def test_latency_histogram_empty_is_nan():
     """Zero samples must read as "no data" (NaN), not as 0ms latency."""
-    hist = LatencyHistogram()
-    assert math.isnan(hist.percentile(50))
-    snap = hist.as_dict()
+    snap = latency_summary(HistogramCell(3))
     assert snap["count"] == 0
     for key in ("mean_ms", "min_ms", "max_ms", "p50_ms", "p95_ms", "p99_ms"):
         assert math.isnan(snap[key]), key
@@ -505,8 +544,10 @@ def test_latency_histogram_empty_is_nan():
 
 def test_metrics_report_handles_empty_histogram():
     metrics = ServeMetrics()
-    metrics._latencies["empty_ms"] = LatencyHistogram()
+    fam = metrics._latency
+    fam._values[("empty_ms",)] = HistogramCell(len(fam.buckets))
     assert "empty_ms: n=0" in metrics.format_report()
+    assert "NaN" not in metrics.prometheus_text()
 
 
 def test_scheduler_remaining_clamps_negative():
@@ -570,7 +611,7 @@ def test_queue_wait_histogram_observed_on_dispatch():
     batch = batcher.next_batch(timeout=1.0)
     assert len(batch) == 2
     # Dispatch stamps every request (the serve.request span's queue stage
-    # reads it) and feeds both queue-wait export paths.
+    # reads it) and records its queue wait once, in the latency family.
     assert all(p.dispatched_at >= p.enqueued_at for p in (p1, p2))
     batcher.task_done()
     batcher.close()
@@ -579,12 +620,13 @@ def test_queue_wait_histogram_observed_on_dispatch():
     assert snap["count"] == 2
     assert snap["p50_ms"] >= 0.0
     fam = next(f for f in metrics.registry.families()
-               if f.name == "repro_serve_queue_wait_ms")
+               if f.name == "repro_latency_ms")
     assert fam.kind == "histogram"
-    assert fam.value() == 2  # histogram value() is the sample count
+    # histogram value() is the sample count
+    assert fam.value(series="queue_wait_ms") == 2
     prom = metrics.prometheus_text()
-    assert "repro_serve_queue_wait_ms_count 2" in prom
-    assert 'repro_serve_queue_wait_ms_bucket{le="+Inf"} 2' in prom
+    assert 'repro_latency_ms_count{series="queue_wait_ms"} 2' in prom
+    assert 'repro_latency_ms_bucket{series="queue_wait_ms",le="+Inf"} 2' in prom
 
 
 def test_metrics_report_and_gauges():

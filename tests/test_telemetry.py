@@ -29,11 +29,18 @@ from repro.obs.health import (
     get_monitor,
     load_health_jsonl,
 )
-from repro.obs.telemetry import Metric, MetricRegistry, get_registry
+from repro.obs.telemetry import (
+    HistogramCell,
+    Metric,
+    MetricRegistry,
+    get_registry,
+)
+from repro.obs.trace import tracing
 from repro.retrain.convert import approximate_model, calibrate, freeze
 from repro.retrain.logging import RunRecord, append_jsonl, read_jsonl
 from repro.retrain.trainer import TrainConfig, Trainer, TrainHistory
-from repro.serve.metrics import LatencyHistogram, ServeMetrics
+from repro.serve import WorkerPool, compile_plan
+from repro.serve.metrics import ServeMetrics
 
 
 @pytest.fixture(autouse=True)
@@ -161,8 +168,10 @@ _SUFFIXES = {"histogram": ("_bucket", "_sum", "_count"),
 def _validate_exposition(text: str) -> int:
     """Assert Prometheus text-format rules; returns the sample count.
 
-    Checks: HELP/TYPE pairs precede their samples, names and label names
-    are legal, label values are quoted, no sample value is NaN.
+    Checks: each family has exactly one HELP/TYPE pair, and it precedes
+    the family's samples; names and label names are legal, label values
+    are quoted, no sample value is NaN; a histogram's ``_bucket`` values
+    are cumulative and its ``+Inf`` bucket equals its ``_count``.
     """
     import re
 
@@ -175,6 +184,8 @@ def _validate_exposition(text: str) -> int:
 
     families: dict[str, str] = {}  # name -> type
     helped: set[str] = set()
+    buckets: dict[str, list[float]] = {}  # series -> bucket values
+    counts: dict[str, float] = {}  # series -> _count value
     n_samples = 0
     for line in text.splitlines():
         if not line:
@@ -188,6 +199,7 @@ def _validate_exposition(text: str) -> int:
         if line.startswith("# TYPE "):
             _, _, name, mtype = line.split(None, 3)
             assert name in helped, f"TYPE before HELP for {name}"
+            assert name not in families, f"duplicate TYPE for {name}"
             assert mtype in ("counter", "gauge", "histogram", "summary",
                              "untyped"), mtype
             families[name] = mtype
@@ -211,8 +223,21 @@ def _validate_exposition(text: str) -> int:
             for pair in re.split(r',(?=[a-zA-Z_])', m.group("labels")):
                 assert label_re.match(pair), f"bad label pair {pair!r}"
         assert m.group("value") != "NaN", f"NaN sample: {line!r}"
-        float(m.group("value").replace("+Inf", "inf").replace("-Inf", "-inf"))
+        value = float(
+            m.group("value").replace("+Inf", "inf").replace("-Inf", "-inf")
+        )
+        if families[family] == "histogram":
+            labels = m.group("labels") or ""
+            series = family + "{" + re.sub(r',?le="[^"]*"', "", labels) + "}"
+            if name.endswith("_bucket"):
+                buckets.setdefault(series, []).append(value)
+            elif name.endswith("_count"):
+                counts[series] = value
         n_samples += 1
+    for series, values in buckets.items():
+        assert values == sorted(values), f"non-cumulative buckets: {series}"
+        assert values[-1] == counts[series], f"+Inf != _count: {series}"
+    assert buckets.keys() == counts.keys()
     return n_samples
 
 
@@ -237,13 +262,47 @@ def test_exposition_valid_with_all_sources():
     assert "NaN" not in text
 
 
+def _add_empty_series(metrics: ServeMetrics, series: str) -> None:
+    """A latency series with zero samples (``observe`` never makes one)."""
+    fam = metrics._latency
+    fam._values[(series,)] = HistogramCell(len(fam.buckets))
+
+
 def test_exposition_empty_latency_histogram_is_nan_free():
     metrics = ServeMetrics()
     # Histogram exists but has zero samples (NaN percentiles in JSON).
-    metrics._latencies["never_observed"] = LatencyHistogram()
+    _add_empty_series(metrics, "never_observed")
+    assert math.isnan(metrics.as_dict()["latency"]["never_observed"]["p50_ms"])
     text = metrics.prometheus_text()
     _validate_exposition(text)
     assert 'repro_latency_ms_count{series="never_observed"} 0' in text
+    assert "NaN" not in text
+
+
+def test_exposition_of_a_live_traced_pool():
+    """One scrape of a traced 2-thread pool with telemetry on, after traffic."""
+    telemetry.enable(sample_every=1, sample_cols=8)
+    trainer, train = _tiny_approx_trainer()
+    trainer.fit(train)  # health families land on the process registry
+    model = trainer.model
+    model.eval()
+    n = 12
+    x = np.random.default_rng(2).standard_normal((n, 3, 12, 12))
+    with tracing():
+        with WorkerPool(
+            lambda: compile_plan(model, arithmetic="int",
+                                 private_engines=True),
+            workers=2, max_batch=4, max_wait_ms=1.0,
+        ) as pool:
+            for fut in [pool.submit(xi) for xi in x]:
+                fut.result(timeout=60.0)
+            text = pool.metrics.prometheus_text()
+    _validate_exposition(text)
+    assert f'repro_latency_ms_count{{series="request_ms"}} {n}' in text
+    assert f'repro_latency_ms_count{{series="queue_wait_ms"}} {n}' in text
+    assert "# TYPE repro_latency_ms histogram" in text
+    assert 'repro_trace_span_calls_total{span="serve.batch_exec"}' in text
+    assert "repro_health_grad_cosine" in text
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +321,27 @@ def test_serve_counters_route_through_registry():
 
 
 def test_latency_percentiles_single_call_matches_np():
-    hist = LatencyHistogram(reservoir_size=256)
+    hist = MetricRegistry().histogram("lat_ms", "Latency.")
     rng = np.random.default_rng(3)
     samples = rng.exponential(10.0, size=200)
     for s in samples:
         hist.observe(float(s))
-    p50, p95, p99 = hist.percentiles((50, 95, 99))
-    assert p50 == pytest.approx(float(np.percentile(samples, 50)))
-    assert p95 == pytest.approx(float(np.percentile(samples, 95)))
-    assert p99 == pytest.approx(float(np.percentile(samples, 99)))
-    assert hist.percentile(95) == pytest.approx(p95)
+    [((), cell)] = hist.items()
+    want = [float(v) for v in np.percentile(samples, (50, 95, 99))]
+    assert cell.percentiles((50, 95, 99)) == want
+    # The /metrics JSON reads the same numbers from the same ring.
+    metrics = ServeMetrics()
+    for s in samples:
+        metrics.observe_latency("request_ms", float(s))
+    snap = metrics.as_dict()["latency"]["request_ms"]
+    assert [snap["p50_ms"], snap["p95_ms"], snap["p99_ms"]] == want
+    assert snap["min_ms"] == samples.min() and snap["max_ms"] == samples.max()
+    assert snap["count"] == 200
 
 
 def test_latency_percentiles_empty_is_nan():
-    hist = LatencyHistogram()
-    assert all(math.isnan(p) for p in hist.percentiles((50, 95, 99)))
+    cell = HistogramCell(3)
+    assert all(math.isnan(p) for p in cell.percentiles((50, 95, 99)))
 
 
 # ---------------------------------------------------------------------------
