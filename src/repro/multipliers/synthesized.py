@@ -3,9 +3,11 @@
 The paper produces these with the ALSRAC approximate logic synthesis tool;
 here they come from :func:`repro.circuits.als.approximate_synthesis` applied
 to an exact Wallace-tree multiplier, with NMED/MaxED budgets taken from the
-corresponding Table I row.  Generation is deterministic (seeded) but takes a
-few seconds for 8-bit circuits, so instances are cached per process via the
-registry.
+corresponding Table I row.  Generation is deterministic (seeded) but not
+free: a cold build took 0.9-1.5 s of CPU for the 7-bit and 1.7-3.6 s for the
+8-bit circuits (medians 0.94 / 1.32 / 2.42 / 3.36 s for ``mul7u_syn1`` /
+``mul7u_syn2`` / ``mul8u_syn1`` / ``mul8u_syn2``, 2-vCPU Xeon), so instances
+are cached per process via the registry.
 """
 
 from __future__ import annotations

@@ -79,3 +79,23 @@ def test_rejects_netlist_without_outputs():
 def test_constants_only_mode():
     res = _run(allow_signal_substitution=False)
     assert all(m.startswith("const") for m in res.moves)
+
+
+def test_substitution_scores_ignore_padding_bits():
+    """A 2-bit multiplier has 16 input combinations, fewer than one 64-bit
+    word: the agreement score of a signal pair counts only real
+    combinations, so it is the exact agreement fraction and not 1.0."""
+    from repro.circuits.als import _candidate_moves
+    from repro.circuits.simulator import simulate_words, unpack_bits
+
+    nl = wallace_multiplier(2)
+    values = simulate_words(nl)
+    moves = _candidate_moves(
+        nl, values, ApproxSynthesisConfig(), np.random.default_rng(0)
+    )
+    subst = [m for m in moves if m[3] == "subst"]
+    assert subst
+    for score, s, t, _ in subst:
+        agree = unpack_bits(values[s], 16) == unpack_bits(values[t], 16)
+        assert score == agree.mean()
+    assert min(score for score, *_ in subst) < 1.0

@@ -308,11 +308,7 @@ RANK1 = {"mul8u_1DMU", "mul8u_acc", "mul7u_acc", "mul6u_acc"}
 def test_separable_exactly_for_the_rank1_luts():
     from repro.multipliers.registry import TABLE1_NAMES
 
-    # The ALS-synthesized names cost ~25 s of synthesis; like the other
-    # registry-wide tests, this one covers every other name.
     for name in TABLE1_NAMES:
-        if "syn" in name:
-            continue
         engine = LutGemm(get_multiplier(name), gradients=None)
         lut = engine.lut_flat.reshape(engine.levels, engine.levels)
         assert (engine.separable is not None) == (name in RANK1), name
