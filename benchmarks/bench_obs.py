@@ -170,7 +170,7 @@ def run_serve_once(model, x, traced: bool):
     else:
         tracer.disable()
     pool = WorkerPool(
-        lambda: compile_plan(model, arithmetic="int", private_engines=True),
+        lambda: compile_plan(model, arithmetic="int"),
         workers=2, max_batch=4, max_wait_ms=1.0, queue_size=128,
     ).start()
     try:

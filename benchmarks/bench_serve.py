@@ -159,9 +159,7 @@ def workers_main(args) -> int:
 
     def make_pool(n):
         return WorkerPool(
-            plan_factory=lambda: compile_plan(
-                model, arithmetic="int", private_engines=True
-            ),
+            plan_factory=lambda: compile_plan(model, arithmetic="int"),
             workers=n,
             max_batch=8,
             max_wait_ms=2.0,
@@ -345,7 +343,7 @@ def main(argv=None) -> int:
         lambda: [plan.run(xb[i : i + 1]) for i in range(burst)], repeats
     ) * 1e3
     with WorkerPool(
-        lambda: compile_plan(model, private_engines=True),
+        lambda: compile_plan(model),
         workers=1, max_batch=burst, max_wait_ms=50.0,
     ) as pool:
         def burst_through_pool():

@@ -102,7 +102,7 @@ def main() -> None:
     print("\n== 4. Serve over HTTP ==")
     metrics = ServeMetrics()
     pool = WorkerPool(
-        lambda: compile_plan(served, private_engines=True),
+        lambda: compile_plan(served),
         workers=1, max_batch=8, max_wait_ms=5.0, metrics=metrics,
     )
     pool.start()

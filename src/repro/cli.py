@@ -264,13 +264,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     load_checkpoint(model, args.checkpoint)
     model.eval()
 
-    # Each worker thread compiles its own plan over private engines, so
-    # no two threads share an engine's scratch buffers.
     metrics = ServeMetrics()
     pool = WorkerPool(
-        plan_factory=lambda: compile_plan(
-            model, private_engines=True, arithmetic=args.arithmetic,
-        ),
+        plan_factory=lambda: compile_plan(model, arithmetic=args.arithmetic),
         workers=args.workers,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,

@@ -14,9 +14,12 @@ funnels through here:
 
 * Each call picks a **backend**: the fused C kernels from
   :mod:`repro.core.lutkernel` when available and the problem is big
-  enough (``FUSED_MIN_ELEMS``), else the chunked numpy loops (moved
-  here verbatim from ``LutGemm``).  The two are interchangeable --
-  bit-identical outputs -- so the choice is purely a speed decision.
+  enough (``FUSED_MIN_ELEMS``), else the chunked numpy loops
+  :func:`_numpy_forward` / :func:`_numpy_backward`.  Those two take
+  tables and operands, not an engine, keep nothing between calls, and
+  are the references every C self-check compares against.  The
+  backends are interchangeable -- bit-identical outputs -- so the
+  choice is purely a speed decision.
 
 * Product-separable LUTs (``LutGemm.separable``) skip the gather: the
   engine's forward and :func:`serve_fused` run one exact float64 BLAS
@@ -115,27 +118,24 @@ def product_sums(
     wq: np.ndarray,
     xq: np.ndarray,
     acc_dtype,
-    record_backward: bool,
     xq_bounds: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """``out[m, c] = sum_k lut[wq[m,k], xq[k,c]]`` on the best backend.
 
-    ``record_backward=False`` (eval under ``no_grad``, forward-only
-    engines) skips the operand snapshot that lets a following backward
-    reuse the forward's scratch index tensor.  ``xq_bounds`` is the
-    caller's ``(min, max)`` of ``xq``, if it knows them (the C gather
-    then skips its extrema scan of ``xq``).
+    ``xq_bounds`` is the caller's ``(min, max)`` of ``xq``, if it knows
+    them (the C gather then skips its extrema scan of ``xq``).
     """
     m, k = wq.shape
     c = xq.shape[1]
     if engine._lut_i32 is not None and m * k * c >= FUSED_MIN_ELEMS:
         out = _c_forward(engine, wq, xq, acc_dtype, xq_bounds)
         if out is not None:
-            # The C kernel never touches the numpy scratch buffers, so a
-            # previously recorded forward-operand snapshot still describes
-            # the scratch index tensor; leave it alone either way.
             return out
-    return _numpy_forward(engine, wq, xq, acc_dtype, record_backward)
+    _TRACE.count("lutgemm.forward.numpy")
+    with _TRACE.span("lutgemm.gather", cat="engine"):
+        return _numpy_forward(
+            engine.lut_flat, wq * engine.levels, xq, engine.chunk, acc_dtype
+        )
 
 
 def _c_forward(engine, wq, xq, acc_dtype, xq_bounds) -> np.ndarray | None:
@@ -157,38 +157,31 @@ def _c_forward(engine, wq, xq, acc_dtype, xq_bounds) -> np.ndarray | None:
     return out
 
 
-def _numpy_forward(
-    engine, wq, xq, acc_dtype, record_backward: bool
-) -> np.ndarray:
-    _TRACE.count("lutgemm.forward.numpy")
-    m, k = wq.shape
+def _numpy_forward(lut_flat, wrow, xq, chunk: int, acc_dtype) -> np.ndarray:
+    """The numpy gather: ``out[m, c] = sum_k lut_flat[wrow[m,k] + xq[k,c]]``.
+
+    ``wrow`` holds the flat row offsets ``wq * levels``; an index outside
+    the table clips to its ends (``np.take(mode="clip")``), which the C
+    gathers reproduce.  Columns go in ``chunk`` blocks, summed in int64
+    into an ``acc_dtype`` (M, C) result.  The reference of every C
+    forward self-check.
+    """
+    m, k = wrow.shape
     c = xq.shape[1]
-    chunk = engine.chunk
-    wrow = (wq * engine.levels).astype(np.intp)
+    wrow = np.asarray(wrow, dtype=np.intp)
     out = np.empty((m, c), dtype=acc_dtype)
-    lut_flat = engine.lut_flat
-    lut_dtype = lut_flat.dtype
-    scratch = engine._scratch
+    # Flat buffers allocated once per call; each chunk views a contiguous
+    # (M, K, cc) prefix, the layout a fresh array of that shape has.
+    size = m * k * min(chunk, c)
+    idx_buf = np.empty(size, dtype=np.intp)
+    prod_buf = np.empty(size, dtype=lut_flat.dtype)
     for c0 in range(0, c, chunk):
         hi = min(c0 + chunk, c)
-        with _TRACE.span("lutgemm.gather", cat="engine"):
-            idx = engine._build_idx(wrow, xq[:, c0:hi], (m, k, hi - c0))
-            prod = scratch.get("lut", lut_dtype, (m, k, hi - c0))
-            np.take(lut_flat, idx, out=prod, mode="clip")
-        with _TRACE.span("lutgemm.accumulate", cat="engine"):
-            out[:, c0:hi] = prod.sum(axis=1, dtype=np.int64)
-    # The index tensor of a single-chunk GEMM stays valid in scratch;
-    # remember the operands so the backward can reuse it.  When no
-    # backward will run we still must *invalidate* any older snapshot --
-    # the loop above just overwrote the scratch it described -- we only
-    # get to skip the operand copies.
-    if not engine.forward_only:
-        if record_backward:
-            engine._fwd_operands = (
-                (wq.copy(), xq.copy()) if c <= chunk else None
-            )
-        else:
-            engine._fwd_operands = None
+        idx = idx_buf[: m * k * (hi - c0)].reshape(m, k, hi - c0)
+        prod = prod_buf[: idx.size].reshape(idx.shape)
+        np.add(wrow[:, :, None], xq[None, :, c0:hi], out=idx)
+        np.take(lut_flat, idx, out=prod, mode="clip")
+        out[:, c0:hi] = prod.sum(axis=1, dtype=np.int64)
     return out
 
 
@@ -218,7 +211,11 @@ def backward_grads(
         res = _c_backward(engine, wq, xq, gout, xq_bounds, need_gx)
         if res is not None:
             return res
-    return _numpy_backward(engine, wq, xq, gout, need_gx)
+    with _TRACE.span("lutgemm.bwd.gather", cat="engine"):
+        return _numpy_backward(
+            engine.grad_w_flat, engine.grad_x_flat, wq * engine.levels, xq,
+            gout, engine.chunk, need_gx,
+        )
 
 
 def _c_backward(engine, wq, xq, gout, xq_bounds, need_gx):
@@ -235,50 +232,41 @@ def _c_backward(engine, wq, xq, gout, xq_bounds, need_gx):
     return res
 
 
-def _numpy_backward(engine, wq, xq, gout, need_gx):
-    m, k = wq.shape
+def _numpy_backward(
+    gw_flat, gx_flat, wrow, xq, gout, chunk: int, need_gx: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The numpy difference-LUT backward, the reference of the C backward.
+
+    Per ``chunk`` of columns it gathers both gradient tables at the
+    clipped index ``wrow[m,k] + xq[k,c]`` and reduces against ``gout``
+    (M, C) float32: ``gw[m,k] = sum_c gout * gw_table`` (float32 pairwise
+    chunk sums added into float64) and ``gx[k,c] = sum_m gout *
+    gx_table`` (float32, sequential over rows).  Returns ``(gw, gx)``,
+    float64 (M, K) and float32 (K, C); ``need_gx=False`` skips the
+    second gather and returns ``(gw, None)``.
+    """
+    m, k = wrow.shape
     c = xq.shape[1]
-    chunk = engine.chunk
-    scratch = engine._scratch
-    wrow = (wq * engine.levels).astype(np.intp)
+    wrow = np.asarray(wrow, dtype=np.intp)
     gw = np.zeros((m, k), dtype=np.float64)
     gx = np.empty((k, c), dtype=np.float32) if need_gx else None
-    reuse = (
-        c <= chunk
-        and engine._fwd_operands is not None
-        and engine._fwd_operands[0].shape == wq.shape
-        and engine._fwd_operands[1].shape == xq.shape
-        and np.array_equal(engine._fwd_operands[0], wq)
-        and np.array_equal(engine._fwd_operands[1], xq)
-    )
-    if not reuse:
-        # The loop below overwrites the scratch index tensor, so any
-        # cached forward operands stop describing its contents.
-        engine._fwd_operands = None
-    grad_w_flat = engine.grad_w_flat
-    grad_x_flat = engine.grad_x_flat
+    # As in _numpy_forward: per-call buffers, a contiguous prefix a chunk.
+    size = m * k * min(chunk, c)
+    idx_buf = np.empty(size, dtype=np.intp)
+    grad_buf = np.empty(size, dtype=np.float32)
     for c0 in range(0, c, chunk):
         hi = min(c0 + chunk, c)
-        cc = hi - c0
-        with _TRACE.span("lutgemm.bwd.gather", cat="engine"):
-            if reuse:
-                idx = scratch.get("idx", np.intp, (m, k, cc))
-                engine.idx_reuses += 1
-            else:
-                idx = engine._build_idx(wrow, xq[:, c0:hi], (m, k, cc))
-            g = gout[:, None, c0:hi]  # (M, 1, Cc), broadcast over K
-            # Gather + broadcast-multiply beats einsum here (~1.7x,
-            # measured): the contraction dims are small and memory-bound.
-            buf = scratch.get("grad", np.float32, (m, k, cc))
-            np.take(grad_w_flat, idx, out=buf, mode="clip")
-        with _TRACE.span("lutgemm.bwd.accumulate", cat="engine"):
-            np.multiply(buf, g, out=buf)
-            gw += buf.sum(axis=2)
-        if not need_gx:
-            continue
-        with _TRACE.span("lutgemm.bwd.gather", cat="engine"):
-            np.take(grad_x_flat, idx, out=buf, mode="clip")
-        with _TRACE.span("lutgemm.bwd.accumulate", cat="engine"):
+        idx = idx_buf[: m * k * (hi - c0)].reshape(m, k, hi - c0)
+        buf = grad_buf[: idx.size].reshape(idx.shape)
+        np.add(wrow[:, :, None], xq[None, :, c0:hi], out=idx)
+        g = gout[:, None, c0:hi]  # (M, 1, Cc), broadcast over K
+        # Gather + broadcast-multiply beats einsum here (~1.7x,
+        # measured): the contraction dims are small and memory-bound.
+        np.take(gw_flat, idx, out=buf, mode="clip")
+        np.multiply(buf, g, out=buf)
+        gw += buf.sum(axis=2)
+        if need_gx:
+            np.take(gx_flat, idx, out=buf, mode="clip")
             np.multiply(buf, g, out=buf)
             gx[:, c0:hi] = buf.sum(axis=0)
     return gw, gx
@@ -540,9 +528,7 @@ def _run_self_check() -> bool:
             sub_x = sub_x.copy()
             sub_x[1, ::7] = 3000
             sub_x[3, 11] = -77
-        want = lutkernel._backward_reference(
-            gw_flat, gx_flat, wrow_p, sub_x, sub_g, chunk
-        )
+        want = _numpy_backward(gw_flat, gx_flat, wrow_p, sub_x, sub_g, chunk)
         for threads in (1, 2):
             got = lutkernel.fused_backward_grads(
                 gw_flat, gx_flat, wrow_p.astype(np.int64),

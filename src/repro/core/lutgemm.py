@@ -13,14 +13,14 @@ things make the engine fast enough for retraining sweeps:
    before sharing, so identically-labelled but different tables never
    collide.
 
-2. **Fused backward with preallocated scratch.**  The per-chunk
-   ``(M, K, chunk)`` index tensor is built once per chunk into a grow-only
-   scratch buffer and both gradient tables are gathered from it with
-   ``np.take(..., out=..., mode="clip")`` -- no fresh temporaries, and the
-   ``intp`` index dtype avoids numpy's internal index-conversion pass
-   (measured ~2x end-to-end vs the naive fancy-indexing implementation,
-   bit-identical results).  When the whole GEMM fits in a single chunk the
-   backward reuses the forward's index tensor outright.
+2. **Read-only engines.**  An engine holds tables and call counters,
+   nothing a call leaves behind for the next one: the numpy loops
+   allocate their ``(M, K, chunk)`` index and gather buffers once per
+   call, reuse them across chunks, and gather both gradient tables from
+   one index per chunk with ``np.take(..., out=..., mode="clip")`` (the
+   ``intp`` index dtype avoids numpy's internal index-conversion pass).
+   So one shared engine, and one compiled plan over it, can serve any
+   number of threads at once.
 
 3. **Rank-1 lowering of product-separable LUTs.**  When the product LUT
    is exactly an outer product ``lut[w, x] == a[w] * b[x]`` (the DRUM-style
@@ -64,32 +64,10 @@ from repro.obs.trace import get_tracer
 _TRACE = get_tracer()
 _HEALTH = get_monitor()
 
-#: Columns processed per LUT-GEMM chunk; bounds peak memory at
-#: roughly ``M * K * chunk`` elements per scratch buffer.
+#: Columns processed per LUT-GEMM chunk; bounds peak memory at roughly
+#: ``M * K * chunk`` elements per buffer of a numpy forward or backward
+#: call (each call allocates its own, once).
 DEFAULT_CHUNK = 1024
-
-
-class _Scratch:
-    """Grow-only flat buffers, viewed/reshaped to each call's shape.
-
-    One pool per engine: because engines are shared per
-    ``(multiplier, method, chunk)``, layers of different shapes reuse the
-    same allocation instead of re-mallocing ``M * K * chunk`` temporaries
-    every chunk (the dominant cost of the naive implementation).
-    """
-
-    def __init__(self):
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
-        size = 1
-        for dim in shape:
-            size *= dim
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            buf = np.empty(size, dtype=dtype)
-            self._bufs[name] = buf
-        return buf[:size].reshape(shape)
 
 
 class LutGemm:
@@ -127,8 +105,7 @@ class LutGemm:
         self._lut_max = int(self.lut_flat.max())
         # Forward-only mode (``gradients is None``): the serving path never
         # runs a backward pass, so the float32 gradient tables (two
-        # ``(2^B)^2`` arrays) are never materialized and the forward skips
-        # its backward-support bookkeeping.
+        # ``(2^B)^2`` arrays) are never materialized.
         self.forward_only = gradients is None
         self.chunk = chunk
         # int32 LUT for the fused C kernels (8-bit operand products always
@@ -185,13 +162,8 @@ class LutGemm:
                     gradients.grad_x, np.broadcast_to(idx[:, None], (n, n))
                 )
             )
-        self._scratch = _Scratch()
-        # Operands of the last single-chunk forward whose index tensor is
-        # still resident in scratch (lets the backward skip rebuilding it).
-        self._fwd_operands: tuple[np.ndarray, np.ndarray] | None = None
         self.forward_calls = 0
         self.backward_calls = 0
-        self.idx_reuses = 0
         self.ckernel_forward_calls = 0
         self.ckernel_backward_calls = 0
 
@@ -227,9 +199,9 @@ class LutGemm:
         return LutGemm(multiplier, self.gradients, chunk=self.chunk)
 
     def __deepcopy__(self, memo) -> "LutGemm":
-        # Engines are shared, immutable resources; deep copies of a model
+        # Engines are shared, read-only resources; deep copies of a model
         # (DSE trials, fault-injection sweeps) keep pointing at the same
-        # engine instead of duplicating multi-MB LUT and scratch arrays.
+        # engine instead of duplicating its multi-MB LUT arrays.
         return self
 
     def _grad_byte_planes(self) -> np.ndarray:
@@ -248,13 +220,6 @@ class LutGemm:
         return self._grad_planes
 
     # ------------------------------------------------------------------
-    def _build_idx(
-        self, wrow: np.ndarray, xq_block: np.ndarray, shape: tuple[int, int, int]
-    ) -> np.ndarray:
-        idx = self._scratch.get("idx", np.intp, shape)
-        np.add(wrow[:, :, None], xq_block[None, :, :], out=idx)
-        return idx
-
     def int32_acc_safe(self, k: int) -> bool:
         """Whether a K-term product sum provably fits an int32 accumulator."""
         bound = k * max(abs(self._lut_min), abs(self._lut_max))
@@ -297,9 +262,8 @@ class LutGemm:
         proves every reachable sum fits, so results are bit-identical
         whenever the call succeeds.
 
-        ``record_backward=False`` tells the engine no backward pass will
-        consume this forward (eval under ``no_grad``, serving), letting
-        it skip the operand snapshot that enables backward index reuse.
+        ``record_backward`` is accepted and ignored: a forward leaves
+        nothing behind for a backward to reuse.
 
         ``xq_bounds`` is the caller's ``(min, max)`` of ``xq`` when it
         knows them by construction (the approximate conv layer reads
@@ -308,8 +272,7 @@ class LutGemm:
 
         Product-separable LUTs take one float64 matmul when
         :meth:`separable_for` and :func:`~repro.core.execcore.in_levels`
-        prove it exact (see the module docstring).  The matmul leaves the
-        scratch buffers, and so any recorded forward snapshot, untouched.
+        prove it exact (see the module docstring).
         """
         m, k = wq.shape
         k2, c = xq.shape
@@ -326,17 +289,14 @@ class LutGemm:
         self.forward_calls += 1
         if _HEALTH.enabled:
             # LUT-coverage probe: reads the quantized operands only (no
-            # scratch, no RNG), so results stay bit-identical.
+            # RNG), so results stay bit-identical.
             _HEALTH.observe_operands(self, wq, xq)
         if self.separable_for(wq) and execcore._xq_in_levels(
             xq, self.levels, xq_bounds
         ):
             wa = np.take(self._sep_f64[0], wq)
             return execcore.separable_sums(self, wa, xq).astype(acc_dtype)
-        return execcore.product_sums(
-            self, wq, xq, acc_dtype,
-            record_backward and not self.forward_only, xq_bounds,
-        )
+        return execcore.product_sums(self, wq, xq, acc_dtype, xq_bounds)
 
     def backward_grads(
         self,
@@ -535,7 +495,6 @@ def engine_cache_stats() -> EngineCacheStats:
             "chunk": key[3],
             "forward_calls": eng.forward_calls,
             "backward_calls": eng.backward_calls,
-            "idx_reuses": eng.idx_reuses,
             "ckernel_forward_calls": eng.ckernel_forward_calls,
             "ckernel_backward_calls": eng.ckernel_backward_calls,
         }
@@ -560,7 +519,6 @@ def format_engine_stats(stats: EngineCacheStats | None = None) -> str:
         lines.append(
             f"  {e['multiplier']} [{e['method']}, chunk={e['chunk']}]: "
             f"{e['forward_calls']} fwd / {e['backward_calls']} bwd calls, "
-            f"{e['idx_reuses']} idx reuse(s), "
             f"{e.get('ckernel_forward_calls', 0)} C fwd / "
             f"{e.get('ckernel_backward_calls', 0)} C bwd"
         )

@@ -1,6 +1,6 @@
 """Optional fused C kernels for the LUT-GEMM forward and backward.
 
-The numpy forward path in :mod:`repro.core.lutgemm` needs three full
+The numpy forward path in :mod:`repro.core.execcore` needs three full
 passes over an ``(M, K, C)`` temporary (index build, ``np.take`` gather,
 strided reduction), and the retraining backward needs two more gathers
 plus two reductions against the upstream gradient.  Those temporaries
@@ -1579,6 +1579,8 @@ def _run_vbmi_self_check() -> bool:
     each).  Backward: :func:`_backward_probes_match`.  About 20 ms of
     CPU in all.
     """
+    from repro.core import execcore
+
     rng = np.random.default_rng(0xB17E)
     levels = 256
     lut = rng.integers(0, 0x10000, size=levels * levels).astype(np.int32)
@@ -1594,7 +1596,7 @@ def _run_vbmi_self_check() -> bool:
     one = np.ones(1, dtype=np.int64)
     for c in (63, 64, 65, 129):
         sub = np.ascontiguousarray(xq[:, :c])
-        want = lut[wrow[:, :, None] + sub[None]].sum(axis=1, dtype=np.int64)
+        want = execcore._numpy_forward(lut, wrow, sub, c, np.int64)
         colsum = sub.sum(axis=0, dtype=np.int64)
         # The serving tail at zw = m0 = 1, d0 = 0, shift = 11.
         want_q = np.clip((want - colsum + 1024) >> 11, 0, 255)
@@ -1642,6 +1644,8 @@ def _backward_probes_match(rng, wrow, xq) -> bool:
     loop's (:func:`_backward_parts`), and a leaf that starts from +0.0
     fails.  About 10 ms of CPU.
     """
+    from repro.core import execcore
+
     levels = 256
     edges = np.array(
         [0x80000000, 0x00000001, 0x00FF00FF, 0x7F7FFFFF, 0x7F800000,
@@ -1667,7 +1671,7 @@ def _backward_probes_match(rng, wrow, xq) -> bool:
     canary = np.full((rows.shape[1] + 1, 129), -0.0, dtype=np.float32)
     args = (tables[0], tables[1], rows, xq, gout, 96, 2)
     with np.errstate(invalid="ignore", over="ignore"):
-        want = _backward_reference(*args[:-1])[1]
+        want = execcore._numpy_backward(*args[:-1])[1]
         _backward_parts(lib, *args, planes, None, True, out=canary[:-1])
     if not _same_bits((canary[:-1],), (want,)) or not np.all(
         canary[-1].view(np.uint32) == 0x80000000
@@ -1685,7 +1689,7 @@ def _backward_probes_match(rng, wrow, xq) -> bool:
         sub_g = np.ascontiguousarray(gout[: w.shape[0], :c])
         args = (gw_flat, tables[1], w, sub_x, sub_g, chunk, threads)
         with np.errstate(invalid="ignore", over="ignore"):
-            want = _backward_reference(*args[:-1])
+            want = execcore._numpy_backward(*args[:-1])
             got = fused_backward_grads(*args, planes)
         if got is None or not _same_bits(got, want):
             return False
@@ -2542,27 +2546,3 @@ def _backward_parts(
     with _TRACE.span("lutkernel.backward_grads", cat="engine"):
         _run_threaded(work, ranges)
     return gw_part, gx
-
-
-def _backward_reference(gw_flat, gx_flat, wrow, xq, gout, chunk):
-    """The numpy backward, restated standalone for the self-checks.
-
-    ``(gw, gx)`` as :func:`fused_backward_grads` returns them: float64
-    and float32.
-    """
-    m, k = wrow.shape
-    c = xq.shape[1]
-    gw = np.zeros((m, k), dtype=np.float64)
-    gx = np.empty((k, c), dtype=np.float32)
-    for c0 in range(0, c, chunk):
-        hi = min(c0 + chunk, c)
-        idx = wrow[:, :, None] + xq[None, :, c0:hi]
-        g = gout[:, None, c0:hi]
-        b = np.empty((m, k, hi - c0), dtype=np.float32)
-        np.take(gw_flat, idx, out=b, mode="clip")
-        np.multiply(b, g, out=b)
-        gw += b.sum(axis=2)
-        np.take(gx_flat, idx, out=b, mode="clip")
-        np.multiply(b, g, out=b)
-        gx[:, c0:hi] = b.sum(axis=0)
-    return gw, gx

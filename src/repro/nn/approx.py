@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, is_grad_enabled
+from repro.autograd.tensor import Tensor
 from repro.core import execcore, lutkernel
 from repro.core.gradient import GradientPair, gradient_luts
 from repro.core.lutgemm import DEFAULT_CHUNK, LutGemm, get_engine
@@ -118,7 +118,7 @@ class FrozenAffine:
     ``FrozenAffine``) after any weight or quantization update.
     """
 
-    def __init__(self, layer: "_ApproxBase", private_engine: bool = False):
+    def __init__(self, layer: "_ApproxBase"):
         qs = layer.quant
         qs.require_frozen(type(layer).__name__)
         wmat = layer._weight_matrix()
@@ -130,16 +130,13 @@ class FrozenAffine:
             wq = quantize_array(wmat, qs.w_qparams)
             sw_col = qs.w_qparams.scale
             zw_col = float(qs.w_qparams.zero_point)
-        # Always a forward-only engine, even when the layer was trained with
-        # gradient LUTs: product sums are integer-exact across engines with
-        # the same LUT, and only forward-only engines skip the backward
-        # bookkeeping (and can use the fused C gather).  Per-worker serving
-        # plans need *private* engines: the shared engine's scratch buffers
-        # are not safe under concurrent forwards.
-        self.engine = (
-            LutGemm(layer.multiplier, None, chunk=layer.engine.chunk)
-            if private_engine
-            else get_engine(layer.multiplier, None, chunk=layer.engine.chunk)
+        # Always the shared forward-only engine, even when the layer was
+        # trained with gradient LUTs: product sums are integer-exact across
+        # engines with the same LUT, and a forward-only engine never
+        # materializes the gradient tables.  Engines keep no per-call
+        # state, so any number of threads may run plans over it at once.
+        self.engine = get_engine(
+            layer.multiplier, None, chunk=layer.engine.chunk
         )
         self.wq = wq
         self.m, self.k = wq.shape
@@ -280,14 +277,12 @@ class _ApproxBase(Module):
             self.multiplier, gradients, chunk=self.engine.chunk
         )
 
-    def frozen_affine(self, private_engine: bool = False) -> FrozenAffine:
+    def frozen_affine(self) -> FrozenAffine:
         """Snapshot the frozen-quant fast path for tape-free inference.
 
-        Used by :mod:`repro.serve.plan`; requires frozen quantization.  Set
-        ``private_engine=True`` for a dedicated forward-only engine (needed
-        when several worker threads run compiled plans concurrently).
+        Used by :mod:`repro.serve.plan`; requires frozen quantization.
         """
-        return FrozenAffine(self, private_engine=private_engine)
+        return FrozenAffine(self)
 
     # ------------------------------------------------------------------
     def _x_range(self) -> tuple[float, float]:
@@ -343,12 +338,8 @@ class _ApproxBase(Module):
         m = wmat.shape[0]
 
         with _TRACE.span("approx.gemm", cat="approx"):
-            # Under no_grad (eval loops) the backward closure below is never
-            # wired into the tape, so the engine can skip the operand
-            # snapshot that enables backward index reuse.
             acc = self.engine.product_sums(
-                wq, xq, record_backward=is_grad_enabled(),
-                xq_bounds=xq_bounds,
+                wq, xq, xq_bounds=xq_bounds
             )  # (M, N*L) int64
         with _TRACE.span("approx.dequantize", cat="approx"):
             # Eq. 8 zero-point corrections (accumulated over K terms).
@@ -384,8 +375,7 @@ class _ApproxBase(Module):
                 )
             if _HEALTH.enabled:
                 # Gradient-quality probe on the live operands/upstream
-                # gradient, after the real backward so scratch reuse in the
-                # engine is unaffected.
+                # gradient, after the real backward.
                 _HEALTH.observe_layer_backward(self, engine, wq, xq, gmat, zx)
             # dW/dw = 1/s_w, dX/dx = 1/s_x (STE through round), so the s_w
             # (resp. s_x) factors cancel one of the two scales in DQ'.

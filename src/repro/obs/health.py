@@ -21,7 +21,7 @@ is in flight:
   loss/gradients and saturation above threshold.
 
 All probes are *passive*: they read the hot path's intermediates, never
-mutate engine scratch, never consume RNG, and are fully skipped when the
+mutate an engine, never consume RNG, and are fully skipped when the
 monitor is disabled (a single attribute check per site), so training with
 telemetry off -- and, because the sampling is deterministic, with it on
 -- is bit-identical to an uninstrumented build.  Per-layer epoch means

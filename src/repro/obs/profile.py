@@ -180,7 +180,7 @@ def profile_serve(
         with tracer.span("profile.serve", cat="profile"):
             metrics = ServeMetrics()
             pool = WorkerPool(
-                plan_factory=lambda: compile_plan(model, private_engines=True),
+                plan_factory=lambda: compile_plan(model),
                 workers=workers,
                 queue_size=max(requests, 64),
                 metrics=metrics,

@@ -682,9 +682,8 @@ class _PendingRequant:
 class _CompileCtx:
     """Mutable compile-walk state: op list + the open integer region."""
 
-    def __init__(self, private_engines: bool, integer: bool):
+    def __init__(self, integer: bool):
         self.ops: list[PlanOp] = []
-        self.private_engines = private_engines
         self.integer = integer
         self.pending: _PendingRequant | None = None
 
@@ -973,7 +972,7 @@ def _begin_integer_region(ctx: _CompileCtx, prefix: str, fa: FrozenAffine):
 
 @register_compiler(ApproxConv2d)
 def _compile_approx_conv(module, ctx, prefix):
-    fa = module.frozen_affine(private_engine=ctx.private_engines)
+    fa = module.frozen_affine()
     kh = kw = module.kernel_size
     stride, pad = module.stride, module.padding
     name = f"{prefix}approx_conv{kh}x{kw}[{module.multiplier.name}]"
@@ -1020,7 +1019,7 @@ def _compile_approx_conv(module, ctx, prefix):
 
 @register_compiler(ApproxLinear)
 def _compile_approx_linear(module, ctx, prefix):
-    fa = module.frozen_affine(private_engine=ctx.private_engines)
+    fa = module.frozen_affine()
     in_features = module.in_features
     name = f"{prefix}approx_linear[{module.multiplier.name}]"
 
@@ -1104,7 +1103,6 @@ _register_model_blocks()
 def compile_plan(
     model: Module,
     example_input: np.ndarray | None = None,
-    private_engines: bool = False,
     arithmetic: str = "float",
     fuse: bool | None = None,
 ) -> InferencePlan:
@@ -1114,16 +1112,14 @@ def compile_plan(
     or restored from a checkpoint).  The plan snapshots all weights and
     quantization state: recompile after any parameter update.  Residual
     blocks compile inline, so fusion reaches the layers inside them.
+    Plans run over the shared, read-only engines and keep no per-run
+    state, so one plan may run on any number of threads at once.
 
     Args:
         model: The (frozen) model to compile.
         example_input: Optional batch; when given, the compiled plan is run
             on it and verified bit-identical against the eval-mode training
             graph (raises :class:`ServeError` on any mismatch).
-        private_engines: Give each approximate op its own forward-only
-            LUT-GEMM engine.  Required when multiple threads run plans
-            concurrently (the shared engine's scratch buffers are not
-            thread-safe); costs one extra engine per approximate layer.
         arithmetic: ``"float"`` replicates the eval-mode float graph
             bit-for-bit; ``"int"`` lowers runs of approximate layers to the
             fixed-point integer core (see the module docstring).  Integer
@@ -1141,7 +1137,7 @@ def compile_plan(
         raise ServeError(
             f"unknown arithmetic {arithmetic!r} (expected 'float' or 'int')"
         )
-    ctx = _CompileCtx(private_engines, arithmetic == "int")
+    ctx = _CompileCtx(arithmetic == "int")
     _compile_into(model, ctx, "")
     ctx.resolve_float()  # the model output is float
     ops = [op for op in ctx.ops if op.fn is not _REMOVED]

@@ -1,9 +1,10 @@
 """Inference worker pool with backpressure and graceful drain.
 
-Each worker owns its own compiled :class:`~repro.serve.plan.InferencePlan`
-(compiled once by :meth:`WorkerPool.start` and reused for every batch --
-plans built with ``private_engines=True`` so the LUT-GEMM scratch buffers
-are never shared across threads).  Work arrives pre-coalesced from the
+Every worker runs the same compiled
+:class:`~repro.serve.plan.InferencePlan`, compiled once by
+:meth:`WorkerPool.start` and reused for every batch: plans and the
+LUT-GEMM engines under them keep no per-run state, so the threads share
+them as they are.  Work arrives pre-coalesced from the
 :class:`~repro.serve.scheduler.MicroBatcher`; a full queue rejects with
 :class:`~repro.errors.ServerBusyError` (HTTP 503) instead of queueing
 without bound, and :meth:`WorkerPool.shutdown` drains in-flight work before
@@ -34,7 +35,7 @@ _TRACE = get_tracer()
 
 
 class WorkerPool:
-    """Runs compiled plans over micro-batches on ``workers`` threads.
+    """Runs one compiled plan over micro-batches on ``workers`` threads.
 
     Owns the bounded :class:`MicroBatcher`, ``submit`` / ``infer``, result
     delivery and error fan-out, the gauges, and the close / drain / cancel
@@ -70,15 +71,15 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def start(self) -> "WorkerPool":
-        """Compile every worker's plan, then start the workers (idempotent).
+        """Compile the plan, then start the workers over it (idempotent).
 
-        Returns once each worker holds its plan, so no request waits
-        behind a compile.  A plan factory error shuts the pool down and
-        propagates from here instead of leaving a pool with no workers.
+        Returns once the plan exists, so no request waits behind a
+        compile.  A plan factory error shuts the pool down and propagates
+        from here instead of leaving a pool with no workers.
         """
         if not self._started:
             try:
-                plans = [self._compile() for _ in range(self._num_workers)]
+                plan = self._compile()
             except BaseException:
                 self.shutdown(drain=False)
                 raise
@@ -90,7 +91,7 @@ class WorkerPool:
                     name=f"repro-serve-worker-{i}",
                     daemon=True,
                 )
-                for i, plan in enumerate(plans)
+                for i in range(self._num_workers)
             ]
             for t in self._threads:
                 t.start()

@@ -2,7 +2,7 @@
 
 Single-sample requests are the common case for an online endpoint, but the
 LUT-GEMM engine amortizes its per-call costs (weight-row index build,
-scratch reuse, python dispatch) over the column dimension -- so coalescing
+buffer allocation, python dispatch) over the column dimension -- so coalescing
 ``B`` concurrent single-sample requests into one ``(K, B*L)`` GEMM is close
 to a ``B``-fold throughput win.  :class:`MicroBatcher` implements the
 standard coalescing queue:

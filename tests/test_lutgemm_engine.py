@@ -167,35 +167,21 @@ def test_backward_with_per_channel_zero_points():
     assert np.array_equal(gx, gx_ref)
 
 
-def test_forward_index_reuse_in_backward():
+def test_interleaved_calls_match_reference():
+    # Single-chunk GEMMs: fwd(A), fwd(B), bwd(A), bwd(B) on one engine
+    # each match the reference; no call sees another call's buffers.
     engine = LutGemm(MULT, PAIR, chunk=64)
-    wq, xq, gout = _operands(5, 7, 40, MULT.bits, seed=3)  # single chunk
-    engine.product_sums(wq, xq)
-    gw, gx = engine.backward_grads(wq, xq, gout, zw=2, zx=6)
-    assert engine.idx_reuses == 1
-    gw_ref, gx_ref = _reference_grads(engine, wq, xq, gout, 2, 6)
-    assert np.array_equal(gw, gw_ref)
-    assert np.array_equal(gx, gx_ref)
-
-
-def test_stale_forward_index_is_not_reused():
-    # fwd(B) after fwd(A) overwrites the scratch index tensor; a later
-    # backward(A) must rebuild instead of trusting stale operands.
-    engine = LutGemm(MULT, PAIR, chunk=64)
-    wq_a, xq_a, gout_a = _operands(5, 7, 40, MULT.bits, seed=4)
-    wq_b, xq_b, gout_b = _operands(5, 7, 40, MULT.bits, seed=5)
-    engine.product_sums(wq_a, xq_a)
-    engine.product_sums(wq_b, xq_b)
-    gw_a, gx_a = engine.backward_grads(wq_a, xq_a, gout_a, zw=1, zx=2)
-    gw_ref, gx_ref = _reference_grads(engine, wq_a, xq_a, gout_a, 1, 2)
-    assert np.array_equal(gw_a, gw_ref)
-    assert np.array_equal(gx_a, gx_ref)
-    # After that rebuild, backward(B) must also not claim a reuse.
-    gw_b, gx_b = engine.backward_grads(wq_b, xq_b, gout_b, zw=1, zx=2)
-    gw_ref, gx_ref = _reference_grads(engine, wq_b, xq_b, gout_b, 1, 2)
-    assert np.array_equal(gw_b, gw_ref)
-    assert np.array_equal(gx_b, gx_ref)
-    assert engine.idx_reuses == 0
+    ops = [_operands(5, 7, 40, MULT.bits, seed=s) for s in (4, 5)]
+    for wq, xq, _gout in ops:
+        assert np.array_equal(
+            engine.product_sums(wq, xq, record_backward=False),
+            _reference_sums(engine, wq, xq),
+        )
+    for wq, xq, gout in ops:
+        gw, gx = engine.backward_grads(wq, xq, gout, zw=1, zx=2)
+        gw_ref, gx_ref = _reference_grads(engine, wq, xq, gout, 1, 2)
+        assert np.array_equal(gw, gw_ref)
+        assert np.array_equal(gx, gx_ref)
 
 
 def test_scratch_survives_alternating_shapes():

@@ -468,8 +468,7 @@ def test_traced_pool_stage_report_covers_every_request():
 
     with tracing() as t:
         with WorkerPool(
-            lambda: compile_plan(model, arithmetic="int", fuse=False,
-                                 private_engines=True),
+            lambda: compile_plan(model, arithmetic="int", fuse=False),
             workers=2, max_batch=4, max_wait_ms=1.0,
         ) as pool:
             outs = [f.result(timeout=60.0) for f in map(pool.submit, x)]

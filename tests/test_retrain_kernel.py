@@ -251,7 +251,7 @@ def test_raw_kernel_oob_clip_both_directions():
     gout = rng.standard_normal((6, 700)).astype(np.float32)
     idx = np.clip(wrow[:, :, None] + xq[None], 0, lut.size - 1)
     want_f = lut[idx].sum(axis=1, dtype=np.int64)
-    want_b = lutkernel._backward_reference(
+    want_b = execcore._numpy_backward(
         gw_flat, gx_flat, wrow, xq, gout, 96
     )
     for threads in (1, 3):
@@ -337,7 +337,7 @@ def test_gather_in_bounds_edges_bit_identical(case):
     gx_flat = rng.standard_normal(n_gx).astype(np.float32)
     gout = rng.standard_normal((6, 700)).astype(np.float32)
     want_f = lut[np.clip(idx, 0, _EDGE_N - 1)].sum(axis=1, dtype=np.int64)
-    want_b = lutkernel._backward_reference(
+    want_b = execcore._numpy_backward(
         gw_flat, gx_flat, wrow, xq, gout, 96
     )
     fwd_branch = (1, 0) if fwd_fast else (0, 1)
@@ -651,24 +651,6 @@ def test_fold_self_check_failure_pins_numpy(monkeypatch, restore_backend):
     assert same_bits(
         (np.ascontiguousarray(got),), (np.ascontiguousarray(want),)
     )
-
-
-# ----------------------------------------------------------------------
-# record_backward semantics through the shared core.
-def test_record_backward_false_invalidates_stale_index():
-    # fwd(A) records operands; fwd(B) with record_backward=False reuses
-    # the scratch; backward(A) must rebuild (wrong gradients otherwise).
-    eng = LutGemm(MULT, PAIR, chunk=64)
-    wq_a, xq_a, gout_a = _operands(5, 7, 40, seed=10)
-    wq_b, xq_b, _ = _operands(5, 7, 40, seed=11)
-    eng.product_sums(wq_a, xq_a)
-    eng.product_sums(wq_b, xq_b, record_backward=False)
-    assert eng._fwd_operands is None
-    gw, gx = eng.backward_grads(wq_a, xq_a, gout_a, 1, 2)
-    assert eng.idx_reuses == 0
-    _, gw_ref, gx_ref = _numpy_results(wq_a, xq_a, gout_a, zw=1, zx=2, chunk=64)
-    assert np.array_equal(gw, gw_ref)
-    assert np.array_equal(gx, gx_ref)
 
 
 def test_backend_info_reports_consistent_state():
@@ -1050,7 +1032,7 @@ def test_backward_bodies_bit_identical(monkeypatch, levels, c, body):
     # Chunks 7 and 96 cut a 64-lane block; 1024 holds every width here.
     for chunk in (7, 96, 1024):
         with np.errstate(invalid="ignore", over="ignore"):
-            want = lutkernel._backward_reference(
+            want = execcore._numpy_backward(
                 gw_flat, gx_flat, wrow, xq, gout, chunk
             )
         for threads in (1, 4, 7):
@@ -1077,7 +1059,7 @@ def test_backward_bodies_on_full_chunks(monkeypatch, body):
     )
     for chunk in (256, 512, 1024):
         with np.errstate(invalid="ignore", over="ignore"):
-            want = lutkernel._backward_reference(
+            want = execcore._numpy_backward(
                 gw_flat, gx_flat, wrow, xq, gout, chunk
             )
             got = lutkernel.fused_backward_grads(
@@ -1102,7 +1084,7 @@ def test_backward_bodies_over_row_blocks(monkeypatch, levels, m, body):
     )
     for chunk in (7, 96, 128, 129, 256, 1000, 1024):
         with np.errstate(invalid="ignore", over="ignore"):
-            want = lutkernel._backward_reference(
+            want = execcore._numpy_backward(
                 gw_flat, gx_flat, wrow, xq, gout, chunk
             )
         for threads in (1, 4, 7):
@@ -1138,7 +1120,7 @@ def test_backward_bodies_sum_negative_zero_products(monkeypatch, body):
         )
         assert np.signbit(parts[:-1]).all() == (chunk >= 8), chunk
         assert np.signbit(parts[-1]).all() == (tail >= 8), chunk
-        want = lutkernel._backward_reference(
+        want = execcore._numpy_backward(
             gw_flat, gx_flat, wrow, xq, gout, chunk
         )
         got = lutkernel.fused_backward_grads(
@@ -1186,7 +1168,7 @@ def test_backward_bodies_float32_gx_over_odd_k(monkeypatch, m, k, body):
     )
     for chunk in (7, 96, 1000, 1024):
         with np.errstate(invalid="ignore", over="ignore"):
-            want = lutkernel._backward_reference(
+            want = execcore._numpy_backward(
                 gw_flat, gx_flat, wrow, xq, gout, chunk
             )
         assert want[1].dtype == np.float32
@@ -1245,7 +1227,7 @@ def test_backward_bodies_write_only_their_columns(body, chunk):
     c = 1000
     case = _backward_case(256, 17, 5, c, seed=chunk)
     with np.errstate(invalid="ignore", over="ignore"):
-        want = lutkernel._backward_reference(*case[:5], chunk)[1]
+        want = execcore._numpy_backward(*case[:5], chunk)[1]
     n_chunks = -(-c // chunk)
     for lo_chunk, hi_chunk in ((0, 1), (1, 3), (n_chunks - 1, n_chunks),
                                (0, n_chunks)):
@@ -1267,7 +1249,7 @@ def test_backward_bodies_write_only_their_columns(body, chunk):
 _GUARD_PAGE_SCRIPT = r"""
 import ctypes, mmap
 import numpy as np
-from repro.core import lutkernel
+from repro.core import execcore, lutkernel
 from repro.obs.trace import tracing
 from tests.gather_bodies import (
     edge_grad_table, edge_gout, edge_operands, same_bits,
@@ -1300,7 +1282,7 @@ planes = lutkernel.byte_planes(gx_flat)
 assert lutkernel.vbmi_trusted()
 for chunk, threads in ((64, 1), (129, 2), (1024, 1)):
     with np.errstate(invalid="ignore", over="ignore"):
-        want = lutkernel._backward_reference(
+        want = execcore._numpy_backward(
             gw_flat, gx_flat, wrow, xq, gout, chunk
         )
         with tracing() as tr:
@@ -1378,7 +1360,7 @@ def test_backward_vbmi_fallbacks_take_the_scalar_body(monkeypatch, case):
     wrow, xq = _backward_fallback_case(case, monkeypatch)
     gout = edge_gout(wrow.shape[0], xq.shape[1])
     with np.errstate(invalid="ignore", over="ignore"):
-        want = lutkernel._backward_reference(
+        want = execcore._numpy_backward(
             gw_flat, gx_flat, wrow, xq, gout, 64
         )
     vbmi = case in ("control", "k_32768") and lutkernel.vbmi_trusted()

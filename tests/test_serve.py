@@ -106,13 +106,43 @@ def test_forward_only_layers_reject_backward(served_model):
         out.sum().backward()
 
 
-def test_private_engines_are_separate_instances(served_model):
-    plan_a = compile_plan(served_model, private_engines=True)
-    plan_b = compile_plan(served_model, private_engines=True)
-    shared = compile_plan(served_model)
-    x = np.random.default_rng(4).standard_normal((2, 3, 12, 12))
-    assert np.array_equal(plan_a.run(x), shared.run(x))
-    assert np.array_equal(plan_b.run(x), shared.run(x))
+@pytest.mark.parametrize("arithmetic", ["float", "int"])
+def test_shared_plan_runs_from_two_threads_on_numpy(
+    served_model, monkeypatch, arithmetic
+):
+    """One default-compiled plan, two threads, the numpy backend forced.
+
+    The plan's ops share the process-wide engines, so any state an
+    engine kept between calls would mix the threads' operands up.
+    """
+    from repro.core import execcore
+
+    monkeypatch.setenv("REPRO_NO_CCKERNEL", "1")
+    execcore.reset_backend_state()
+    try:
+        plan = compile_plan(served_model, arithmetic=arithmetic)
+        x = np.random.default_rng(6).standard_normal((16, 3, 12, 12))
+        want = plan.run(x)
+        bad = []
+
+        def run_many():
+            try:
+                for _ in range(40):
+                    if not np.array_equal(plan.run(x), want):
+                        bad.append("mismatch")
+            except Exception as exc:  # surfaced by the assert below
+                bad.append(repr(exc))
+
+        threads = [threading.Thread(target=run_many) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == [], f"{len(bad)} of 80 threaded runs: {bad[:3]}"
+    finally:
+        monkeypatch.undo()
+        execcore.reset_backend_state()
 
 
 def test_verify_plan_accepts_and_describe(served_model):
@@ -185,7 +215,7 @@ def test_plan_bit_identical_without_c_kernel(retrained, monkeypatch):
 
     approx, _path, x, ref = retrained
     monkeypatch.setattr(lutkernel, "fused_product_sums", lambda *a: None)
-    plan = compile_plan(approx, private_engines=True)
+    plan = compile_plan(approx)
     assert np.array_equal(plan.run(x), ref)
 
 
@@ -266,7 +296,7 @@ def test_pending_request_timeout_and_error():
 def test_pool_results_bit_identical(retrained, served_model):
     _approx, _path, x, ref = retrained
     with WorkerPool(
-        lambda: compile_plan(served_model, private_engines=True), workers=2
+        lambda: compile_plan(served_model), workers=2
     ) as pool:
         futures = [pool.submit(x[i]) for i in range(len(x))]
         for i, fut in enumerate(futures):
@@ -276,7 +306,7 @@ def test_pool_results_bit_identical(retrained, served_model):
 
 def _probe_plan(model, fn):
     """A compiled plan of ``model`` whose first op is ``fn``."""
-    plan = compile_plan(model, private_engines=True)
+    plan = compile_plan(model)
     plan.ops.insert(0, PlanOp("probe", "float", fn))
     return plan
 
@@ -384,7 +414,7 @@ def test_pool_shutdown_drains_queued_work():
 def http_server(retrained, served_model):
     metrics = ServeMetrics()
     pool = WorkerPool(
-        lambda: compile_plan(served_model, private_engines=True),
+        lambda: compile_plan(served_model),
         workers=1, metrics=metrics,
     ).start()
     server = make_server(pool, metrics, port=0, model_name="lenet-test")

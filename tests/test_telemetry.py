@@ -290,8 +290,7 @@ def test_exposition_of_a_live_traced_pool():
     x = np.random.default_rng(2).standard_normal((n, 3, 12, 12))
     with tracing():
         with WorkerPool(
-            lambda: compile_plan(model, arithmetic="int",
-                                 private_engines=True),
+            lambda: compile_plan(model, arithmetic="int"),
             workers=2, max_batch=4, max_wait_ms=1.0,
         ) as pool:
             for fut in [pool.submit(xi) for xi in x]:
