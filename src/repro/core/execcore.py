@@ -140,7 +140,6 @@ def product_sums(
 
 def _c_forward(engine, wq, xq, acc_dtype, xq_bounds) -> np.ndarray | None:
     wrow = (wq * engine.levels).astype(np.int64)
-    xq32 = np.ascontiguousarray(xq, dtype=np.int32)
     # Positional call through the module attribute: tests monkeypatch
     # ``lutkernel.fused_product_sums`` to force the numpy fallback.  Same
     # span name as the numpy gather loop: profiles show where forward time
@@ -149,7 +148,7 @@ def _c_forward(engine, wq, xq, acc_dtype, xq_bounds) -> np.ndarray | None:
     planes = _planes(engine)
     with _TRACE.span("lutgemm.gather", cat="engine"):
         out = lutkernel.fused_product_sums(
-            engine._lut_i32, wrow, xq32, acc_dtype, None, planes, xq_bounds
+            engine._lut_i32, wrow, xq, acc_dtype, None, planes, xq_bounds
         )
     if out is not None:
         engine.ckernel_forward_calls += 1
@@ -157,31 +156,56 @@ def _c_forward(engine, wq, xq, acc_dtype, xq_bounds) -> np.ndarray | None:
     return out
 
 
+#: Elements per index / gather buffer of the numpy forward and backward.
+_NUMPY_BLOCK = 1 << 18
+
+
+def _block_buffers(m: int, k: int, cc: int, dtype):
+    """Flat index and gather buffers of one numpy call, and its K block.
+
+    Blocks of ``kb`` rows of K keep each ``(M, kb, cc)`` buffer near
+    ``_NUMPY_BLOCK`` elements (``kb >= 1``), so a call faults in a few
+    MB of fresh pages, not ``M * K * chunk`` elements.  Every sum the
+    two numpy paths make runs within one ``(m, k)`` or ``(k, c)`` (the
+    integer forward sums are order-free), so the blocking never changes
+    a result.
+    """
+    kb = max(1, min(k, _NUMPY_BLOCK // max(1, m * cc)))
+    size = m * kb * cc
+    return np.empty(size, dtype=np.intp), np.empty(size, dtype=dtype), kb
+
+
+def _block_views(idx_buf, val_buf, shape):
+    """``shape`` views of the contiguous prefixes of the two buffers."""
+    n = shape[0] * shape[1] * shape[2]
+    return idx_buf[:n].reshape(shape), val_buf[:n].reshape(shape)
+
+
 def _numpy_forward(lut_flat, wrow, xq, chunk: int, acc_dtype) -> np.ndarray:
     """The numpy gather: ``out[m, c] = sum_k lut_flat[wrow[m,k] + xq[k,c]]``.
 
     ``wrow`` holds the flat row offsets ``wq * levels``; an index outside
     the table clips to its ends (``np.take(mode="clip")``), which the C
-    gathers reproduce.  Columns go in ``chunk`` blocks, summed in int64
-    into an ``acc_dtype`` (M, C) result.  The reference of every C
-    forward self-check.
+    gathers reproduce.  Columns go in ``chunk`` blocks and K in blocks
+    of :func:`_block_buffers` rows, summed in int64 (order-free) into an
+    ``acc_dtype`` (M, C) result.  The reference of every C forward
+    self-check.
     """
     m, k = wrow.shape
     c = xq.shape[1]
     wrow = np.asarray(wrow, dtype=np.intp)
     out = np.empty((m, c), dtype=acc_dtype)
-    # Flat buffers allocated once per call; each chunk views a contiguous
-    # (M, K, cc) prefix, the layout a fresh array of that shape has.
-    size = m * k * min(chunk, c)
-    idx_buf = np.empty(size, dtype=np.intp)
-    prod_buf = np.empty(size, dtype=lut_flat.dtype)
+    idx_buf, prod_buf, kb = _block_buffers(m, k, min(chunk, c), lut_flat.dtype)
     for c0 in range(0, c, chunk):
         hi = min(c0 + chunk, c)
-        idx = idx_buf[: m * k * (hi - c0)].reshape(m, k, hi - c0)
-        prod = prod_buf[: idx.size].reshape(idx.shape)
-        np.add(wrow[:, :, None], xq[None, :, c0:hi], out=idx)
-        np.take(lut_flat, idx, out=prod, mode="clip")
-        out[:, c0:hi] = prod.sum(axis=1, dtype=np.int64)
+        acc = np.zeros((m, hi - c0), dtype=np.int64)
+        for k0 in range(0, k, kb):
+            k1 = min(k0 + kb, k)
+            idx, prod = _block_views(idx_buf, prod_buf, (m, k1 - k0, hi - c0))
+            np.add(wrow[:, k0:k1, None], xq[None, k0:k1, c0:hi], out=idx)
+            np.take(lut_flat, idx, out=prod, mode="clip")
+            acc += prod.sum(axis=1, dtype=np.int64)
+        out[:, c0:hi] = acc
     return out
 
 
@@ -220,10 +244,9 @@ def backward_grads(
 
 def _c_backward(engine, wq, xq, gout, xq_bounds, need_gx):
     wrow = (wq * engine.levels).astype(np.int64)
-    xq32 = np.ascontiguousarray(xq, dtype=np.int32)
     planes = engine._grad_byte_planes() if lutkernel.vbmi_trusted() else None
     res = lutkernel.fused_backward_grads(
-        engine.grad_w_flat, engine.grad_x_flat, wrow, xq32, gout,
+        engine.grad_w_flat, engine.grad_x_flat, wrow, xq, gout,
         engine.chunk, None, planes, xq_bounds, need_gx,
     )
     if res is not None:
@@ -250,25 +273,24 @@ def _numpy_backward(
     wrow = np.asarray(wrow, dtype=np.intp)
     gw = np.zeros((m, k), dtype=np.float64)
     gx = np.empty((k, c), dtype=np.float32) if need_gx else None
-    # As in _numpy_forward: per-call buffers, a contiguous prefix a chunk.
-    size = m * k * min(chunk, c)
-    idx_buf = np.empty(size, dtype=np.intp)
-    grad_buf = np.empty(size, dtype=np.float32)
+    # As in _numpy_forward: per-call buffers, a contiguous prefix a block.
+    idx_buf, grad_buf, kb = _block_buffers(m, k, min(chunk, c), np.float32)
     for c0 in range(0, c, chunk):
         hi = min(c0 + chunk, c)
-        idx = idx_buf[: m * k * (hi - c0)].reshape(m, k, hi - c0)
-        buf = grad_buf[: idx.size].reshape(idx.shape)
-        np.add(wrow[:, :, None], xq[None, :, c0:hi], out=idx)
         g = gout[:, None, c0:hi]  # (M, 1, Cc), broadcast over K
-        # Gather + broadcast-multiply beats einsum here (~1.7x,
-        # measured): the contraction dims are small and memory-bound.
-        np.take(gw_flat, idx, out=buf, mode="clip")
-        np.multiply(buf, g, out=buf)
-        gw += buf.sum(axis=2)
-        if need_gx:
-            np.take(gx_flat, idx, out=buf, mode="clip")
+        for k0 in range(0, k, kb):
+            k1 = min(k0 + kb, k)
+            idx, buf = _block_views(idx_buf, grad_buf, (m, k1 - k0, hi - c0))
+            np.add(wrow[:, k0:k1, None], xq[None, k0:k1, c0:hi], out=idx)
+            # Gather + broadcast-multiply beats einsum here (~1.7x,
+            # measured): the contraction dims are small and memory-bound.
+            np.take(gw_flat, idx, out=buf, mode="clip")
             np.multiply(buf, g, out=buf)
-            gx[:, c0:hi] = buf.sum(axis=0)
+            gw[:, k0:k1] += buf.sum(axis=2)
+            if need_gx:
+                np.take(gx_flat, idx, out=buf, mode="clip")
+                np.multiply(buf, g, out=buf)
+                gx[k0:k1, c0:hi] = buf.sum(axis=0)
     return gw, gx
 
 
@@ -497,12 +519,14 @@ def _run_self_check() -> bool:
     recursive splits) plus a different, sequential order for the
     outer-axis reduction; the probe chunk sizes below (200, 64 over 450
     and 70 columns) drive the C kernel through all of them, single- and
-    multi-threaded.  The last probe additionally injects out-of-range
-    indices (diverged operands), which must clip into the tables the
-    way ``np.take(mode="clip")`` does.  So both C loop bodies are vetted:
-    probes 1-3 pass the in-bounds proof and run the unclamped gather,
-    probe 4 fails it and runs the clamp loop (traced as
-    ``lutkernel.gather.unclamped`` / ``.clamped``).  The C
+    multi-threaded.  The last probe additionally puts weight offsets
+    past both table ends (diverged weights), whose indices must clip
+    into the tables the way ``np.take(mode="clip")`` does.  So both C
+    loop bodies are vetted: probes 1-3 pass the in-bounds proof and run
+    the unclamped gather, probe 4 fails it and runs the clamp loop
+    (traced as ``lutkernel.gather.unclamped`` / ``.clamped``).  An
+    activation off the uint8 grid never reaches C (the numpy backward
+    runs instead).  The C
     input-gradient fold, which only the C backward's consumers call,
     joins the same verdict (:func:`_fold_probes_match`).  Any
     discrepancy pins the backward and the fold to numpy with a one-time
@@ -514,7 +538,7 @@ def _run_self_check() -> bool:
     gx_flat = rng.standard_normal(levels * levels).astype(np.float32)
     wq = rng.integers(0, levels, size=(3, 5))
     wrow = (wq * levels).astype(np.intp)
-    xq = rng.integers(0, levels, size=(5, 450)).astype(np.intp)
+    xq = rng.integers(0, levels, size=(5, 450)).astype(np.uint8)
     gout = rng.standard_normal((3, 450)).astype(np.float32)
     for chunk, cols, oob in ((200, 450, False), (64, 70, False),
                              (7, 450, False), (96, 450, True)):
@@ -525,14 +549,12 @@ def _run_self_check() -> bool:
             wrow_p = wrow.copy()
             wrow_p[0, 0] = -(1 << 40)
             wrow_p[2, 4] = 1 << 40
-            sub_x = sub_x.copy()
-            sub_x[1, ::7] = 3000
-            sub_x[3, 11] = -77
+            wrow_p[1, ::2] = levels * levels - 2
         want = _numpy_backward(gw_flat, gx_flat, wrow_p, sub_x, sub_g, chunk)
         for threads in (1, 2):
             got = lutkernel.fused_backward_grads(
-                gw_flat, gx_flat, wrow_p.astype(np.int64),
-                sub_x.astype(np.int32), sub_g, chunk, threads=threads,
+                gw_flat, gx_flat, wrow_p.astype(np.int64), sub_x, sub_g,
+                chunk, threads=threads,
             )
             if got is None:
                 return False
@@ -622,9 +644,11 @@ def serve_kernel_trusted() -> bool:
     The probe set exercises the corners the requant property tests pin
     -- shift == 0 (no half added), saturation ties at both rails,
     negative ``d0``/``m0`` -- plus per-tensor vs per-channel constant
-    strides, both accumulator dtypes, out-of-range gather indices, and
-    1/2 threads; the rank-1 lowering's :func:`lutkernel.requant_f64`
-    entry is probed on the same constants.  Any mismatch pins serving to
+    strides, both accumulator dtypes, weight offsets past both table
+    ends (the C clamp loop), and 1/2 threads; the rank-1 lowering's
+    :func:`lutkernel.requant_f64` entry is probed on the same constants,
+    and the C unfold (:func:`lutkernel.im2col_serve`) on geometries that
+    reach each of its row paths.  Any mismatch pins serving to
     the numpy pipeline with a one-time warning; kernel *unavailability*
     is not cached as failure.
     """
@@ -670,10 +694,15 @@ def _run_serve_self_check() -> bool:
     m, k, c = 4, 3, 23
     wq = rng.integers(0, levels, size=(m, k))
     wrow = (wq * levels).astype(np.int64)
-    xq = rng.integers(0, levels, size=(k, c)).astype(np.int32)
-    xq_oob = xq.copy()
-    xq_oob[0, ::5] = 4000
-    xq_oob[2, 3] = -99
+    xq = rng.integers(0, levels, size=(k, c)).astype(np.uint8)
+    colsum = xq.sum(axis=0, dtype=np.int64)
+    # Diverged weights: offsets before the table and past its end, near
+    # and far, so the clamp loop clips in both directions.
+    wrow_oob = wrow.copy()
+    wrow_oob[0, ::2] = -5
+    wrow_oob[1, 1] = -(1 << 40)
+    wrow_oob[2, 0] = lut.size
+    wrow_oob[3, 2] = 1 << 40
     # Constant sets covering the requant corners: shift == 0 rows (no
     # half), negative d0 and m0, tiny shifts that force saturation at
     # both rails, per-tensor (size-1) vs per-channel layouts.
@@ -695,17 +724,16 @@ def _run_serve_self_check() -> bool:
         (per_chan, zw_pc),
     )
     rails = ((0, 255), (30, 31))
-    for xqp in (xq, xq_oob):
-        colsum = xqp.sum(axis=0, dtype=np.int64)
+    for wrow_p in (wrow, wrow_oob):
         for (m0, d0, shift), zw in const_sets:
             for qlo, qhi in rails:
                 want = _serve_reference(
-                    lut, wrow, xqp, zw, m0, d0, shift, qlo, qhi
+                    lut, wrow_p, xq, zw, m0, d0, shift, qlo, qhi
                 )
                 for acc_dtype in (np.int64, np.int32):
                     for threads in (1, 2):
                         got = lutkernel.fused_serve(
-                            lut, wrow, xqp, colsum, zw, m0, d0, shift,
+                            lut, wrow_p, xq, colsum, zw, m0, d0, shift,
                             qlo, qhi, acc_dtype=acc_dtype, threads=threads,
                         )
                         if got is None:
@@ -727,7 +755,6 @@ def _run_serve_self_check() -> bool:
     b = rng.integers(0, 13, size=levels)
     lut_sep = np.outer(a, b).ravel().astype(np.int32)
     acc = np.take(a.astype(np.float64), wq) @ np.take(b.astype(np.float64), xq)
-    colsum = xq.sum(axis=0, dtype=np.int64)
     for (m0, d0, shift), zw in const_sets:
         for qlo, qhi in rails:
             want = _serve_reference(
@@ -748,26 +775,33 @@ def _run_serve_self_check() -> bool:
                     stacklevel=3,
                 )
                 return False
-    # The C im2col (unfold + column sums in one pass) feeds the fused
-    # ops' gather operand, so it is held to the same standard: exact
-    # agreement with the numpy unfold (the numpy branch of
-    # approx.im2col_int), across strides, pads (including the zero-point
-    # border fill), and batches.
+    # The C im2col (the uint8 unfold, then its column sums) feeds every
+    # C gather, so it is held to the same standard: exact agreement with
+    # the numpy unfold (the numpy branch of approx.im2col_int), operand
+    # dtype included, across strides 1 and 2 (each with rows of one and
+    # of several vector pieces: the 70-pixel image), kernels 1 to 3, pads
+    # (including the zero-point border fill) and batches.
     from repro.nn.functional import im2col
 
     x_img = rng.integers(0, 256, size=(2, 3, 7, 6)).astype(np.uint8)
-    for kh, kw, stride, pad, zx in (
-        (3, 2, 1, 2, 7),
-        (2, 2, 2, 1, 255),
-        (3, 3, 1, 0, 0),
+    x_wide = rng.integers(0, 256, size=(2, 2, 4, 70)).astype(np.uint8)
+    for x, kh, kw, stride, pad, zx in (
+        (x_img, 3, 2, 1, 2, 7),
+        (x_img, 2, 2, 2, 1, 255),
+        (x_img, 3, 3, 1, 0, 0),
+        (x_img, 1, 1, 1, 0, 40),
+        (x_wide, 3, 3, 1, 1, 9),
+        (x_wide, 3, 3, 2, 1, 128),
+        (x_wide, 1, 1, 2, 0, 3),
     ):
-        got = lutkernel.im2col_serve(x_img, kh, kw, stride, pad, zx)
+        got = lutkernel.im2col_serve(x, kh, kw, stride, pad, zx)
         if got is None:
             return False
-        cols = im2col(x_img, kh, kw, stride, pad, pad_value=zx)
+        cols = im2col(x, kh, kw, stride, pad, pad_value=zx)
         want = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
         if not (
-            np.array_equal(got[0], want)
+            got[0].dtype == np.uint8
+            and np.array_equal(got[0], want)
             and np.array_equal(got[1], want.sum(axis=0, dtype=np.int64))
         ):
             warnings.warn(

@@ -32,8 +32,9 @@ JIT-compiles single-pass C kernels at first use:
   LUT) lowering instead of a gather; one inline C tail serves both.
 
 * ``im2col_serve`` / ``fold_input_grad`` -- the conv layers' unfold of a
-  uint8 image into the ``(K, N*L)`` gather operand (``Z_x`` padding,
-  column sums fused in), and its adjoint for the retraining backward:
+  uint8 image into the uint8 ``(K, N*L)`` gather operand (``Z_x``
+  padding) and its column sums, and its adjoint for the retraining
+  backward:
   the fold of the raw activation gradient back onto the image, with the
   zero-point column term, the ``/ s_x`` and the clipped-STE pixel mask
   applied per tap, in numpy's ``col2im`` order (bit-identical, vetted by
@@ -55,6 +56,15 @@ JIT-compiles single-pass C kernels at first use:
   (verified at runtime by :mod:`repro.core.execcore` before the kernel
   is trusted).
 
+One activation operand: every gather reads ``xq`` as C-contiguous
+uint8, the 8-bit grid the LUTs are indexed on, from the unfold to the
+last lookup.  A uint8 array passes through without a copy; another
+integer array whose extrema lie in ``[0, 255]`` is narrowed once
+(:func:`_activation_operand`); an activation off the grid (a NaN
+quantized to INT32_MIN) makes the entry point return ``None``, and the
+caller runs the numpy reference, which clips the flat index the same
+way.
+
 Two gather bodies: both gathers (the forward behind
 ``fused_product_sums`` and ``fused_serve``, and ``fused_backward_grads``)
 have a scalar C loop and an in-register AVX-512 VBMI body.  Each (m, k) reads one fixed
@@ -72,7 +82,7 @@ them into a tile and sums with its lanes over rows, in the scalar
 pairwise order.  A body runs when every condition holds
 (:func:`_gather_body`): the host has VBMI and BW (read once at kernel
 load), the caller passed the planes, the in-bounds proof below holds
-with ``min(wrow) >= 0`` and ``xq`` in ``[0, 255]``, for the forward
+with ``min(wrow) >= 0``, for the forward
 ``K <= VBMI_MAX_K`` (its int32 sums cannot overflow),
 ``C >= VBMI_MIN_C`` (``VBMI_BWD_MIN_C`` for the backward: below these
 measured crossovers the per-row costs and the padded 64-lane blocks
@@ -85,7 +95,7 @@ are bit-identical.  Each call counts its body as
 ``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.
 
 Index clamping: every gather here must match the numpy path's
-``np.take(..., mode="clip")``, including on diverged operands (NaN
+``np.take(..., mode="clip")``, including on diverged weights (NaN
 weights quantized to INT32_MIN).  Each wrapper first tries to prove
 every flat index in range from the operand extrema
 (:func:`_gather_in_bounds`; for the backward, against the smaller
@@ -96,11 +106,11 @@ same order, so the choice never changes a result.
 
 Optional threading: ``REPRO_LUTKERNEL_THREADS=N`` splits the scalar
 forward over row blocks, the VBMI forward over 128-column tiles (each
-thread narrows the activation tiles it owns) -- or, with fewer tiles
+thread copies the activation tiles it owns) -- or, with fewer tiles
 than threads, over row blocks too -- and both backward bodies over
-chunk-aligned column blocks (the VBMI body narrows each activation row
-of its chunks once, and transposes its table and ``gout`` tiles, into
-per-thread scratch).
+chunk-aligned column blocks (the VBMI body transposes each activation
+row of its chunks, and its table and ``gout`` tiles, into per-thread
+scratch).
 ctypes releases the GIL for the duration of each call, partitions are
 disjoint, and the weight-gradient merge always runs in global chunk
 order, so results are bit-identical for every thread count.
@@ -161,6 +171,14 @@ static inline long clamp_idx(int64_t id, long n)
     return (long) id;
 }
 
+/* Bit i set for the first n of 64 byte lanes (none for n <= 0): the
+ * load/store mask of a partial 64-byte piece. */
+static inline uint64_t first_lanes(long n)
+{
+    if (n <= 0) return 0;
+    return n >= 64 ? ~0ULL : (1ULL << n) - 1;
+}
+
 /* ------------------------------------------------------------------
  * Packed arguments of the forward gather (gather_call, below), which
  * serves both forward entry points.  A serving plan op calls it once
@@ -176,7 +194,7 @@ typedef struct {
     int64_t lut;        /* const int32_t*, n_lut entries */
     int64_t n_lut;
     int64_t wrow;       /* const int64_t*, (M, K): wq * levels */
-    int64_t xq;         /* const int32_t*, (K, C) quantized acts */
+    int64_t xq;         /* const uint8_t*, (K, C) quantized acts */
     int64_t K, C;
     int64_t fast;       /* the caller's in-bounds proof held */
     int64_t acc_is32;   /* acc is int32_t*, else int64_t* */
@@ -260,7 +278,7 @@ DEFINE_REQUANT_ROW(requant_row_i64, int64_t)
  * looked up once per column.  The caller (Python) splits a uint16 LUT
  * into two byte planes -- low bytes, then high bytes, each followed by
  * PLANE_PAD bytes so a row load at wrow = n_lut - 1 stays inside the
- * array -- and the body narrows xq to uint8 one tile at a time
+ * array -- and the body copies the uint8 xq one tile at a time
  * (xq_tile_u8).  Per (m, k) the row's two planes are eight zmm
  * registers; per 64 activations the gather is four vpermi2b (two per
  * plane, 128 bytes each) and two byte blends on index bit 7.  7-bit and
@@ -292,25 +310,25 @@ DEFINE_REQUANT_ROW(requant_row_i64, int64_t)
 #include <immintrin.h>
 #define VBMI_TARGET __attribute__((target("avx512f,avx512bw,avx512vbmi")))
 
-/* Narrow the K x 128 tile of xq (K, C) int32 starting at column c0 to
- * uint8, zero-padded past column C, into the per-thread buffer xt
- * (K * VBMI_TILE bytes).  Each element is narrowed once per row block:
- * once per call when threads own column tiles, once per thread when
- * fewer tiles than threads split rows.  The tile is contiguous, so it
- * stays in cache across all rows; in the (K, C) layout a power-of-two
- * C would map its K rows onto a few cache sets. */
-static inline VBMI_TARGET void xq_tile_u8(const int32_t *restrict xq,
+/* Copy the K x 128 tile of the uint8 xq (K, C) starting at column c0,
+ * zero-padded past column C, into the per-thread buffer xt (K *
+ * VBMI_TILE bytes, 64-byte aligned): two masked 64-byte loads and
+ * stores per row.  Each element is copied once per row block: once per
+ * call when threads own column tiles, once per thread when fewer tiles
+ * than threads split rows.  The tile is contiguous, so it stays in
+ * cache across all rows; in the (K, C) layout a power-of-two C would map
+ * its K rows onto a few cache sets. */
+static inline VBMI_TARGET void xq_tile_u8(const uint8_t *restrict xq,
                                           long K, long C, long c0,
                                           uint8_t *restrict xt)
 {
-    const long w = C - c0 < VBMI_TILE ? C - c0 : VBMI_TILE;
+    const __mmask64 lo = first_lanes(C - c0);
+    const __mmask64 hi = first_lanes(C - c0 - 64);
     for (long k = 0; k < K; k++) {
-        const int32_t *src = xq + k * C + c0;
+        const uint8_t *src = xq + k * C + c0;
         uint8_t *dst = xt + k * VBMI_TILE;
-        for (long i = 0; i < w; i++)
-            dst[i] = (uint8_t) src[i];
-        for (long i = w; i < VBMI_TILE; i++)
-            dst[i] = 0;
+        _mm512_store_si512(dst, _mm512_maskz_loadu_epi8(lo, src));
+        _mm512_store_si512(dst + 64, _mm512_maskz_loadu_epi8(hi, src + 64));
     }
 }
 
@@ -435,7 +453,7 @@ static inline VBMI_TARGET void vbmi_tile(const uint8_t *restrict lo,
  * tail, or are stored to the sums, widened to the accumulator width. */
 static VBMI_TARGET void gather_vbmi(const gather_args *a,
                                     const int64_t *restrict wrow,
-                                    const int32_t *restrict xq)
+                                    const uint8_t *restrict xq)
 {
     const uint8_t *lo = (const uint8_t *) a->planes;
     const uint8_t *hi = lo + a->n_lut + PLANE_PAD;
@@ -497,8 +515,8 @@ int gather_vbmi_supported(void)
  * (_gather_in_bounds, shared with the backward) checks
  * min(wrow) + min(xq) >= 0 and max(wrow) + max(xq) < n_lut with SIMD
  * numpy reductions (serving plan ops cache the input-independent wrow
- * bounds), which holds for every real operand (wq in [0, levels), xq on
- * the uint8 grid).  When set, the gather indexes the table directly,
+ * bounds), which holds for every real operand (wq in [0, levels), the
+ * uint8 xq).  When set, the gather indexes the table directly,
  * skipping clamp_idx -- whose cmp/cmov chain sits on the
  * address-generation critical path and costs ~2.7x on conv-shaped
  * gathers; otherwise every lookup goes through clamp_idx, so diverged
@@ -515,8 +533,8 @@ int gather_vbmi_supported(void)
  * Two bodies: non-NULL planes (the LUT's byte planes, with xt a
  * K * VBMI_TILE-byte scratch tile) select the in-register VBMI body
  * (gather_vbmi, above) over columns [c_lo, c_hi), which the wrapper only
- * passes when the host has VBMI, the proof holds with min(wrow) >= 0 and
- * xq in [0, 255], the LUT fits uint16, K < 32768 and C >= VBMI_MIN_C
+ * passes when the host has VBMI, the proof holds with min(wrow) >= 0,
+ * the LUT fits uint16, K < 32768 and C >= VBMI_MIN_C
  * (the measured crossover, so C == 1 never reaches it), and the body
  * passed its self-check.  Otherwise the scalar loops below run over all
  * columns -- the only body off x86.
@@ -524,7 +542,7 @@ int gather_vbmi_supported(void)
 #define DEFINE_GATHER_RANGE(NAME, ACC_T, REQUANT_ROW)                   \
 static void NAME(const gather_args *a, const int32_t *restrict lut,     \
                  const int64_t *restrict wrow,                          \
-                 const int32_t *restrict xq, ACC_T *restrict acc)       \
+                 const uint8_t *restrict xq, ACC_T *restrict acc)       \
 {                                                                       \
     if (a->planes) {                                                    \
         gather_vbmi(a, wrow, xq);                                       \
@@ -559,14 +577,14 @@ static void NAME(const gather_args *a, const int32_t *restrict lut,     \
             if (fast) {                                                 \
                 for (long k = 0; k < K; k++) {                          \
                     const int64_t base = wr[k];                         \
-                    const int32_t *xrow = xq + k * C;                   \
+                    const uint8_t *xrow = xq + k * C;                   \
                     for (long c = 0; c < C; c++)                        \
                         row[c] += lut[base + xrow[c]];                  \
                 }                                                       \
             } else {                                                    \
                 for (long k = 0; k < K; k++) {                          \
                     const int64_t base = wr[k];                         \
-                    const int32_t *xrow = xq + k * C;                   \
+                    const uint8_t *xrow = xq + k * C;                   \
                     for (long c = 0; c < C; c++)                        \
                         row[c] += lut[clamp_idx(base + xrow[c], n_lut)]; \
                 }                                                       \
@@ -586,7 +604,7 @@ void gather_call(const gather_args *a)
 {
     const int32_t *lut = (const int32_t *) a->lut;
     const int64_t *wrow = (const int64_t *) a->wrow;
-    const int32_t *xq = (const int32_t *) a->xq;
+    const uint8_t *xq = (const uint8_t *) a->xq;
     if (a->acc_is32)
         gather_range_i32(a, lut, wrow, xq, (int32_t *) a->acc);
     else
@@ -641,91 +659,173 @@ void requant_f64_call(const requant_f64_args *a)
 }
 
 /* Serving-path im2col: unfold (N, Cin, H, W) uint8 activations into
- * the (K, NC) int32 gather operand (K = Cin*kh*kw, NC = N*oh*ow),
- * padding with the uint8 activation zero point zx, and accumulate the
- * per-column sums (the zero-point correction operand) in the same
- * pass.  Replaces a numpy strided copy + int32 convert + column sum
- * (~70us on a 24x24 conv layer) with one ~15us sweep.  Pure data
- * movement: bit-identical to the numpy path by construction, and
- * proven so per platform by the execcore serve self-check. */
+ * the (K, NC) uint8 gather operand (K = Cin*kh*kw, NC = N*oh*ow),
+ * padding with the uint8 activation zero point zx, then sum the operand
+ * per column (the zero-point correction operand) in a pass of its own.
+ * The operand has the image's dtype, so an output row (the ow bytes of
+ * one (k, n, y)) is a strided slice of an image row, copied inline: a
+ * memcpy call per 4-32-byte row costs more than the copy.  With AVX-512
+ * BW a stride-1 row takes one masked 64-byte load and store per 64
+ * pixels, and a stride-2 row one masked load and one word-to-byte
+ * narrowing (the even bytes) per 32; the border lanes come from the
+ * zero-point vector under the load mask, so no byte outside the image
+ * is read.  Rows of up to one piece keep their masks in registers
+ * across the image's rows (per-row mask arithmetic measured ~2x slower
+ * on 4-32-pixel rows).  Other strides, and hosts without AVX-512 BW,
+ * pick their pixels one at a time.  Pure data movement: bit-identical
+ * to the numpy unfold by construction, and proven so per platform by
+ * the execcore serve self-check. */
 typedef struct {
     int64_t x;        /* const uint8_t*, (N, Cin, H, W) C-contiguous */
-    int64_t out;      /* int32_t*, (K, NC) */
+    int64_t out;      /* uint8_t*, (K, NC) */
     int64_t colsum;   /* int64_t*, (NC,) -- written, not read */
     int64_t N, Cin, H, W;
     int64_t kh, kw, stride, pad, zx;
     int64_t oh, ow;
 } im2col_args;
 
+/* The oh output rows of one tap (i, j) over one image plane, written at
+ * o; returns o past them.  Output row y reads image row y * stride + r0
+ * (r0 = i - pad) when y lies in [y0, y1), the border otherwise, and
+ * output pixel xx reads pixel s + xx * stride (s = j - pad). */
+static uint8_t *unfold_plane(uint8_t *restrict o,
+                             const uint8_t *restrict plane, long r0,
+                             long y0, long y1, long oh, long ow,
+                             long stride, long W, long s, uint8_t zx)
+{
+    for (long y = 0; y < oh; y++, o += ow) {
+        const int inside = y >= y0 && y < y1;
+        const uint8_t *xrow = inside ? plane + (y * stride + r0) * W : plane;
+        for (long xx = 0; xx < ow; xx++) {
+            const long xs = s + xx * stride;
+            o[xx] = (!inside || xs < 0 || xs >= W) ? zx : xrow[xs];
+        }
+    }
+    return o;
+}
+
+#if defined(__AVX512BW__) && defined(__AVX512VL__)
+#define UNFOLD_SIMD 1
+
+/* Lanes of a 64-pixel piece from pixel s0 that lie in a W-pixel row. */
+static inline __mmask64 row_lanes(long s0, long W)
+{
+    return first_lanes(W - s0) & ~first_lanes(-s0);
+}
+
+/* One loaded piece v into the output under the store mask st: all 64
+ * bytes at stride 1, the 32 even bytes at stride 2. */
+static inline void unfold_store(uint8_t *o, __mmask64 st, __m512i v,
+                                long stride)
+{
+    if (stride == 1)
+        _mm512_mask_storeu_epi8(o, st, v);
+    else
+        _mm256_mask_storeu_epi8(o, (__mmask32) st, _mm512_cvtepi16_epi8(v));
+}
+
+/* unfold_plane at stride 1 or 2, a piece (64 / stride output pixels) at
+ * a time; z holds zx in every lane.  Addresses are formed as integers:
+ * a piece may start before its row (s0 < 0), where its mask is clear. */
+static uint8_t *unfold_plane_simd(uint8_t *restrict o,
+                                  const uint8_t *restrict plane, long r0,
+                                  long y0, long y1, long oh, long ow,
+                                  long stride, long W, long s, __m512i z)
+{
+    const long step = 64 / stride;
+    const uintptr_t base = (uintptr_t) plane + r0 * W + s;
+    if (ow <= step) {
+        const __mmask64 in = row_lanes(s, W), st = first_lanes(ow);
+        long y = 0;
+        for (; y < y0; y++, o += ow)
+            unfold_store(o, st, z, stride);
+        for (; y < y1; y++, o += ow)
+            unfold_store(o, st, _mm512_mask_loadu_epi8(
+                z, in, (const void *) (base + y * stride * W)), stride);
+        for (; y < oh; y++, o += ow)
+            unfold_store(o, st, z, stride);
+        return o;
+    }
+    for (long y = 0; y < oh; y++, o += ow)
+        for (long x0 = 0; x0 < ow; x0 += step) {
+            const long s0 = s + x0 * stride;
+            const __mmask64 in = y < y0 || y >= y1 ? 0 : row_lanes(s0, W);
+            unfold_store(o + x0, first_lanes(ow - x0),
+                         _mm512_mask_loadu_epi8(z, in, (const void *) (
+                             base + y * stride * W + x0 * stride)),
+                         stride);
+        }
+    return o;
+}
+#endif
+
+/* colsum[col] = sum_k out[k, col] over the (K, NC) operand: per block of
+ * columns, uint16 partial sums over at most 256 rows (256 * 255 < 2**16),
+ * widened into the int64 sums. */
+#define COLSUM_BLOCK 2048
+static void unfold_colsum(const uint8_t *restrict out, long K, long NC,
+                          int64_t *restrict colsum)
+{
+    uint16_t part[COLSUM_BLOCK];
+    for (long c0 = 0; c0 < NC; c0 += COLSUM_BLOCK) {
+        const long w = NC - c0 < COLSUM_BLOCK ? NC - c0 : COLSUM_BLOCK;
+        int64_t *restrict cs = colsum + c0;
+        for (long i = 0; i < w; i++)
+            cs[i] = 0;
+        for (long k0 = 0; k0 < K; k0 += 256) {
+            const long k1 = k0 + 256 < K ? k0 + 256 : K;
+            for (long i = 0; i < w; i++)
+                part[i] = 0;
+            for (long k = k0; k < k1; k++) {
+                const uint8_t *restrict row = out + k * NC + c0;
+                for (long i = 0; i < w; i++)
+                    part[i] += row[i];
+            }
+            for (long i = 0; i < w; i++)
+                cs[i] += part[i];
+        }
+    }
+}
+
 void im2col_serve_call(const im2col_args *a)
 {
-    const uint8_t *restrict x = (const uint8_t *) a->x;
-    int32_t *restrict out = (int32_t *) a->out;
-    int64_t *restrict colsum = (int64_t *) a->colsum;
+    const uint8_t *x = (const uint8_t *) a->x;
     const long N = (long) a->N, Cin = (long) a->Cin;
     const long H = (long) a->H, W = (long) a->W;
     const long kh = (long) a->kh, kw = (long) a->kw;
     const long stride = (long) a->stride, pad = (long) a->pad;
     const long oh = (long) a->oh, ow = (long) a->ow;
-    const int32_t zx = (int32_t) a->zx;
-    const long NC = N * oh * ow;
-    for (long col = 0; col < NC; col++)
-        colsum[col] = 0;
-    int32_t *o = out;
+    const uint8_t zx = (uint8_t) a->zx;
+    uint8_t *const out = (uint8_t *) a->out;
+    uint8_t *o = out;
+#ifdef UNFOLD_SIMD
+    const __m512i z = _mm512_set1_epi8((char) zx);
+#endif
     for (long ci = 0; ci < Cin; ci++)
-    for (long i = 0; i < kh; i++)
-    for (long j = 0; j < kw; j++) {
-        /* One output row k = (ci*kh + i)*kw + j; o and cs walk the NC
-         * columns (nn, y, xx) in order. */
-        int64_t *cs = colsum;
+    for (long i = 0; i < kh; i++) {
+        /* Output rows [y0, y1) read an image row, the rest the border. */
+        long y0 = pad - i > 0 ? (pad - i + stride - 1) / stride : 0;
+        long y1 = H + pad - i > 0 ? (H + pad - i + stride - 1) / stride : 0;
+        if (y0 > oh) y0 = oh;
+        if (y1 > oh) y1 = oh;
+        if (y1 < y0) y1 = y0;
+        /* Output row k = (ci*kh + i)*kw + j: o walks its NC columns
+         * (nn, y, xx) in order. */
+        for (long j = 0; j < kw; j++)
         for (long nn = 0; nn < N; nn++) {
-            const uint8_t *xc = x + (nn * Cin + ci) * H * W;
-            for (long y = 0; y < oh; y++) {
-                const long ys = y * stride + i - pad;
-                if (ys < 0 || ys >= H) {
-                    for (long xx = 0; xx < ow; xx++) {
-                        *o++ = zx;
-                        *cs++ += zx;
-                    }
-                    continue;
-                }
-                const uint8_t *xrow = xc + ys * W;
-                if (stride == 1) {
-                    /* Split the row at the pad borders once instead of
-                     * bounds-checking every element. */
-                    long x0 = pad - j;
-                    if (x0 < 0) x0 = 0;
-                    if (x0 > ow) x0 = ow;
-                    long x1 = W + pad - j;
-                    if (x1 > ow) x1 = ow;
-                    if (x1 < x0) x1 = x0;
-                    long xx = 0;
-                    for (; xx < x0; xx++) {
-                        *o++ = zx;
-                        *cs++ += zx;
-                    }
-                    const uint8_t *src = xrow + j - pad;
-                    for (; xx < x1; xx++) {
-                        const int32_t v = (int32_t) src[xx];
-                        *o++ = v;
-                        *cs++ += v;
-                    }
-                    for (; xx < ow; xx++) {
-                        *o++ = zx;
-                        *cs++ += zx;
-                    }
-                } else {
-                    for (long xx = 0; xx < ow; xx++) {
-                        const long xs = xx * stride + j - pad;
-                        const int32_t v =
-                            (xs < 0 || xs >= W) ? zx : (int32_t) xrow[xs];
-                        *o++ = v;
-                        *cs++ += v;
-                    }
-                }
+            const uint8_t *plane = x + (nn * Cin + ci) * H * W;
+#ifdef UNFOLD_SIMD
+            if (stride <= 2) {
+                o = unfold_plane_simd(o, plane, i - pad, y0, y1, oh, ow,
+                                      stride, W, j - pad, z);
+                continue;
             }
+#endif
+            o = unfold_plane(o, plane, i - pad, y0, y1, oh, ow, stride, W,
+                             j - pad, zx);
         }
     }
+    unfold_colsum(out, Cin * kh * kw, N * oh * ow, (int64_t *) a->colsum);
 }
 
 /* Input-gradient fold of an approximate conv layer: the adjoint of the
@@ -850,11 +950,11 @@ static float pairwise_sum_f32(const float *a, long n)
  * lane L, dword i holds the lookup of index byte 16 L + 4 j + i.  Column
  * order needs column 16 j + 4 L + i there, so xq_row_u8 applies that
  * 4x4 transpose (128-bit lane L against dword group j) to the index
- * bytes as it narrows them, once per index row, and every gathered
+ * bytes as it copies them, once per index row, and every gathered
  * float vector comes out in column order.  Each gx element adds its
  * products in ascending m from 0.0f, as the scalar loop does, straight
  * into the float32 output row: within a block of BWD_ROWS rows the loop
- * runs k outermost, so the chunk's slice of one gx row and one narrowed
+ * runs k outermost, so the chunk's slice of one gx row and one transposed
  * index row stay in L1 across the block's rows, and blocks run in
  * ascending m.  A last, partial 64-lane block loads and stores under a
  * mask, so it never touches another chunk's (or thread's) columns.
@@ -882,27 +982,19 @@ static float pairwise_sum_f32(const float *a, long n)
 #define GW_VALUES 256 /* rows of T: one per uint8 activation value */
 
 #if defined(__x86_64__)
-/* Narrow the cc columns at src (one row of xq, values in [0, 255]) to
- * uint8 in dst (64-byte aligned, cc rounded up to a multiple of 64, zero
- * past cc): index byte 16 L + 4 j + i of each 64-column block holds
- * column 16 j + 4 L + i. */
-static inline VBMI_TARGET void xq_row_u8(const int32_t *restrict src,
+/* The cc uint8 columns at src (one row of xq) into dst (64-byte
+ * aligned, cc rounded up to a multiple of 64, zero past cc), transposed
+ * in 4x4 blocks of dwords: index byte 16 L + 4 j + i of each 64-column
+ * block holds column 16 j + 4 L + i.  One masked load and one dword
+ * permute per 64 columns. */
+static inline VBMI_TARGET void xq_row_u8(const uint8_t *restrict src,
                                          long cc, uint8_t *restrict dst)
 {
     const __m512i order = _mm512_set_epi32(15, 11, 7, 3, 14, 10, 6, 2,
                                            13, 9, 5, 1, 12, 8, 4, 0);
-    for (long b = 0; b < cc; b += 64) {
-        const __mmask64 live = cc - b >= 64 ? ~0ULL : (1ULL << (cc - b)) - 1;
-        __m128i q[4];
-        for (int j = 0; j < 4; j++)
-            q[j] = _mm512_cvtepi32_epi8(_mm512_maskz_loadu_epi32(
-                (__mmask16) (live >> (16 * j)), src + b + 16 * j));
-        __m512i v = _mm512_castsi128_si512(q[0]);
-        v = _mm512_inserti32x4(v, q[1], 1);
-        v = _mm512_inserti32x4(v, q[2], 2);
-        v = _mm512_inserti32x4(v, q[3], 3);
-        _mm512_store_si512(dst + b, _mm512_permutexvar_epi32(order, v));
-    }
+    for (long b = 0; b < cc; b += 64)
+        _mm512_store_si512(dst + b, _mm512_permutexvar_epi32(
+            order, _mm512_maskz_loadu_epi8(first_lanes(cc - b), src + b)));
 }
 
 /* The 64 bytes of one plane (quarters Q0..Q3) at the indices idx. */
@@ -987,7 +1079,7 @@ static inline VBMI_TARGET void bwd_pass(const uint8_t *restrict row, long ps,
  * chunk width rounded up to a multiple of 64 index bytes. */
 static VBMI_TARGET void backward_gx_vbmi(
     const uint8_t *restrict planes, long n_gx,
-    const int64_t *restrict wrow, const int32_t *restrict xq,
+    const int64_t *restrict wrow, const uint8_t *restrict xq,
     const float *restrict gout, float *restrict gx,
     uint8_t *restrict xt, long M, long K, long C,
     long chunk, long c_lo, long c_hi)
@@ -1056,7 +1148,7 @@ static inline VBMI_TARGET void transpose16(const float *const *src, long off,
 /* The 16 lanes' products of column i: T[x[i]] * gT[i], table first. */
 static inline VBMI_TARGET __m512 lane_prod(const float *restrict T,
                                            const float *restrict gT,
-                                           const int32_t *restrict x, long i)
+                                           const uint8_t *restrict x, long i)
 {
     return _mm512_mul_ps(_mm512_load_ps(T + GW_LANES * (long) x[i]),
                          _mm512_load_ps(gT + GW_LANES * i));
@@ -1068,7 +1160,7 @@ static inline VBMI_TARGET __m512 lane_prod(const float *restrict T,
  * down to a multiple of 8. */
 static VBMI_TARGET __m512 lane_pairwise(const float *restrict T,
                                         const float *restrict gT,
-                                        const int32_t *restrict x, long n)
+                                        const uint8_t *restrict x, long n)
 {
     if (n < 8) {
         __m512 res = _mm512_setzero_ps();
@@ -1105,8 +1197,8 @@ static VBMI_TARGET __m512 lane_pairwise(const float *restrict T,
 static VBMI_TARGET void lane_pairwise2(const float *restrict T0,
                                        const float *restrict T1,
                                        const float *restrict gT,
-                                       const int32_t *restrict x0,
-                                       const int32_t *restrict x1, long n,
+                                       const uint8_t *restrict x0,
+                                       const uint8_t *restrict x1, long n,
                                        __m512 *s0, __m512 *s1)
 {
 #define PROD2(I)                                                        \
@@ -1188,7 +1280,7 @@ static inline VBMI_TARGET void table_tile(const float *restrict gwtab,
  * then gT, the chunk width rounded up to 16 times GW_LANES floats. */
 static VBMI_TARGET void backward_gw_vbmi(
     const float *restrict gwtab, const int64_t *restrict wrow,
-    const int32_t *restrict xq, const float *restrict gout,
+    const uint8_t *restrict xq, const float *restrict gout,
     float *restrict gw_part, float *restrict tile, long M, long K,
     long C, long chunk, long xmax, long c_lo, long c_hi)
 {
@@ -1271,7 +1363,7 @@ static VBMI_TARGET void backward_gw_vbmi(
  * Two bodies: non-NULL planes (byte_planes of the gx table, with xt a
  * 64-byte-aligned index row and xmax = max(xq)) select the in-register
  * VBMI body above, which the wrapper only passes under the forward's
- * conditions (the proof with min(wrow) >= 0 and xq in [0, 255], the
+ * conditions (the proof with min(wrow) >= 0, the
  * self-check) but with its own crossover, C >= VBMI_BWD_MIN_C.
  * Otherwise the scalar loop below runs -- the only body off x86.
  */
@@ -1279,7 +1371,7 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
                           const float *restrict gxtab, long n_gx,
                           /* (M, K): wq * levels */
                           const int64_t *restrict wrow,
-                          const int32_t *restrict xq,     /* (K, C) */
+                          const uint8_t *restrict xq,     /* (K, C) */
                           const float *restrict gout,     /* (M, C) */
                           /* (n_chunks, M, K) */
                           float *restrict gw_part,
@@ -1310,7 +1402,7 @@ void backward_grads_range(const float *restrict gwtab, long n_gw,
             const float *grow = gout + m * C + c0;
             for (long k = 0; k < K; k++) {
                 const int64_t base = wr[k];
-                const int32_t *xrow = xq + k * C + c0;
+                const uint8_t *xrow = xq + k * C + c0;
                 if (!gx) {
                     for (long c = 0; c < cc; c++) {
                         const int64_t id = base + xrow[c];
@@ -1434,7 +1526,7 @@ def _compile() -> "ctypes.CDLL | None":
         )
         return None
     _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    _i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    _u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     _f32 = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
     _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     _long = ctypes.c_long
@@ -1450,16 +1542,14 @@ def _compile() -> "ctypes.CDLL | None":
     bwd = lib.backward_grads_range
     bwd.restype = None
     bwd.argtypes = [
-        _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _ptr, _f32,
+        _f32, _long, _f32, _long, _i64, _u8, _f32, _f32, _ptr, _f32,
         *[_long] * 8, _ptr, _ptr,
     ]
     for gx_arg, fold in ((_f32, lib.fold_input_grad_range_f32),
                          (_f64, lib.fold_input_grad_range_f64)):
         fold.restype = None
         fold.argtypes = [
-            gx_arg, _f64,
-            np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),
-            _f64, ctypes.c_double, *[_long] * 12,
+            gx_arg, _f64, _u8, _f64, ctypes.c_double, *[_long] * 12,
         ]
     return lib
 
@@ -1590,7 +1680,7 @@ def _run_vbmi_self_check() -> bool:
     lut.reshape(levels, levels)[np.ix_(probe, probe)] = edges[spread % 4]
     planes = byte_planes(lut)
     wrow = (probe[spread % 6] * levels).astype(np.int64)  # (6, 6)
-    xq = rng.integers(0, levels, size=(6, 129)).astype(np.int32)
+    xq = rng.integers(0, levels, size=(6, 129)).astype(np.uint8)
     cols = np.arange(0, 129, 2)
     xq[:, cols] = probe[(np.arange(6)[:, None] + cols[None, :]) % 6]
     one = np.ones(1, dtype=np.int64)
@@ -1859,43 +1949,58 @@ def _gather_in_bounds(
     return _in_bounds(_extrema(wrow, xq, wrow_bounds, xq_bounds), n)
 
 
+def _activation_operand(xq: np.ndarray, ext) -> np.ndarray | None:
+    """``xq`` as the C gathers read it: C-contiguous uint8, or ``None``.
+
+    A uint8 array passes through (no copy when it is C-contiguous).
+    Another integer array whose extrema ``ext`` (:func:`_extrema`) lie
+    in ``[0, 255]`` is narrowed once.  Anything else -- an activation off
+    the uint8 grid, such as a NaN quantized to INT32_MIN -- gives
+    ``None``, and the caller runs the numpy reference, whose
+    ``np.take(mode="clip")`` of the flat index the C clamp loop matches
+    on the weight side.
+    """
+    if xq.dtype != np.uint8 and (
+        xq.dtype.kind not in "iu"
+        or (ext is not None and (ext[2] < 0 or ext[3] > 0xFF))
+    ):
+        return None
+    return np.ascontiguousarray(xq, dtype=np.uint8)
+
+
 def _gather_body(
     lut_size: int,
-    wrow: np.ndarray,
-    xq: np.ndarray,
+    ext: tuple[int, int, int, int] | None,
+    k: int,
+    c: int,
     planes: np.ndarray | None,
-    wrow_bounds: tuple[int, int] | None = None,
-    xq_bounds: tuple[int, int] | None = None,
     max_k: int | None = VBMI_MAX_K,
     min_c: int = VBMI_MIN_C,
 ) -> tuple[int, bool]:
     """Pick a gather body: ``(fast, vbmi)``.
 
-    ``fast`` is the in-bounds proof's flag (:func:`_gather_in_bounds`;
-    the backward passes the smaller gradient table's size);
-    ``vbmi`` says whether the VBMI body runs (else the scalar loop).
-    It needs all of: byte ``planes`` (a uint16 LUT, or the backward's
-    pair), the proof, ``min(wrow) >= 0`` and ``xq`` in ``[0, 255]`` -- so
-    a row load ``table[wrow + 0..255]`` never starts before the table,
-    which the proof alone allows (``wrow - 8`` with ``xq + 8``) --
-    ``K <= max_k`` (the forward's int32 bound ``VBMI_MAX_K``; the
-    backward's float sums have none), ``C >= min_c`` (the measured
-    crossover: ``VBMI_MIN_C``, the backward's ``VBMI_BWD_MIN_C``) and
-    :func:`vbmi_trusted`.  The proof's extrema are reused, so the choice
-    costs no extra scan.  Counted as ``lutkernel.gather.vbmi`` /
-    ``lutkernel.gather.scalar``.
+    ``ext`` holds the operand extrema (:func:`_extrema`, ``None`` at
+    ``K == 0``) of a ``(K, C)`` uint8 operand.  ``fast`` is the
+    in-bounds proof's flag (:func:`_gather_in_bounds`; the backward
+    passes the smaller gradient table's size); ``vbmi`` says whether the
+    VBMI body runs (else the scalar loop).  It needs all of: byte ``planes`` (a uint16 LUT, or
+    the backward's pair), the proof, ``min(wrow) >= 0`` -- so a row load
+    ``table[wrow + 0..255]`` never starts before the table, which the
+    proof alone allows (``wrow - 8`` with ``xq + 8``) -- ``K <= max_k``
+    (the forward's int32 bound ``VBMI_MAX_K``; the backward's float sums
+    have none), ``C >= min_c`` (the measured crossover: ``VBMI_MIN_C``,
+    the backward's ``VBMI_BWD_MIN_C``) and :func:`vbmi_trusted`.  The
+    proof's extrema are reused, so the choice costs no extra scan.
+    Counted as ``lutkernel.gather.vbmi`` / ``lutkernel.gather.scalar``.
     """
-    ext = _extrema(wrow, xq, wrow_bounds, xq_bounds)
     fast = _in_bounds(ext, lut_size)
     vbmi = (
         fast
         and planes is not None
         and ext is not None
         and ext[0] >= 0
-        and ext[2] >= 0
-        and ext[3] <= 0xFF
-        and (max_k is None or wrow.shape[1] <= max_k)
-        and xq.shape[1] >= min_c
+        and (max_k is None or k <= max_k)
+        and c >= min_c
         and vbmi_trusted()
     )
     _TRACE.count(
@@ -1908,12 +2013,11 @@ def _gather_blocks(m: int, c: int, k: int, vbmi: bool, nthreads: int):
     """Per-thread ``(m_lo, m_hi, c_lo, c_hi)`` blocks and VBMI tile scratch.
 
     The scalar loop splits rows.  The VBMI body splits 128-column tiles
-    instead: a thread narrows each tile it owns into its own
-    ``K x 128``-byte scratch, so every activation is narrowed once per
-    call and no ``K x C`` uint8 copy is ever allocated.  With fewer
-    tiles than threads (small C) it splits rows like the scalar loop,
-    each row block narrowing every tile for itself: ``K x C`` narrowing
-    per block against its ``rows x K x C`` lookups.
+    instead: a thread copies each tile it owns into its own
+    ``K x 128``-byte scratch, so every activation is copied once per
+    call.  With fewer tiles than threads (small C) it splits rows like
+    the scalar loop, each row block copying every tile for itself:
+    ``K x C`` bytes per block against its ``rows x K x C`` lookups.
     """
     if vbmi and -(-c // _VBMI_TILE) >= nthreads:
         blocks = [
@@ -1988,7 +2092,9 @@ def _gather(
     accumulator dtype among them, before any C call; picks the body
     (:func:`_gather_body`) and the per-thread blocks
     (:func:`_gather_blocks`); and runs one packed ``gather_call`` per
-    block, slots in the order of the C ``gather_args`` struct.
+    block, slots in the order of the C ``gather_args`` struct.  ``None``
+    when the kernel is unavailable or an activation is off the uint8 grid
+    (:func:`_activation_operand`).
     """
     _check_operands(who, (lut_flat,), wrow, xq, (planes,))
     acc_dtype = np.dtype(acc_dtype)
@@ -2019,10 +2125,11 @@ def _gather(
         tail_slots = (0,) * 10
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
-    xq = np.ascontiguousarray(xq, dtype=np.int32)
-    fast, vbmi = _gather_body(
-        lut_flat.size, wrow, xq, planes, wrow_bounds, xq_bounds
-    )
+    ext = _extrema(wrow, xq, wrow_bounds, xq_bounds)
+    xq = _activation_operand(xq, ext)
+    if xq is None:
+        return None
+    fast, vbmi = _gather_body(lut_flat.size, ext, k, c, planes)
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges, tiles = _gather_blocks(m, c, k, vbmi, nthreads)
     # The accumulator rows: the sums themselves, or with the tail one
@@ -2080,7 +2187,9 @@ def fused_product_sums(
     Args:
         lut_flat: Flat int32 product LUT of size ``levels**2``.
         wrow: (M, K) int64 precomputed row offsets (``wq * levels``).
-        xq: (K, C) int32 quantized activations, values in ``[0, levels)``.
+        xq: (K, C) quantized activations, values in ``[0, levels)``:
+            uint8 (read in place), or another integer dtype narrowed
+            once when its values lie in ``[0, 255]``.
         acc_dtype: ``np.int64`` (default) or ``np.int32``.  The int32
             variant halves accumulator write traffic; the caller must
             guarantee ``K * max|lut| < 2**31`` (see
@@ -2098,7 +2207,9 @@ def fused_product_sums(
 
     Returns:
         The (M, C) accumulator in ``acc_dtype``, or ``None`` when the
-        kernel is unavailable (callers must fall back to the numpy path).
+        kernel is unavailable or an activation lies outside ``[0, 255]``
+        (callers must fall back to the numpy path, which gives the same
+        bits).
 
     Raises:
         ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K,
@@ -2189,7 +2300,8 @@ def fused_serve(
     Args:
         lut_flat: Flat int32 product LUT of size ``levels**2``.
         wrow: (M, K) int64 precomputed row offsets (``wq * levels``).
-        xq: (K, C) int32 quantized activations.
+        xq: (K, C) quantized activations, as for
+            :func:`fused_product_sums`.
         colsum: (C,) int64 column sums of ``xq`` (shared across row
             blocks, so the caller computes it once).
         zw: Weight zero point(s): size 1 (per-tensor) or M (per-channel).
@@ -2221,7 +2333,8 @@ def fused_serve(
 
     Returns:
         The (M, C) uint8 output, or ``None`` when the kernel is
-        unavailable (callers fall back to the unfused numpy pipeline).
+        unavailable or an activation lies outside ``[0, 255]`` (callers
+        fall back to the unfused numpy pipeline).
 
     Raises:
         ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K,
@@ -2288,17 +2401,17 @@ def im2col_serve(
     pad: int,
     zx: int,
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """C im2col for the fused serving path, with column sums fused in.
+    """C im2col of an approximate conv layer, with its column sums.
 
     Unfolds uint8 activations ``(N, Cin, H, W)`` into the transposed
-    gather operand ``(Cin*kh*kw, N*OH*OW) int32`` expected by
-    :func:`fused_serve` -- the same layout as
+    uint8 gather operand ``(Cin*kh*kw, N*OH*OW)`` that every C gather
+    reads -- the same layout as
     ``im2col(x).transpose(1, 0, 2).reshape(K, -1)`` -- padding the
-    border with the activation zero point ``zx``, and accumulates the
-    per-column sums (the weight-zero-point correction operand) in the
-    same pass.  Pure data movement, so bit-identical to the numpy path;
-    the execcore serve self-check proves that per platform before the
-    serving backend is trusted.
+    border with the activation zero point ``zx``, then sums it per
+    column in int64 (the weight-zero-point correction operand).  Pure
+    data movement, so bit-identical to the numpy path; the execcore
+    serve self-check proves that per platform before the C unfold is
+    trusted.
 
     Returns ``(xq, colsum)`` or ``None`` when the kernel is unavailable
     (callers fall back to the numpy im2col pipeline).
@@ -2308,12 +2421,14 @@ def im2col_serve(
         return None
     if x.dtype != np.uint8 or x.ndim != 4:
         raise ValueError("im2col_serve expects a (N, C, H, W) uint8 array")
+    if not 0 <= zx <= 0xFF:
+        raise ValueError(f"im2col_serve: zero point {zx} is not a uint8")
     n, c, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     k = c * kh * kw
     nc = n * oh * ow
-    out = np.empty((k, nc), dtype=np.int32)
+    out = np.empty((k, nc), dtype=np.uint8)
     colsum = np.zeros(nc, dtype=np.int64)
     if k == 0 or nc == 0:
         return out, colsum
@@ -2449,9 +2564,12 @@ def fused_backward_grads(
     Returns ``(gw, gx)``: float64 ``(M, K)`` and float32 ``(K, C)``,
     the dtype the sums are made in, written in place by the kernel
     (``gx`` is ``None`` without ``need_gx``), or ``None`` when the
-    kernel is unavailable.  Raises ``ValueError`` when ``wrow`` / ``xq``
-    are not 2-D or disagree on K, ``gout`` is not ``(M, C)``, a table is
-    empty, ``chunk < 1``, or ``planes`` do not fit the ``gx`` table.
+    kernel is unavailable or an activation lies outside ``[0, 255]``
+    (``xq`` is read as :func:`fused_product_sums` reads it; the numpy
+    backward gives the same bits).  Raises ``ValueError`` when ``wrow``
+    / ``xq`` are not 2-D or disagree on K, ``gout`` is not ``(M, C)``, a
+    table is empty, ``chunk < 1``, or ``planes`` do not fit the ``gx``
+    table.
     """
     chunk = int(chunk)
     if planes is not None and not isinstance(planes, np.ndarray):
@@ -2465,10 +2583,13 @@ def fused_backward_grads(
     lib = _get_kernel()
     if lib is None:
         return None
-    gw_part, gx = _backward_parts(
+    parts = _backward_parts(
         lib, grad_w_flat, grad_x_flat, wrow, xq, gout, chunk, threads,
         planes, xq_bounds, need_gx,
     )
+    if parts is None:
+        return None
+    gw_part, gx = parts
     # Merge weight-gradient chunk partials in global chunk order: float64
     # accumulation of float32 chunk sums, exactly like the numpy path's
     # per-chunk ``gw += buf.sum(axis=2)``.  This is what keeps every
@@ -2482,26 +2603,34 @@ def fused_backward_grads(
 def _backward_parts(
     lib, grad_w_flat, grad_x_flat, wrow, xq, gout, chunk, threads, planes,
     xq_bounds, need_gx, out=None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None] | None:
     """``(gw_part, gx)``: :func:`fused_backward_grads` before its merge.
 
-    Runs on operands the caller has checked.  ``gw_part[ci, m, k]`` is
-    chunk ``ci``'s float32 pairwise sum.  Its zero signs do not survive
-    the merge into ``+0.0``, so the VBMI self-check compares these sums
-    between the two bodies directly.  ``out``, a C-contiguous float32
+    Runs on operands the caller has checked; ``None`` when an activation
+    is off the uint8 grid (:func:`_activation_operand`).
+    ``gw_part[ci, m, k]`` is chunk ``ci``'s float32 pairwise sum.  Its
+    zero signs do not survive the merge into ``+0.0``, so the VBMI
+    self-check compares these sums between the two bodies directly.  ``out``, a C-contiguous float32
     ``(K, C)`` array, receives ``gx`` in place of a new one (the
     self-check surrounds it with canaries).
     """
     m, k = wrow.shape
     k2, c = xq.shape
     n_chunks = -(-c // chunk)
+    degenerate = m == 0 or c == 0
+    if not degenerate:
+        wrow = np.ascontiguousarray(wrow, dtype=np.int64)
+        ext = _extrema(wrow, xq, xq_bounds=xq_bounds)
+        xq = _activation_operand(xq, ext)
+        if xq is None:
+            return None
     if need_gx:
         gx = np.empty((k2, c), dtype=np.float32) if out is None else out
         assert gx.dtype == np.float32 and gx.shape == (k2, c)
         assert gx.flags.c_contiguous
     else:
         gx = None
-    if m == 0 or c == 0:
+    if degenerate:
         # Matches the numpy path on degenerate shapes: zero weight
         # gradients, an empty/zero activation gradient, no kernel call.
         if gx is not None:
@@ -2509,21 +2638,18 @@ def _backward_parts(
         return np.zeros((n_chunks, m, k), dtype=np.float32), gx
     grad_w_flat = np.ascontiguousarray(grad_w_flat, dtype=np.float32)
     grad_x_flat = np.ascontiguousarray(grad_x_flat, dtype=np.float32)
-    wrow = np.ascontiguousarray(wrow, dtype=np.int64)
-    xq = np.ascontiguousarray(xq, dtype=np.int32)
     gout = np.ascontiguousarray(gout, dtype=np.float32)
     gw_part = np.empty((n_chunks, m, k), dtype=np.float32)
-    ext = _extrema(wrow, xq, xq_bounds=xq_bounds)
     fast, vbmi = _gather_body(
-        min(grad_w_flat.size, grad_x_flat.size), wrow, xq, planes,
-        ext and ext[:2], ext and ext[2:], max_k=None, min_c=VBMI_BWD_MIN_C,
+        min(grad_w_flat.size, grad_x_flat.size), ext, k2, c, planes,
+        max_k=None, min_c=VBMI_BWD_MIN_C,
     )
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _chunk_ranges(c, chunk, nthreads)
     # Per-thread scratch.  Scalar loop: the chunk's product row.  VBMI
     # body: the gw sum's two T tiles (16 lanes by 256 activation values,
     # one per k of a pair) and its gT tile (by the chunk width rounded up
-    # to 16), and the narrowed index row padded to whole 64-lane blocks.
+    # to 16), and the transposed index row padded to whole 64-lane blocks.
     width = min(chunk, c)
     if vbmi:
         n_tmp = 16 * (2 * 256 + -(-width // 16) * 16)

@@ -172,7 +172,8 @@ class FrozenAffine:
             buf += qp.zero_point
             np.rint(buf, out=buf)
             np.clip(buf, qp.qmin, qp.qmax, out=buf)
-            xq = buf.astype(np.int32).transpose(1, 0, 2).reshape(k, n * l)
+            xq = buf.astype(_activation_dtype(qp, buf))
+            xq = xq.transpose(1, 0, 2).reshape(k, n * l)
         with _TRACE.span("serve.gemm", cat="serve"):
             acc = self.engine.product_sums(self.wq, xq).astype(np.float64)
         with _TRACE.span("serve.dequantize", cat="serve"):
@@ -296,7 +297,7 @@ class _ApproxBase(Module):
     def _approx_affine(
         self,
         x: Tensor,
-        xq: np.ndarray,  # (K, C) int32 gather operand
+        xq: np.ndarray,  # (K, C) gather operand: uint8 on an 8-bit grid
         colsum: np.ndarray,  # (C,) int64 column sums of xq
         xq_bounds: tuple[int, int] | None,
         weight: Tensor,
@@ -392,22 +393,35 @@ class _ApproxBase(Module):
         return Tensor.make(out, parents, backward)
 
 
+def _activation_dtype(qp: QuantParams, q: np.ndarray) -> type:
+    """uint8 for values quantized on an 8-bit grid, else int32.
+
+    ``q`` holds the clipped (float or integer) quantized values; a NaN
+    among them (a diverged activation) keeps int32, where it reads
+    INT32_MIN, as :func:`quantize_array` gives it.
+    """
+    if q.size == 0 or not (0 <= qp.qmin and qp.qmax <= 0xFF):
+        return np.int32
+    return np.uint8 if 0 <= q.min() and q.max() <= 0xFF else np.int32
+
+
 def im2col_int(
     x: np.ndarray, kh: int, kw: int, stride: int, pad: int, zx: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantized im2col: the gather operand of an approximate conv layer.
 
     Unfolds a quantized ``(N, C, H, W)`` image into ``(xq, colsum)``:
-    the ``(C*kh*kw, N*OH*OW)`` int32 operand the LUT gathers read (the
-    layout of ``im2col(x).transpose(1, 0, 2).reshape(K, -1)``) and its
-    int64 column sums (the Eq. 8 weight-zero-point operand).  The border
-    is padded with the activation zero point ``zx``: ``Q(0) == Z``, so
-    this equals quantizing the float columns.  A uint8 image takes the
-    C unfold (:func:`repro.core.lutkernel.im2col_serve`, sums fused in)
-    when the serving self-check trusts it; any other image, or no C
-    kernel, takes numpy's :func:`repro.nn.functional.im2col`.  Counted
-    as ``approx.im2col.c`` / ``approx.im2col.numpy``.  Shared by the
-    training forward and the serving plan's gather ops.
+    the ``(C*kh*kw, N*OH*OW)`` operand the LUT gathers read (the layout
+    of ``im2col(x).transpose(1, 0, 2).reshape(K, -1)``), uint8 for a
+    uint8 image and int32 otherwise, and its int64 column sums (the
+    Eq. 8 weight-zero-point operand).  The border is padded with the
+    activation zero point ``zx``: ``Q(0) == Z``, so this equals
+    quantizing the float columns.  A uint8 image takes the C unfold
+    (:func:`repro.core.lutkernel.im2col_serve`) when the serving
+    self-check trusts it; any other image, or no C kernel, takes numpy's
+    :func:`repro.nn.functional.im2col`.  Counted as ``approx.im2col.c``
+    / ``approx.im2col.numpy``.  Shared by the training forward and the
+    serving plan's gather ops.
     """
     if x.dtype == np.uint8 and execcore.serve_kernel_trusted():
         res = lutkernel.im2col_serve(x, kh, kw, stride, pad, zx)
@@ -417,7 +431,8 @@ def im2col_int(
     _TRACE.count("approx.im2col.numpy")
     cols = F.im2col(x, kh, kw, stride, pad, pad_value=zx)
     xq = np.ascontiguousarray(
-        cols.transpose(1, 0, 2).reshape(cols.shape[1], -1), dtype=np.int32
+        cols.transpose(1, 0, 2).reshape(cols.shape[1], -1),
+        dtype=np.uint8 if x.dtype == np.uint8 else np.int32,
     )
     return xq, xq.sum(axis=0, dtype=np.int64)
 
@@ -488,7 +503,8 @@ class ApproxConv2d(_ApproxBase):
                 lo, hi = min(lo, zx), max(hi, zx)
             # The bounds of xq guard the uint8 narrowing and spare the
             # gathers their operand scans.  A NaN activation quantizes to
-            # INT32_MIN: the int32 unfold, and the gathers' clamp loops.
+            # INT32_MIN: the int32 unfold, and the numpy gathers, which
+            # clip the flat index.
             if 0 <= lo and hi <= 0xFF:
                 ximg = ximg.astype(np.uint8)
             xq, colsum = im2col_int(ximg, kh, kw, stride, pad, zx)
@@ -550,7 +566,8 @@ class ApproxLinear(_ApproxBase):
         n = x.shape[0]
         qp = self.quant.x_qparams
         with _TRACE.span("approx.quantize", cat="approx"):
-            xq = quantize_array(x.data, qp).T  # (K, N)
+            xq = quantize_array(x.data, qp)
+            xq = xq.astype(_activation_dtype(qp, xq), copy=False).T  # (K, N)
             colsum = xq.sum(axis=0, dtype=np.int64)
         x_lo, x_hi = self._x_range()
         xmask = (x.data >= x_lo) & (x.data <= x_hi)  # (N, K)

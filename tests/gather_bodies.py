@@ -74,14 +74,17 @@ def edge_lut(levels, seed=0):
 
 
 def edge_operands(levels, m, k, c, seed=0):
-    """``(wrow, xq)`` in range, reading every edge row and edge column."""
+    """``(wrow, xq)`` in range, reading every edge row and edge column.
+
+    ``xq`` is uint8, the activation operand every C gather reads.
+    """
     rng = np.random.default_rng(seed)
     wrow = (rng.integers(0, levels, size=(m, k)) * levels).astype(np.int64)
     rows = np.array(_edge_rows(levels)) * levels
     at = np.arange(rows.size)
     wrow[at % m, at % k] = rows
     wrow[0, 0] = (levels - 1) * levels  # the last row: a padded load
-    xq = rng.integers(0, levels, size=(k, c)).astype(np.int32)
+    xq = rng.integers(0, levels, size=(k, c)).astype(np.uint8)
     cols = np.array([e for e in EDGE_COLUMNS if e < levels])
     at = np.arange(cols.size)
     xq[at % k, at % c] = cols

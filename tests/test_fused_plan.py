@@ -252,7 +252,10 @@ def test_fused_serve_matches_reference(
     acc_dtype, c, in_bounds, threads, per_channel
 ):
     """The serving op and its sums (``fused_product_sums``, one gather
-    body) against the int references, C == 1 rows included."""
+    body) against the int references, C == 1 rows included.  Out of
+    bounds, weight offsets leave the table at both ends (the C clamp
+    loop), and activations off the uint8 grid go through the execution
+    core, whose numpy path must give the same reference."""
     from repro.core import lutkernel
 
     if not lutkernel.kernel_available():
@@ -263,12 +266,13 @@ def test_fused_serve_matches_reference(
     # remainder after the C == 1 branch's four accumulator chains.
     m, k = 9, 10
     lut = rng.integers(-500, 500, size=levels * levels).astype(np.int32)
-    wrow = (rng.integers(0, levels, size=(m, k)) * levels).astype(np.int64)
-    xq = rng.integers(0, levels, size=(k, c)).astype(np.int32)
+    wq = rng.integers(0, levels, size=(m, k))
+    wrow = (wq * levels).astype(np.int64)
+    xq = rng.integers(0, levels, size=(k, c)).astype(np.uint8)
     if not in_bounds:
         # Indices past both table ends take the clamping gather.
-        xq[0, ::2] = 4000
-        xq[k - 1, c - 1] = -99
+        wrow[::2, 0] = lut.size + 4000
+        wrow[m - 1, k - 1] = -99
     zw, m0, d0, shift = _serve_constants(per_channel, rng)
     qlo, qhi = 3, 250
     colsum = xq.sum(axis=0, dtype=np.int64)
@@ -287,8 +291,48 @@ def test_fused_serve_matches_reference(
     assert np.array_equal(acc, lut[idx].sum(axis=1, dtype=np.int64))
     if in_bounds:
         assert ((want > qlo) & (want < qhi)).any()
+    else:
+        _assert_off_grid_serve_runs_numpy(
+            lut, wq, xq, zw, m0, d0, shift, qlo, qhi, acc_dtype, threads
+        )
     if per_channel:
         assert (want[0] == qhi).all() and (want[1] == qlo).all()
+
+
+def _assert_off_grid_serve_runs_numpy(
+    lut, wq, xq, zw, m0, d0, shift, qlo, qhi, acc_dtype, threads
+):
+    """Activations past both ends of the uint8 grid: the C serving op
+    declines them, and ``execcore.serve_fused`` serves the int reference
+    through the numpy path."""
+    from repro.core import lutkernel
+    from repro.core.lutgemm import LutGemm
+    from repro.multipliers.base import LutMultiplier
+
+    levels = int(np.sqrt(lut.size))
+    engine = LutGemm(
+        LutMultiplier("ref", levels.bit_length() - 1,
+                      lut.reshape(levels, levels)),
+        None,
+    )
+    k, c = xq.shape
+    xq = xq.astype(np.int32)
+    xq[0, ::2] = 4000
+    xq[k - 1, c - 1] = -99
+    wrow = (wq * levels).astype(np.int64)
+    colsum = xq.sum(axis=0, dtype=np.int64)
+    assert lutkernel.fused_serve(
+        lut, wrow, xq, colsum, zw, m0, d0, shift, qlo, qhi, acc_dtype,
+        threads,
+    ) is None
+    want = execcore._serve_reference(
+        lut, wrow, xq, zw, m0, d0, shift, qlo, qhi
+    )
+    got = execcore.serve_fused(
+        engine, wq, wrow, xq, zw, m0, d0, shift, qlo, qhi, acc_dtype
+    )
+    assert np.array_equal(got, want)
+    assert engine.ckernel_forward_calls == 0
 
 
 @pytest.mark.parametrize("body", ["vbmi", "scalar"])
@@ -415,6 +459,53 @@ def test_separable_serve_matches_reference(
         assert (want[0] == qhi).all() and (want[1] == qlo).all()
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("ow", [1, 63, 64, 65, 130])
+def test_im2col_serve_matches_the_numpy_unfold(n, ow):
+    """The C unfold against numpy's ``im2col`` over strides 1-3, pads
+    0-2, kernels 1/3/5 and zero points 0/128/255: the uint8 operand and
+    its column sums.  Output rows of 1-130 pixels are one, exactly one
+    and several 64-byte pieces (32-pixel pieces at stride 2)."""
+    from repro.core import lutkernel
+    from repro.nn.functional import im2col
+
+    if not lutkernel.kernel_available():
+        pytest.skip("C kernel disabled or no compiler")
+    rng = np.random.default_rng(ow * 10 + n)
+    for stride in (1, 2, 3):
+        for pad in (0, 1, 2):
+            for k in (1, 3, 5):
+                w = (ow - 1) * stride + k - 2 * pad
+                if w < 1:
+                    continue
+                # A one-row image leaves most output rows in the border.
+                h = 1 if 2 * pad + 1 >= k else k + 2
+                x = rng.integers(0, 256, size=(n, 2, h, w), dtype=np.uint8)
+                for zx in (0, 128, 255):
+                    got, colsum = lutkernel.im2col_serve(
+                        x, k, k, stride, pad, zx
+                    )
+                    cols = im2col(x, k, k, stride, pad, pad_value=zx)
+                    want = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
+                    assert got.dtype == np.uint8
+                    assert np.array_equal(got, want), (stride, pad, k, zx)
+                    assert np.array_equal(
+                        colsum, want.sum(axis=0, dtype=np.int64)
+                    )
+
+
+def test_im2col_int_returns_uint8_for_a_uint8_image():
+    """Both unfolds (C and numpy) give the uint8 operand."""
+    from repro.nn.approx import im2col_int
+
+    x = np.random.default_rng(0).integers(0, 256, (2, 3, 6, 5), np.uint8)
+    xq, colsum = im2col_int(x, 3, 3, 1, 1, 17)
+    assert xq.dtype == np.uint8 and xq.shape == (27, 60)
+    assert np.array_equal(colsum, xq.sum(axis=0, dtype=np.int64))
+    xq32, _ = im2col_int(x.astype(np.int32), 3, 3, 1, 1, 17)
+    assert xq32.dtype == np.int32 and np.array_equal(xq32, xq)
+
+
 def test_serve_self_check_rejects_a_wrong_unfold(monkeypatch):
     """The C unfold is held to numpy's ``functional.im2col``: a border
     tap one off fails the serving self-check."""
@@ -436,6 +527,12 @@ def test_serve_self_check_rejects_a_wrong_unfold(monkeypatch):
 
 
 def test_separable_serve_out_of_range_takes_the_gather():
+    """Activations off the grid leave the rank-1 lowering for the
+    gather, which declines them in C and clips like the reference on the
+    numpy path.  Weight offsets off both table ends stay in the C gather
+    (its clamp loop)."""
+    from repro.core import lutkernel
+
     engine = _separable_engine()
     levels = engine.levels
     rng = np.random.default_rng(4)
@@ -450,5 +547,19 @@ def test_separable_serve_out_of_range_takes_the_gather():
     got = execcore.serve_fused(
         engine, wq, np.take(engine._sep_f64[0], wq), xq, zw, m0, d0,
         shift, 3, 250, np.int64,
+    )
+    assert np.array_equal(got, want)
+    if not lutkernel.kernel_available():
+        return
+    wrow = (wq * levels).astype(np.int64)
+    wrow[0, ::3] = -(1 << 40)
+    wrow[8, 9] = engine.lut_flat.size + 7
+    xq_u8 = (xq % levels).astype(np.uint8)
+    want = execcore._serve_reference(
+        engine.lut_flat, wrow, xq_u8, zw, m0, d0, shift, 3, 250
+    )
+    got = lutkernel.fused_serve(
+        engine._lut_i32, wrow, xq_u8, xq_u8.sum(axis=0, dtype=np.int64), zw,
+        m0, d0, shift, 3, 250,
     )
     assert np.array_equal(got, want)

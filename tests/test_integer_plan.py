@@ -338,3 +338,28 @@ def test_worker_pool_records_plan_info(lenet_frozen, batch):
     assert info["arithmetic"] == "int"
     assert info["integer_only_core"] is True
     assert "plan:" in metrics.format_report()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+@pytest.mark.parametrize("kernel,stride", [(2, 2), (2, 1), (3, 1), (3, 2)])
+def test_plan_max_pool_matches_the_windowed_max(dtype, kernel, stride):
+    """The plan's max-pool against the windowed reduce it replaced, by
+    bit pattern: odd and even sizes, and float windows of +0.0 / -0.0
+    mixes and NaNs."""
+    from repro.nn import functional as F
+    from repro.serve.plan import _max_pool, _pool_patches
+
+    rng = np.random.default_rng(kernel * 10 + stride)
+    for h, w in ((7, 9), (8, 8), (5, 3)):
+        if dtype == np.uint8:
+            x = rng.integers(0, 256, size=(2, 3, h, w)).astype(np.uint8)
+        else:
+            x = rng.choice(
+                np.array([0.0, -0.0, np.nan, 1.5, -2.0]), size=(2, 3, h, w)
+            )
+        oh, ow = F.conv_output_size(h, w, kernel, kernel, stride, 0)
+        want = _pool_patches(x, kernel, stride, oh, ow).max(axis=(-1, -2))
+        got = _max_pool(x, kernel, stride)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        bits = f"u{x.itemsize}"
+        assert np.array_equal(got.view(bits), want.view(bits)), (h, w)

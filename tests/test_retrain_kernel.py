@@ -216,29 +216,51 @@ def test_out_of_range_indices_clip_like_numpy(acc_dtype):
     # indices into the table (np.take mode="clip"); the C kernels must
     # degrade identically instead of dereferencing out of bounds --
     # this exact scenario segfaulted the forward kernel before the fix.
+    # Activations off the uint8 grid never reach C: the engine runs the
+    # numpy reference for that call, with the same result.
     m, k, c = ODD_SHAPES[0]
     wq, xq, gout = _operands(m, k, c, seed=21)
     wq[0, 0] = np.int32(-(2**31))
     wq[1, 5] = np.int32(2**31 - 1)
-    xq[2, ::13] = np.int32(-(2**31))
-    xq[3, 7] = np.int32(2**31 - 1)
-    acc_ref, gw_ref, gx_ref = _numpy_results(
-        wq, xq, gout, zw=3, zx=5, acc_dtype=acc_dtype
+    xq_off = xq.copy()
+    xq_off[2, ::13] = np.int32(-(2**31))
+    xq_off[3, 7] = np.int32(2**31 - 1)
+    for x, c_calls in ((xq.astype(np.uint8), 1), (xq_off, 0)):
+        acc_ref, gw_ref, gx_ref = _numpy_results(
+            wq, x, gout, zw=3, zx=5, acc_dtype=acc_dtype
+        )
+        eng = LutGemm(MULT, PAIR)
+        acc = eng.product_sums(wq, x, acc_dtype=acc_dtype)
+        gw, gx = eng.backward_grads(wq, x, gout, 3, 5)
+        assert eng.ckernel_forward_calls == c_calls
+        if execcore.backward_kernel_trusted():
+            assert eng.ckernel_backward_calls == c_calls
+        assert np.array_equal(acc, acc_ref)
+        assert np.array_equal(gw, gw_ref)
+        assert np.array_equal(gx, gx_ref)
+
+
+def _table_engine(lut, gw_flat=None, gx_flat=None, chunk=96):
+    """An engine over a square flat ``lut`` (and gradient tables)."""
+    from repro.core.gradient import GradientPair
+    from repro.multipliers.base import LutMultiplier
+
+    levels = int(round(np.sqrt(lut.size)))
+    bits = levels.bit_length() - 1
+    assert 1 << bits == levels and levels * levels == lut.size
+    shape = (levels, levels)
+    pair = None if gw_flat is None else GradientPair(
+        gw_flat.reshape(shape), gx_flat.reshape(shape), "test tables"
     )
-    eng = LutGemm(MULT, PAIR)
-    acc = eng.product_sums(wq, xq, acc_dtype=acc_dtype)
-    gw, gx = eng.backward_grads(wq, xq, gout, 3, 5)
-    assert eng.ckernel_forward_calls == 1
-    assert np.array_equal(acc, acc_ref)
-    assert np.array_equal(gw, gw_ref)
-    assert np.array_equal(gx, gx_ref)
+    return LutGemm(LutMultiplier("table", bits, lut.reshape(shape)), pair,
+                   chunk=chunk)
 
 
 @requires_kernel
 def test_raw_kernel_oob_clip_both_directions():
     # Wrapper-level clip check against an explicit np.clip reference,
-    # with indices far outside the table on both sides and the clamp
-    # exercised under threading.
+    # with weight offsets far outside the table on both sides and the
+    # clamp exercised under threading.
     rng = np.random.default_rng(5)
     lut = rng.integers(-100, 100, size=64).astype(np.int32)
     gw_flat = rng.standard_normal(64).astype(np.float32)
@@ -246,8 +268,7 @@ def test_raw_kernel_oob_clip_both_directions():
     wrow = rng.integers(0, 56, size=(6, 9)).astype(np.int64)
     wrow[0, 0] = -(1 << 50)
     wrow[5, 8] = 1 << 50
-    xq = rng.integers(0, 8, size=(9, 700)).astype(np.int32)
-    xq[4, ::11] = 100_000
+    xq = rng.integers(0, 8, size=(9, 700)).astype(np.uint8)
     gout = rng.standard_normal((6, 700)).astype(np.float32)
     idx = np.clip(wrow[:, :, None] + xq[None], 0, lut.size - 1)
     want_f = lut[idx].sum(axis=1, dtype=np.int64)
@@ -265,6 +286,26 @@ def test_raw_kernel_oob_clip_both_directions():
         assert got_b is not None
         assert np.array_equal(got_b[0], want_b[0])
         assert np.array_equal(got_b[1], want_b[1])
+    # An activation far past the grid: the C gathers decline it, and the
+    # execution core's numpy path clips like the reference.
+    wq = rng.integers(0, 8, size=(6, 9))
+    wq[0, 0], wq[5, 8] = -(1 << 47), 1 << 47
+    xq_off = xq.astype(np.int64)
+    xq_off[4, ::11] = 100_000
+    assert lutkernel.fused_product_sums(lut, wq * 8, xq_off) is None
+    assert lutkernel.fused_backward_grads(
+        gw_flat, gx_flat, wq * 8, xq_off, gout, 96
+    ) is None
+    eng = _table_engine(lut, gw_flat, gx_flat)
+    idx = np.clip(wq[:, :, None] * 8 + xq_off[None], 0, lut.size - 1)
+    got_f = execcore.product_sums(eng, wq, xq_off, np.int64)
+    assert np.array_equal(got_f, lut[idx].sum(axis=1, dtype=np.int64))
+    got_b = execcore.backward_grads(eng, wq, xq_off, gout)
+    want_b = execcore._numpy_backward(
+        gw_flat, gx_flat, wq * 8, xq_off, gout, 96
+    )
+    assert same_bits(got_b, want_b)
+    assert eng.ckernel_forward_calls == eng.ckernel_backward_calls == 0
 
 
 # ----------------------------------------------------------------------
@@ -293,8 +334,10 @@ _EDGE_CASES = {
     "in_bounds_min_0_shifted_operands": (
         lambda w, x: (w - 8, x + 8), 64, 64, 0, 63, True, True,
     ),
+    # A weight offset one below the table (an activation there is off the
+    # uint8 grid, which test_off_grid_activation_edge_runs_numpy covers).
     "in_bounds_min_minus_1": (
-        lambda w, x: (w, _with(x, (0, 5), -1)), 64, 64, -1, 63, False, False,
+        lambda w, x: (_with(w, (0, 0), -1), x), 64, 64, -1, 63, False, False,
     ),
     # The backward proof must use the smaller gradient table.
     "in_bounds_smaller_grad_x_table": (None, 64, 60, 0, 63, True, False),
@@ -361,6 +404,38 @@ def test_gather_in_bounds_edges_bit_identical(case):
         assert np.array_equal(got_b[1], want_b[1])
 
 
+@requires_kernel
+def test_off_grid_activation_edge_runs_numpy():
+    # An activation one below the grid: the C gathers decline it
+    # (nothing counted), and the execution core's numpy path clips the
+    # flat index -1 like the np.clip reference.
+    from repro.obs.trace import tracing
+
+    wrow, xq = _edge_operands(lambda w, x: (w, _with(x, (0, 5), -1)))
+    idx = wrow[:, :, None] + xq[None]
+    assert idx.min() == -1
+    rng = np.random.default_rng(3)
+    lut = rng.integers(-100, 100, size=_EDGE_N).astype(np.int32)
+    gw_flat = rng.standard_normal(_EDGE_N).astype(np.float32)
+    gx_flat = rng.standard_normal(_EDGE_N).astype(np.float32)
+    gout = rng.standard_normal((6, 700)).astype(np.float32)
+    with tracing() as tr:
+        assert lutkernel.fused_product_sums(lut, wrow, xq) is None
+        assert lutkernel.fused_backward_grads(
+            gw_flat, gx_flat, wrow, xq, gout, 96
+        ) is None
+        assert _branch_counts(tr) == (0, 0)
+    eng = _table_engine(lut, gw_flat, gx_flat)
+    wq = wrow // 8
+    want_f = lut[np.clip(idx, 0, _EDGE_N - 1)].sum(axis=1, dtype=np.int64)
+    assert np.array_equal(execcore.product_sums(eng, wq, xq, np.int64), want_f)
+    assert same_bits(
+        execcore.backward_grads(eng, wq, xq, gout),
+        execcore._numpy_backward(gw_flat, gx_flat, wrow, xq, gout, 96),
+    )
+    assert eng.ckernel_forward_calls == eng.ckernel_backward_calls == 0
+
+
 def test_gather_in_bounds_proof_at_its_edges():
     # The pure-Python proof: no kernel needed, so this also runs on the
     # numpy-only CI leg.
@@ -385,8 +460,9 @@ def test_self_check_runs_both_gather_branches(restore_backend):
     with tracing() as tr:
         assert execcore._run_self_check()
         unclamped, clamped = _branch_counts(tr)
-    # Probes 1-3 hold real operands (fast loop), probe 4 injects
-    # out-of-range ones (clamp loop); each runs at 1 and 2 threads.
+    # Probes 1-3 hold real operands (fast loop), probe 4 puts weight
+    # offsets off both table ends (clamp loop); each runs at 1 and 2
+    # threads.
     assert unclamped == 6
     assert clamped == 2
 
@@ -850,12 +926,14 @@ def _fallback_case(name):
         wrow, xq = wrow - 8, xq % 248 + 8
         assert wrow.min() == -8 and xq.max() <= 255
     elif name == "xq_above_255":
-        wrow = wrow % (128 * 256)
-        xq = xq.copy()
-        xq[1, 3] = 300
+        # Such an activation never reaches C (_assert_off_grid_runs_numpy);
+        # here a weight offset whose row runs past the table's end.
+        wrow, xq = wrow.copy(), xq.copy()
+        wrow[1, 3], xq[3, 0] = lut.size - 10, 200
     elif name == "failed_proof":
-        xq = xq.copy()
-        xq[2, 5] = -1
+        # A weight offset one below the table.
+        wrow, xq = wrow.copy(), xq.copy()
+        wrow[1, 2], xq[2, 0] = -1, 0
     elif name == "k_32768":
         rng = np.random.default_rng(1)
         wrow = (rng.integers(0, 256, size=(1, lutkernel.VBMI_MAX_K + 1))
@@ -872,6 +950,37 @@ def _fallback_case(name):
 
 FALLBACKS = ("signed_lut", "lut_above_uint16", "shifted_operands",
              "xq_above_255", "failed_proof", "k_32768", "narrow_c")
+#: Cases whose weight offsets leave the table: the proof fails.
+CLAMPED = ("xq_above_255", "failed_proof")
+
+
+def _assert_off_grid_runs_numpy(c, backward=False):
+    """An activation above the uint8 grid (300) against the execution
+    core: the C gather declines it, and the numpy path gives the np.clip
+    reference (the forward) or the numpy backward, bit for bit."""
+    lut = edge_lut(256)
+    wrow, xq = edge_operands(256, 4, 6, c)
+    wrow = wrow % (128 * 256)
+    xq = xq.astype(np.int32)
+    xq[1, 3] = 300
+    wq = wrow // 256
+    gout = edge_gout(4, c)
+    tables = (edge_grad_table(256), edge_grad_table(256, 1))
+    eng = _table_engine(lut, *tables, chunk=64)
+    if backward:
+        assert lutkernel.fused_backward_grads(
+            *tables, wrow, xq, gout, 64
+        ) is None
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = execcore.backward_grads(eng, wq, xq, gout)
+            want = execcore._numpy_backward(*tables, wrow, xq, gout, 64)
+        assert same_bits(got, want)
+        assert eng.ckernel_backward_calls == 0
+    else:
+        assert lutkernel.fused_product_sums(lut, wrow, xq) is None
+        got = execcore.product_sums(eng, wq, xq, np.int64)
+        assert np.array_equal(got, _forward_reference(lut, wrow, xq))
+        assert eng.ckernel_forward_calls == 0
 
 
 @requires_kernel
@@ -885,12 +994,68 @@ def test_vbmi_fallbacks_take_the_scalar_body(case):
     with tracing() as tr:
         got = lutkernel.fused_product_sums(lut, wrow, xq, np.int64, 1, planes)
         assert _body_counts(tr) == ((1, 0) if vbmi else (0, 1))
-        # Only the failed proof fails the proof: every other case is
-        # refused by a VBMI-specific condition.
-        assert _branch_counts(tr) == (
-            (0, 1) if case == "failed_proof" else (1, 0)
-        )
+        # Only the offsets off the table fail the proof: every other
+        # case is refused by a VBMI-specific condition.
+        assert _branch_counts(tr) == ((0, 1) if case in CLAMPED else (1, 0))
     assert np.array_equal(got, want)
+    if case == "xq_above_255":
+        _assert_off_grid_runs_numpy(xq.shape[1])
+
+
+@requires_kernel
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("threads", [1, 4, 7])
+def test_uint8_operands_match_numpy_by_bits(monkeypatch, threads, body):
+    """Every C gather reads the uint8 operand as the numpy references
+    do, bit for bit: the forward sums (int64 and int32), the serving op
+    and the backward, at widths below and above each body's crossover."""
+    force_body(monkeypatch, body)
+    lut = edge_lut(256)
+    gw_flat, gx_flat = edge_grad_table(256), edge_grad_table(256, 1)
+    planes, gx_planes = (lutkernel.byte_planes(t) for t in (lut, gx_flat))
+    one = np.ones(1, dtype=np.int64)
+    for c in (1, 65, 300):
+        wrow, xq = edge_operands(256, 13, 40, c, seed=c)
+        assert xq.dtype == np.uint8 and xq.flags.c_contiguous
+        for acc_dtype in (np.int64, np.int32):
+            want = execcore._numpy_forward(lut, wrow, xq, 96, acc_dtype)
+            got = lutkernel.fused_product_sums(
+                lut, wrow, xq, acc_dtype, threads, planes
+            )
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (c, acc_dtype)
+        colsum = xq.sum(axis=0, dtype=np.int64)
+        rq = (one, one, one * 0, one * 16, 0, 255)
+        want_q = execcore._requant_clamp(want, colsum, *rq)
+        got_q = lutkernel.fused_serve(
+            lut, wrow, xq, colsum, *rq, np.int32, threads, planes=planes
+        )
+        assert got_q.tobytes() == want_q.tobytes(), c
+        gout = edge_gout(13, c, seed=c)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want_b = execcore._numpy_backward(
+                gw_flat, gx_flat, wrow, xq, gout, 96
+            )
+            got_b = lutkernel.fused_backward_grads(
+                gw_flat, gx_flat, wrow, xq, gout, 96, threads, gx_planes
+            )
+        assert same_bits(got_b, want_b), c
+
+
+def test_uint8_operand_passes_through_without_a_copy():
+    xq = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    ext = (0, 0, 0, 11)
+    assert lutkernel._activation_operand(xq, ext) is xq
+    # Another integer operand on the grid is narrowed once; one off the
+    # grid, or a float one, is declined.
+    narrowed = lutkernel._activation_operand(xq.astype(np.int64), ext)
+    assert narrowed.dtype == np.uint8 and np.array_equal(narrowed, xq)
+    for off in ((0, 0, -1, 11), (0, 0, 0, 256)):
+        assert lutkernel._activation_operand(xq.astype(np.int32), off) is None
+    assert lutkernel._activation_operand(xq.astype(np.float64), ext) is None
+    # A strided uint8 view is made contiguous, still uint8.
+    view = lutkernel._activation_operand(xq[:, ::2], ext)
+    assert view.flags.c_contiguous and np.array_equal(view, xq[:, ::2])
 
 
 def test_engine_builds_planes_only_for_uint16_luts():
@@ -1320,15 +1485,17 @@ def _backward_fallback_case(name, monkeypatch):
     """``(wrow, xq)`` of a backward call, after arranging case ``name``."""
     wrow, xq = edge_operands(256, 4, 6, lutkernel.VBMI_BWD_MIN_C + 6)
     if name == "failed_proof":
-        xq = xq.copy()
-        xq[2, 5] = -1
+        # A weight offset one below the tables.
+        wrow, xq = wrow.copy(), xq.copy()
+        wrow[1, 2], xq[2, 0] = -1, 0
     elif name == "negative_wrow":
         # In bounds, but a row load at wrow = -8 starts before the table.
         wrow, xq = wrow - 8, xq % 248 + 8
     elif name == "xq_above_255":
-        wrow = wrow % (128 * 256)
-        xq = xq.copy()
-        xq[1, 3] = 300
+        # Such an activation never reaches C (_assert_off_grid_runs_numpy);
+        # here a weight offset whose row runs past the tables' end.
+        wrow, xq = wrow.copy(), xq.copy()
+        wrow[1, 3], xq[3, 0] = 65536 - 10, 200
     elif name == "narrow_c":
         # Below the backward's own measured crossover.
         wrow, xq = edge_operands(256, 4, 6, lutkernel.VBMI_BWD_MIN_C - 1)
@@ -1369,10 +1536,10 @@ def test_backward_vbmi_fallbacks_take_the_scalar_body(monkeypatch, case):
             gw_flat, gx_flat, wrow, xq, gout, 64, 1, planes
         )
         assert _body_counts(tr) == ((1, 0) if vbmi else (0, 1))
-        assert _branch_counts(tr) == (
-            (0, 1) if case == "failed_proof" else (1, 0)
-        )
+        assert _branch_counts(tr) == ((0, 1) if case in CLAMPED else (1, 0))
     assert same_bits(got, want)
+    if case == "xq_above_255":
+        _assert_off_grid_runs_numpy(xq.shape[1], backward=True)
 
 
 def test_engine_builds_grad_planes_on_first_use():
