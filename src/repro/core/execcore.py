@@ -363,70 +363,66 @@ def serve_fused(
     wq: np.ndarray,
     wrow: np.ndarray,
     xq: np.ndarray,
-    zw: np.ndarray,
-    m0: np.ndarray,
-    d0: np.ndarray,
-    shift: np.ndarray,
-    qlo: int,
-    qhi: int,
+    tail,
     acc_dtype,
     wrow_bounds: tuple[int, int] | None = None,
     xq_bounds: tuple[int, int] | None = None,
     colsum: np.ndarray | None = None,
+    resid: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One fused serving step ``(K, C) -> (M, C) uint8`` on the best backend.
+    """One fused serving step of a LUT layer on the best backend.
 
-    Computes, in pure integers, the whole post-gather pipeline of one
-    integer-plan layer::
+    Computes the gather and the whole post-gather pipeline of one
+    integer-plan layer, ending in one of two tails
+    (:class:`~repro.core.lutkernel.RequantTail` or
+    :class:`~repro.core.lutkernel.FloatTail`)::
 
         A = sum_k lut[wrow + xq] - zw * colsum          # gather_int
-        q = clip((A * m0 + d0 + half) >> shift, qlo, qhi)
+        q = clip((A * m0 + d0 + half) >> shift, qlo, qhi)   # requant tail
+        y = relu(bn(dequant(A)) + resid)                    # float tail
 
+    The requant tail gives the (M, C) uint8 input of the next LUT layer,
     with the :func:`repro.nn.requant.rounding_right_shift` round-half-up
-    convention.  The C backend keeps the accumulator row in cache for
-    the entire pipeline; the numpy fallback runs the same math as the
-    unfused ``lutgemm_int -> requant -> relu`` ops, so both backends are
-    bit-identical (the C side additionally proves it on this platform
-    via :func:`serve_kernel_trusted` before first use).
+    convention.  The float tail gives (M, C) float64, running the exact
+    dequant and each optional float op (BatchNorm, the residual add of
+    the (M, C) ``resid``, ReLU) in the unfused plan's numpy order.  The C backend
+    keeps the accumulator row in cache for the entire pipeline; the
+    numpy fallback (:func:`_numpy_serve`) runs the unfused ops, so both
+    backends are bit-identical (the C side additionally proves it on
+    this platform via :func:`serve_kernel_trusted` before first use).
 
     ``wrow`` is the op's precomputed weight operand.  For the gather it
     is the int64 row offsets ``wq * levels``.  For a product-separable
     LUT whose weights pass :meth:`~repro.core.lutgemm.LutGemm.separable_for`
     it is the float64 ``a[wq]`` instead: the sums are then the exact
-    matmul ``wrow @ b[xq]``, followed by the same requant tail
-    (:func:`repro.core.lutkernel.requant_f64`, or :func:`_requant_clamp`
-    on numpy).  Activations outside ``[0, levels)`` fall back to the
+    matmul ``wrow @ b[xq]``, followed by the same tail
+    (:func:`repro.core.lutkernel.tail_f64`, or :func:`_numpy_tail` on
+    numpy).  Activations outside ``[0, levels)`` fall back to the
     gather, which clamps the flat index.
 
-    ``m0``/``d0``/``shift`` are the
-    :class:`~repro.nn.requant.RequantParams` arrays, consumed in place.
-    ``colsum`` may be precomputed (the C im2col fuses it into its
-    unfold pass); when ``None`` it is reduced here.
+    ``colsum`` may be precomputed (the C im2col computes it with its
+    unfold); when ``None`` it is reduced here.
     """
     if colsum is None:
         colsum = xq.sum(axis=0, dtype=np.int64)
     if wrow.dtype == np.float64:
         if _xq_in_levels(xq, engine.levels, xq_bounds):
-            return _separable_serve(
-                engine, wrow, xq, colsum, zw, m0, d0, shift, qlo, qhi
-            )
+            return _separable_serve(engine, wrow, xq, colsum, tail, resid)
         wrow = (wq * engine.levels).astype(np.int64)
         wrow_bounds = None
     if engine._lut_i32 is not None and serve_kernel_trusted():
         planes = _planes(engine)
         with _TRACE.span("lutgemm.gather", cat="engine"):
-            out = lutkernel.fused_serve(
-                engine._lut_i32, wrow, xq, colsum, zw, m0, d0, shift,
-                qlo, qhi, acc_dtype, wrow_bounds=wrow_bounds,
-                xq_bounds=xq_bounds, planes=planes,
+            out = lutkernel.serve_tail(
+                engine._lut_i32, wrow, xq, colsum, tail, acc_dtype,
+                wrow_bounds=wrow_bounds, xq_bounds=xq_bounds, planes=planes,
+                resid=resid,
             )
         if out is not None:
             engine.ckernel_forward_calls += 1
             _TRACE.count("lutgemm.forward.cckernel")
             return out
-    return _numpy_serve(
-        engine, wq, xq, colsum, zw, m0, d0, shift, qlo, qhi, acc_dtype
-    )
+    return _numpy_serve(engine, wq, xq, colsum, tail, acc_dtype, resid)
 
 
 def _xq_in_levels(xq, levels: int, xq_bounds) -> bool:
@@ -440,44 +436,54 @@ def _xq_in_levels(xq, levels: int, xq_bounds) -> bool:
     return in_levels(xq, levels)
 
 
-def _separable_serve(
-    engine, wa, xq, colsum, zw, m0, d0, shift, qlo, qhi
-) -> np.ndarray:
-    """Rank-1 serving step: exact float64 matmul, then the requant tail."""
+def _separable_serve(engine, wa, xq, colsum, tail, resid) -> np.ndarray:
+    """Rank-1 serving step: exact float64 matmul, then the tail."""
     acc = separable_sums(engine, wa, xq)
     if serve_kernel_trusted():
-        with _TRACE.span("serve.requant", cat="serve"):
-            out = lutkernel.requant_f64(
-                acc, colsum, zw, m0, d0, shift, qlo, qhi
-            )
+        requant = isinstance(tail, lutkernel.RequantTail)
+        span = "serve.requant" if requant else "serve.dequantize"
+        with _TRACE.span(span, cat="serve"):
+            out = lutkernel.tail_f64(acc, colsum, tail, resid)
         if out is not None:
             return out
-    return _requant_clamp(acc, colsum, zw, m0, d0, shift, qlo, qhi)
+    return _numpy_tail(acc, colsum, tail, resid)
 
 
 def _numpy_serve(
-    engine, wq, xq, colsum, zw, m0, d0, shift, qlo, qhi, acc_dtype
+    engine, wq, xq, colsum, tail, acc_dtype, resid=None
 ) -> np.ndarray:
     """The unfused pipeline, restated over the fused op's constants.
 
-    Operation-for-operation the integer math of ``FrozenAffine.gather_int``
-    followed by :func:`repro.nn.requant.requantize` (channel axis 0) and
-    the integer ReLU clamp -- all exact int64, so fused and unfused plans
-    agree bitwise on every platform.
+    The engine's product sums (``FrozenAffine.gather_int``'s), then
+    :func:`_numpy_tail`: the reference of both C tails.
     """
     acc = engine.product_sums(
         wq, xq, acc_dtype=acc_dtype, record_backward=False
     )
-    return _requant_clamp(acc, colsum, zw, m0, d0, shift, qlo, qhi)
+    return _numpy_tail(acc, colsum, tail, resid)
+
+
+def _numpy_tail(acc, colsum, tail, resid=None) -> np.ndarray:
+    """Either serving tail in numpy: the reference of the C tails.
+
+    ``acc`` is the (M, C) integer accumulator, or the rank-1 lowering's
+    float64 matmul, whose entries are integers below ``2**53`` and
+    convert exactly.
+    """
+    if isinstance(tail, lutkernel.RequantTail):
+        return _requant_clamp(
+            acc, colsum, tail.zw, tail.m0, tail.d0, tail.shift, tail.qlo,
+            tail.qhi,
+        )
+    return _float_tail(acc, colsum, tail, resid)
 
 
 def _requant_clamp(acc, colsum, zw, m0, d0, shift, qlo, qhi) -> np.ndarray:
     """numpy requant + clamp of an (M, C) exact-integer accumulator to uint8.
 
-    The integer math of :func:`repro.nn.requant.requantize` (channel
-    axis 0) plus the ReLU clamp, in int64.  ``acc`` may be an integer
-    array or the float64 matmul of the rank-1 lowering, whose entries are
-    integers below ``2**53`` and convert exactly.
+    The integer math of ``FrozenAffine.gather_int`` and
+    :func:`repro.nn.requant.requantize` (channel axis 0) plus the ReLU
+    clamp, in int64.
     """
     from repro.nn.requant import rounding_right_shift
 
@@ -487,6 +493,38 @@ def _requant_clamp(acc, colsum, zw, m0, d0, shift, qlo, qhi) -> np.ndarray:
         q = rounding_right_shift(t, shift.reshape(-1, 1))
         np.clip(q, qlo, qhi, out=q)
         return q.astype(np.uint8)
+
+
+def _float_tail(acc, colsum, tail, resid=None) -> np.ndarray:
+    """numpy float tail of an (M, C) accumulator to (M, C) float64.
+
+    The unfused plan's ops in its order, each one numpy pass:
+    ``FrozenAffine.gather_int``'s ``A = acc - zw * colsum`` (int64), the
+    ``dequant`` op (``y = float(A)``, ``-= w_corr``, ``+= const_corr``,
+    ``*= scale``, ``+ bias``), the eval BatchNorm ``((y - mean) *
+    inv_std) * gamma + beta``, the residual join's ``main + short`` and
+    the ReLU ``y * (y > 0)``.  Elementwise, so running them on the
+    (M, C) array rather than its image-shaped view changes no bit.
+    """
+    w_corr, const_corr, scale, bias, mean, inv_std, gamma, beta = (
+        tail.consts[:, :, None]
+    )
+    flags = tail.flags
+    a = acc.astype(np.int64, copy=False) - tail.zw.reshape(-1, 1) * colsum
+    with _TRACE.span("serve.dequantize", cat="serve"):
+        y = a.astype(np.float64)
+        y -= w_corr
+        y += const_corr
+        y *= scale
+        if flags & lutkernel.FT_BIAS:
+            y = y + bias
+    if flags & lutkernel.FT_BN:
+        y = ((y - mean) * inv_std) * gamma + beta
+    if flags & lutkernel.FT_RESID:
+        y = y + resid
+    if flags & lutkernel.FT_RELU:
+        y = y * (y > 0)
+    return y
 
 
 # ----------------------------------------------------------------------
@@ -637,18 +675,21 @@ def _fold_probes_match(rng) -> bool:
 def serve_kernel_trusted() -> bool:
     """Whether the fused C serving kernel may be used on this platform.
 
-    The serving kernel's risk is the fixed-point rounding port: C's
+    The serving kernel's risks are the fixed-point rounding port -- C's
     ``>>`` on negative values must be an arithmetic shift matching
     numpy's, and the ``half``/clamp sequence must follow the
-    :func:`repro.nn.requant.rounding_right_shift` convention exactly.
+    :func:`repro.nn.requant.rounding_right_shift` convention exactly --
+    and the float tail's operation order and zero signs.
     The probe set exercises the corners the requant property tests pin
     -- shift == 0 (no half added), saturation ties at both rails,
     negative ``d0``/``m0`` -- plus per-tensor vs per-channel constant
     strides, both accumulator dtypes, weight offsets past both table
     ends (the C clamp loop), and 1/2 threads; the rank-1 lowering's
-    :func:`lutkernel.requant_f64` entry is probed on the same constants,
-    and the C unfold (:func:`lutkernel.im2col_serve`) on geometries that
-    reach each of its row paths.  Any mismatch pins serving to
+    :func:`lutkernel.tail_f64` entry is probed on the same constants,
+    the float tail against :func:`_float_tail` by bit pattern
+    (:func:`_float_tail_probes_match`), and the C unfold
+    (:func:`lutkernel.im2col_serve`) on geometries that reach each of
+    its row paths.  Any mismatch pins serving to
     the numpy pipeline with a one-time warning; kernel *unavailability*
     is not cached as failure.
     """
@@ -730,11 +771,12 @@ def _run_serve_self_check() -> bool:
                 want = _serve_reference(
                     lut, wrow_p, xq, zw, m0, d0, shift, qlo, qhi
                 )
+                tail = lutkernel.RequantTail(zw, m0, d0, shift, qlo, qhi, m)
                 for acc_dtype in (np.int64, np.int32):
                     for threads in (1, 2):
-                        got = lutkernel.fused_serve(
-                            lut, wrow_p, xq, colsum, zw, m0, d0, shift,
-                            qlo, qhi, acc_dtype=acc_dtype, threads=threads,
+                        got = lutkernel.serve_tail(
+                            lut, wrow_p, xq, colsum, tail,
+                            acc_dtype=acc_dtype, threads=threads,
                         )
                         if got is None:
                             return False
@@ -760,9 +802,9 @@ def _run_serve_self_check() -> bool:
             want = _serve_reference(
                 lut_sep, wrow, xq, zw, m0, d0, shift, qlo, qhi
             )
-            got = lutkernel.requant_f64(
-                acc, colsum, zw, m0, d0, shift, qlo, qhi
-            )
+            got = lutkernel.tail_f64(acc, colsum, lutkernel.RequantTail(
+                zw, m0, d0, shift, qlo, qhi, m
+            ))
             if got is None:
                 return False
             if not np.array_equal(got, want):
@@ -775,6 +817,15 @@ def _run_serve_self_check() -> bool:
                     stacklevel=3,
                 )
                 return False
+    if not _float_tail_probes_match(rng):
+        warnings.warn(
+            "repro.core.execcore: the C float serving tail is not "
+            "bit-identical to the numpy reference on this platform; "
+            "serving uses the unfused numpy pipeline.",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return False
     # The C im2col (the uint8 unfold, then its column sums) feeds every
     # C gather, so it is held to the same standard: exact agreement with
     # the numpy unfold (the numpy branch of approx.im2col_int), operand
@@ -812,6 +863,69 @@ def _run_serve_self_check() -> bool:
                 stacklevel=3,
             )
             return False
+    return True
+
+
+def _float_tail_probes_match(rng) -> bool:
+    """The C float tail against :func:`_float_tail`, bit for bit.
+
+    150 columns (two VBMI tiles, the second a partial one) over a
+    levels-16 uint16 LUT, both gather bodies (planes
+    given or not; the VBMI one where the host runs it), int32 and int64
+    sums, 1 and 4 threads, and the rank-1 entry
+    (:func:`repro.core.lutkernel.tail_f64`) on the same sums.  The
+    dequant constants are non-integers of mixed magnitude and sign, so
+    any reordering of its four steps changes low bits; ``scale`` and
+    ``const_corr`` come per tensor and per channel, with and without
+    bias, BatchNorm, residual and ReLU.  A third of the residual cancels
+    ``y`` exactly (``+0.0``), ``-0.0`` entries pass ``y`` through, and
+    negative ``y`` reach the ReLU (``-0.0`` out), so results are compared
+    by bit pattern.
+    """
+    levels, m, k, c = 16, 5, 7, 150
+    lut = rng.integers(0, 0x10000, size=levels * levels).astype(np.int32)
+    planes = lutkernel.byte_planes(lut)
+    wrow = (rng.integers(0, levels, size=(m, k)) * levels).astype(np.int64)
+    xq = rng.integers(0, levels, size=(k, c)).astype(np.uint8)
+    colsum = xq.sum(axis=0, dtype=np.int64)
+    acc = _numpy_forward(lut, wrow, xq, c, np.int64)
+    zw = np.array([3, 0, 1, 7, 2], dtype=np.int64)
+    w_corr = rng.standard_normal(m) * 1e5
+    bn = tuple(rng.standard_normal((4, m)) * [[50.0], [0.3], [2.0], [1.0]])
+    layouts = (
+        (rng.standard_normal(1) * 1e-3, rng.standard_normal(1) * 1e-4),
+        (rng.standard_normal(m) * 1e-3, rng.standard_normal(m) * 1e-4),
+    )
+    for const_corr, scale in layouts:
+        for with_bias, with_bn, residual, relu in (
+            (False, False, False, False), (True, False, False, True),
+            (False, True, False, False), (True, True, False, True),
+            (False, True, True, True), (True, False, True, False),
+        ):
+            consts = (zw, w_corr, const_corr, scale,
+                      rng.standard_normal(m) if with_bias else None,
+                      bn if with_bn else None)
+            tail = lutkernel.FloatTail(*consts, residual, relu)
+            r = None
+            if residual:
+                r = -_float_tail(acc, colsum, lutkernel.FloatTail(*consts))
+                r.flat[1::3] = rng.standard_normal(r.size // 3)
+                r.flat[2::3] = -0.0
+            want = _float_tail(acc, colsum, tail, r).view(np.uint64)
+            got = [lutkernel.tail_f64(acc.astype(np.float64), colsum, tail,
+                                      r)]
+            for acc_dtype in (np.int64, np.int32):
+                for pl in (planes, None):
+                    for threads in (1, 4):
+                        got.append(lutkernel.serve_tail(
+                            lut, wrow, xq, colsum, tail, acc_dtype, threads,
+                            planes=pl, resid=r,
+                        ))
+            if any(
+                g is None or not np.array_equal(g.view(np.uint64), want)
+                for g in got
+            ):
+                return False
     return True
 
 

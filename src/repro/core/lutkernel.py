@@ -11,24 +11,31 @@ JIT-compiles single-pass C kernels at first use:
   ``acc[m, c] = sum_k lut[wrow[m, k] + xq[k, c]]`` (int64 or int32
   accumulators; pure integer, bit-identical to numpy by construction).
 
-* ``fused_serve`` -- the fused integer *serving* op: the same gather,
-  then the weight-zero-point correction ``A = acc - Z_w * colsum``, the
+* ``serve_tail`` -- the fused *serving* op: the same gather, then the
+  weight-zero-point correction ``A = acc - Z_w * colsum`` in int64 and
+  one of two tails, all inside one row loop so the accumulator never
+  leaves cache.  The requant tail (a :class:`RequantTail`) applies the
   fixed-point requantization ``(A * M0 + D0 + 2**(shift-1)) >> shift``
-  (round half up, arithmetic shift -- the
-  :mod:`repro.nn.requant` convention), and the saturating uint8 clamp
-  ``[qlo, qhi]`` (``qlo = max(qmin, Z)`` folds the integer ReLU), all
-  inside one row loop so the accumulator never leaves cache.  Per-row
-  constants are indexed with a 0/1 stride so per-tensor (size-1) and
-  per-channel (size-M) blocks -- including read-only views -- are
-  consumed in place, zero-copy.
+  (round half up, arithmetic shift -- the :mod:`repro.nn.requant`
+  convention) and the saturating uint8 clamp ``[qlo, qhi]`` (``qlo =
+  max(qmin, Z)`` folds the integer ReLU); its per-row constants are
+  indexed with a 0/1 stride so per-tensor (size-1) and per-channel
+  (size-M) blocks are consumed in place, zero-copy.  The float tail (a
+  :class:`FloatTail`) serves a layer whose output leaves the integer
+  grid: the exact dequant of ``A``, then optionally the eval BatchNorm,
+  the residual add of a block's shortcut and the ReLU, each float
+  operation in the unfused plan's numpy order, into float64.  Its float
+  constants are one (8, M) block packed at compile time, so one pointer
+  slot carries them.
 
-  Both are one forward gather: one C body per accumulator width behind
+  All are one forward gather: one C body per accumulator width behind
   one packed entry (``gather_call``) and one Python dispatch
-  (``_gather``).  The serving op only adds the requant tail, which each
-  finished accumulator row or VBMI tile goes through into uint8.
+  (``_gather``), which reads each operand's address once per call.  The
+  serving ops only add a tail, which each finished accumulator row or
+  VBMI tile goes through while it is hot.
 
-* ``requant_f64`` -- the same correction / requant / clamp tail, fed by
-  the exact-integer float64 accumulator of the rank-1 (product-separable
+* ``tail_f64`` -- the same tails, fed by the
+  exact-integer float64 accumulator of the rank-1 (product-separable
   LUT) lowering instead of a gather; one inline C tail serves both.
 
 * ``im2col_serve`` / ``fold_input_grad`` -- the conv layers' unfold of a
@@ -66,7 +73,7 @@ caller runs the numpy reference, which clips the flat index the same
 way.
 
 Two gather bodies: both gathers (the forward behind
-``fused_product_sums`` and ``fused_serve``, and ``fused_backward_grads``)
+``fused_product_sums`` and ``serve_tail``, and ``fused_backward_grads``)
 have a scalar C loop and an in-register AVX-512 VBMI body.  Each (m, k) reads one fixed
 256-entry table row ``table[wrow[m, k] + 0..255]`` for every column, so
 the VBMI body holds that row in zmm registers, split into byte planes
@@ -117,7 +124,8 @@ order, so results are bit-identical for every thread count.
 
 Compilation uses the system ``cc``/``gcc`` (no third-party packages)
 with ``-ffp-contract=off`` so the compiler cannot fuse the backward's
-multiply-adds into FMAs (which would change float32 rounding vs numpy).
+and the float tail's multiply-adds into FMAs (which would change their
+rounding vs numpy).
 The shared object is cached in a per-user temp directory keyed by a
 source hash.  Everything degrades gracefully: if no compiler is
 available or the build fails, the entry points return ``None`` and
@@ -180,57 +188,70 @@ static inline uint64_t first_lanes(long n)
 }
 
 /* ------------------------------------------------------------------
- * Packed arguments of the forward gather (gather_call, below), which
- * serves both forward entry points.  A serving plan op calls it once
- * per thread's block per sample, and ctypes marshalling of 26
- * individual arguments costs ~20us per call with ndpointer validation
- * -- comparable to the kernel itself on the smaller layers.  Packing
- * them into one block of int64 slots (pointers and scalars alike; every
- * field is 8 bytes, so the numpy side fills a plain int64 row and no
- * padding can appear) makes the crossing a single-pointer call.  Slot
- * order must match the _gather wrapper in Python.
+ * The two tails of the forward gather.  Each finished accumulator row
+ * (the scalar body) or int32 tile (the VBMI body) of serve_tail,
+ * and each row of the rank-1 lowering's float64 sums
+ * (tail_f64_call), goes through one of them while it is hot.  Both
+ * start from the weight-zero-point correction in int64:
+ *
+ *   A = acc - zw * colsum
+ *
+ * The requant tail (fconst == 0) lands A on the next layer's uint8 grid,
+ * written to the (M, C) out:
+ *
+ *   t = A * m0 + d0                                       (int64)
+ *   q = (t + half) >> sh, half = sh > 0 ? 1 << (sh - 1) : 0
+ *   out = clamp(q, qlo, qhi)                              (uint8)
+ *
+ * Exactly repro.nn.requant.rounding_right_shift (round half toward +inf
+ * via an arithmetic shift; shift == 0 adds no half).  zw_stride /
+ * rq_stride are 0 for per-tensor (size-1) constant arrays and 1 for
+ * per-channel (size-M) ones, so both layouts are read in place.  qlo
+ * already folds the integer ReLU (max(q, Z) == a raised lower clamp,
+ * since Z >= qmin).
+ *
+ * The float tail (fconst set) is the exact dequant of a layer whose
+ * output leaves the integer grid, then the float ops the unfused plan
+ * runs after it, each in numpy's order (no FMA: -ffp-contract=off):
+ *
+ *   y = (double) A; y -= w_corr; y += const_corr; y *= scale
+ *   y = y + bias                                          (FT_BIAS)
+ *   y = ((y - mean) * inv_std) * gamma + beta             (FT_BN)
+ *   y = y + resid                                         (FT_RESID)
+ *   y = y * (double) (y > 0)                              (FT_RELU)
+ *
+ * fconst is one (8, M) float64 block, rows w_corr, const_corr, scale,
+ * bias, mean, inv_std, gamma, beta (per-tensor constants repeated per
+ * row).  resid (the residual block's shortcut) is (M, C) like out: the
+ * unfused plan's memory order, which a later BLAS matmul or reduction
+ * rounds by, so the caller views both as images without a copy.  The
+ * ReLU is the unfused plan's x * (x > 0): -0.0 for a negative y, and a
+ * NaN stays NaN.
+ *
+ * Both tails are verified bit-identical against the numpy references by
+ * the execcore serve self-check before either is trusted.  Every field
+ * is 8 bytes, so the Python side fills plain int64 slots and no padding
+ * can appear; slot order must match lutkernel._tail_slots.
  */
+#define FT_BIAS 1
+#define FT_BN 2
+#define FT_RESID 4
+#define FT_RELU 8
+
 typedef struct {
-    int64_t lut;        /* const int32_t*, n_lut entries */
-    int64_t n_lut;
-    int64_t wrow;       /* const int64_t*, (M, K): wq * levels */
-    int64_t xq;         /* const uint8_t*, (K, C) quantized acts */
-    int64_t K, C;
-    int64_t fast;       /* the caller's in-bounds proof held */
-    int64_t acc_is32;   /* acc is int32_t*, else int64_t* */
-    int64_t acc;        /* row m at acc + m * acc_stride */
-    int64_t acc_stride; /* C: the (M, C) sums; 0: the tail's scratch row */
-    int64_t out;        /* uint8_t*, (M, C): the tail's output, or 0 */
+    int64_t out;        /* uint8_t* or double*, (M, C); or 0 */
     int64_t colsum;     /* const int64_t*, (C,): xq.sum(axis=0) */
     int64_t zw;         /* const int64_t*, 1 or M entries */
     int64_t zw_stride;  /* 0 for 1 entry, 1 for M */
     int64_t m0, d0, shift; /* const int64_t*, 1 or M entries each */
     int64_t rq_stride;
     int64_t qlo, qhi;
-    int64_t planes;     /* const uint8_t*, or 0: the scalar body */
-    int64_t xt;         /* uint8_t*, the VBMI body's tile scratch */
-    int64_t m_lo, m_hi; /* this call's rows */
-    int64_t c_lo, c_hi; /* this call's columns (the VBMI body's) */
-} gather_args;
+    int64_t fconst;     /* const double*, (8, M): the float tail, or 0 */
+    int64_t fflags;     /* FT_* */
+    int64_t resid;      /* const double*, (M, C), with FT_RESID */
+    int64_t M, C;
+} tail_args;
 
-/* ------------------------------------------------------------------
- * Requant + clamp tail of one integer serving output, shared by the
- * gather (with out set) and requant_f64_call:
- *
- *   A = acc - zw * colsum                                 (int64)
- *   t = A * m0 + d0                                       (int64)
- *   q = (t + half) >> sh, half = sh > 0 ? 1 << (sh - 1) : 0
- *   out = clamp(q, qlo, qhi)                              (uint8)
- *
- * Exactly repro.nn.requant.rounding_right_shift (round half toward +inf
- * via an arithmetic shift; shift == 0 adds no half) -- verified
- * bit-identical against the numpy reference by the execcore serve
- * self-check before either entry point is trusted.  zw_stride /
- * rq_stride are 0 for per-tensor (size-1) constant arrays and 1 for
- * per-channel (size-M) ones, so both layouts -- including read-only shm
- * views -- are read in place.  qlo already folds the integer ReLU
- * (max(q, Z) == a raised lower clamp, since Z >= qmin).
- */
 static inline int64_t requant_half(long sh)
 {
     return sh > 0 ? (int64_t) 1 << (sh - 1) : 0;
@@ -247,29 +268,102 @@ static inline uint8_t requant_clamp(int64_t acc, int64_t zw, int64_t colsum,
     return (uint8_t) q;
 }
 
-/* The tail of output row m over the w columns from c0:
- * out[m, c0 + i] = requant_clamp(src[i], ...).  One instance per sum
- * width: the scalar loop's accumulator row, the VBMI body's int32 tile. */
-#define DEFINE_REQUANT_ROW(NAME, SRC_T)                                 \
-static inline void NAME(const gather_args *a, long m, long c0, long w, \
-                        const SRC_T *restrict src)                      \
-{                                                                       \
-    const long rq = m * (long) a->rq_stride;                            \
-    const int64_t zw = ((const int64_t *) a->zw)[m * a->zw_stride];     \
-    const int64_t m0 = ((const int64_t *) a->m0)[rq];                   \
-    const int64_t d0 = ((const int64_t *) a->d0)[rq];                   \
-    const long sh = (long) ((const int64_t *) a->shift)[rq];            \
-    const int64_t half = requant_half(sh);                              \
-    const long qlo = (long) a->qlo, qhi = (long) a->qhi;                \
-    const int64_t *restrict colsum = (const int64_t *) a->colsum + c0;  \
-    uint8_t *restrict orow = (uint8_t *) a->out + m * a->C + c0;        \
-    for (long i = 0; i < w; i++)                                        \
-        orow[i] = requant_clamp((int64_t) src[i], zw, colsum[i], m0,    \
-                                d0, sh, half, qlo, qhi);                \
+/* The float tail after the dequant, on the w dequantized values of one
+ * row segment at o (still in L1): one loop per op present, each with no
+ * branch inside, so every pass vectorizes and rounds exactly like the
+ * numpy op it replays.  kc points at the row's w_corr entry of the
+ * (8, M) block, so kc[j * M] is the row's entry of constant row j. */
+static inline void float_tail_rest(double *restrict o, long w, long fl,
+                                   const double *kc, long M,
+                                   const double *restrict r)
+{
+    if (fl & FT_BIAS) {
+        const double bi = kc[3 * M];
+        for (long i = 0; i < w; i++)
+            o[i] = o[i] + bi;
+    }
+    if (fl & FT_BN) {
+        const double mu = kc[4 * M], is = kc[5 * M];
+        const double ga = kc[6 * M], be = kc[7 * M];
+        for (long i = 0; i < w; i++)
+            o[i] = ((o[i] - mu) * is) * ga + be;
+    }
+    if (fl & FT_RESID)
+        for (long i = 0; i < w; i++)
+            o[i] = o[i] + r[i];
+    if (fl & FT_RELU)
+        for (long i = 0; i < w; i++)
+            o[i] = o[i] * (double) (o[i] > 0);
 }
 
-DEFINE_REQUANT_ROW(requant_row_i32, int32_t)
-DEFINE_REQUANT_ROW(requant_row_i64, int64_t)
+/* The tail of output row m over the w columns from c0, src[i] being the
+ * sum of column c0 + i.  One instance per sum type: the scalar loop's
+ * accumulator row, the VBMI body's int32 tile, the rank-1 float64 row. */
+#define DEFINE_TAIL_ROW(NAME, SRC_T)                                    \
+static inline void NAME(const tail_args *t, long m, long c0, long w,  \
+                        const SRC_T *restrict src)                      \
+{                                                                       \
+    const int64_t zw = ((const int64_t *) t->zw)[m * t->zw_stride];     \
+    const int64_t *restrict colsum = (const int64_t *) t->colsum + c0;  \
+    if (!t->fconst) {                                                   \
+        const long rq = m * (long) t->rq_stride;                        \
+        const int64_t m0 = ((const int64_t *) t->m0)[rq];               \
+        const int64_t d0 = ((const int64_t *) t->d0)[rq];               \
+        const long sh = (long) ((const int64_t *) t->shift)[rq];        \
+        const int64_t half = requant_half(sh);                          \
+        const long qlo = (long) t->qlo, qhi = (long) t->qhi;            \
+        uint8_t *restrict orow = (uint8_t *) t->out + m * t->C + c0;    \
+        for (long i = 0; i < w; i++)                                    \
+            orow[i] = requant_clamp((int64_t) src[i], zw, colsum[i], m0, \
+                                    d0, sh, half, qlo, qhi);            \
+        return;                                                         \
+    }                                                                   \
+    const long M = (long) t->M, fl = (long) t->fflags;                 \
+    const double *k = (const double *) t->fconst;                      \
+    const double wc = k[m], cc = k[M + m], sc = k[2 * M + m];          \
+    const long off = m * (long) t->C + c0;                              \
+    double *restrict o = (double *) t->out + off;                       \
+    for (long i = 0; i < w; i++) {                                      \
+        double y = (double) ((int64_t) src[i] - zw * colsum[i]);        \
+        y -= wc;                                                        \
+        y += cc;                                                        \
+        y *= sc;                                                        \
+        o[i] = y;                                                       \
+    }                                                                   \
+    float_tail_rest(o, w, fl, k + m, M,                                 \
+                    (const double *) t->resid + (t->resid ? off : 0));  \
+}
+
+DEFINE_TAIL_ROW(tail_row_i32, int32_t)
+DEFINE_TAIL_ROW(tail_row_i64, int64_t)
+DEFINE_TAIL_ROW(tail_row_f64, double)
+
+/* ------------------------------------------------------------------
+ * Packed arguments of the forward gather (gather_call, below), which
+ * serves every forward entry point.  A serving plan op calls it once
+ * per thread's block per sample, and ctypes marshalling of 30-odd
+ * individual arguments costs ~20us per call with ndpointer validation
+ * -- comparable to the kernel itself on the smaller layers.  Packing
+ * them into one block of int64 slots makes the crossing a
+ * single-pointer call.  Slot order must match the _gather wrapper in
+ * Python.
+ */
+typedef struct {
+    int64_t lut;        /* const int32_t*, n_lut entries */
+    int64_t n_lut;
+    int64_t wrow;       /* const int64_t*, (M, K): wq * levels */
+    int64_t xq;         /* const uint8_t*, (K, C) quantized acts */
+    int64_t K, C;
+    int64_t fast;       /* the caller's in-bounds proof held */
+    int64_t acc_is32;   /* acc is int32_t*, else int64_t* */
+    int64_t acc;        /* row m at acc + m * acc_stride */
+    int64_t acc_stride; /* C: the (M, C) sums; 0: the tail's scratch row */
+    tail_args t;        /* t.out == 0: no tail, the sums are the result */
+    int64_t planes;     /* const uint8_t*, or 0: the scalar body */
+    int64_t xt;         /* uint8_t*, the VBMI body's tile scratch */
+    int64_t m_lo, m_hi; /* this call's rows */
+    int64_t c_lo, c_hi; /* this call's columns (the VBMI body's) */
+} gather_args;
 
 /* ------------------------------------------------------------------
  * In-register gather body (AVX-512 VBMI).  The forward gather reads,
@@ -449,8 +543,8 @@ static inline VBMI_TARGET void vbmi_tile(const uint8_t *restrict lo,
 }
 
 /* The VBMI body over rows [m_lo, m_hi) x columns [c_lo, c_hi) (c_lo a
- * multiple of VBMI_TILE): each tile's int32 sums go through the requant
- * tail, or are stored to the sums, widened to the accumulator width. */
+ * multiple of VBMI_TILE): each tile's int32 sums go through the tail,
+ * or are stored to the sums, widened to the accumulator width. */
 static VBMI_TARGET void gather_vbmi(const gather_args *a,
                                     const int64_t *restrict wrow,
                                     const uint8_t *restrict xq)
@@ -467,8 +561,8 @@ static VBMI_TARGET void gather_vbmi(const gather_args *a,
         xq_tile_u8(xq, K, C, c0, xt);
         for (long m = m_lo; m < m_hi; m++) {
             vbmi_tile(lo, hi, wrow + m * K, xt, K, res);
-            if (a->out) {
-                requant_row_i32(a, m, c0, w, res);
+            if (a->t.out) {
+                tail_row_i32(&a->t, m, c0, w, res);
             } else if (a->acc_is32) {
                 int32_t *o = (int32_t *) a->acc + m * stride + c0;
                 for (long i = 0; i < w; i++)
@@ -492,16 +586,16 @@ int gather_vbmi_supported(void)
 #endif
 
 /* ------------------------------------------------------------------
- * The forward gather over rows [m_lo, m_hi), one body for both forward
- * entry points:
+ * The forward gather over rows [m_lo, m_hi), one body for every forward
+ * entry point:
  *
  *   acc[m, c] = sum_k lut[wrow[m, k] + xq[k, c]]
- *   out[m, c] = requant_clamp(acc[m, c], zw[m], colsum[c], ...)  (tail)
+ *   out = tail(acc[m, c], zw[m], colsum[c], ...)    (requant or float)
  *
- * Without the tail (out == 0, fused_product_sums) the accumulator rows
- * are the (M, C) result, acc_stride C.  With it (fused_serve) each row
- * goes through the requant tail into uint8 while it is hot, and acc is
- * the thread's scratch row, acc_stride 0.  Integer arithmetic over
+ * Without a tail (t.out == 0, fused_product_sums) the accumulator rows
+ * are the (M, C) result, acc_stride C.  With one (serve_tail) each
+ * row goes through its tail while it is hot, and acc is the thread's
+ * scratch row, acc_stride 0.  Integer arithmetic over
  * disjoint rows: bit-identical to numpy for any row partition, which is
  * what makes threading over row blocks safe.
  *
@@ -539,7 +633,7 @@ int gather_vbmi_supported(void)
  * passed its self-check.  Otherwise the scalar loops below run over all
  * columns -- the only body off x86.
  */
-#define DEFINE_GATHER_RANGE(NAME, ACC_T, REQUANT_ROW)                   \
+#define DEFINE_GATHER_RANGE(NAME, ACC_T, TAIL_ROW)                      \
 static void NAME(const gather_args *a, const int32_t *restrict lut,     \
                  const int64_t *restrict wrow,                          \
                  const uint8_t *restrict xq, ACC_T *restrict acc)       \
@@ -550,7 +644,7 @@ static void NAME(const gather_args *a, const int32_t *restrict lut,     \
     }                                                                   \
     const long n_lut = (long) a->n_lut, K = (long) a->K, C = (long) a->C; \
     const long stride = (long) a->acc_stride, fast = (long) a->fast;    \
-    const long m_hi = (long) a->m_hi, tail = a->out != 0;               \
+    const long m_hi = (long) a->m_hi, tail = a->t.out != 0;             \
     for (long m = (long) a->m_lo; m < m_hi; m++) {                      \
         const int64_t *wr = wrow + m * K;                               \
         ACC_T *row = acc + m * stride;                                  \
@@ -591,12 +685,12 @@ static void NAME(const gather_args *a, const int32_t *restrict lut,     \
             }                                                           \
         }                                                               \
         if (tail)                                                       \
-            REQUANT_ROW(a, m, 0, C, row);                               \
+            TAIL_ROW(&a->t, m, 0, C, row);                              \
     }                                                                   \
 }
 
-DEFINE_GATHER_RANGE(gather_range_i64, int64_t, requant_row_i64)
-DEFINE_GATHER_RANGE(gather_range_i32, int32_t, requant_row_i32)
+DEFINE_GATHER_RANGE(gather_range_i64, int64_t, tail_row_i64)
+DEFINE_GATHER_RANGE(gather_range_i32, int32_t, tail_row_i32)
 
 /* The forward gather's one entry point: a thread's block of either
  * forward kernel (see gather_args). */
@@ -611,51 +705,21 @@ void gather_call(const gather_args *a)
         gather_range_i64(a, lut, wrow, xq, (int64_t *) a->acc);
 }
 
-/* Requant + clamp of an exact-integer float64 accumulator (M, C): the
- * tail of the rank-1 serving lowering, whose BLAS matmul a[wq] @ b[xq]
- * leaves every sum an integer below 2**53, so the int64 conversion is
- * exact.  Same per-row constant layout and tail as the gather kernel;
- * packed like fused_serve_call (slot order must match the requant_f64
- * wrapper in Python). */
+/* The tail of an exact-integer float64 accumulator (M, C): the rank-1
+ * serving lowering's BLAS matmul a[wq] @ b[xq] leaves every sum an
+ * integer below 2**53, so the int64 conversion in the tail is exact.
+ * Same tails as the gather (slot order must match lutkernel.tail_f64). */
 typedef struct {
     int64_t acc;        /* const double*, (M, C) */
-    int64_t colsum;     /* const int64_t*, (C,) */
-    int64_t zw;         /* const int64_t* */
-    int64_t zw_stride;
-    int64_t m0;         /* const int64_t* */
-    int64_t d0;         /* const int64_t* */
-    int64_t shift;      /* const int64_t* */
-    int64_t rq_stride;
-    int64_t qlo;
-    int64_t qhi;
-    int64_t out;        /* uint8_t*, (M, C) */
-    int64_t M, C;
-} requant_f64_args;
+    tail_args t;
+} tail_f64_args;
 
-void requant_f64_call(const requant_f64_args *a)
+void tail_f64_call(const tail_f64_args *a)
 {
-    const double *restrict acc = (const double *) a->acc;
-    const int64_t *restrict colsum = (const int64_t *) a->colsum;
-    const int64_t *restrict zw = (const int64_t *) a->zw;
-    const int64_t *restrict m0 = (const int64_t *) a->m0;
-    const int64_t *restrict d0 = (const int64_t *) a->d0;
-    const int64_t *restrict shift = (const int64_t *) a->shift;
-    uint8_t *restrict out = (uint8_t *) a->out;
-    const long zs = (long) a->zw_stride, rs = (long) a->rq_stride;
-    const long qlo = (long) a->qlo, qhi = (long) a->qhi;
-    const long M = (long) a->M, C = (long) a->C;
-    for (long m = 0; m < M; m++) {
-        const int64_t zwm = zw[m * zs];
-        const int64_t mm = m0[m * rs];
-        const int64_t dm = d0[m * rs];
-        const long sh = (long) shift[m * rs];
-        const int64_t half = requant_half(sh);
-        const double *arow = acc + m * C;
-        uint8_t *orow = out + m * C;
-        for (long c = 0; c < C; c++)
-            orow[c] = requant_clamp((int64_t) arow[c], zwm, colsum[c],
-                                    mm, dm, sh, half, qlo, qhi);
-    }
+    const double *acc = (const double *) a->acc;
+    const long M = (long) a->t.M, C = (long) a->t.C;
+    for (long m = 0; m < M; m++)
+        tail_row_f64(&a->t, m, 0, C, acc + m * C);
 }
 
 /* Serving-path im2col: unfold (N, Cin, H, W) uint8 activations into
@@ -1496,9 +1560,10 @@ def _compile() -> "ctypes.CDLL | None":
         with open(src_path, "w") as fh:
             fh.write(_KERNEL_SOURCE)
         tmp_so = so_path + f".{os.getpid()}.tmp"
-        # -ffp-contract=off: the backward's float32 mul-then-add sequences
-        # must round exactly like numpy's separate ufunc passes; a fused
-        # FMA would skip the intermediate rounding and break bit-identity.
+        # -ffp-contract=off: the backward's float32 and the float tail's
+        # float64 mul-then-add sequences must round exactly like numpy's
+        # separate ufunc passes; a fused FMA would skip the intermediate
+        # rounding and break bit-identity.
         cmd = [compiler, "-O3", "-march=native", "-ffp-contract=off",
                "-shared", "-fPIC", src_path, "-o", tmp_so]
         try:
@@ -1532,7 +1597,7 @@ def _compile() -> "ctypes.CDLL | None":
     _long = ctypes.c_long
     # Packed-argument entries: one pointer crosses the FFI boundary, so
     # per-call marshalling stays ~1us instead of ~20us for 21 args.
-    for sym in ("gather_call", "requant_f64_call", "im2col_serve_call"):
+    for sym in ("gather_call", "tail_f64_call", "im2col_serve_call"):
         packed = getattr(lib, sym)
         packed.restype = None
         packed.argtypes = [ctypes.c_void_p]
@@ -1627,7 +1692,7 @@ def vbmi_trusted() -> bool:
     covers every VBMI body: a failed check warns once and pins both
     forward gathers and the backward to their scalar C loops (not to
     numpy).  Every gather consults it, so a direct caller of
-    :func:`fused_product_sums`, :func:`fused_serve` or
+    :func:`fused_product_sums`, :func:`serve_tail` or
     :func:`fused_backward_grads` never gets an unvetted body; callers
     that trace should call it first, outside their spans, so the probe
     calls land in no traced operation.
@@ -1683,21 +1748,22 @@ def _run_vbmi_self_check() -> bool:
     xq = rng.integers(0, levels, size=(6, 129)).astype(np.uint8)
     cols = np.arange(0, 129, 2)
     xq[:, cols] = probe[(np.arange(6)[:, None] + cols[None, :]) % 6]
+    # The requant tail at zw = m0 = 1, d0 = 0, shift = 11.
     one = np.ones(1, dtype=np.int64)
+    tail = RequantTail(one, one, one * 0, one * 11, 0, 255, wrow.shape[0])
     for c in (63, 64, 65, 129):
         sub = np.ascontiguousarray(xq[:, :c])
         want = execcore._numpy_forward(lut, wrow, sub, c, np.int64)
         colsum = sub.sum(axis=0, dtype=np.int64)
-        # The serving tail at zw = m0 = 1, d0 = 0, shift = 11.
         want_q = np.clip((want - colsum + 1024) >> 11, 0, 255)
         for acc_dtype in (np.int64, np.int32):
             for threads in (1, 2) if c in (63, 129) else (1,):
                 got = fused_product_sums(
                     lut, wrow, sub, acc_dtype, threads, planes
                 )
-                got_q = fused_serve(
-                    lut, wrow, sub, colsum, one, one, one * 0, one * 11,
-                    0, 255, acc_dtype, threads, planes=planes,
+                got_q = serve_tail(
+                    lut, wrow, sub, colsum, tail, acc_dtype, threads,
+                    planes=planes,
                 )
                 if got is None or got_q is None:
                     return False
@@ -2075,26 +2141,168 @@ def _check_operands(
             )
 
 
-#: Int64 slots of the C ``gather_args`` struct.
-_GATHER_SLOTS = 26
+#: Int64 slots of the C ``tail_args`` and ``gather_args`` structs.
+_TAIL_SLOTS = 15
+_GATHER_SLOTS = 10 + _TAIL_SLOTS + 6
+
+#: ``FloatTail.flags`` bits (``FT_*`` in the C source).
+FT_BIAS, FT_BN, FT_RESID, FT_RELU = 1, 2, 4, 8
+
+
+def _const_row(
+    arr: np.ndarray, m: int, what: str, who: str
+) -> tuple[np.ndarray, int]:
+    """Normalize a per-row constant block to (contiguous int64 1-D, stride).
+
+    Size-1 blocks (per-tensor) get stride 0, size-``m`` blocks
+    (per-channel) stride 1, so the kernel indexes either layout in place
+    -- read-only views included (already contiguous, so
+    ``ascontiguousarray`` is a no-op and the read stays zero-copy).
+    """
+    out = np.ascontiguousarray(np.ravel(arr), dtype=np.int64)
+    if out.size == 1:
+        return out, 0
+    if out.size != m:
+        raise ValueError(
+            f"{who}: {what} has {out.size} entries, expected 1 or {m}"
+        )
+    return out, 1
+
+
+class RequantTail:
+    """The requant tail's constants, validated and laid out once.
+
+    ``zw`` and ``m0`` / ``d0`` / ``shift`` (the
+    :class:`~repro.nn.requant.RequantParams` arrays) each hold 1 entry
+    (per-tensor) or ``m`` (per-channel); ``[qlo, qhi]`` are the uint8
+    rails.  The C slots, addresses included, are read here, so a plan op
+    that builds its tail at compile time pays no per-call conversion.
+    """
+
+    __slots__ = ("m", "zw", "m0", "d0", "shift", "qlo", "qhi", "slots")
+
+    def __init__(self, zw, m0, d0, shift, qlo, qhi, m: int):
+        who = "RequantTail"
+        if not (0 <= qlo <= qhi <= 0xFF):
+            raise ValueError(f"{who}: uint8 rails out of range [{qlo}, {qhi}]")
+        self.m = m
+        self.zw, zw_stride = _const_row(zw, m, "zw", who)
+        self.m0, rq_stride = _const_row(m0, m, "m0", who)
+        self.d0, d0_stride = _const_row(d0, m, "d0", who)
+        self.shift, sh_stride = _const_row(shift, m, "shift", who)
+        if not (rq_stride == d0_stride == sh_stride):
+            raise ValueError(f"{who}: m0/d0/shift layout mismatch")
+        self.qlo, self.qhi = int(qlo), int(qhi)
+        # tail_args from zw to fflags: no float constants.
+        self.slots = (
+            self.zw.ctypes.data, zw_stride, self.m0.ctypes.data,
+            self.d0.ctypes.data, self.shift.ctypes.data, rq_stride,
+            self.qlo, self.qhi, 0, 0,
+        )
+
+
+class FloatTail:
+    """The float tail's constants, packed once into one float64 block.
+
+    The tail of a LUT layer whose output leaves the integer grid: the
+    exact dequant of ``A = acc - zw * colsum`` (``w_corr``,
+    ``const_corr``, ``scale``, optional ``bias``), then optionally the
+    eval BatchNorm ``bn = (mean, inv_std, gamma, beta)``, the residual
+    add of a block's shortcut (``residual``: each call passes it) and
+    the float ReLU.  ``consts`` is the (8, M) float64 block the C tail
+    reads through one pointer -- rows ``w_corr, const_corr, scale, bias,
+    mean, inv_std, gamma, beta``, size-1 (per-tensor) constants repeated
+    per row, absent ones zero -- and ``flags`` its ``FT_*`` bits.  The
+    numpy reference (:func:`repro.core.execcore._float_tail`) reads the
+    same block.
+    """
+
+    __slots__ = ("m", "zw", "consts", "flags", "slots")
+
+    def __init__(self, zw, w_corr, const_corr, scale, bias=None, bn=None,
+                 residual: bool = False, relu: bool = False):
+        w_corr = np.ravel(np.asarray(w_corr, dtype=np.float64))
+        m = self.m = w_corr.size
+        self.zw, zw_stride = _const_row(zw, m, "zw", "FloatTail")
+        rows = (w_corr, const_corr, scale, 0.0 if bias is None else bias,
+                *((0.0,) * 4 if bn is None else bn))
+        consts = np.empty((8, m), dtype=np.float64)
+        for i, row in enumerate(rows):
+            row = np.ravel(np.asarray(row, dtype=np.float64))
+            if row.size not in (1, m):
+                raise ValueError(
+                    f"FloatTail: constant row {i} has {row.size} entries, "
+                    f"expected 1 or {m}"
+                )
+            consts[i] = row
+        consts.flags.writeable = False
+        self.consts = consts
+        self.flags = (
+            FT_BIAS * (bias is not None) + FT_BN * (bn is not None)
+            + FT_RESID * bool(residual) + FT_RELU * bool(relu)
+        )
+        self.slots = (
+            self.zw.ctypes.data, zw_stride, 0, 0, 0, 0, 0, 0,
+            consts.ctypes.data, self.flags,
+        )
+
+
+def _tail_operands(tail, colsum, resid, m: int, c: int, who):
+    """The tail's output array and checked per-call operands.
+
+    Returns ``(out, colsum, resid)``: the (M, C) output, uint8 for a
+    :class:`RequantTail` and float64 for a :class:`FloatTail`, and
+    ``colsum`` / ``resid`` as C contiguous int64 / float64 arrays (kept
+    referenced by the caller for the duration of the call).
+    """
+    if tail.m != m:
+        raise ValueError(f"{who}: tail built for {tail.m} rows, got {m}")
+    colsum = np.ascontiguousarray(colsum, dtype=np.int64)
+    if colsum.shape != (c,):
+        raise ValueError(
+            f"{who}: colsum has shape {colsum.shape}, expected ({c},)"
+        )
+    if isinstance(tail, RequantTail):
+        if resid is not None:
+            raise ValueError(f"{who}: the requant tail takes no residual")
+        return np.empty((m, c), dtype=np.uint8), colsum, None
+    if (resid is not None) != bool(tail.flags & FT_RESID):
+        raise ValueError(f"{who}: residual operand and tail disagree")
+    if resid is not None:
+        resid = np.ascontiguousarray(resid, dtype=np.float64)
+        if resid.shape != (m, c):
+            raise ValueError(
+                f"{who}: residual has shape {resid.shape}, expected "
+                f"{(m, c)}"
+            )
+    return np.empty((m, c), dtype=np.float64), colsum, resid
+
+
+def _tail_slots(tail, out, colsum, resid, c: int) -> tuple:
+    """The ``tail_args`` slots of one call (C struct order)."""
+    return (
+        out.ctypes.data, colsum.ctypes.data, *tail.slots,
+        0 if resid is None else resid.ctypes.data, tail.m, c,
+    )
 
 
 def _gather(
     who, lut_flat, wrow, xq, acc_dtype, threads, planes, wrow_bounds=None,
-    xq_bounds=None, tail=None,
+    xq_bounds=None, tail=None, colsum=None, resid=None,
 ):
-    """The one forward gather behind :func:`fused_product_sums` and
-    :func:`fused_serve`.
+    """The one forward gather behind :func:`fused_product_sums`,
+    and :func:`serve_tail`.
 
     ``tail`` is ``None`` for the sums (the (M, C) result in
-    ``acc_dtype``) or the requant operands ``(colsum, zw, m0, d0, shift,
-    qlo, qhi)`` (the (M, C) uint8 result).  Checks the operands, the
-    accumulator dtype among them, before any C call; picks the body
+    ``acc_dtype``), a :class:`RequantTail` (the (M, C) uint8 result) or a
+    :class:`FloatTail` (the (M, C) float64 result, ``resid`` its
+    residual operand); both tails take ``colsum``.  Checks the operands,
+    the accumulator dtype among them, before any C call; picks the body
     (:func:`_gather_body`) and the per-thread blocks
     (:func:`_gather_blocks`); and runs one packed ``gather_call`` per
-    block, slots in the order of the C ``gather_args`` struct.  ``None``
-    when the kernel is unavailable or an activation is off the uint8 grid
-    (:func:`_activation_operand`).
+    block, slots in the order of the C ``gather_args`` struct, each
+    operand's address read once.  ``None`` when the kernel is unavailable
+    or an activation is off the uint8 grid (:func:`_activation_operand`).
     """
     _check_operands(who, (lut_flat,), wrow, xq, (planes,))
     acc_dtype = np.dtype(acc_dtype)
@@ -2107,22 +2315,14 @@ def _gather(
     if lib is None:
         return None
     m, (k, c) = wrow.shape[0], xq.shape
-    out = np.empty((m, c), dtype=np.uint8 if tail else acc_dtype)
+    if tail is None:
+        out = np.empty((m, c), dtype=acc_dtype)
+    else:
+        out, colsum, resid = _tail_operands(tail, colsum, resid, m, c, who)
     if m == 0 or c == 0:
         # Empty micro-batch: never a kernel call (the row/chunk
         # partitioners have no ranges to offer).
         return out
-    if tail:
-        colsum, zw, zw_stride, m0, d0, shift, rq_stride = _requant_operands(
-            *tail, m, c, who
-        )
-        tail_slots = (
-            out.ctypes.data, colsum.ctypes.data, zw.ctypes.data, zw_stride,
-            m0.ctypes.data, d0.ctypes.data, shift.ctypes.data, rq_stride,
-            *tail[5:],
-        )
-    else:
-        tail_slots = (0,) * 10
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     ext = _extrema(wrow, xq, wrow_bounds, xq_bounds)
@@ -2132,22 +2332,29 @@ def _gather(
     fast, vbmi = _gather_body(lut_flat.size, ext, k, c, planes)
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges, tiles = _gather_blocks(m, c, k, vbmi, nthreads)
-    # The accumulator rows: the sums themselves, or with the tail one
-    # scratch row per thread for the scalar body, the row that never
-    # leaves cache (the VBMI body sums its tiles in registers).
-    if tail:
-        accs = [np.empty(0 if vbmi else c, dtype=acc_dtype) for _ in ranges]
+    if tail is None:
+        acc_addrs = [out.ctypes.data] * len(ranges)
+        tail_slots = (0,) * _TAIL_SLOTS
     else:
-        accs = [out] * len(ranges)
-    args = np.empty((len(ranges), _GATHER_SLOTS), dtype=np.int64)
-    args[:, :21] = (
+        # One scratch row per thread for the scalar body, the row that
+        # never leaves cache (the VBMI body sums its tiles in registers).
+        accs = [np.empty(0 if vbmi else c, dtype=acc_dtype) for _ in ranges]
+        acc_addrs = [acc.ctypes.data for acc in accs]
+        tail_slots = _tail_slots(tail, out, colsum, resid, c)
+    head = (
         lut_flat.ctypes.data, lut_flat.size, wrow.ctypes.data,
-        xq.ctypes.data, k, c, fast, acc_dtype == np.int32, 0,
-        0 if tail else c, *tail_slots, _ptr(planes) if vbmi else 0,
+        xq.ctypes.data, k, c, fast, acc_dtype == np.int32,
     )
-    for i, block in enumerate(ranges):
-        args[i, 8] = accs[i].ctypes.data
-        args[i, 21:] = (_ptr(tiles[i]), *block)
+    planes_addr = planes.ctypes.data if vbmi else 0
+    # One row of slots per block, in the C ``gather_args`` order.
+    args = np.array(
+        [
+            (*head, addr, 0 if tail else c, *tail_slots, planes_addr,
+             0 if tile is None else tile.ctypes.data, *block)
+            for addr, tile, block in zip(acc_addrs, tiles, ranges)
+        ],
+        dtype=np.int64,
+    )
     base, row_bytes = args.ctypes.data, args.strides[0]
     call = lib.gather_call
 
@@ -2155,7 +2362,7 @@ def _gather(
         call(base + slot * row_bytes)
 
     counter, span = (
-        ("lutkernel.fused_serve_calls", "lutkernel.fused_serve") if tail
+        ("lutkernel.serve_tail_calls", "lutkernel.serve_tail") if tail
         else ("lutkernel.fused_calls", "lutkernel.product_sums")
     )
     _TRACE.count(counter)
@@ -2222,80 +2429,41 @@ def fused_product_sums(
     )
 
 
-def _const_row(
-    arr: np.ndarray, m: int, what: str, who: str
-) -> tuple[np.ndarray, int]:
-    """Normalize a per-row constant block to (contiguous int64 1-D, stride).
-
-    Size-1 blocks (per-tensor) get stride 0, size-``m`` blocks
-    (per-channel) stride 1, so the kernel indexes either layout in place
-    -- read-only views included (already contiguous, so
-    ``ascontiguousarray`` is a no-op and the read stays zero-copy).
-    """
-    out = np.ascontiguousarray(np.ravel(arr), dtype=np.int64)
-    if out.size == 1:
-        return out, 0
-    if out.size != m:
-        raise ValueError(
-            f"{who}: {what} has {out.size} entries, expected 1 or {m}"
-        )
-    return out, 1
-
-
-def _requant_operands(colsum, zw, m0, d0, shift, qlo, qhi, m, c, who):
-    """Validate and normalize the requant tail's operands for the C call.
-
-    Returns ``(colsum, zw, zw_stride, m0, d0, shift, rq_stride)``: C
-    contiguous int64 arrays (kept referenced by the caller for the
-    duration of the call) and the 0/1 strides of :func:`_const_row`.
-    """
-    if not (0 <= qlo <= qhi <= 0xFF):
-        raise ValueError(f"{who}: uint8 rails out of range [{qlo}, {qhi}]")
-    colsum = np.ascontiguousarray(colsum, dtype=np.int64)
-    if colsum.shape != (c,):
-        raise ValueError(
-            f"{who}: colsum has shape {colsum.shape}, expected ({c},)"
-        )
-    zw, zw_stride = _const_row(zw, m, "zw", who)
-    m0, rq_stride = _const_row(m0, m, "m0", who)
-    d0, d0_stride = _const_row(d0, m, "d0", who)
-    shift, sh_stride = _const_row(shift, m, "shift", who)
-    if not (rq_stride == d0_stride == sh_stride):
-        raise ValueError(f"{who}: m0/d0/shift layout mismatch")
-    return colsum, zw, zw_stride, m0, d0, shift, rq_stride
-
-
-def fused_serve(
+def serve_tail(
     lut_flat: np.ndarray,
     wrow: np.ndarray,
     xq: np.ndarray,
     colsum: np.ndarray,
-    zw: np.ndarray,
-    m0: np.ndarray,
-    d0: np.ndarray,
-    shift: np.ndarray,
-    qlo: int,
-    qhi: int,
+    tail: "RequantTail | FloatTail",
     acc_dtype=np.int64,
     threads: int | None = None,
     wrow_bounds: tuple[int, int] | None = None,
     xq_bounds: tuple[int, int] | None = None,
     planes: np.ndarray | None = None,
+    resid: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Fused integer serving op: gather + correct + requantize + clamp.
+    """The fused serving op: the gather, then one of the two tails.
 
-    One C loop per output row computes, entirely in integers::
+    One C loop per output row (or VBMI tile) gathers and corrects in
+    integers, ``A[c] = sum_k lut_flat[wrow[m, k] + xq[k, c]] - zw[m] *
+    colsum[c]``, then hands the finished row to the tail while it is hot:
 
-        A[c] = sum_k lut_flat[wrow[m, k] + xq[k, c]] - zw[m] * colsum[c]
-        out[m, c] = clip((A[c] * m0[m] + d0[m] + half) >> shift[m],
-                         qlo, qhi)        # half = 2**(shift-1), 0 at 0
+    * a :class:`RequantTail` gives the (M, C) uint8 output
+      ``clip((A[c] * m0[m] + d0[m] + half) >> shift[m], qlo, qhi)``
+      (``half = 2**(shift-1)``, 0 at 0), the
+      :func:`repro.nn.requant.rounding_right_shift` round-half-up
+      convention exactly; ``qlo`` folds the integer ReLU, since
+      ``max(q, Z)`` over a ``[qmin, qmax]`` clip equals one ``[max(qmin,
+      Z), qmax]`` clip;
+    * a :class:`FloatTail` gives the (M, C) float64 output of a layer
+      that leaves the integer grid: the exact dequant of ``A``, then the
+      optional BatchNorm, residual add (``resid``, float64 (M, C)) and
+      ReLU, each float operation in the unfused numpy plan's order (see
+      the C comment above ``tail_args``).
 
-    following the :func:`repro.nn.requant.rounding_right_shift`
-    round-half-up convention exactly (pinned by the execcore serve
-    self-check).  ``qlo`` folds the integer ReLU: ``max(q, Z)`` over a
-    ``[qmin, qmax]`` clip equals a single ``[max(qmin, Z), qmax]`` clip.
-    Gather indices clamp into the table like ``np.take(mode="clip")``
-    only when the extrema proof (:func:`_gather_in_bounds`) fails.
+    Both are pinned by the execcore serve self-check.  Gather indices
+    clamp into the table like ``np.take(mode="clip")`` only when the
+    extrema proof (:func:`_gather_in_bounds`) fails.
 
     Args:
         lut_flat: Flat int32 product LUT of size ``levels**2``.
@@ -2304,12 +2472,8 @@ def fused_serve(
             :func:`fused_product_sums`.
         colsum: (C,) int64 column sums of ``xq`` (shared across row
             blocks, so the caller computes it once).
-        zw: Weight zero point(s): size 1 (per-tensor) or M (per-channel).
-        m0 / d0 / shift: Fixed-point requant constants, each size 1 or M
-            -- :class:`repro.nn.requant.RequantParams` fields (read in
-            place, zero-copy).
-        qlo / qhi: Saturation rails of the uint8 output grid; must
-            satisfy ``0 <= qlo <= qhi <= 255``.
+        tail: The tail's constants, built once (plan ops build them at
+            compile time).
         acc_dtype: ``np.int64`` (default) or ``np.int32`` accumulator
             rows (``np.int32`` requires ``K * max|lut| < 2**31``, see
             ``LutGemm.int32_acc_safe``; bit-identical within the bound).
@@ -2330,66 +2494,53 @@ def fused_serve(
             :func:`_gather_body`; ``C == 1`` rows keep the scalar
             four-chain reduction).  Used as given, like
             :func:`fused_product_sums`'s.
+        resid: The float tail's residual operand, when it has one.
 
     Returns:
-        The (M, C) uint8 output, or ``None`` when the kernel is
-        unavailable or an activation lies outside ``[0, 255]`` (callers
-        fall back to the unfused numpy pipeline).
+        The (M, C) result, or ``None`` when the kernel is unavailable or
+        an activation lies outside ``[0, 255]`` (callers fall back to
+        the unfused numpy pipeline).
 
     Raises:
         ValueError: ``wrow`` / ``xq`` are not 2-D or disagree on K,
             ``lut_flat`` is empty, ``acc_dtype`` is not int32 or int64,
-            or a constant block, the rails or ``planes`` do not fit.
+            or ``colsum``, ``resid`` or ``planes`` do not fit.
     """
     return _gather(
-        "fused_serve", lut_flat, wrow, xq, acc_dtype, threads, planes,
-        wrow_bounds, xq_bounds, (colsum, zw, m0, d0, shift, qlo, qhi),
+        "serve_tail", lut_flat, wrow, xq, acc_dtype, threads, planes,
+        wrow_bounds, xq_bounds, tail, colsum, resid,
     )
 
 
-def requant_f64(
+def tail_f64(
     acc: np.ndarray,
     colsum: np.ndarray,
-    zw: np.ndarray,
-    m0: np.ndarray,
-    d0: np.ndarray,
-    shift: np.ndarray,
-    qlo: int,
-    qhi: int,
+    tail: "RequantTail | FloatTail",
+    resid: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Requant + clamp of an exact-integer float64 accumulator to uint8.
+    """Either serving tail over an exact-integer float64 accumulator.
 
-    The serving tail of the rank-1 lowering: ``acc`` (M, C) holds the
-    BLAS matmul ``a[wq] @ b[xq]``, every entry an integer below
-    ``2**53``.  The C loop converts each to int64 (exact) and runs the
-    same correction / requant / clamp as :func:`fused_serve` -- one
-    shared inline tail, pinned by the execcore serve self-check.
-    Constants follow :func:`fused_serve`'s size-1-or-M layout.
-
-    Returns the (M, C) uint8 output, or ``None`` when the kernel is
-    unavailable (callers fall back to the numpy requant).
+    ``acc`` (M, C) holds the rank-1 lowering's matmul sums, integers
+    below ``2**53``, so the C tail's int64 conversion is exact and the
+    (M, C) result is :func:`serve_tail`'s for the same sums: uint8 for a
+    :class:`RequantTail`, float64 for a :class:`FloatTail`.  ``None``
+    when the kernel is unavailable (callers run the numpy reference).
     """
     lib = _get_kernel()
     if lib is None:
         return None
     m, c = acc.shape
-    out = np.empty((m, c), dtype=np.uint8)
+    out, colsum, resid = _tail_operands(tail, colsum, resid, m, c,
+                                        "tail_f64")
     if m == 0 or c == 0:
         return out
-    colsum, zw, zw_stride, m0, d0, shift, rq_stride = _requant_operands(
-        colsum, zw, m0, d0, shift, qlo, qhi, m, c, "requant_f64"
-    )
     acc = np.ascontiguousarray(acc, dtype=np.float64)
-    # Slot order matches the C ``requant_f64_args`` struct.
+    # Slot order matches the C ``tail_f64_args`` struct.
     args = np.array(
-        [
-            acc.ctypes.data, colsum.ctypes.data, zw.ctypes.data, zw_stride,
-            m0.ctypes.data, d0.ctypes.data, shift.ctypes.data, rq_stride,
-            qlo, qhi, out.ctypes.data, m, c,
-        ],
+        [acc.ctypes.data, *_tail_slots(tail, out, colsum, resid, c)],
         dtype=np.int64,
     )
-    lib.requant_f64_call(args.ctypes.data)
+    lib.tail_f64_call(args.ctypes.data)
     return out
 
 

@@ -34,7 +34,7 @@ Rounding conventions (the single normative statement for the repo)
   an arithmetic shift.  This is the convention integer hardware implements
   with one adder; it differs from ``rint`` only on exact ties, which for
   compiled ``M0``/``D0`` constants occur with probability ~``2**-shift``.
-  The fused C serving kernel (``fused_serve`` in
+  The fused C serving kernel's requant tail (``serve_tail`` in
   :mod:`repro.core.lutkernel`) re-implements exactly this expression --
   ``half = shift > 0 ? 1 << (shift - 1) : 0`` then an arithmetic ``>>`` --
   so its outputs are bit-identical to :func:`requantize`; the corner pins

@@ -21,23 +21,24 @@ Two lowering modes:
   (``lutgemm_int``), and a fixed-point ``requant`` op (``M0`` multiply +
   rounding right shift + saturating cast, see :mod:`repro.nn.requant`)
   lands it directly on the *next* approximate layer's uint8 grid -- no
-  float tensor anywhere until the final exact ``dequant``.  ReLU becomes
+  float tensor anywhere until an exact ``dequant``.  ReLU becomes
   ``max(q, Z)``, max pooling and reshapes pass uint8 through unchanged,
   and a BatchNorm directly after a gather folds into the requant
   constants; all three commute exactly with monotone quantization.  Ops
   that do not commute (average pooling, global average pooling, plain
-  float layers, a non-adjacent BN) close the region with an exact integer
-  dequant and the plan falls back to float until the next approximate
-  layer.  :func:`assert_integer_core` is the plan-walk gate for "no float
-  dtype between input quant and final dequant".
+  float layers, a non-adjacent BN, a residual join) close the region
+  with an exact integer dequant and the plan falls back to float until
+  the next approximate layer.  :func:`assert_integer_core` is the
+  plan-walk gate for "no float op after the input quant".
 
   By default integer plans are additionally run through
-  :func:`fuse_integer_plan`: every ``lutgemm_int -> requant [-> relu]``
-  run becomes one ``fused_int`` op executing gather + correction +
-  fixed-point requant + ReLU clamp in a single
-  :func:`repro.core.execcore.serve_fused` call (one C loop; numpy
-  fallback bit-identical).  See ``docs/serving.md`` for the fusion
-  rules and which ops break a fused run.
+  :func:`fuse_integer_plan`: every LUT layer's gather and the ops that
+  finish it become one ``fused_int`` op -- ``lutgemm_int -> requant [->
+  relu]`` ends in the requant tail (uint8 out), ``lutgemm_int ->
+  dequant [-> bn] [-> relu | join]`` in the float tail (float64 out) --
+  executed in a single :func:`repro.core.execcore.serve_fused` call (one
+  C loop; numpy fallback bit-identical).  See ``docs/serving.md`` for
+  the fusion rules.
 
 Residual blocks compile inline as ``save``/``branch``/``join`` ops (see
 :func:`_compile_residual`), so fusion and per-op profilers see every
@@ -59,6 +60,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro.core.lutkernel import FloatTail, RequantTail
 from repro.errors import PlanShapeError, ServeError
 from repro.nn import functional as F
 from repro.nn.approx import (
@@ -95,8 +97,10 @@ FLOAT = "float64"
 class PlanOp:
     """One compiled step: a named closure ``(ndarray) -> ndarray``.
 
-    The residual-block kinds ``save``/``branch`` (``fn`` is ``None``) and
-    ``join`` (``fn(main, short)``) are dispatched by :func:`_execute`.
+    The residual-block kinds ``save``/``branch`` (``fn`` is ``None``) are
+    dispatched by :func:`_execute`.  An op with ``residual`` set -- a
+    ``join``, or a fused op that absorbed one -- is called ``fn(main,
+    short)`` with the block's shortcut output.
 
     ``dtype_in``/``dtype_out`` tag the tensor domain each op consumes and
     produces (``"float64"``, ``"uint8"``, ``"int64"`` ...), so traces,
@@ -111,12 +115,13 @@ class PlanOp:
 
     ``meta`` is a small dict of compile-time facts later passes need but
     the closure hides (conv geometry on a ``lutgemm_int`` op, the integer
-    ReLU's clamp zero point): :func:`fuse_integer_plan` reads it to
-    rebuild fusable op runs without re-walking the model.
+    ReLU's clamp zero point, an eval BatchNorm's constants):
+    :func:`fuse_integer_plan` reads it to rebuild fusable op runs without
+    re-walking the model.
     """
 
     __slots__ = ("name", "kind", "fn", "dtype_in", "dtype_out", "params",
-                 "meta")
+                 "meta", "residual")
 
     def __init__(
         self,
@@ -127,6 +132,7 @@ class PlanOp:
         dtype_out: str = FLOAT,
         params=None,
         meta: dict | None = None,
+        residual: bool = False,
     ):
         self.name = name
         self.kind = kind
@@ -135,6 +141,7 @@ class PlanOp:
         self.dtype_out = dtype_out
         self.params = params
         self.meta = meta
+        self.residual = residual
 
     def __repr__(self) -> str:
         return (
@@ -170,7 +177,8 @@ class InferencePlan:
 
     @property
     def fused_ops(self) -> int:
-        """Number of fused gather+requant(+relu) ops in the plan."""
+        """Number of fused ops in the plan: a gather with its requant
+        tail (uint8 out) or its float tail (float64 out)."""
         return sum(1 for op in self.ops if op.kind == "fused_int")
 
     @property
@@ -179,15 +187,27 @@ class InferencePlan:
         return sum(1 for op in self.ops if _separable_op(op))
 
     def integer_core(self) -> tuple[int, int] | None:
-        """Op-index span ``(first quant, last dequant)``, or ``None``."""
-        starts = [i for i, op in enumerate(self.ops) if op.kind == "quant"]
-        ends = [i for i, op in enumerate(self.ops) if op.kind == "dequant"]
-        if not starts or not ends:
+        """Op-index span ``(first quant, first float output)``, or ``None``.
+
+        The core ends at the first op after the input quant whose output
+        is float: an unfused plan's ``dequant``, or a fused op's float
+        tail.
+        """
+        ops = self.ops
+        start = next((i for i, op in enumerate(ops) if op.kind == "quant"),
+                     None)
+        if start is None:
             return None
-        return starts[0], ends[-1]
+        end = next((i for i in range(start + 1, len(ops))
+                    if "float" in ops[i].dtype_out), None)
+        return None if end is None else (start, end)
 
     def op_summary(self) -> dict:
-        """JSON-friendly per-op-kind/dtype counts (``/metrics`` plan info)."""
+        """JSON-friendly per-op-kind/dtype counts (``/metrics`` plan info).
+
+        ``fused_ops`` counts both tails: a ``uint8->uint8`` fused op
+        requantizes, a ``uint8->float64`` one ends in the float tail.
+        """
         kinds: dict[str, int] = {}
         dtypes: dict[str, int] = {}
         for op in self.ops:
@@ -213,15 +233,20 @@ class InferencePlan:
             # (the same core the training tape uses; "numpy" when no C
             # compiler is available or REPRO_NO_CCKERNEL is set).
             "gemm_backend": backend["forward_backend"],
-            # Backend of the fused gather+requant+relu serving ops
-            # ("numpy" also when the serving self-check refused the C
-            # kernel on this platform).
+            # Backend of the fused serving ops, both tails ("numpy" also
+            # when the serving self-check refused the C kernel on this
+            # platform).
             "serve_backend": backend["serve_backend"],
             "gemm_threads": backend["threads"],
         }
 
     def describe(self) -> str:
-        """Numbered op listing for logs and ``repro serve`` startup."""
+        """Numbered op listing for logs and ``repro serve`` startup.
+
+        Each line shows the op's kind, name and dtypes: a fused op named
+        ``...+requant[+relu]`` is ``uint8 -> uint8``, one named
+        ``...+dequant[+bn][+relu|+join]`` is ``uint8 -> float64``.
+        """
         from repro.core import execcore
 
         backend = execcore.backend_info()
@@ -252,9 +277,12 @@ class InferencePlan:
 def _execute(ops: list[PlanOp], x: np.ndarray) -> np.ndarray:
     """Run ``ops`` on ``x``; the executor of every plan.
 
-    ``save`` pushes the block input, ``branch`` swaps the main-path
-    result for it, ``join`` pops the main result into ``fn(main, short)``.
-    Dispatch is on ``kind`` (profilers wrap ``fn``); the stack is local.
+    A residual block runs its shortcut first: ``save`` pushes the block
+    input, the shortcut ops run on it, ``branch`` swaps the shortcut
+    result for the saved input, and the main path's ``residual`` op (the
+    ``join``, or the fused op that absorbed it) pops the shortcut into
+    ``fn(main, short)``.  Dispatch is on ``kind`` and ``residual``
+    (profilers wrap ``fn``); the stack is local.
     """
     out = np.asarray(x, dtype=np.float64)
     saved: list[np.ndarray] = []
@@ -263,8 +291,8 @@ def _execute(ops: list[PlanOp], x: np.ndarray) -> np.ndarray:
             saved.append(out)
         elif op.kind == "branch":
             out, saved[-1] = saved[-1], out
-        elif op.kind == "join":
-            out = op.fn(saved.pop(), out)
+        elif op.residual:
+            out = op.fn(out, saved.pop())
         else:
             out = op.fn(out)
     return out
@@ -285,11 +313,17 @@ def _separable_op(op: PlanOp) -> bool:
 
 
 def integer_core_report(plan: InferencePlan) -> dict:
-    """Plan-walk report of float usage inside the integer core.
+    """Plan-walk report of the float ops an integer plan keeps.
 
-    Returns a dict with ``has_core`` (a quant..dequant span exists),
-    ``float_ops`` (names of ops between them touching a float dtype --
-    fallback regions), and ``integer_only`` (core exists and is clean).
+    Returns a dict with ``has_core`` (the input quant is followed by an
+    op with a float output: :meth:`InferencePlan.integer_core`),
+    ``span`` (that op-index pair), ``float_ops`` (names of every op after
+    the input quant that computes on a float input: float fallback
+    regions, the ``quant`` of each residual block, pools and float heads
+    after the last LUT layer, and an unfused plan's BN and ``join`` ops;
+    the structural ``save`` / ``branch`` are not named), and
+    ``integer_only`` (core exists and no op stays float: the plan is
+    integer from its input quant to its output).
     """
     core = plan.integer_core()
     if core is None:
@@ -302,8 +336,8 @@ def integer_core_report(plan: InferencePlan) -> dict:
     start, end = core
     float_ops = [
         op.name
-        for op in plan.ops[start + 1 : end]
-        if "float" in op.dtype_in or "float" in op.dtype_out
+        for op in plan.ops[start + 1 :]
+        if op.fn is not None and "float" in op.dtype_in
     ]
     return {
         "has_core": True,
@@ -314,20 +348,21 @@ def integer_core_report(plan: InferencePlan) -> dict:
 
 
 def assert_integer_core(plan: InferencePlan) -> None:
-    """Assert no float dtype between input quantization and final dequant.
+    """Assert no op computes on a float tensor after the input quant.
 
     The acceptance gate of the integer lowering: raises
-    :class:`ServeError` naming every float op inside the core, or when the
-    plan has no integer core at all.
+    :class:`ServeError` naming every op that stays float
+    (:func:`integer_core_report`), or when the plan has no integer core
+    at all.
     """
     report = integer_core_report(plan)
     if not report["has_core"]:
         raise ServeError(
-            f"plan {plan.model_name!r} has no quant -> dequant integer core"
+            f"plan {plan.model_name!r} has no quant -> float integer core"
         )
     if report["float_ops"]:
         raise ServeError(
-            f"float tensors inside the integer core of plan "
+            f"float ops after the input quant of plan "
             f"{plan.model_name!r}: {', '.join(report['float_ops'])}"
         )
 
@@ -383,16 +418,22 @@ def _make_requant_fn(rp) -> Callable[[np.ndarray], np.ndarray]:
 class _FusedIntFn:
     """Callable body of a ``fused_int`` op: one C loop per LUT-GEMM layer.
 
-    Replaces a ``lutgemm_int -> requant [-> int relu]`` op run with a
-    single call into :func:`repro.core.execcore.serve_fused`: gather,
-    weight-zero-point correction, fixed-point requantization, and the
-    ReLU clamp run in one loop while the accumulator row stays in cache,
-    and the reshape back to image layout happens on the uint8 result
-    (a quarter of the unfused int64 traffic).
+    Replaces a ``lutgemm_int -> requant [-> int relu]`` or ``lutgemm_int
+    -> dequant [-> bn] [-> relu | join]`` op run with a single call into
+    :func:`repro.core.execcore.serve_fused`: gather, weight-zero-point
+    correction and the run's tail execute in one loop while the
+    accumulator row stays in cache.  ``tail`` is a
+    :class:`~repro.core.lutkernel.RequantTail` (uint8 out: a quarter of
+    the unfused int64 traffic) or a
+    :class:`~repro.core.lutkernel.FloatTail` (float64 out; with a
+    residual it takes the block's shortcut as second argument).  Both
+    are built once, at compile time.  Either (M, C) result is viewed as
+    an image exactly as the unfused op's is, so later ops see the same
+    memory order.
 
     The instance doubles as the op's ``params``: ``engine`` is the
-    LUT-GEMM engine it gathers through and ``rp`` the
-    :class:`RequantParams` of the requant it absorbed.
+    LUT-GEMM engine it gathers through and ``tail`` the constants of the
+    ops it absorbed.
 
     The lowering is chosen once, at compile time: when the engine's LUT
     is product-separable and the frozen weights pass
@@ -402,15 +443,14 @@ class _FusedIntFn:
     runs the exact matmul instead of the gather.
     """
 
-    __slots__ = ("fa", "engine", "rp", "relu_z", "spatial", "kh", "kw",
-                 "stride", "pad", "zx", "acc_dtype", "wrow", "wrow_bounds",
-                 "zw", "separable")
+    __slots__ = ("fa", "engine", "tail", "spatial", "kh", "kw", "stride",
+                 "pad", "zx", "acc_dtype", "wrow", "wrow_bounds",
+                 "separable")
 
-    def __init__(self, fa: FrozenAffine, rp, relu_z: int | None, meta: dict):
+    def __init__(self, fa: FrozenAffine, tail, meta: dict):
         self.fa = fa
         self.engine = fa.engine
-        self.rp = rp
-        self.relu_z = relu_z
+        self.tail = tail
         self.spatial = meta["spatial"]
         if self.spatial:
             self.kh = meta["kh"]
@@ -439,40 +479,26 @@ class _FusedIntFn:
                 if self.wrow.size
                 else None
             )
-        self.zw = np.ascontiguousarray(
-            np.atleast_1d(np.asarray(fa.zw_int, dtype=np.int64))
-        )
 
-    def _gemm(
-        self,
-        xq: np.ndarray,
-        xq_bounds: tuple[int, int] | None,
-        colsum: np.ndarray | None = None,
-    ) -> np.ndarray:
-        rp = self.rp
-        # max(q, Z) over a [qmin, qmax] clip folds to a raised lower
-        # rail (Z >= qmin on a zero-including grid).
-        qlo = rp.qmin if self.relu_z is None else max(rp.qmin, self.relu_z)
+    def _gemm(self, xq, xq_bounds, colsum=None, resid=None):
         from repro.core import execcore
 
         return execcore.serve_fused(
-            self.engine, self.fa.wq, self.wrow, xq, self.zw,
-            rp.m0, rp.d0, rp.shift, qlo, rp.qmax, self.acc_dtype,
-            wrow_bounds=self.wrow_bounds, xq_bounds=xq_bounds,
-            colsum=colsum,
+            self.engine, self.fa.wq, self.wrow, xq, self.tail,
+            self.acc_dtype, wrow_bounds=self.wrow_bounds,
+            xq_bounds=xq_bounds, colsum=colsum, resid=resid,
         )
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        fa = self.fa
-
+    def __call__(self, x: np.ndarray, short=None) -> np.ndarray:
+        m = self.fa.m
         # Plan inputs to a fused op are uint8 activations (and the
         # im2col pad value is the uint8 zero point), so the gather
         # indices are in bounds by construction -- no per-call scan.
         xqb = (0, 0xFF) if x.dtype == np.uint8 else None
         with _TRACE.span("serve.fused_int", cat="serve"):
             if not self.spatial:
-                xq = np.ascontiguousarray(x.T)
-                return np.ascontiguousarray(self._gemm(xq, xqb).T)  # (N, M)
+                q = self._gemm(np.ascontiguousarray(x.T), xqb)
+                return np.ascontiguousarray(q.T)  # (N, M)
             n, c, h, w = x.shape
             oh, ow = F.conv_output_size(
                 h, w, self.kh, self.kw, self.stride, self.pad
@@ -481,79 +507,125 @@ class _FusedIntFn:
                 xq, colsum = im2col_int(
                     x, self.kh, self.kw, self.stride, self.pad, self.zx
                 )
-            q = self._gemm(xq, xqb, colsum)  # (M, C) uint8
+            if short is not None:
+                # The shortcut in the (M, C) order the tail reads: a view
+                # of a fused op's output, copied only from another layout.
+                short = short.reshape(n, m, oh * ow).transpose(1, 0, 2)
+                short = short.reshape(m, n * oh * ow)
+            # (M, C) sums' tail -> the unfused op's image-shaped view, so
+            # later BLAS calls and reductions see the same memory order.
             return (
-                q.reshape(fa.m, n, oh * ow)
+                self._gemm(xq, xqb, colsum, short)
+                .reshape(m, n, oh * ow)
                 .transpose(1, 0, 2)
-                .reshape(n, fa.m, oh, ow)
+                .reshape(n, m, oh, ow)
             )
 
 
-def fuse_integer_plan(plan: InferencePlan) -> int:
-    """Fuse ``lutgemm_int -> requant [-> int relu]`` runs in place.
+def _match_tail(ops: list[PlanOp], i: int):
+    """The fusable run starting at the ``lutgemm_int`` op ``ops[i]``.
 
-    The plan-fusion pass of the integer pipeline: each matched run is
-    replaced by one ``fused_int`` :class:`PlanOp` whose
-    :class:`_FusedIntFn` body executes gather + requant + relu in a
+    Returns ``(tail, end, suffix, residual)`` -- the run is ``ops[i:end]``
+    -- or ``None`` when ``ops[i]`` starts none.  A requant run is
+    ``requant [-> int relu]`` with uint8 requant constants; a float run
+    is ``dequant [-> bn] [-> relu | join]``, where the BN and the join
+    must follow a conv (the BN's constants in ``meta["bn"]``) and the
+    ReLU be the float one.
+    """
+    op = ops[i]
+    if op.kind != "lutgemm_int" or op.meta is None or i + 1 >= len(ops):
+        return None
+    fa, nxt = op.params, ops[i + 1]
+    at = lambda j: ops[j] if j < len(ops) else None  # noqa: E731
+    if (
+        nxt.kind == "requant"
+        and isinstance(nxt.params, RequantParams)
+        and nxt.params.out_dtype() == np.uint8
+    ):
+        relu = at(i + 2)
+        relu_z = None
+        if relu is not None and relu.kind == "act" and relu.meta is not None:
+            relu_z = relu.meta.get("relu_z")
+        rp = nxt.params
+        # max(q, Z) over a [qmin, qmax] clip folds to a raised lower rail
+        # (Z >= qmin on a zero-including grid).
+        qlo = rp.qmin if relu_z is None else max(rp.qmin, relu_z)
+        tail = RequantTail(fa.zw_int, rp.m0, rp.d0, rp.shift, qlo, rp.qmax,
+                           fa.m)
+        end = i + 2 + (relu_z is not None)
+        suffix = "+requant+relu" if relu_z is not None else "+requant"
+        return tail, end, suffix, False
+    if nxt.kind != "dequant":
+        return None
+    j, suffix, bn = i + 2, "+dequant", None
+    cand = at(j)
+    if (
+        op.meta["spatial"]
+        and cand is not None
+        and cand.kind == "float"
+        and cand.meta is not None
+        and "bn" in cand.meta
+    ):
+        bn, j, suffix = cand.meta["bn"], j + 1, suffix + "+bn"
+    cand = at(j)
+    relu = residual = False
+    if cand is not None and cand.kind == "act" and cand.fn is _float_relu:
+        relu, j, suffix = True, j + 1, suffix + "+relu"
+    elif op.meta["spatial"] and cand is not None and cand.kind == "join":
+        relu = residual = True
+        j, suffix = j + 1, suffix + "+join"
+    # The constants resolve_to_float's dequant closure reads, as float64.
+    tail = FloatTail(fa.zw_int, fa.w_corr, fa.const_corr, fa.scale, fa.bias,
+                     bn, residual, relu)
+    return tail, j, suffix, residual
+
+
+def fuse_integer_plan(plan: InferencePlan) -> int:
+    """Fuse each LUT layer's gather with the ops that finish it, in place.
+
+    The plan-fusion pass of the integer pipeline: each run matched by
+    :func:`_match_tail` is replaced by one ``fused_int``
+    :class:`PlanOp` whose :class:`_FusedIntFn` body executes it in a
     single :func:`repro.core.execcore.serve_fused` call.  Returns the
     number of fused ops created.
 
-    A run only fuses when the gather op carries its geometry ``meta``
-    (compiled by this module's handlers), the requant constants are a
-    :class:`~repro.nn.requant.RequantParams` block targeting a uint8
-    grid (the C kernel's output width), and the optional following act
-    op is an integer ReLU (tagged with its clamp ``relu_z``).  Ops that
-    close the integer region -- average pooling, global average pooling,
-    the final exact ``dequant`` -- never match the pattern, so a fused
-    run always ends at one of them; a pool/reshape *between* requant and
-    relu leaves the relu standalone (only the gather+requant pair
-    fuses).  Fused plans are bit-identical to unfused ones on both
-    execution backends.
+    Two tails.  ``lutgemm_int -> requant [-> int relu]`` (the next layer
+    is approximate) fuses into the requant tail, ``uint8 -> uint8``: the
+    requant constants must be a :class:`~repro.nn.requant.RequantParams`
+    block targeting a uint8 grid (the C kernel's output width), and the
+    optional act op an integer ReLU (tagged with its clamp ``relu_z``).
+    ``lutgemm_int -> dequant [-> bn] [-> relu | join]`` (the output
+    leaves the integer grid) fuses into the float tail, ``uint8 ->
+    float64``: the exact dequant, the eval BatchNorm, and the float ReLU
+    or the residual join (add the popped shortcut, then ReLU; the op
+    gets ``residual`` set).  A run only fuses when the gather op carries
+    its geometry ``meta`` (compiled by this module's handlers); a
+    pool/reshape between the requant or dequant and the ReLU leaves the
+    ReLU standalone.  Fused plans are bit-identical to unfused ones on
+    both execution backends.
     """
     ops = plan.ops
     new_ops: list[PlanOp] = []
     created = 0
     i = 0
     while i < len(ops):
-        op = ops[i]
-        nxt = ops[i + 1] if i + 1 < len(ops) else None
-        if (
-            op.kind == "lutgemm_int"
-            and op.meta is not None
-            and nxt is not None
-            and nxt.kind == "requant"
-            and isinstance(nxt.params, RequantParams)
-            and nxt.params.out_dtype() == np.uint8
-        ):
-            rp = nxt.params
-            j = i + 2
-            relu_z = None
-            if (
-                j < len(ops)
-                and ops[j].kind == "act"
-                and ops[j].meta is not None
-                and "relu_z" in ops[j].meta
-            ):
-                relu_z = ops[j].meta["relu_z"]
-                j += 1
-            fn = _FusedIntFn(op.params, rp, relu_z, op.meta)
-            suffix = "+requant+relu" if relu_z is not None else "+requant"
-            new_ops.append(
-                PlanOp(
-                    f"{op.name}{suffix}",
-                    "fused_int",
-                    fn,
-                    "uint8",
-                    str(rp.out_dtype()),
-                    params=fn,
-                    meta={"fused": [o.name for o in ops[i:j]]},
-                )
-            )
-            created += 1
-            i = j
+        match = _match_tail(ops, i)
+        if match is None:
+            new_ops.append(ops[i])
+            i += 1
             continue
-        new_ops.append(op)
-        i += 1
+        tail, end, suffix, residual = match
+        fn = _FusedIntFn(ops[i].params, tail, ops[i].meta)
+        out_dtype = "uint8" if isinstance(tail, RequantTail) else FLOAT
+        new_ops.append(
+            PlanOp(
+                f"{ops[i].name}{suffix}", "fused_int", fn, "uint8", out_dtype,
+                params=fn, meta={"fused": [o.name for o in ops[i:end]]},
+                residual=residual,
+            )
+        )
+        created += 1
+        i = end
     plan.ops = new_ops
     return created
 
@@ -822,12 +894,17 @@ def _max_pool(x, kernel, stride):
     in any order; ~17x faster than the windowed reduce on a b1 uint8
     pool).  Float ones keep the windowed reduce: which of ``+0.0`` and
     ``-0.0`` a window of zeros returns depends on numpy's reduction
-    order, which a running maximum does not repeat.
+    order, which a running maximum does not repeat.  Both return a C
+    contiguous array, like the tape's pick: a later flatten then feeds a
+    BLAS matmul the memory order it rounds by in the training graph (a
+    conv output's channel-major view, pooled to 1x1, would not).
     """
     n, c, h, w = x.shape
     oh, ow = F.conv_output_size(h, w, kernel, kernel, stride, 0)
     if x.dtype.kind not in "iu":
-        return _pool_patches(x, kernel, stride, oh, ow).max(axis=(-1, -2))
+        return np.ascontiguousarray(
+            _pool_patches(x, kernel, stride, oh, ow).max(axis=(-1, -2))
+        )
     out = None
     for i in range(kernel):
         for j in range(kernel):
@@ -883,6 +960,8 @@ def _compile_batchnorm(module, ctx, prefix):
     def fn(x):
         return ((x - mean) * inv_std) * gamma + beta
 
+    # The float tail of a fused op replays fn from these constants.
+    meta = {"bn": (mean, inv_std, gamma, beta)}
     pending = ctx.pending
     if (
         pending is not None
@@ -892,7 +971,8 @@ def _compile_batchnorm(module, ctx, prefix):
         # Directly adjacent to the gather: the affine folds into the
         # fixed-point (M0, D0) constants.  If the region later falls back
         # to float, this placeholder becomes the exact float BN instead.
-        op = PlanOp(f"{prefix}bn", "pending", _unresolved, "uint8", "uint8")
+        op = PlanOp(f"{prefix}bn", "pending", _unresolved, "uint8", "uint8",
+                    meta=meta)
         ctx.ops.append(op)
         pending.fold_bn(
             gain=(inv_std * gamma).ravel(),
@@ -901,7 +981,7 @@ def _compile_batchnorm(module, ctx, prefix):
             op=op,
         )
     else:
-        ctx.append_float(PlanOp(f"{prefix}bn", "float", fn))
+        ctx.append_float(PlanOp(f"{prefix}bn", "float", fn, meta=meta))
 
 
 @register_compiler(Conv2d)
@@ -1077,19 +1157,24 @@ def _join(main, short):
 
 
 def _compile_residual(module, ctx, prefix, main_attrs):
-    """Inline block: ``save``, main path, ``branch``, shortcut, ``join``.
+    """Inline block: ``save``, shortcut, ``branch``, main path, ``join``.
 
     All three are float ops, so the paths' integer regions close before
-    the join: the residual add needs both paths on the float grid.
+    the join: the residual add needs both paths on the float grid.  The
+    shortcut (a conv + BN, or nothing for an identity) runs first, so the
+    main path's last op sits right before the ``join``: its gather, the
+    exact dequant, the BN and the join (``_join(main, short)``, the
+    shortcut popped by the executor) fuse into one float-tail op
+    (:func:`fuse_integer_plan`).
     """
     ctx.append_float(PlanOp(f"{prefix}save", "save", None))
+    _compile_into(module.shortcut, ctx, f"{prefix}shortcut.")
+    ctx.append_float(PlanOp(f"{prefix}branch", "branch", None))
     for attr, with_relu in main_attrs:
         _compile_into(getattr(module, attr), ctx, f"{prefix}{attr}.")
         if with_relu:
             ctx.emit_relu(f"{prefix}{attr}.relu")
-    ctx.append_float(PlanOp(f"{prefix}branch", "branch", None))
-    _compile_into(module.shortcut, ctx, f"{prefix}shortcut.")
-    ctx.append_float(PlanOp(f"{prefix}join", "join", _join))
+    ctx.append_float(PlanOp(f"{prefix}join", "join", _join, residual=True))
 
 
 def _compile_separable(module, ctx, prefix):

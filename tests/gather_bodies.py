@@ -1,6 +1,6 @@
 """Operands and switches shared by the tests of the two gather bodies.
 
-The C gathers (``lutkernel.fused_product_sums``, ``lutkernel.fused_serve``
+The C gathers (``lutkernel.fused_product_sums``, ``lutkernel.serve_tail``
 and the backward ``lutkernel.fused_backward_grads``) have an in-register
 AVX-512 VBMI body and a scalar loop.  Tests run each case on both,
 forcing the scalar loop through the private ``lutkernel._force_scalar``

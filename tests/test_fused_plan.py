@@ -1,11 +1,12 @@
-"""Tests for the fused integer serving pipeline (PR 9).
+"""Tests for the fused integer serving pipeline.
 
 Contract under test: ``compile_plan(..., arithmetic="int")`` fuses every
-``lutgemm_int -> requant [-> relu]`` run into one ``fused_int`` op backed
-by the single-loop C serving kernel, and the fused plan stays
-**bit-identical** to the float plan and the unfused integer plan -- on
-the C backend and the numpy fallback, across thread counts, and for
-empty micro-batches.
+LUT layer into one ``fused_int`` op backed by the single-loop C serving
+kernel -- ``lutgemm_int -> requant [-> relu]`` runs into the requant
+tail, ``lutgemm_int -> dequant [-> bn] [-> relu | join]`` runs into the
+float tail -- and the fused plan stays **bit-identical** to the float
+plan and the unfused integer plan -- on the C backend and the numpy
+fallback, across thread counts, and for empty micro-batches.
 The plan-level checks run once per serving lowering: ``mul8u_1DMU`` has a
 rank-1 LUT (one exact float64 matmul per op), ``mul8u_2NDH`` does not
 (the C gather kernel and its numpy fallback).  The bit-identity checks
@@ -18,13 +19,22 @@ import pytest
 
 from repro.core import execcore
 from repro.data import DataLoader, SyntheticImageDataset
-from repro.models import LeNet
+from repro.models import (
+    LeNet,
+    mobilenet_small,
+    resnet18,
+    resnet34,
+    resnet50,
+    vgg11,
+    vgg19,
+)
 from repro.multipliers import get_multiplier
 from repro.retrain.convert import approximate_model, calibrate, freeze
 from repro.serve.plan import (
     assert_integer_core,
     compile_plan,
     fuse_integer_plan,
+    integer_core_report,
 )
 from tests.gather_bodies import (
     BODY_COLUMNS,
@@ -88,19 +98,22 @@ def clean_backend():
 def test_fusion_is_default_for_int_plans(lenet_models):
     for mult, model in lenet_models.items():
         plan = compile_plan(model, arithmetic="int")
-        assert plan.fused_ops > 0
-        # Every fused op is uint8 -> uint8 and records what it absorbed.
-        for op in plan.ops:
-            if op.kind == "fused_int":
-                assert op.dtype_in == "uint8" and op.dtype_out == "uint8"
-                assert "+requant" in op.name
-                assert op.meta is not None and len(op.meta["fused"]) >= 2
-                assert op.params.separable == (mult == "mul8u_1DMU")
-        # The last gather feeds dequant, so exactly one lutgemm_int
-        # survives.
+        assert plan.fused_ops == plan.lutgemm_ops > 0
+        # Every fused op records what it absorbed: a requant tail is
+        # uint8 -> uint8, the last layer's float tail uint8 -> float64.
+        fused = [op for op in plan.ops if op.kind == "fused_int"]
+        for op in fused:
+            assert op.dtype_in == "uint8"
+            assert op.meta is not None and len(op.meta["fused"]) >= 2
+            assert op.params.separable == (mult == "mul8u_1DMU")
+        assert all(
+            "+requant" in op.name and op.dtype_out == "uint8"
+            for op in fused[:-1]
+        )
+        assert fused[-1].name.endswith("+dequant")
+        assert fused[-1].dtype_out == "float64"
         kinds = [op.kind for op in plan.ops]
-        assert kinds.count("lutgemm_int") == 1
-        assert kinds.count("requant") == 0
+        assert {"lutgemm_int", "requant", "dequant"}.isdisjoint(kinds)
         assert_integer_core(plan)
 
 
@@ -279,9 +292,9 @@ def test_fused_serve_matches_reference(
     want = execcore._serve_reference(
         lut, wrow, xq, zw, m0, d0, shift, qlo, qhi
     )
-    got = lutkernel.fused_serve(
-        lut, wrow, xq, colsum, zw, m0, d0, shift, qlo, qhi,
-        acc_dtype=acc_dtype, threads=threads,
+    tail = lutkernel.RequantTail(zw, m0, d0, shift, qlo, qhi, m)
+    got = lutkernel.serve_tail(
+        lut, wrow, xq, colsum, tail, acc_dtype=acc_dtype, threads=threads,
     )
     assert got.dtype == np.uint8 and got.shape == (m, c)
     assert np.array_equal(got, want)
@@ -321,16 +334,14 @@ def _assert_off_grid_serve_runs_numpy(
     xq[k - 1, c - 1] = -99
     wrow = (wq * levels).astype(np.int64)
     colsum = xq.sum(axis=0, dtype=np.int64)
-    assert lutkernel.fused_serve(
-        lut, wrow, xq, colsum, zw, m0, d0, shift, qlo, qhi, acc_dtype,
-        threads,
+    tail = lutkernel.RequantTail(zw, m0, d0, shift, qlo, qhi, wq.shape[0])
+    assert lutkernel.serve_tail(
+        lut, wrow, xq, colsum, tail, acc_dtype, threads
     ) is None
     want = execcore._serve_reference(
         lut, wrow, xq, zw, m0, d0, shift, qlo, qhi
     )
-    got = execcore.serve_fused(
-        engine, wq, wrow, xq, zw, m0, d0, shift, qlo, qhi, acc_dtype
-    )
+    got = execcore.serve_fused(engine, wq, wrow, xq, tail, acc_dtype)
     assert np.array_equal(got, want)
     assert engine.ckernel_forward_calls == 0
 
@@ -374,12 +385,13 @@ def test_fused_serve_bodies_bit_identical(
             ),
         )
     vbmi = runs_vbmi(body, c)
+    tail = lutkernel.RequantTail(zw, m0, d0, shift, qlo, qhi, m)
     for threads in (1, 4, 7):
         for acc_dtype in (np.int64, np.int32):
             with tracing() as tr:
-                got = lutkernel.fused_serve(
-                    lut, wrow, xq, colsum, zw, m0, d0, shift, qlo, qhi,
-                    acc_dtype, threads, planes=planes,
+                got = lutkernel.serve_tail(
+                    lut, wrow, xq, colsum, tail, acc_dtype, threads,
+                    planes=planes,
                 )
                 counts = tr.counters()
             assert counts.get("lutkernel.gather.vbmi", 0) == int(vbmi)
@@ -444,16 +456,27 @@ def test_separable_serve_matches_reference(
         raise AssertionError("separable op reached the gather kernel")
 
     execcore.serve_kernel_trusted()  # self-check before the patches
-    monkeypatch.setattr(lutkernel, "fused_serve", no_gather)
+    monkeypatch.setattr(lutkernel, "serve_tail", no_gather)
     if backend == "numpy":
-        monkeypatch.setattr(lutkernel, "requant_f64", lambda *a: None)
+        monkeypatch.setattr(lutkernel, "tail_f64", lambda *a: None)
     wa = np.take(engine._sep_f64[0], wq)
+    tail = lutkernel.RequantTail(zw, m0, d0, shift, qlo, qhi, m)
     for acc_dtype in (np.int64, np.int32):
-        got = execcore.serve_fused(
-            engine, wq, wa, xq, zw, m0, d0, shift, qlo, qhi, acc_dtype
-        )
+        got = execcore.serve_fused(engine, wq, wa, xq, tail, acc_dtype)
         assert got.dtype == np.uint8 and got.shape == (m, c)
         assert np.array_equal(got, want)
+    # The float tail (dequant, BN, residual, ReLU) takes the same branch.
+    acc = engine.lut_flat[wq[:, :, None] * levels + xq[None]].sum(axis=1)
+    colsum = xq.sum(axis=0, dtype=np.int64)
+    ftail = lutkernel.FloatTail(
+        zw, rng.standard_normal(m), 0.25, rng.standard_normal(m) * 1e-2,
+        bn=tuple(rng.standard_normal((4, m))), residual=True, relu=True,
+    )
+    resid = rng.standard_normal((m, c))
+    want_f = execcore._numpy_tail(acc, colsum, ftail, resid)
+    got_f = execcore.serve_fused(engine, wq, wa, xq, ftail, np.int64,
+                                 resid=resid)
+    assert got_f.tobytes() == want_f.tobytes()
     assert ((want > qlo) & (want < qhi)).any()
     if per_channel:
         assert (want[0] == qhi).all() and (want[1] == qlo).all()
@@ -545,8 +568,8 @@ def test_separable_serve_out_of_range_takes_the_gather():
         engine.lut_flat, wq * levels, xq, zw, m0, d0, shift, 3, 250
     )
     got = execcore.serve_fused(
-        engine, wq, np.take(engine._sep_f64[0], wq), xq, zw, m0, d0,
-        shift, 3, 250, np.int64,
+        engine, wq, np.take(engine._sep_f64[0], wq), xq,
+        lutkernel.RequantTail(zw, m0, d0, shift, 3, 250, 9), np.int64,
     )
     assert np.array_equal(got, want)
     if not lutkernel.kernel_available():
@@ -558,8 +581,200 @@ def test_separable_serve_out_of_range_takes_the_gather():
     want = execcore._serve_reference(
         engine.lut_flat, wrow, xq_u8, zw, m0, d0, shift, 3, 250
     )
-    got = lutkernel.fused_serve(
-        engine._lut_i32, wrow, xq_u8, xq_u8.sum(axis=0, dtype=np.int64), zw,
-        m0, d0, shift, 3, 250,
+    got = lutkernel.serve_tail(
+        engine._lut_i32, wrow, xq_u8, xq_u8.sum(axis=0, dtype=np.int64),
+        lutkernel.RequantTail(zw, m0, d0, shift, 3, 250, 9),
     )
     assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# the float tail: every LUT layer of the zoo ends in one fused op
+# ----------------------------------------------------------------------
+#: Tiny zoo models; VGG needs 32 pixels for its five pools.
+ZOO = {
+    "lenet": (lambda: LeNet(num_classes=4, image_size=12, seed=11), 12),
+    "resnet18": (lambda: resnet18(num_classes=4, width_mult=0.0625), 8),
+    "resnet34": (lambda: resnet34(num_classes=4, width_mult=0.0625), 8),
+    "resnet50": (lambda: resnet50(num_classes=4, width_mult=0.0625), 8),
+    "vgg11": (lambda: vgg11(num_classes=4, width_mult=0.0625), 32),
+    "vgg19": (lambda: vgg19(num_classes=4, width_mult=0.0625), 32),
+    "mobilenet_small": (
+        lambda: mobilenet_small(num_classes=4, width_mult=0.125), 8
+    ),
+}
+#: A gather multiplier, a synthesized one and the rank-1 one.
+ZOO_MULTS = ("mul8u_2NDH", "mul8u_syn1", "mul8u_1DMU")
+
+
+def _frozen_zoo_model(arch, mult):
+    from repro.autograd import Tensor
+    from repro.autograd.tensor import no_grad
+
+    build, size = ZOO[arch]
+    model = build()
+    with no_grad():  # non-trivial BatchNorm running statistics
+        model(Tensor(np.random.default_rng(90).standard_normal(
+            (8, 3, size, size)
+        )))
+    model = approximate_model(
+        model, get_multiplier(mult), gradient_method="none",
+        include_linear=arch == "lenet",
+    )
+    ds = SyntheticImageDataset(16, 4, size, seed=11, split="train")
+    calibrate(model, DataLoader(ds, batch_size=16), batches=1)
+    freeze(model)
+    model.eval()
+    return model, np.random.default_rng(5).standard_normal((3, 3, size, size))
+
+
+def _runs(plan, x):
+    """Byte strings of a batch run and of one run per sample."""
+    return [plan.run(x).tobytes()] + [
+        plan.run(x[i : i + 1]).tobytes() for i in range(len(x))
+    ]
+
+
+@pytest.mark.parametrize("arch", list(ZOO))
+def test_zoo_fused_plans_match_unfused_by_bytes(arch, monkeypatch,
+                                                clean_backend):
+    """Fused and ``fuse=False`` int plans agree byte for byte (zero signs
+    included) on every zoo model and multiplier, batched and one sample
+    at a time, on C at 1, 4 and 7 threads and on numpy; the float plan
+    verifies against the training graph."""
+    cases = []
+    for mult in ZOO_MULTS:
+        model, x = _frozen_zoo_model(arch, mult)
+        want = compile_plan(model, example_input=x).run(x)
+        fused = compile_plan(model, arithmetic="int")
+        unfused = compile_plan(model, arithmetic="int", fuse=False)
+        assert fused.fused_ops == fused.lutgemm_ops > 0
+        assert not any(op.kind in ("lutgemm_int", "dequant")
+                       for op in fused.ops)
+        ref = _runs(unfused, x)
+        np.testing.assert_array_equal(fused.run(x), want)
+        cases.append((fused, unfused, x, ref))
+    for threads in ("1", "4", "7"):
+        monkeypatch.setenv("REPRO_LUTKERNEL_THREADS", threads)
+        for fused, _unfused, x, ref in cases:
+            assert _runs(fused, x) == ref, threads
+    monkeypatch.setenv("REPRO_NO_CCKERNEL", "1")
+    execcore.reset_backend_state()
+    for fused, unfused, x, ref in cases:
+        assert _runs(fused, x) == ref
+        assert _runs(unfused, x) == ref
+
+
+def test_resnet18_int_plan_structure(block_models):
+    """All 20 LUT layers of ResNet-18 are fused ops, and each conv
+    shortcut runs before the main path's last conv, which adds it."""
+    plan = compile_plan(block_models[("resnet18", "mul8u_2NDH")],
+                        arithmetic="int")
+    kinds = [op.kind for op in plan.ops]
+    assert plan.fused_ops == 20
+    assert {"lutgemm_int", "dequant", "requant", "join"}.isdisjoint(kinds)
+    shortcuts = [i for i, op in enumerate(plan.ops)
+                 if op.kind == "fused_int" and ".shortcut." in op.name]
+    assert len(shortcuts) == 3
+    # What stays float: each block's quant (main path and conv shortcut),
+    # the global-average pool and the head linear.
+    quants = [op.name for op in plan.ops[1:] if op.kind == "quant"]
+    assert len(quants) == 8 + 3
+    assert integer_core_report(plan)["float_ops"] == quants + [
+        op.name for op in plan.ops[-2:]
+    ]
+    assert [op.kind for op in plan.ops[-2:]] == ["pool", "float"]
+    for i in shortcuts:
+        block = plan.ops[i].name.split(".shortcut.")[0]
+        adds = [j for j, op in enumerate(plan.ops)
+                if op.residual and op.name.startswith(block + ".conv2.")]
+        assert len(adds) == 1 and i < adds[0]
+        assert plan.ops[adds[0]].name.endswith("+dequant+bn+join")
+
+
+def _float_tail_case(per_channel, m=9, k=12, c=150, seed=0):
+    """A uint16 LUT, operands, and FloatTail constants whose dequant
+    rounds differently in any other order."""
+    rng = np.random.default_rng(seed)
+    levels = 64
+    lut = edge_lut(levels)
+    wrow, xq = edge_operands(levels, m, k, c, seed=seed)
+    size = m if per_channel else 1
+    consts = dict(
+        zw=rng.integers(0, 5, size=size),
+        w_corr=rng.standard_normal(m) * 1e5,
+        const_corr=rng.standard_normal(size) * 1e-3,
+        scale=rng.standard_normal(size) * 1e-4,
+        bias=rng.standard_normal(m),
+        bn=tuple(rng.standard_normal((4, m))),
+    )
+    return lut, wrow, xq, consts, rng
+
+
+@pytest.mark.parametrize("body", ["vbmi", "scalar"])
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("c", [1, 31, 150])
+def test_float_tail_matches_the_numpy_reference(monkeypatch, body,
+                                                per_channel, c):
+    """``serve_tail`` / ``tail_f64`` with a FloatTail against the numpy
+    reference, bit for bit: both bodies, int32 and int64 sums, 1 and 4
+    threads, with and without bias, BN, residual and ReLU; the residual
+    cancels some outputs to +0.0 and negative outputs reach the ReLU
+    (-0.0)."""
+    from repro.core import lutkernel
+
+    if not lutkernel.kernel_available():
+        pytest.skip("C kernel disabled or no compiler")
+    force_body(monkeypatch, body)
+    lut, wrow, xq, consts, rng = _float_tail_case(per_channel, c=c)
+    planes = lutkernel.byte_planes(lut)
+    colsum = xq.sum(axis=0, dtype=np.int64)
+    acc = lut[wrow[:, :, None] + xq[None]].sum(axis=1, dtype=np.int64)
+    zeros = 0
+    for bias, bn, residual, relu in (
+        (False, False, False, False), (True, True, False, True),
+        (False, True, True, True), (True, False, True, False),
+    ):
+        kw = dict(consts, bias=consts["bias"] if bias else None,
+                  bn=consts["bn"] if bn else None)
+        resid = None
+        if residual:
+            resid = -execcore._numpy_tail(acc, colsum, lutkernel.FloatTail(**kw))
+            resid[:, 1::2] = rng.standard_normal(resid[:, 1::2].shape)
+        tail = lutkernel.FloatTail(**kw, residual=residual, relu=relu)
+        want = execcore._numpy_tail(acc, colsum, tail, resid)
+        assert want.shape == (9, c) and want.dtype == np.float64
+        zeros += int(np.sum((want == 0) & np.signbit(want)))
+        zeros += int(np.sum((want == 0) & ~np.signbit(want)))
+        got = [lutkernel.tail_f64(acc.astype(np.float64), colsum, tail,
+                                  resid)]
+        for threads in (1, 4):
+            for acc_dtype in (np.int64, np.int32):
+                got.append(lutkernel.serve_tail(
+                    lut, wrow, xq, colsum, tail, acc_dtype, threads,
+                    planes=planes, resid=resid,
+                ))
+        for g in got:
+            assert g.tobytes() == want.tobytes()
+    assert zeros > 0
+
+
+def test_serve_self_check_rejects_a_wrong_float_tail(monkeypatch):
+    """A float tail whose ReLU is ``max(y, 0)`` (+0.0 where the plan's
+    ``y * (y > 0)`` gives -0.0) fails the serving self-check."""
+    from repro.core import lutkernel
+
+    if not lutkernel.kernel_available():
+        pytest.skip("C kernel disabled or no compiler")
+    real = lutkernel.serve_tail
+
+    def plus_zero(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out is not None and out.dtype == np.float64:
+            out[out == 0] = 0.0
+        return out
+
+    assert execcore._run_serve_self_check()
+    monkeypatch.setattr(lutkernel, "serve_tail", plus_zero)
+    with pytest.warns(RuntimeWarning, match="float serving tail"):
+        assert not execcore._run_serve_self_check()

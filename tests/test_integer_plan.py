@@ -3,9 +3,10 @@
 The contract under test: on every supported model shape the integer plan's
 outputs are **bit-identical** to the float-scale plan (which is itself
 bit-identical to the eval-mode training graph), and between the input
-``quant`` op and the final ``dequant`` op no tensor is float -- asserted
-structurally by :func:`repro.serve.plan.assert_integer_core` and
-behaviorally by running the plan with dtype-spying wrappers.  Each
+``quant`` op and the first float output (a ``dequant``, or a fused op's
+float tail) no tensor is float -- asserted structurally by
+:func:`repro.serve.plan.assert_integer_core` and behaviorally by running
+the plan with dtype-spying wrappers.  Each
 check runs once per LUT-GEMM lowering: ``mul8u_1DMU`` has a rank-1 LUT
 (exact float64 matmul), ``mul8u_2NDH`` does not (gather).
 """
@@ -140,11 +141,15 @@ def test_bn_folds_into_requant(batch):
         # The BN layers folded into requant constants: no "float"-kind BN
         # op survives in the plan.  The folded requants then fuse into
         # their gathers (conv1->conv2 and conv2->linear), so they surface
-        # as fused_int ops rather than standalone requant ops.
+        # as fused_int ops rather than standalone requant ops, and the
+        # linear's exact dequant fuses into its float tail.
         kinds = [op.kind for op in plan.ops]
         assert "float" not in kinds
-        assert kinds.count("fused_int") == 2
-        assert kinds.count("requant") == 0
+        assert [
+            (op.dtype_in, op.dtype_out) for op in plan.ops
+            if op.kind == "fused_int"
+        ] == [("uint8", "uint8")] * 2 + [("uint8", "float64")]
+        assert kinds.count("requant") == kinds.count("dequant") == 0
         # The unfused plan still shows the standalone requant pair.
         unfused = compile_plan(model, arithmetic="int", fuse=False)
         assert [op.kind for op in unfused.ops].count("requant") == 2
@@ -181,8 +186,8 @@ def test_no_c_kernel_numpy_path_bit_identical(lenet_models, batch, monkeypatch):
     from repro.core import lutkernel
 
     monkeypatch.setattr(lutkernel, "fused_product_sums", lambda *a: None)
-    monkeypatch.setattr(lutkernel, "fused_serve", lambda *a, **k: None)
-    monkeypatch.setattr(lutkernel, "requant_f64", lambda *a: None)
+    monkeypatch.setattr(lutkernel, "serve_tail", lambda *a, **k: None)
+    monkeypatch.setattr(lutkernel, "tail_f64", lambda *a: None)
     for model in lenet_models.values():
         _check_bit_identity(model, batch)
 
@@ -214,22 +219,29 @@ def test_block_layers_compile_inline(block_models):
             plan = compile_plan(model, **kwargs)
             assert plan.lutgemm_ops == n_approx, (arch, kwargs)
             kinds = [op.kind for op in plan.ops]
-            for structural in ("save", "branch", "join"):
+            for structural in ("save", "branch"):
                 assert kinds.count(structural) == n_blocks, (arch, kwargs)
-        # The default (fused) integer plan, compiled last in the loop.
+            # One residual add per block: a join op, or the fused op of
+            # the main path's last conv, which absorbed it.
+            residual = [op for op in plan.ops if op.residual]
+            assert len(residual) == n_blocks, (arch, kwargs)
+        # The default (fused) integer plan, compiled last in the loop:
+        # every LUT layer is one fused op, and each block's main path ends
+        # in the float tail that adds the shortcut.
+        assert plan.fused_ops == n_approx, arch
+        assert {"lutgemm_int", "requant", "dequant", "join"}.isdisjoint(kinds)
+        assert all(op.name.endswith("+bn+join") for op in residual)
+        # The residual add runs in float, so each block's main path (and
+        # conv shortcut) starts with a quant op that the report names.
         report = integer_core_report(plan)
         assert report["has_core"] and not report["integer_only"]
-        if n_blocks:
-            assert plan.fused_ops > 0, arch
-            # The residual add runs in float: the joins and the float BN
-            # behind each block's last gather are named as core float ops.
-            start, end = report["span"]
-            ops = plan.ops
-            joins = [op.name for op in ops[start:end] if op.kind == "join"]
-            main_bns = [ops[i - 1].name for i in range(start, end)
-                        if ops[i].kind == "branch"]
-            assert joins and all(n.endswith(".bn") for n in main_bns)
-            assert set(joins + main_bns) <= set(report["float_ops"])
+        start = report["span"][0]
+        quants = [op.name for op in plan.ops[start + 1 :]
+                  if op.kind == "quant"]
+        assert len(quants) >= n_blocks
+        assert set(quants) <= set(report["float_ops"])
+        assert not any(op.kind == "fused_int" and op.name in report["float_ops"]
+                       for op in plan.ops)
 
 
 # ----------------------------------------------------------------------
@@ -270,12 +282,12 @@ def test_op_dtype_tags_match_runtime(lenet_models, batch):
 def test_describe_and_summary_expose_integer_pipeline(lenet_frozen):
     plan = compile_plan(lenet_frozen, arithmetic="int")
     text = plan.describe()
-    # The final gather feeds dequant so it stays unfused; earlier
-    # gather->requant[->relu] runs surface as fused_int ops.
-    assert "lutgemm_int" in text
+    # Every gather is fused: gather->requant[->relu] runs end in uint8,
+    # the final gather's dequant in its float tail.
+    assert "lutgemm_int" not in text
     assert "fused_int" in text
     assert "serve backend" in text
-    assert "uint8" in text and "int64" in text
+    assert "(uint8 -> uint8)" in text and "+dequant  (uint8 -> float64)" in text
     summary = plan.op_summary()
     assert summary["arithmetic"] == "int"
     assert summary["integer_only_core"] is True

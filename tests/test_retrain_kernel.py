@@ -764,9 +764,10 @@ def _bad_shape_calls():
     one = np.ones(1, dtype=np.int64)
 
     def serve(wrow, xq, acc_dtype=np.int64):
-        return lutkernel.fused_serve(
-            lut, wrow, xq, np.zeros(xq.shape[-1], np.int64), one, one,
-            one, one, 0, 255, acc_dtype,
+        return lutkernel.serve_tail(
+            lut, wrow, xq, np.zeros(xq.shape[-1], np.int64),
+            lutkernel.RequantTail(one, one, one, one, 0, 255, len(wrow)),
+            acc_dtype,
         )
 
     def fwd(wrow, xq, acc_dtype=np.int64):
@@ -804,9 +805,9 @@ def _bad_shape_calls():
         "product_sums_empty_lut": lambda: lutkernel.fused_product_sums(
             np.zeros(0, np.int32), w43, x3
         ),
-        "serve_empty_lut": lambda: lutkernel.fused_serve(
-            np.zeros(0, np.int32), w43, x3, np.zeros(100, np.int64), one,
-            one, one, one, 0, 255,
+        "serve_empty_lut": lambda: lutkernel.serve_tail(
+            np.zeros(0, np.int32), w43, x3, np.zeros(100, np.int64),
+            lutkernel.RequantTail(one, one, one, one, 0, 255, 4),
         ),
         # The gx table's four planes, not one of them, nor a uint16
         # LUT's two, nor the (gw, gx) pair of planes the backward used
@@ -1027,8 +1028,9 @@ def test_uint8_operands_match_numpy_by_bits(monkeypatch, threads, body):
         colsum = xq.sum(axis=0, dtype=np.int64)
         rq = (one, one, one * 0, one * 16, 0, 255)
         want_q = execcore._requant_clamp(want, colsum, *rq)
-        got_q = lutkernel.fused_serve(
-            lut, wrow, xq, colsum, *rq, np.int32, threads, planes=planes
+        got_q = lutkernel.serve_tail(
+            lut, wrow, xq, colsum, lutkernel.RequantTail(*rq, 13), np.int32,
+            threads, planes=planes,
         )
         assert got_q.tobytes() == want_q.tobytes(), c
         gout = edge_gout(13, c, seed=c)
